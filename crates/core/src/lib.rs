@@ -35,5 +35,5 @@ mod system;
 pub use cost::{system_cost, CostBreakdown, CostModel};
 pub use deployment::{Deployment, ReasoningTask, TurnLatency, INTERACTION_THRESHOLD_S};
 pub use dse::{optimal_memory, required_bytes_per_core};
-pub use serving::{sweep_cost_model, sweep_latency_lut, PrefillBackend, RpuCostModel};
+pub use serving::{sweep_cost_model, PrefillBackend, RpuCostModel};
 pub use system::{BuildError, RpuSystem};

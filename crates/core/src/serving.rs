@@ -20,7 +20,7 @@
 use crate::RpuSystem;
 use rpu_gpu::{GpuSpec, GpuSystem};
 use rpu_models::{ModelConfig, Precision, PrefillWorkload};
-use rpu_serve::{CostModel, LatencyLut, LutBuilder, ServeConfig};
+use rpu_serve::{CostModel, ServeConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -281,44 +281,6 @@ pub fn sweep_cost_model(
     (config, cost)
 }
 
-/// Flattens the shared sweep cost model into a [`LatencyLut`]: the
-/// same test-bed as [`sweep_cost_model`], with the simulator-backed
-/// model sampled once per knot and frozen into dense arrays.
-///
-/// The context axis is pinned to the scheduler's `seq_bucket`, so every
-/// bucketed context a run can price decode at lands **on a knot** — the
-/// LUT then reproduces [`SharedRpuCostModel`] decode pricing
-/// bit-for-bit, and whole runs driven through the LUT are bit-identical
-/// as long as prompt lengths also sit on prefill knots. Off-knot
-/// prompts interpolate linearly on an axis adaptively refined to 0.5%
-/// midpoint tolerance — the GPU prefill surface has a kink where its
-/// launch/bandwidth floor gives way to compute-bound growth, which
-/// uniform spacing cannot bound; `crates/core/tests/lut.rs` holds the
-/// off-grid error below 1%.
-///
-/// Returns the [`ServeConfig`], the frozen LUT, and the shared source
-/// model it was sampled from (still memoised — callers can
-/// differential-test the two or reuse the cache).
-///
-/// # Panics
-///
-/// Panics if Llama3-8B cannot be deployed at `num_cus`.
-#[must_use]
-pub fn sweep_latency_lut(
-    num_cus: u32,
-    max_batch: u32,
-    longest_context: u32,
-) -> (ServeConfig, LatencyLut, SharedRpuCostModel) {
-    let (config, cost) = sweep_cost_model(num_cus, max_batch, longest_context);
-    let mut sampler = cost.clone();
-    let lut = LutBuilder::new(max_batch, config.bucket(longest_context))
-        .context_step(config.seq_bucket)
-        .prefill_step(config.seq_bucket)
-        .prefill_tolerance(0.005)
-        .build(&mut sampler);
-    (config, lut, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,21 +393,6 @@ mod tests {
         assert_eq!(shared.distinct_decode_sims(), 1);
         assert_eq!(a.kv_capacity_tokens(), b.kv_capacity_tokens());
         assert!(a.fits(1024) && b.fits(1024));
-    }
-
-    #[test]
-    fn sweep_lut_covers_every_bucketed_context_as_a_knot() {
-        let (config, lut, _cost) = sweep_latency_lut(64, 4, 1024);
-        // Every context the scheduler can price decode at is a bucket
-        // boundary; all of them must be knots so lookups are exact.
-        let knots = lut.context_knots();
-        let mut ctx = 0u32;
-        while ctx <= config.bucket(1024) {
-            assert!(knots.contains(&ctx), "bucket boundary {ctx} not a knot");
-            ctx += config.seq_bucket;
-        }
-        assert_eq!(*knots.last().unwrap(), config.bucket(1024));
-        assert_eq!(lut.max_batch(), 4);
     }
 
     #[test]

@@ -250,42 +250,6 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds a fleet from explicit (possibly heterogeneous) replicas,
-    /// all initially live, with no migration delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is empty (a fleet must route somewhere) or
-    /// if any replica's `max_batch` is zero.
-    #[deprecated(note = "use `FleetBuilder` — it also names initial \
-                         lifecycle states and the migration delay")]
-    #[must_use]
-    pub fn new(replicas: Vec<FleetReplica>) -> Self {
-        let mut b = FleetBuilder::new();
-        for r in replicas {
-            b = b.replica(r);
-        }
-        b.build()
-    }
-
-    /// Builds `n` identical replicas from factory closures (one fresh
-    /// cost model and policy per replica), all initially live, with no
-    /// migration delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `config.max_batch` is zero.
-    #[deprecated(note = "use `FleetBuilder::group`")]
-    #[must_use]
-    pub fn homogeneous(
-        n: usize,
-        config: &ServeConfig,
-        cost: impl FnMut() -> Box<dyn CostModel>,
-        policy: impl FnMut() -> Box<dyn SchedulingPolicy>,
-    ) -> Self {
-        FleetBuilder::new().group(n, config, cost, policy).build()
-    }
-
     /// Number of provisioned replica slots (whatever their state).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -341,22 +305,20 @@ impl Fleet {
     /// [`crate::RequestSource::new`]).
     #[must_use]
     pub fn start(&self, workload: &Workload) -> FleetRun {
-        let cores: Vec<Core> = self.replicas.iter().map(|r| Core::new(r.config)).collect();
-        let telemetry = cached_telemetry(&cores, &self.replicas);
+        let source = RequestSource::new(workload);
+        let mut cores: Vec<Core> = self.replicas.iter().map(|r| Core::new(r.config)).collect();
         let states = self.initial_states.clone();
-        let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
-        let index = FleetRoutingIndex::new(&telemetry, &routable);
-        let kv_caps = self
-            .replicas
-            .iter()
-            .map(|r| r.cost.kv_capacity_tokens())
-            .collect();
+        let Derived {
+            wake,
+            telemetry,
+            index,
+            kv_caps,
+            routable,
+        } = Derived::build(self, &mut cores, &states);
         FleetRun {
-            source: RequestSource::new(workload),
+            source,
             cores,
-            // Fresh cores are idle (next event at infinity), so the
-            // wake-up calendar starts empty; the first arrival seeds it.
-            wake: CalendarQueue::with_components(self.replicas.len()),
+            wake,
             telemetry,
             index,
             route_stats: RouteStats::default(),
@@ -480,8 +442,9 @@ pub struct FleetRun {
     /// event, keyed `(tick, replica)`. A replica's entry is refreshed
     /// after every event that touches it — nothing else can move its
     /// next event — so the driver pops the globally earliest event in
-    /// `O(log n)` instead of scanning every replica per event. Not
-    /// serialised: rebuilt deterministically from the cores on resume.
+    /// amortised `O(1)` (a timing wheel; see [`CalendarQueue`]) instead
+    /// of scanning every replica per event. Not serialised: rebuilt
+    /// deterministically from the cores on resume.
     wake: CalendarQueue,
     /// Cached per-replica telemetry, index-aligned with `cores`. A
     /// replica's published counters can only change when an event
@@ -561,6 +524,70 @@ fn cached_telemetry(cores: &[Core], replicas: &[FleetReplica]) -> Vec<ReplicaTel
         .zip(replicas)
         .map(|(c, r)| c.telemetry(r.cost.kv_capacity_tokens()))
         .collect()
+}
+
+/// The state a [`FleetRun`] derives from its cores and lifecycle states
+/// instead of serialising: the wake-up calendar, the telemetry cache,
+/// the routable mask, the routing index and the KV capacities.
+struct Derived {
+    wake: CalendarQueue,
+    telemetry: Vec<ReplicaTelemetry>,
+    index: FleetRoutingIndex,
+    kv_caps: Vec<u64>,
+    routable: Vec<bool>,
+}
+
+impl Derived {
+    /// Builds the derived state for a fresh or thawed run. Identical
+    /// `(tick, replica)` keys reproduce a frozen run's pop order
+    /// exactly, and identical counters reproduce its routing. Fresh
+    /// cores are idle (next event at infinity), so a fresh run's
+    /// calendar starts empty and the first arrival seeds it.
+    fn build(fleet: &Fleet, cores: &mut [Core], states: &[LifecycleState]) -> Self {
+        let mut wake = CalendarQueue::with_components(cores.len());
+        for (i, core) in cores.iter_mut().enumerate() {
+            wake.schedule(i as u32, core.next_event_s());
+        }
+        let telemetry = cached_telemetry(cores, &fleet.replicas);
+        let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
+        let index = FleetRoutingIndex::new(&telemetry, &routable);
+        let kv_caps = fleet
+            .replicas
+            .iter()
+            .map(|r| r.cost.kv_capacity_tokens())
+            .collect();
+        Self {
+            wake,
+            telemetry,
+            index,
+            kv_caps,
+            routable,
+        }
+    }
+}
+
+/// When each kind of event could next run, in tie order. Re-routes and
+/// arrivals need a live replica: with none they wait for a join
+/// (draining replicas may still step their in-flight work meanwhile),
+/// so they read as never.
+struct NextEvents {
+    lifecycle: f64,
+    reroute: f64,
+    arrival: f64,
+    wake: f64,
+    /// Re-routes or arrivals are pending with no live replica to route
+    /// them to.
+    starved: bool,
+}
+
+impl NextEvents {
+    /// The earliest candidate time (infinite when nothing can run).
+    fn earliest(&self) -> f64 {
+        self.lifecycle
+            .min(self.reroute)
+            .min(self.arrival)
+            .min(self.wake)
+    }
 }
 
 /// Advances the machine-seconds integral to `t`: each non-down (live
@@ -671,39 +698,10 @@ impl FleetRun {
             fleet.replicas.len(),
             "fleet changed size mid-run"
         );
-        let next_lifecycle = self
-            .pending_events
-            .front()
-            .map_or(f64::INFINITY, |e| e.at_s);
-        // Routing needs a live replica: with none, arrivals and
-        // re-routes wait for a join (draining replicas may still step
-        // their in-flight work meanwhile). The index maintains the
-        // live count incrementally, so this is O(1) instead of a mask
-        // scan per event.
-        let any_live = self.index.live_count() > 0;
-        debug_assert_eq!(
-            any_live,
-            self.routable.iter().any(|&r| r),
-            "index live count drifted from the routable mask"
-        );
-        let raw_reroute = self
-            .displaced
-            .front()
-            .map_or(f64::INFINITY, |&(due, _)| due);
-        let next_reroute = if any_live { raw_reroute } else { f64::INFINITY };
-        let raw_arrival = self.source.next_arrival_s().unwrap_or(f64::INFINITY);
-        let next_arrival = if any_live { raw_arrival } else { f64::INFINITY };
-        // The calendar's head is the earliest replica event; ties on
-        // the tick pop the lowest replica index, matching the
-        // first-minimum semantics of the scan this replaces.
-        let next_wake = self.wake.peek().map_or(f64::INFINITY, |(t, _)| t);
-        if !next_lifecycle.is_finite()
-            && !next_reroute.is_finite()
-            && !next_arrival.is_finite()
-            && !next_wake.is_finite()
-        {
+        let next = self.next_events();
+        if !next.earliest().is_finite() {
             assert!(
-                !raw_arrival.is_finite() && !raw_reroute.is_finite(),
+                !next.starved,
                 "fleet wedged: requests pending with no live replica \
                  and no scheduled lifecycle event"
             );
@@ -715,9 +713,9 @@ impl FleetRun {
         // its arrival time, before any replica runs a scheduling event
         // at or after it, so every replica's telemetry is current as of
         // the arrival.
-        let touched = if next_lifecycle <= next_reroute
-            && next_lifecycle <= next_arrival
-            && next_lifecycle <= next_wake
+        let touched = if next.lifecycle <= next.reroute
+            && next.lifecycle <= next.arrival
+            && next.lifecycle <= next.wake
         {
             let ev = self.pending_events.pop_front().expect("lifecycle is due");
             accrue_machine_seconds(
@@ -749,7 +747,7 @@ impl FleetRun {
                     .with_stats(&self.route_stats),
             );
             i
-        } else if next_reroute <= next_arrival && next_reroute <= next_wake {
+        } else if next.reroute <= next.arrival && next.reroute <= next.wake {
             let (due, q) = self.displaced.pop_front().expect("re-route is due");
             // A re-route can come due while later events were already
             // executing (zero delay, or the clock ran ahead); it fires
@@ -776,9 +774,9 @@ impl FleetRun {
                 replica: pick as u32,
             });
             pick
-        } else if next_arrival <= next_wake {
-            let req = self.source.pop_ready(next_arrival).expect("arrival is due");
-            self.now_s = self.now_s.max(next_arrival);
+        } else if next.arrival <= next.wake {
+            let req = self.source.pop_ready(next.arrival).expect("arrival is due");
+            self.now_s = self.now_s.max(next.arrival);
             debug_assert_eq!(
                 self.telemetry,
                 cached_telemetry(&self.cores, &fleet.replicas),
@@ -851,29 +849,42 @@ impl FleetRun {
     /// distinguishes the two).
     #[must_use]
     pub fn next_time(&mut self) -> Option<f64> {
+        let next = self.next_events().earliest();
+        // Events never run in the past: one that came due while the
+        // clock ran ahead (a re-route or arrival held back by an
+        // all-down fleet) fires at the current clock.
+        next.is_finite().then(|| next.max(self.now_s))
+    }
+
+    /// The candidate times [`FleetRun::step`] and [`FleetRun::next_time`]
+    /// both choose from.
+    fn next_events(&mut self) -> NextEvents {
+        // The index maintains the live count incrementally, so this is
+        // O(1) instead of a mask scan per event.
         let any_live = self.index.live_count() > 0;
-        let next_lifecycle = self
-            .pending_events
+        debug_assert_eq!(
+            any_live,
+            self.routable.iter().any(|&r| r),
+            "index live count drifted from the routable mask"
+        );
+        let reroute = self
+            .displaced
             .front()
-            .map_or(f64::INFINITY, |e| e.at_s);
-        let next_reroute = if any_live {
-            self.displaced
+            .map_or(f64::INFINITY, |&(due, _)| due);
+        let arrival = self.source.next_arrival_s().unwrap_or(f64::INFINITY);
+        let routable = |t: f64| if any_live { t } else { f64::INFINITY };
+        NextEvents {
+            lifecycle: self
+                .pending_events
                 .front()
-                .map_or(f64::INFINITY, |&(due, _)| due.max(self.now_s))
-        } else {
-            f64::INFINITY
-        };
-        let next_arrival = if any_live {
-            self.source.next_arrival_s().unwrap_or(f64::INFINITY)
-        } else {
-            f64::INFINITY
-        };
-        let next_wake = self.wake.peek().map_or(f64::INFINITY, |(t, _)| t);
-        let t = next_lifecycle
-            .min(next_reroute)
-            .min(next_arrival)
-            .min(next_wake);
-        t.is_finite().then_some(t)
+                .map_or(f64::INFINITY, |e| e.at_s),
+            reroute: routable(reroute),
+            arrival: routable(arrival),
+            // The calendar's head is the earliest replica event; ties
+            // on the tick pop the lowest replica index.
+            wake: self.wake.peek().map_or(f64::INFINITY, |(t, _)| t),
+            starved: !any_live && (reroute.is_finite() || arrival.is_finite()),
+        }
     }
 
     /// Steps the run until its next event lies strictly after `t` (or
@@ -1163,23 +1174,13 @@ impl FleetRun {
         r.begin_section(section::LOG)?;
         let log = CommandLog::load(&mut r)?;
         r.end_section()?;
-        // The wake-up calendar, the telemetry cache and the routable
-        // mask are derived state: rebuild them from the restored cores
-        // and lifecycle states (identical (tick, id) keys reproduce
-        // the frozen run's pop order exactly; identical counters
-        // reproduce its routing).
-        let mut wake = CalendarQueue::with_components(cores.len());
-        for (i, core) in cores.iter_mut().enumerate() {
-            wake.schedule(i as u32, core.next_event_s());
-        }
-        let telemetry = cached_telemetry(&cores, &fleet.replicas);
-        let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
-        let index = FleetRoutingIndex::new(&telemetry, &routable);
-        let kv_caps = fleet
-            .replicas
-            .iter()
-            .map(|r| r.cost.kv_capacity_tokens())
-            .collect();
+        let Derived {
+            wake,
+            telemetry,
+            index,
+            kv_caps,
+            routable,
+        } = Derived::build(fleet, &mut cores, &states);
         Ok(Self {
             source,
             cores,
@@ -1452,23 +1453,6 @@ mod tests {
                 || Box::new(Fifo),
             )
             .build()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_build_all_live_fleets() {
-        let f = Fleet::homogeneous(
-            3,
-            &ServeConfig::default(),
-            || Box::new(AnalyticCostModel::small()),
-            || Box::new(Fifo),
-        );
-        assert_eq!(f.len(), 3);
-        assert!(f
-            .initial_states()
-            .iter()
-            .all(|s| *s == LifecycleState::Live));
-        assert_eq!(f.migration_delay_s(), 0.0);
     }
 
     #[test]

@@ -80,7 +80,6 @@
 
 #![warn(missing_docs)]
 
-mod arena;
 mod arrivals;
 mod autoscale;
 pub mod bisect;
@@ -90,7 +89,6 @@ mod cost;
 mod digest;
 mod fleet;
 pub mod lifecycle;
-mod lut;
 mod metrics;
 mod policy;
 mod replay;
@@ -102,7 +100,6 @@ mod scheduler;
 mod slab;
 pub mod snapshot;
 
-pub use arena::ChunkArena;
 pub use arrivals::{fuzz_tape, ArrivalProcess, FuzzFamily, RequestSource, Workload};
 pub use autoscale::{run_autoscaled, Autoscaler, AutoscalerConfig};
 pub use bisect::{bisect_divergence, BisectOutcome};
@@ -114,7 +111,6 @@ pub use digest::{
 };
 pub use fleet::{Fleet, FleetBuilder, FleetReplica, FleetReport, FleetRun, PerfCounters};
 pub use lifecycle::{churn_tape, FleetEvent, FleetEventKind, LifecycleCounts, LifecycleState};
-pub use lut::{LatencyLut, LutBuilder};
 pub use metrics::{scratch_reuse_hits, ClassSlo, MultiClassReport, SloReport};
 pub use policy::{
     ActiveRequest, DeadlineEdf, Fifo, PriorityAging, QueuedRequest, SchedulingPolicy,

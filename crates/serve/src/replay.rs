@@ -152,20 +152,6 @@ impl CommandLog {
         core.into_report()
     }
 
-    /// Replays a fleet log — shorthand for [`crate::Fleet::replay`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log does not belong to this workload/fleet.
-    #[must_use]
-    pub fn replay_fleet(
-        &self,
-        workload: &Workload,
-        fleet: &mut crate::fleet::Fleet,
-    ) -> crate::fleet::FleetReport {
-        fleet.replay(workload, self)
-    }
-
     pub(crate) fn save(&self, w: &mut SnapshotWriter) {
         w.put_usize(self.commands.len());
         for cmd in &self.commands {

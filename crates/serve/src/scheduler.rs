@@ -580,7 +580,7 @@ impl Core {
         Self {
             config,
             queue: Vec::new(),
-            slab: Slab::with_capacity(config.max_batch as usize),
+            slab: Slab::new(),
             active: Vec::with_capacity(config.max_batch as usize),
             ready_events: CalendarQueue::with_components(config.max_batch as usize),
             ready_count: 0,

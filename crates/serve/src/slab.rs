@@ -1,15 +1,13 @@
-//! Indexed slab storage with free-list reuse over a chunked bump arena.
+//! Indexed slab storage with free-list reuse over a plain `Vec`.
 //!
 //! The event core keeps every in-flight request in a [`Slab`]: inserts
 //! return a dense `u32` key, removals push the vacated cell onto an
 //! intrusive free list, and later inserts reuse the most recently freed
-//! cell first (LIFO). Cells live in a [`ChunkArena`] — fixed-size
-//! chunks allocated once and never moved — so growth never relocates
-//! live request state and indices stay valid for the run's lifetime.
-//! In steady state — a fleet running at a stable batch size — the slab
-//! stops allocating entirely; the only growth is the high-water mark,
-//! which it reports as [`Slab::peak_occupancy`] for the perf
-//! trajectory.
+//! cell first (LIFO). Keys are indices into one `Vec` of cells, so a
+//! key stays valid however the vector grows. In steady state — a fleet
+//! running at a stable batch size — the slab stops allocating entirely;
+//! the only growth is the high-water mark, which it reports as
+//! [`Slab::peak_occupancy`] for the perf trajectory.
 //!
 //! Keys are never aliased while live: a key returned by
 //! [`Slab::insert`] stays valid until exactly one matching
@@ -18,8 +16,6 @@
 //! in which chain order) is part of observable behaviour — reuse order
 //! determines future key assignment — so snapshots serialise the raw
 //! cell layout and free-chain verbatim; see [`Slab::save`].
-
-use crate::arena::ChunkArena;
 
 /// Sentinel: end of the free chain / no free cell.
 const NIL: u32 = u32::MAX;
@@ -31,12 +27,11 @@ enum Cell<T> {
     Free(u32),
 }
 
-/// A growable arena of `T` addressed by stable `u32` keys, with LIFO
-/// free-list reuse and peak-occupancy tracking. Backed by a
-/// [`ChunkArena`], so cells never move once materialised.
+/// A growable store of `T` addressed by stable `u32` keys, with LIFO
+/// free-list reuse and peak-occupancy tracking.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
-    cells: ChunkArena<Cell<T>>,
+    cells: Vec<Cell<T>>,
     free_head: u32,
     live: u32,
     peak: u32,
@@ -45,7 +40,7 @@ pub struct Slab<T> {
 impl<T> Default for Slab<T> {
     fn default() -> Self {
         Self {
-            cells: ChunkArena::new(),
+            cells: Vec::new(),
             free_head: NIL,
             live: 0,
             peak: 0,
@@ -58,15 +53,6 @@ impl<T> Slab<T> {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty slab with arena chunks pre-allocated for `n` entries.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            cells: ChunkArena::with_capacity(n),
-            ..Self::default()
-        }
     }
 
     /// Number of live entries.
@@ -230,7 +216,7 @@ impl<T> Slab<T> {
         let n = get_u32(ctx)?;
         let free_head = get_u32(ctx)?;
         let peak = get_u32(ctx)?;
-        let mut cells = ChunkArena::new();
+        let mut cells = Vec::new();
         let mut live = 0u32;
         let mut free = 0u32;
         for _ in 0..n {

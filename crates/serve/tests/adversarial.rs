@@ -168,7 +168,7 @@ fn battery_every_family_policy_router() {
                 // Command-log replay → identical final digest.
                 let mut fleet_c = build_fleet(&cfg, &wl, policy_idx);
                 assert_eq!(
-                    digest_fleet_report(&log.replay_fleet(&wl, &mut fleet_c)),
+                    digest_fleet_report(&fleet_c.replay(&wl, &log)),
                     reference,
                     "{ctx}: command-log replay diverged"
                 );
@@ -261,7 +261,7 @@ fn churn_battery_lifecycle_storms() {
             // Command-log replay carries the lifecycle commands.
             let mut fleet_c = build_fleet(&cfg, &wl, policy_idx);
             assert_eq!(
-                digest_fleet_report(&log.replay_fleet(&wl, &mut fleet_c)),
+                digest_fleet_report(&fleet_c.replay(&wl, &log)),
                 reference,
                 "{ctx}: churned command-log replay diverged"
             );

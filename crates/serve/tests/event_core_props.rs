@@ -311,10 +311,10 @@ proptest! {
     }
 }
 
-/// Fleet-scale occupancy: past 1000 resident requests the slab spans
-/// multiple arena chunks, and key discipline must hold through churn —
-/// a key handed out while another request lives under it would corrupt
-/// two requests' state at once.
+/// Fleet-scale occupancy: thousands of resident requests force the
+/// slab's cell vector to grow repeatedly, and key discipline must hold
+/// through churn — a key handed out while another request lives under
+/// it would corrupt two requests' state at once.
 #[test]
 fn slab_keys_never_alias_at_fleet_scale_occupancy() {
     let mut slab: Slab<u32> = Slab::new();
@@ -347,12 +347,12 @@ fn slab_keys_never_alias_at_fleet_scale_occupancy() {
             assert_eq!(slab.get(k), Some(&v));
         }
     }
-    // Churn reused freed cells instead of growing the arena.
-    assert_eq!(slab.capacity(), 6000, "reuse must not grow the arena");
+    // Churn reused freed cells instead of growing the slab.
+    assert_eq!(slab.capacity(), 6000, "reuse must not grow the slab");
 }
 
 /// The raw-layout round trip at 1000-replica occupancy: thousands of
-/// cells across several arena chunks, a long fragmented free chain,
+/// cells, a long fragmented free chain,
 /// and the reload must re-serialize identically and hand out identical
 /// keys — reuse order is part of the layout contract at every scale.
 #[test]
@@ -448,7 +448,7 @@ fn fragmented_mid_run_snapshot_resumes_bit_identically() {
     assert_eq!(original.into_report(), resumed.into_report());
 }
 
-/// Restoring a run whose arena holds freed-then-reused slots must not
+/// Restoring a run whose slab holds freed-then-reused cells must not
 /// resurrect stale telemetry: the thawed core's published counters
 /// (in-flight tokens, committed KV) must equal the frozen original's
 /// exactly — a freed slot's tokens leaking back in would misroute

@@ -16,6 +16,10 @@
 //!    snapshot-at-every-lifecycle-boundary-then-resume == command-log
 //!    replay, down to full-report equality (including machine-seconds
 //!    and lifecycle counters).
+//!
+//! A fourth property pins the fleet's next-event rule: `next_time`
+//! predicts every `step` under churn and under a full blackout, with
+//! and without a migration delay.
 
 use proptest::prelude::*;
 use rpu_serve::{
@@ -36,8 +40,13 @@ fn build_router(i: usize) -> Box<dyn Router> {
 /// A uniform fleet of `n` small replicas with a short migration delay,
 /// so displaced work re-enters the router mid-run.
 fn build_fleet(n: usize, cfg: &ServeConfig) -> Fleet {
+    build_fleet_with_delay(n, cfg, 0.002)
+}
+
+/// [`build_fleet`] with an explicit failure migration delay.
+fn build_fleet_with_delay(n: usize, cfg: &ServeConfig, delay_s: f64) -> Fleet {
     FleetBuilder::new()
-        .migration_delay_s(0.002)
+        .migration_delay_s(delay_s)
         .group(
             n,
             cfg,
@@ -209,8 +218,67 @@ proptest! {
 
         // Command-log replay reproduces the same report.
         let mut fleet3 = build_fleet(n, &cfg);
-        let replayed = log.replay_fleet(&wl, &mut fleet3);
+        let replayed = fleet3.replay(&wl, &log);
         prop_assert_eq!(digest_fleet_report(&replayed), reference_digest);
         prop_assert_eq!(&replayed, &reference, "replay full report differs");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// `next_time` and `step` share one next-event rule: before every
+    /// step, `next_time()` is `Some(t)` exactly when the step executes
+    /// an event, and that event moves the clock to `now.max(t)`, bit
+    /// for bit. Displaced work is re-routed at once and after a 2 ms
+    /// migration delay, under the churn storm and under a blackout
+    /// that leaves no live replica while arrivals and re-routes wait.
+    #[test]
+    fn next_time_predicts_every_step(case in arb_case()) {
+        let (wl, n, router_idx, churn) = case;
+        let cfg = ServeConfig::default();
+        // Every replica fails, then all rejoin: arrivals and displaced
+        // work wait with no live replica, then run behind the clock.
+        let blackout: Vec<FleetEvent> = [(0.002, FleetEventKind::Fail), (0.008, FleetEventKind::Join)]
+            .into_iter()
+            .flat_map(|(at_s, kind)| {
+                (0..n as u32).map(move |replica| FleetEvent { at_s, replica, kind })
+            })
+            .collect();
+        let tapes = [("churn", &churn), ("blackout", &blackout)];
+        for ((tape, events), delay_s) in tapes.into_iter().flat_map(|t| [(t, 0.0), (t, 0.002)]) {
+            let mut fleet = build_fleet_with_delay(n, &cfg, delay_s);
+            let mut router = build_router(router_idx);
+            let mut run = fleet.start(&wl);
+            for ev in events {
+                run.inject(*ev);
+            }
+            loop {
+                let next = run.next_time();
+                let before = run.now_s();
+                let stepped = run.step(&mut fleet, router.as_mut());
+                prop_assert_eq!(
+                    next.is_some(),
+                    stepped,
+                    "{} tape, delay {}s, event {}: next_time {:?} but step returned {}",
+                    tape,
+                    delay_s,
+                    run.events(),
+                    next,
+                    stepped
+                );
+                let Some(t) = next else { break };
+                prop_assert_eq!(
+                    run.now_s().to_bits(),
+                    before.max(t).to_bits(),
+                    "{} tape, delay {}s, event {}: clock {} after next_time {}",
+                    tape,
+                    delay_s,
+                    run.events(),
+                    run.now_s(),
+                    t
+                );
+            }
+        }
     }
 }

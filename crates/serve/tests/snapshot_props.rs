@@ -198,7 +198,7 @@ proptest! {
         );
 
         let mut fleet_c = build_fleet();
-        let replayed = log.replay_fleet(&wl, &mut fleet_c);
+        let replayed = fleet_c.replay(&wl, &log);
         prop_assert_eq!(&replayed, &uninterrupted, "replayed fleet report differs");
     }
 }
