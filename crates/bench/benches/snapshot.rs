@@ -1,12 +1,12 @@
-//! Snapshot layer overhead: what freezing, thawing, digesting and
-//! replaying a mid-flight serving run costs, so `--checkpoint-every`
-//! cadences can be chosen against real numbers.
+//! Snapshot layer overhead: what freezing, thawing and digesting a
+//! mid-flight serving run costs, so `--checkpoint-every` cadences can
+//! be chosen against real numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rpu_bench::perf::{record_or_gate, PerfSnapshot};
 use rpu_serve::{
-    digest_serve_report, AnalyticCostModel, Fifo, FleetBuilder, FleetRun, PriorityAging, Router,
-    ServeConfig, ServeRun, SessionAffinity, Workload,
+    AnalyticCostModel, Fifo, FleetBuilder, FleetRun, PriorityAging, Router, ServeConfig, ServeRun,
+    SessionAffinity, Workload,
 };
 use std::hint::black_box;
 use std::path::Path;
@@ -16,7 +16,8 @@ fn bench(c: &mut Criterion) {
     let cfg = ServeConfig::default();
 
     // A single-machine run frozen mid-flight: a deep queue, a full
-    // batch and a long command log — the expensive snapshot shape.
+    // batch and a long completed-record history — the expensive
+    // snapshot shape.
     let wl = Workload::poisson(1500.0, 512, 48, 256);
     let mut run = ServeRun::new(&wl, &cfg);
     let mut cost = AnalyticCostModel::small();
@@ -66,24 +67,6 @@ fn bench(c: &mut Criterion) {
                 black_box(&fleet_bytes),
             )
             .expect("pristine bytes")
-        });
-    });
-
-    // Replaying a complete command log against a fresh core — the
-    // bisection probe's unit of work.
-    let mut full = ServeRun::new(&wl, &cfg);
-    let mut cost = AnalyticCostModel::small();
-    while full.step(&mut cost, &mut Fifo) {}
-    let log = full.log().clone();
-    c.bench_function("snapshot_replay_serve_full_log", |b| {
-        b.iter(|| {
-            let r = log.replay_serve(
-                black_box(&wl),
-                &mut AnalyticCostModel::small(),
-                &cfg,
-                &mut Fifo,
-            );
-            digest_serve_report(&r)
         });
     });
 

@@ -3,11 +3,13 @@
 //! When two engine builds (or two configurations that should be
 //! equivalent) produce different reports for the same workload, the
 //! interesting question is *which decision* first went a different
-//! way. Because a run's [state digest](crate::ServeRun::state_digest)
-//! hashes its full frozen state *including the append-only command
-//! log*, divergence is monotone in the event index: once two runs make
-//! a different decision at event `k`, their digests differ after every
-//! `n > k` and agree after every `n <= k`. That monotonicity is what
+//! way. A run's [state digest](crate::ServeRun::state_digest) hashes
+//! its full frozen state. A decision that differs at event `k` changes
+//! that state at once, and append-only records carry the difference
+//! forward: every core's completed-request records and, for fleets,
+//! the command log of router picks and lifecycle transitions. So
+//! divergence is monotone in the event index — the digests differ
+//! after every `n > k` and agree after every `n <= k` — which is what
 //! lets [`bisect_divergence`] binary-search the first divergent event
 //! with `O(log n)` probes instead of a linear scan.
 //!
@@ -31,8 +33,8 @@ pub enum BisectOutcome {
     /// router state) differ, so no event can be blamed.
     InitialStateDiffers,
     /// The engines agree up to and including event `event - 1` and
-    /// first disagree while executing event `event` (0-based index
-    /// into the command log).
+    /// first disagree while executing event `event` (0-based run event
+    /// index, as counted by [`crate::ServeRun::events`]).
     DivergedAt {
         /// 0-based index of the first divergent event.
         event: u64,

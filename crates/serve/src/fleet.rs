@@ -80,8 +80,8 @@ use crate::digest::ReportDigest;
 use crate::lifecycle::{FleetEvent, FleetEventKind, LifecycleCounts, LifecycleState};
 use crate::metrics::MultiClassReport;
 use crate::policy::{QueuedRequest, SchedulingPolicy};
-use crate::replay::{Command, CommandLog};
-use crate::request::RequestRecord;
+use crate::replay::{CommandLog, LoggedPicks};
+use crate::request::{Request, RequestRecord};
 use crate::router::{ReplicaTelemetry, RouteStats, Router, RoutingView};
 use crate::routing_index::FleetRoutingIndex;
 use crate::scheduler::{Core, RunStats, ServeConfig, ServeReport};
@@ -323,8 +323,7 @@ impl Fleet {
             index,
             route_stats: RouteStats::default(),
             kv_caps,
-            assigned: vec![0u32; self.replicas.len()],
-            log: CommandLog::new(),
+            log: CommandLog::default(),
             events: 0,
             fingerprint: workload_fingerprint(workload),
             states,
@@ -339,89 +338,39 @@ impl Fleet {
         }
     }
 
-    /// Replays a recorded [`CommandLog`] against this fleet: every
-    /// arrival goes to the replica the log routed it to, every step
-    /// runs on the replica the log stepped, and every lifecycle
-    /// transition and displaced re-route applies exactly where the log
-    /// says — no router, no event-order scan. Deterministic policies
-    /// reproduce their decisions, so the replayed report digests
-    /// identically to the recorded run.
+    /// Replays a recorded [`CommandLog`] against this fleet: the one
+    /// fleet driver ([`FleetRun::step`]) runs again, with the log's
+    /// picks standing in for the router and each logged lifecycle
+    /// transition injected just before the event index that applied
+    /// it. Deterministic policies reproduce their decisions, so the
+    /// replayed report digests identically to the recorded run.
     ///
     /// # Panics
     ///
-    /// Panics if the log does not belong to this workload/fleet (an
-    /// enqueue with no arrival pending, a replica out of range, or a
-    /// lifecycle transition illegal from the replayed state).
+    /// Panics if the log does not belong to this workload/fleet: it
+    /// runs out of picks, has decisions left over, or names a replica
+    /// or transition the replayed run cannot take.
     #[must_use]
     pub fn replay(&mut self, workload: &Workload, log: &CommandLog) -> FleetReport {
-        let n = self.replicas.len();
-        let mut source = RequestSource::new(workload);
-        let mut cores: Vec<Core> = self.replicas.iter().map(|r| Core::new(r.config)).collect();
-        let mut assigned = vec![0u32; n];
-        let mut states = self.initial_states.clone();
-        let mut displaced: VecDeque<(f64, QueuedRequest)> = VecDeque::new();
-        let mut counts = LifecycleCounts::default();
-        let mut now = 0.0_f64;
-        let mut ms_accrued = 0.0_f64;
-        let mut ms_anchor = 0.0_f64;
-        for cmd in log.commands() {
-            match *cmd {
-                Command::Enqueue { replica } => {
-                    let pick = replica as usize;
-                    assert!(pick < n, "log routed out of range");
-                    let t = source
-                        .next_arrival_s()
-                        .expect("log enqueues with no arrival pending");
-                    let req = source.pop_ready(t).expect("arrival is due");
-                    now = now.max(t);
-                    assigned[pick] += 1;
-                    cores[pick].enqueue(req);
-                }
-                Command::Step { replica } => {
-                    let which = replica as usize;
-                    assert!(which < n, "log stepped out of range");
-                    let t = cores[which].next_event_s();
-                    debug_assert!(t.is_finite(), "log stepped an idle replica");
-                    now = now.max(t);
-                    let rep = &mut self.replicas[which];
-                    cores[which].step(rep.cost.as_mut(), rep.policy.as_mut(), &mut source);
-                }
-                Command::Lifecycle(ev) => {
-                    accrue_machine_seconds(&states, &mut ms_accrued, &mut ms_anchor, ev.at_s);
-                    now = now.max(ev.at_s);
-                    let lost = apply_transition(&mut states, &mut cores, &ev, &mut counts);
-                    for q in lost {
-                        displaced.push_back((ev.at_s + self.migration_delay_s, q));
-                    }
-                }
-                Command::Reroute { replica } => {
-                    let pick = replica as usize;
-                    assert!(pick < n, "log re-routed out of range");
-                    let (due, q) = displaced
-                        .pop_front()
-                        .expect("log re-routes with nothing displaced");
-                    let t = due.max(now);
-                    now = t;
-                    assigned[pick] += 1;
-                    cores[pick].enqueue_displaced(q, t);
-                }
+        let mut run = self.start(workload);
+        let mut router = LoggedPicks(log.picks().iter());
+        let mut transitions = log.transitions().iter().peekable();
+        loop {
+            // A transition must fire at its own event index, not up
+            // front: the autoscaler injects at a boundary whose
+            // equal-time events have already run.
+            if let Some(&(_, ev)) = transitions.next_if(|t| t.0 == run.events()) {
+                run.inject(ev);
+            }
+            if !run.step(self, &mut router) {
+                break;
             }
         }
-        debug_assert!(source.exhausted());
-        debug_assert!(
-            displaced.is_empty(),
-            "log left displaced requests in flight"
+        assert!(
+            router.0.next().is_none() && transitions.next().is_none(),
+            "log has decisions left over"
         );
-        accrue_machine_seconds(&states, &mut ms_accrued, &mut ms_anchor, now);
-        let replicas: Vec<ServeReport> = cores.into_iter().map(Core::into_report).collect();
-        let aggregate = merge(&replicas);
-        FleetReport {
-            replicas,
-            assigned,
-            aggregate,
-            machine_seconds: ms_accrued,
-            lifecycle: counts,
-        }
+        run.into_report()
     }
 }
 
@@ -434,7 +383,7 @@ impl Fleet {
 /// snapshot — it is rebuilt by the caller, exactly like the workload —
 /// but everything dynamic lives in here: arrival source, per-replica
 /// core state, lifecycle states, pending events, displaced requests,
-/// assignment counts, router state and the command log.
+/// router state and the command log.
 pub struct FleetRun {
     source: RequestSource,
     cores: Vec<Core>,
@@ -466,7 +415,9 @@ pub struct FleetRun {
     /// capacities are fixed per cost model, so the per-event telemetry
     /// refresh skips the virtual call.
     kv_caps: Vec<u64>,
-    assigned: Vec<u32>,
+    /// The router's picks and the applied transitions — the decisions
+    /// [`Fleet::replay`] needs, and the source of the report's
+    /// per-replica assignment counts.
     log: CommandLog,
     events: u64,
     fingerprint: u64,
@@ -590,83 +541,6 @@ impl NextEvents {
     }
 }
 
-/// Advances the machine-seconds integral to `t`: each non-down (live
-/// or draining) replica pays for its time whether or not it decodes.
-fn accrue_machine_seconds(
-    states: &[LifecycleState],
-    ms_accrued: &mut f64,
-    ms_anchor_s: &mut f64,
-    t: f64,
-) {
-    debug_assert!(t >= *ms_anchor_s, "machine-seconds accrual went backwards");
-    let up = states
-        .iter()
-        .filter(|s| !matches!(s, LifecycleState::Down))
-        .count();
-    *ms_accrued += up as f64 * (t - *ms_anchor_s);
-    *ms_anchor_s = t;
-}
-
-/// Applies one lifecycle transition to the slot it targets, enforcing
-/// the legality table in [`crate::lifecycle`]. Returns the requests a
-/// failure displaced (empty for every other kind).
-fn apply_transition(
-    states: &mut [LifecycleState],
-    cores: &mut [Core],
-    ev: &FleetEvent,
-    counts: &mut LifecycleCounts,
-) -> Vec<QueuedRequest> {
-    let i = ev.replica as usize;
-    assert!(
-        i < states.len(),
-        "lifecycle event targets an unknown replica"
-    );
-    match ev.kind {
-        FleetEventKind::Join => {
-            assert_eq!(
-                states[i],
-                LifecycleState::Down,
-                "join of a non-down replica"
-            );
-            states[i] = LifecycleState::Live;
-            counts.joins += 1;
-            Vec::new()
-        }
-        FleetEventKind::Drain => {
-            assert_eq!(
-                states[i],
-                LifecycleState::Live,
-                "drain of a non-live replica"
-            );
-            states[i] = LifecycleState::Draining;
-            counts.drains += 1;
-            Vec::new()
-        }
-        FleetEventKind::Leave => {
-            assert_eq!(
-                states[i],
-                LifecycleState::Draining,
-                "leave of a non-draining replica"
-            );
-            assert!(
-                cores[i].queue_len() == 0 && cores[i].active_len() == 0,
-                "leave of a non-idle replica"
-            );
-            states[i] = LifecycleState::Down;
-            counts.leaves += 1;
-            Vec::new()
-        }
-        FleetEventKind::Fail => {
-            assert_ne!(states[i], LifecycleState::Down, "fail of a down replica");
-            states[i] = LifecycleState::Down;
-            counts.fails += 1;
-            let lost = cores[i].fail();
-            counts.displaced += lost.len() as u32;
-            lost
-        }
-    }
-}
-
 impl std::fmt::Debug for FleetRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetRun")
@@ -683,8 +557,8 @@ impl std::fmt::Debug for FleetRun {
 impl FleetRun {
     /// Executes exactly one global event — a lifecycle transition, a
     /// displaced request re-routed, an arrival routed and enqueued, or
-    /// one replica's scheduler step — and records it. Returns `false`
-    /// once the run is complete.
+    /// one replica's scheduler step — logging any transition or routing
+    /// decision it made. Returns `false` once the run is complete.
     ///
     /// # Panics
     ///
@@ -718,19 +592,9 @@ impl FleetRun {
             && next.lifecycle <= next.wake
         {
             let ev = self.pending_events.pop_front().expect("lifecycle is due");
-            accrue_machine_seconds(
-                &self.states,
-                &mut self.ms_accrued,
-                &mut self.ms_anchor_s,
-                ev.at_s,
-            );
+            self.accrue_machine_seconds(ev.at_s);
             self.now_s = self.now_s.max(ev.at_s);
-            let lost = apply_transition(&mut self.states, &mut self.cores, &ev, &mut self.counts);
-            for q in lost {
-                self.displaced
-                    .push_back((ev.at_s + self.migration_delay_s, q));
-            }
-            let i = ev.replica as usize;
+            let i = self.apply_transition(&ev);
             self.routable[i] = self.states[i].is_routable();
             self.index.set_routable(i, self.routable[i]);
             self.telemetry[i] = self.cores[i].telemetry(self.kv_caps[i]);
@@ -739,7 +603,7 @@ impl FleetRun {
                 cached_telemetry(&self.cores, &fleet.replicas),
                 "telemetry cache drifted after lifecycle event"
             );
-            self.log.push(Command::Lifecycle(ev));
+            self.log.push_transition(self.events, ev);
             router.on_fleet_event(
                 &ev,
                 &RoutingView::new(&self.telemetry, &self.routable, ev.at_s)
@@ -754,48 +618,14 @@ impl FleetRun {
             // at the current clock, never in the past.
             let t = due.max(self.now_s);
             self.now_s = t;
-            debug_assert_eq!(
-                self.telemetry,
-                cached_telemetry(&self.cores, &fleet.replicas),
-                "telemetry cache drifted from the cores"
-            );
-            self.route_stats.note_route_call();
-            let pick = router.route(
-                &q.req,
-                &RoutingView::new(&self.telemetry, &self.routable, t)
-                    .with_index(&self.index)
-                    .with_stats(&self.route_stats),
-            );
-            assert!(pick < self.cores.len(), "router picked out of range");
-            assert!(self.routable[pick], "router picked an unroutable replica");
-            self.assigned[pick] += 1;
+            let pick = self.route(fleet, router, &q.req);
             self.cores[pick].enqueue_displaced(q, t);
-            self.log.push(Command::Reroute {
-                replica: pick as u32,
-            });
             pick
         } else if next.arrival <= next.wake {
             let req = self.source.pop_ready(next.arrival).expect("arrival is due");
             self.now_s = self.now_s.max(next.arrival);
-            debug_assert_eq!(
-                self.telemetry,
-                cached_telemetry(&self.cores, &fleet.replicas),
-                "telemetry cache drifted from the cores"
-            );
-            self.route_stats.note_route_call();
-            let pick = router.route(
-                &req,
-                &RoutingView::new(&self.telemetry, &self.routable, self.now_s)
-                    .with_index(&self.index)
-                    .with_stats(&self.route_stats),
-            );
-            assert!(pick < self.cores.len(), "router picked out of range");
-            assert!(self.routable[pick], "router picked an unroutable replica");
-            self.assigned[pick] += 1;
+            let pick = self.route(fleet, router, &req);
             self.cores[pick].enqueue(req);
-            self.log.push(Command::Enqueue {
-                replica: pick as u32,
-            });
             pick
         } else {
             let (tick, which) = self.wake.pop().expect("next_event is finite");
@@ -807,9 +637,6 @@ impl FleetRun {
                 replica.policy.as_mut(),
                 &mut self.source,
             );
-            self.log.push(Command::Step {
-                replica: which as u32,
-            });
             which
         };
         // Only the touched replica's next event and telemetry can have
@@ -821,6 +648,87 @@ impl FleetRun {
         self.index.mark_dirty(touched);
         self.events += 1;
         true
+    }
+
+    /// Asks the router for a live replica for `req` at the current
+    /// clock and logs the pick.
+    fn route(&mut self, fleet: &Fleet, router: &mut dyn Router, req: &Request) -> usize {
+        debug_assert_eq!(
+            self.telemetry,
+            cached_telemetry(&self.cores, &fleet.replicas),
+            "telemetry cache drifted from the cores"
+        );
+        self.route_stats.note_route_call();
+        let pick = router.route(
+            req,
+            &RoutingView::new(&self.telemetry, &self.routable, self.now_s)
+                .with_index(&self.index)
+                .with_stats(&self.route_stats),
+        );
+        assert!(pick < self.cores.len(), "router picked out of range");
+        assert!(self.routable[pick], "router picked an unroutable replica");
+        self.log.push_pick(pick);
+        pick
+    }
+
+    /// Advances the machine-seconds integral to `t`: each non-down (live
+    /// or draining) replica pays for its time whether or not it decodes.
+    fn accrue_machine_seconds(&mut self, t: f64) {
+        debug_assert!(
+            t >= self.ms_anchor_s,
+            "machine-seconds accrual went backwards"
+        );
+        let up = self
+            .states
+            .iter()
+            .filter(|s| !matches!(s, LifecycleState::Down))
+            .count();
+        self.ms_accrued += up as f64 * (t - self.ms_anchor_s);
+        self.ms_anchor_s = t;
+    }
+
+    /// Applies one lifecycle transition to the slot it targets, enforcing
+    /// the legality table in [`crate::lifecycle`]; a failure's displaced
+    /// requests queue for re-routing after the migration delay. Returns
+    /// the slot index.
+    fn apply_transition(&mut self, ev: &FleetEvent) -> usize {
+        let i = ev.replica as usize;
+        let (state, core) = (&mut self.states[i], &mut self.cores[i]);
+        match ev.kind {
+            FleetEventKind::Join => {
+                assert_eq!(*state, LifecycleState::Down, "join of a non-down replica");
+                *state = LifecycleState::Live;
+                self.counts.joins += 1;
+            }
+            FleetEventKind::Drain => {
+                assert_eq!(*state, LifecycleState::Live, "drain of a non-live replica");
+                *state = LifecycleState::Draining;
+                self.counts.drains += 1;
+            }
+            FleetEventKind::Leave => {
+                assert_eq!(
+                    *state,
+                    LifecycleState::Draining,
+                    "leave of a non-draining replica"
+                );
+                assert!(
+                    core.queue_len() == 0 && core.active_len() == 0,
+                    "leave of a non-idle replica"
+                );
+                *state = LifecycleState::Down;
+                self.counts.leaves += 1;
+            }
+            FleetEventKind::Fail => {
+                assert_ne!(*state, LifecycleState::Down, "fail of a down replica");
+                *state = LifecycleState::Down;
+                self.counts.fails += 1;
+                let lost = core.fail();
+                self.counts.displaced += lost.len() as u32;
+                let due = ev.at_s + self.migration_delay_s;
+                self.displaced.extend(lost.into_iter().map(|q| (due, q)));
+            }
+        }
+        i
     }
 
     /// Schedules a lifecycle event on this run. Events apply in time
@@ -929,7 +837,8 @@ impl FleetRun {
         self.counts
     }
 
-    /// The decision trace recorded so far.
+    /// The decisions recorded so far: router picks and applied
+    /// lifecycle transitions.
     #[must_use]
     pub fn log(&self) -> &CommandLog {
         &self.log
@@ -1015,8 +924,8 @@ impl FleetRun {
     }
 
     /// Freezes the whole run — source, every core, lifecycle state,
-    /// pending events, displaced requests, assignment counts, router
-    /// state, command log — into a versioned, checksummed byte stream.
+    /// pending events, displaced requests, router state, command log —
+    /// into a versioned, checksummed byte stream.
     #[must_use]
     pub fn snapshot(&self, router: &dyn Router) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
@@ -1025,9 +934,6 @@ impl FleetRun {
         w.put_u64(self.fingerprint);
         w.put_u64(self.events);
         w.put_usize(self.cores.len());
-        for &n in &self.assigned {
-            w.put_u32(n);
-        }
         w.end_section();
         w.begin_section(section::LIFECYCLE);
         w.put_usize(self.states.len());
@@ -1101,10 +1007,6 @@ impl FleetRun {
         if n != fleet.replicas.len() {
             return Err(SnapshotError::Corrupt("replica count differs"));
         }
-        let mut assigned = Vec::with_capacity(n);
-        for _ in 0..n {
-            assigned.push(r.get_u32()?);
-        }
         r.end_section()?;
         r.begin_section(section::LIFECYCLE)?;
         if r.get_usize()? != n {
@@ -1172,7 +1074,7 @@ impl FleetRun {
         router.load_state(&mut r)?;
         r.end_section()?;
         r.begin_section(section::LOG)?;
-        let log = CommandLog::load(&mut r)?;
+        let log = CommandLog::load(&mut r, n, events)?;
         r.end_section()?;
         let Derived {
             wake,
@@ -1189,7 +1091,6 @@ impl FleetRun {
             index,
             route_stats: RouteStats::default(),
             kv_caps,
-            assigned,
             log,
             events,
             fingerprint,
@@ -1221,17 +1122,16 @@ impl FleetRun {
             self.displaced.is_empty(),
             "report taken with displaced requests in flight"
         );
-        accrue_machine_seconds(
-            &self.states,
-            &mut self.ms_accrued,
-            &mut self.ms_anchor_s,
-            self.now_s,
-        );
+        self.accrue_machine_seconds(self.now_s);
+        let mut assigned = vec![0u32; self.cores.len()];
+        for &pick in self.log.picks() {
+            assigned[pick as usize] += 1;
+        }
         let replicas: Vec<ServeReport> = self.cores.into_iter().map(Core::into_report).collect();
         let aggregate = merge(&replicas);
         FleetReport {
             replicas,
-            assigned: self.assigned,
+            assigned,
             aggregate,
             machine_seconds: self.ms_accrued,
             lifecycle: self.counts,

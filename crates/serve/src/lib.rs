@@ -47,10 +47,11 @@
 //! Determinism is load-bearing, so it has its own tooling layer:
 //! [`ServeRun`]/[`FleetRun`] unroll the serving loops into resumable
 //! runs that can be frozen to versioned, checksummed bytes
-//! ([`snapshot`]) and thawed to continue bit-identically; every run
-//! records a [`CommandLog`] whose replay digests
-//! ([`digest_serve_report`]/[`digest_fleet_report`]) identically to
-//! the recording; and when two builds disagree, [`bisect`]
+//! ([`snapshot`]) and thawed to continue bit-identically; every fleet
+//! run records a [`CommandLog`] of its router picks and lifecycle
+//! transitions, which [`Fleet::replay`] feeds back through the same
+//! driver to a report that digests ([`digest_fleet_report`])
+//! identically to the recording; and when two builds disagree, [`bisect`]
 //! binary-searches the first event where their state digests diverge.
 //! [`fuzz_tape`] generates adversarial workloads (flash bursts,
 //! zero-length prompts, KV-filling monster contexts, deadline
@@ -116,7 +117,7 @@ pub use policy::{
     ActiveRequest, DeadlineEdf, Fifo, PriorityAging, QueuedRequest, SchedulingPolicy,
     ShortestJobFirst,
 };
-pub use replay::{Command, CommandLog};
+pub use replay::CommandLog;
 pub use request::{Request, RequestRecord};
 pub use rng::ServeRng;
 pub use router::{

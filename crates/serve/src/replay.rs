@@ -1,269 +1,258 @@
-//! Command logs: record every scheduling decision, replay it later.
+//! Decision logs: record what the fleet driver cannot recompute, then
+//! replay it through that same driver.
 //!
-//! A [`CommandLog`] is the event-level trace of a run: one
-//! [`Command`] per enqueue (which carries the router's replica choice),
-//! per scheduler step, per replica lifecycle transition and per
-//! displaced-request re-route, in global event order. Because every layer
-//! of the simulator is deterministic, replaying the log against the
-//! same workload and machine reproduces the run decision-for-decision
-//! — the replayed report digests identically to the recorded one. That
-//! makes the log the ground truth [`crate::bisect`] searches when two
-//! engine builds disagree.
+//! Every layer of the simulator is deterministic given the workload,
+//! the fleet and two kinds of outside decision: the replica a router
+//! picked for each routed request, and the lifecycle transitions
+//! injected into the run. A [`CommandLog`] holds exactly those — the
+//! picks in routing order, and each applied transition tagged with the
+//! 0-based event index that applied it. Scheduler steps, arrival pops
+//! and re-route timing follow from the deterministic event calendar,
+//! so they are not logged. [`crate::Fleet::replay`] runs the one fleet
+//! driver ([`crate::FleetRun::step`]) with the log standing in for the
+//! router, and the replayed report digests identically to the recorded
+//! one. A single machine makes no decision a log could hold: replaying
+//! one is just [`crate::serve_with`].
 
-use crate::arrivals::{RequestSource, Workload};
-use crate::cost::CostModel;
 use crate::lifecycle::FleetEvent;
-use crate::policy::SchedulingPolicy;
-use crate::scheduler::{Core, ServeConfig, ServeReport};
+use crate::request::Request;
+use crate::router::{Router, RoutingView};
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// One recorded scheduling event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Command {
-    /// The next pending arrival was routed to (and enqueued on) the
-    /// given replica. Single-machine runs always record replica 0.
-    Enqueue {
-        /// Replica index the router chose.
-        replica: u32,
-    },
-    /// The given replica ran one scheduler step (one admission phase,
-    /// then a decode iteration or clock jump).
-    Step {
-        /// Replica index that stepped.
-        replica: u32,
-    },
-    /// A replica lifecycle transition was applied (fleet runs only).
-    Lifecycle(FleetEvent),
-    /// A request displaced by a replica failure finished its migration
-    /// delay and was re-routed to (and enqueued on) the given replica.
-    Reroute {
-        /// Replica index the router chose for the displaced request.
-        replica: u32,
-    },
-}
-
-/// The decision trace of one run, in global event order.
+/// The outside decisions of one fleet run, in the order it made them.
 ///
 /// # Worked example
 ///
-/// Record a run with [`crate::ServeRun`], then replay its log: the
-/// replayed report digests identically to the recorded one.
+/// Record a churned run with [`crate::FleetRun`], then replay its log
+/// with [`crate::Fleet::replay`]: the replayed report digests
+/// identically to the recorded one.
 ///
 /// ```
 /// use rpu_serve::{
-///     digest_serve_report, AnalyticCostModel, Fifo, ServeConfig, ServeRun, Workload,
+///     churn_tape, digest_fleet_report, AnalyticCostModel, Fifo, FleetBuilder,
+///     JoinShortestQueue, ServeConfig, Workload,
 /// };
 ///
-/// let wl = Workload::poisson(300.0, 128, 16, 24);
-/// let cfg = ServeConfig::default();
+/// let wl = Workload::poisson(1500.0, 128, 16, 48);
+/// let mut fleet = FleetBuilder::new()
+///     .migration_delay_s(0.002)
+///     .group(
+///         3,
+///         &ServeConfig::default(),
+///         || Box::new(AnalyticCostModel::small()),
+///         || Box::new(Fifo),
+///     )
+///     .build();
 ///
-/// // Record: drive a run to completion, keeping its command log.
-/// let mut run = ServeRun::new(&wl, &cfg);
-/// let mut cost = AnalyticCostModel::small();
-/// while run.step(&mut cost, &mut Fifo) {}
+/// // Record: a router and a lifecycle storm make the decisions.
+/// let mut run = fleet.start(&wl);
+/// for ev in churn_tape(3, 7, 0.02, 4) {
+///     run.inject(ev);
+/// }
+/// while run.step(&mut fleet, &mut JoinShortestQueue) {}
 /// let log = run.log().clone();
+/// let displaced = run.lifecycle_counts().displaced;
+/// assert_eq!(log.picks().len(), 48 + displaced as usize);
+/// assert_eq!(log.transitions().len(), 4);
 /// let recorded = run.into_report();
 ///
-/// // Replay: the log drives a fresh core through the same decisions.
-/// let replayed = log.replay_serve(&wl, &mut AnalyticCostModel::small(), &cfg, &mut Fifo);
+/// // Replay: the same driver, with the log standing in for the router.
+/// let replayed = fleet.replay(&wl, &log);
 /// assert_eq!(
-///     digest_serve_report(&recorded),
-///     digest_serve_report(&replayed),
+///     digest_fleet_report(&recorded),
+///     digest_fleet_report(&replayed),
 /// );
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommandLog {
-    commands: Vec<Command>,
+    picks: Vec<u32>,
+    transitions: Vec<(u64, FleetEvent)>,
 }
 
 impl CommandLog {
-    /// An empty log.
+    /// The replica chosen for every routed request — fresh arrivals and
+    /// displaced re-routes alike — in routing order.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn picks(&self) -> &[u32] {
+        &self.picks
     }
 
-    pub(crate) fn push(&mut self, cmd: Command) {
-        self.commands.push(cmd);
+    /// Every applied lifecycle transition, tagged with the 0-based run
+    /// event index that applied it (strictly increasing).
+    #[must_use]
+    pub fn transitions(&self) -> &[(u64, FleetEvent)] {
+        &self.transitions
     }
 
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.commands.len()
+    pub(crate) fn push_pick(&mut self, replica: usize) {
+        self.picks.push(replica as u32);
     }
 
-    /// `true` when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
-    }
-
-    /// The event at index `i`, if recorded.
-    #[must_use]
-    pub fn get(&self, i: usize) -> Option<Command> {
-        self.commands.get(i).copied()
-    }
-
-    /// All recorded events, in order.
-    #[must_use]
-    pub fn commands(&self) -> &[Command] {
-        &self.commands
-    }
-
-    /// Replays a single-machine log against a fresh core: arrivals pop
-    /// and scheduler steps run exactly where the log says, with no
-    /// event-ordering scan of its own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log does not belong to this workload/machine
-    /// (an enqueue with no arrival pending, or a replica other than 0).
-    #[must_use]
-    pub fn replay_serve(
-        &self,
-        workload: &Workload,
-        cost: &mut dyn CostModel,
-        config: &ServeConfig,
-        policy: &mut dyn SchedulingPolicy,
-    ) -> ServeReport {
-        let mut source = RequestSource::new(workload);
-        let mut core = Core::new(*config);
-        for cmd in &self.commands {
-            match *cmd {
-                Command::Enqueue { replica } => {
-                    assert_eq!(replica, 0, "single-machine log routed off replica 0");
-                    let t = source
-                        .next_arrival_s()
-                        .expect("log enqueues with no arrival pending");
-                    let req = source.pop_ready(t).expect("arrival is due");
-                    core.enqueue(req);
-                }
-                Command::Step { replica } => {
-                    assert_eq!(replica, 0, "single-machine log stepped off replica 0");
-                    core.step(cost, policy, &mut source);
-                }
-                Command::Lifecycle(_) | Command::Reroute { .. } => {
-                    panic!("single-machine log carries fleet lifecycle commands")
-                }
-            }
-        }
-        debug_assert!(source.exhausted());
-        core.into_report()
+    pub(crate) fn push_transition(&mut self, event: u64, ev: FleetEvent) {
+        self.transitions.push((event, ev));
     }
 
     pub(crate) fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.commands.len());
-        for cmd in &self.commands {
-            match *cmd {
-                Command::Enqueue { replica } => {
-                    w.put_u8(0);
-                    w.put_u32(replica);
-                }
-                Command::Step { replica } => {
-                    w.put_u8(1);
-                    w.put_u32(replica);
-                }
-                Command::Lifecycle(ev) => {
-                    w.put_u8(2);
-                    ev.save(w);
-                }
-                Command::Reroute { replica } => {
-                    w.put_u8(3);
-                    w.put_u32(replica);
-                }
-            }
+        w.put_usize(self.picks.len());
+        for &pick in &self.picks {
+            w.put_u32(pick);
+        }
+        w.put_usize(self.transitions.len());
+        for (event, ev) in &self.transitions {
+            w.put_u64(*event);
+            ev.save(w);
         }
     }
 
-    pub(crate) fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.get_count(5)?;
-        let mut commands = Vec::with_capacity(n);
+    /// Reads a log frozen by a run over `replicas` slots after `events`
+    /// events, rejecting any decision that run could not have made.
+    pub(crate) fn load(
+        r: &mut SnapshotReader<'_>,
+        replicas: usize,
+        events: u64,
+    ) -> Result<Self, SnapshotError> {
+        let n = r.get_count(4)?;
+        let mut picks = Vec::with_capacity(n);
         for _ in 0..n {
-            commands.push(match r.get_u8()? {
-                0 => Command::Enqueue {
-                    replica: r.get_u32()?,
-                },
-                1 => Command::Step {
-                    replica: r.get_u32()?,
-                },
-                2 => Command::Lifecycle(FleetEvent::load(r)?),
-                3 => Command::Reroute {
-                    replica: r.get_u32()?,
-                },
-                _ => return Err(SnapshotError::Corrupt("bad command tag")),
-            });
+            let pick = r.get_u32()?;
+            if pick as usize >= replicas {
+                return Err(SnapshotError::Corrupt("logged pick out of range"));
+            }
+            picks.push(pick);
         }
-        Ok(Self { commands })
+        let n = r.get_count(21)?;
+        let mut transitions: Vec<(u64, FleetEvent)> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let event = r.get_u64()?;
+            let ev = FleetEvent::load(r)?;
+            if ev.replica as usize >= replicas {
+                return Err(SnapshotError::Corrupt("logged transition out of range"));
+            }
+            if event >= events || transitions.last().is_some_and(|&(prev, _)| event <= prev) {
+                return Err(SnapshotError::Corrupt(
+                    "logged transition index out of order",
+                ));
+            }
+            transitions.push((event, ev));
+        }
+        Ok(Self { picks, transitions })
+    }
+}
+
+/// A router that hands out a recorded log's picks in order — the only
+/// thing [`crate::Fleet::replay`] swaps into the fleet driver.
+pub(crate) struct LoggedPicks<'a>(pub(crate) std::slice::Iter<'a, u32>);
+
+impl Router for LoggedPicks<'_> {
+    fn name(&self) -> &'static str {
+        "logged-picks"
+    }
+
+    fn route(&mut self, _req: &Request, _view: &RoutingView<'_>) -> usize {
+        *self.0.next().expect("log ran out of picks") as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrivals::Workload;
     use crate::cost::AnalyticCostModel;
-    use crate::digest::digest_serve_report;
-    use crate::policy::{DeadlineEdf, Fifo, PriorityAging, ShortestJobFirst};
-    use crate::scheduler::{serve_with, ServeRun};
+    use crate::fleet::{Fleet, FleetBuilder};
+    use crate::lifecycle::churn_tape;
+    use crate::policy::Fifo;
+    use crate::router::JoinShortestQueue;
+    use crate::scheduler::ServeConfig;
 
-    #[test]
-    fn replay_matches_recording_for_every_policy() {
-        let wl = Workload::poisson(1200.0, 256, 24, 40);
-        let cfg = ServeConfig::default();
-        let policies: [&mut dyn SchedulingPolicy; 4] = [
-            &mut Fifo,
-            &mut ShortestJobFirst::for_workload(&wl),
-            &mut PriorityAging::new(0.5),
-            &mut DeadlineEdf,
-        ];
-        for policy in policies {
-            let mut run = ServeRun::new(&wl, &cfg);
-            let mut cost = AnalyticCostModel::small();
-            while run.step(&mut cost, policy) {}
-            let log = run.log().clone();
-            let recorded = run.into_report();
-            let replayed = log.replay_serve(&wl, &mut AnalyticCostModel::small(), &cfg, policy);
-            assert_eq!(
-                digest_serve_report(&recorded),
-                digest_serve_report(&replayed),
-                "{}",
-                policy.name()
-            );
-            assert_eq!(recorded, replayed);
+    fn fleet() -> Fleet {
+        FleetBuilder::new()
+            .migration_delay_s(0.002)
+            .group(
+                3,
+                &ServeConfig::default(),
+                || Box::new(AnalyticCostModel::small()),
+                || Box::new(Fifo),
+            )
+            .build()
+    }
+
+    /// A churned fleet run's log, with the run's event count.
+    fn recorded(wl: &Workload) -> (CommandLog, u64) {
+        let mut f = fleet();
+        let mut run = f.start(wl);
+        for ev in churn_tape(3, 5, 0.02, 4) {
+            run.inject(ev);
         }
+        while run.step(&mut f, &mut JoinShortestQueue) {}
+        (run.log().clone(), run.events())
     }
 
-    #[test]
-    fn recorded_run_equals_direct_serve_with() {
-        let wl = Workload::poisson(800.0, 128, 16, 32);
-        let cfg = ServeConfig::default();
-        let direct = serve_with(&wl, &mut AnalyticCostModel::small(), &cfg, &mut Fifo);
-        let mut run = ServeRun::new(&wl, &cfg);
-        let mut cost = AnalyticCostModel::small();
-        while run.step(&mut cost, &mut Fifo) {}
-        assert_eq!(direct, run.into_report());
-    }
-
-    #[test]
-    fn log_round_trips_through_snapshot_bytes() {
-        let wl = Workload::poisson(500.0, 64, 8, 16);
-        let cfg = ServeConfig::default();
-        let mut run = ServeRun::new(&wl, &cfg);
-        let mut cost = AnalyticCostModel::small();
-        while run.step(&mut cost, &mut Fifo) {}
-        let log = run.log().clone();
-
+    fn frozen(log: &CommandLog) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.begin_section(9);
         log.save(&mut w);
         w.end_section();
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
+        w.finish()
+    }
+
+    fn thawed(bytes: &[u8], replicas: usize, events: u64) -> Result<CommandLog, SnapshotError> {
+        let mut r = SnapshotReader::new(bytes).unwrap();
         r.begin_section(9).unwrap();
-        let loaded = CommandLog::load(&mut r).unwrap();
+        let log = CommandLog::load(&mut r, replicas, events)?;
         r.end_section().unwrap();
-        assert_eq!(log, loaded);
-        assert!(!loaded.is_empty());
-        assert_eq!(loaded.get(0), Some(Command::Enqueue { replica: 0 }));
+        Ok(log)
+    }
+
+    #[test]
+    fn log_round_trips_through_snapshot_bytes() {
+        let wl = Workload::poisson(1500.0, 64, 8, 32);
+        let (log, events) = recorded(&wl);
+        assert!(log.picks().len() >= 32);
+        assert_eq!(log.transitions().len(), 4);
+        assert_eq!(thawed(&frozen(&log), 3, events), Ok(log));
+    }
+
+    #[test]
+    fn load_rejects_decisions_the_run_could_not_have_made() {
+        let wl = Workload::poisson(1500.0, 64, 8, 32);
+        let (log, events) = recorded(&wl);
+        let bytes = frozen(&log);
+        // Fewer slots than the picks and transitions name.
+        assert!(matches!(
+            thawed(&bytes, 1, events),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        // A transition applied at or past the run's event count.
+        let last = log.transitions().last().unwrap().0;
+        assert!(matches!(
+            thawed(&bytes, 3, last),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        // Transition indices that do not strictly increase.
+        let mut repeated = log.clone();
+        let first = repeated.transitions[0];
+        repeated.transitions.insert(1, first);
+        assert!(matches!(
+            thawed(&frozen(&repeated), 3, events),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "log ran out of picks")]
+    fn replay_of_a_log_with_too_few_picks_panics() {
+        let wl = Workload::poisson(1500.0, 64, 8, 32);
+        let (mut log, _) = recorded(&wl);
+        log.picks.pop();
+        let _ = fleet().replay(&wl, &log);
+    }
+
+    #[test]
+    #[should_panic(expected = "decisions left over")]
+    fn replay_of_a_log_with_too_many_picks_panics() {
+        let wl = Workload::poisson(1500.0, 64, 8, 32);
+        let (mut log, _) = recorded(&wl);
+        log.picks.push(0);
+        let _ = fleet().replay(&wl, &log);
     }
 }

@@ -74,7 +74,6 @@ use crate::calendar::CalendarQueue;
 use crate::cost::CostModel;
 use crate::digest::ReportDigest;
 use crate::policy::{ActiveRequest, Fifo, QueuedRequest, SchedulingPolicy};
-use crate::replay::{Command, CommandLog};
 use crate::request::{Request, RequestRecord};
 use crate::router::ReplicaTelemetry;
 use crate::slab::Slab;
@@ -257,14 +256,13 @@ impl RunStats {
 }
 
 /// A resumable single-machine serving run: [`serve_with`] unrolled into
-/// an object you can step, snapshot, restore and replay.
+/// an object you can step, snapshot and restore.
 ///
 /// Driving a fresh run to completion is bit-identical to
 /// [`serve_with`]; the extras are the checkpointing surface —
 /// [`ServeRun::snapshot`] freezes the entire run state (arrival source,
-/// core, command log) into bytes, [`ServeRun::resume`] picks it back up
-/// such that the finished report is byte-identical to the uninterrupted
-/// run.
+/// core) into bytes, [`ServeRun::resume`] picks it back up such that
+/// the finished report is byte-identical to the uninterrupted run.
 ///
 /// ```
 /// use rpu_serve::{AnalyticCostModel, Fifo, ServeConfig, ServeRun, Workload};
@@ -285,7 +283,6 @@ impl RunStats {
 pub struct ServeRun {
     source: RequestSource,
     core: Core,
-    log: CommandLog,
     events: u64,
     fingerprint: u64,
 }
@@ -312,15 +309,14 @@ impl ServeRun {
         Self {
             source: RequestSource::new(workload),
             core: Core::new(*config),
-            log: CommandLog::new(),
             events: 0,
             fingerprint: workload_fingerprint(workload),
         }
     }
 
     /// Executes exactly one event — an arrival hand-off or one core
-    /// step — and records it. Returns `false` once the run is complete
-    /// (no pending arrival, no core event).
+    /// step. Returns `false` once the run is complete (no pending
+    /// arrival, no core event).
     ///
     /// # Panics
     ///
@@ -336,10 +332,8 @@ impl ServeRun {
         if next_arrival <= next_event {
             let req = self.source.pop_ready(next_arrival).expect("arrival is due");
             self.core.enqueue(req);
-            self.log.push(Command::Enqueue { replica: 0 });
         } else {
             self.core.step(cost, policy, &mut self.source);
-            self.log.push(Command::Step { replica: 0 });
         }
         self.events += 1;
         true
@@ -349,12 +343,6 @@ impl ServeRun {
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    /// The decision trace recorded so far.
-    #[must_use]
-    pub fn log(&self) -> &CommandLog {
-        &self.log
     }
 
     /// Point-in-time lifecycle counters, for conservation checks.
@@ -394,8 +382,8 @@ impl ServeRun {
         self.core.pending_wakeups()
     }
 
-    /// Freezes the whole run — source, core, command log — into a
-    /// versioned, checksummed byte stream.
+    /// Freezes the whole run — source and core — into a versioned,
+    /// checksummed byte stream.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
@@ -410,9 +398,6 @@ impl ServeRun {
         w.end_section();
         w.begin_section(section::CORE);
         self.core.save(&mut w);
-        w.end_section();
-        w.begin_section(section::LOG);
-        self.log.save(&mut w);
         w.end_section();
         w.finish()
     }
@@ -447,13 +432,9 @@ impl ServeRun {
         r.begin_section(section::CORE)?;
         let core = Core::restore(&mut r)?;
         r.end_section()?;
-        r.begin_section(section::LOG)?;
-        let log = CommandLog::load(&mut r)?;
-        r.end_section()?;
         Ok(Self {
             source,
             core,
-            log,
             events,
             fingerprint,
         })
@@ -1265,6 +1246,17 @@ mod tests {
 
     fn run(wl: &Workload, cfg: &ServeConfig) -> ServeReport {
         serve(wl, &mut AnalyticCostModel::small(), cfg)
+    }
+
+    #[test]
+    fn recorded_run_equals_direct_serve_with() {
+        let wl = Workload::poisson(800.0, 128, 16, 32);
+        let cfg = ServeConfig::default();
+        let direct = serve_with(&wl, &mut AnalyticCostModel::small(), &cfg, &mut Fifo);
+        let mut run = ServeRun::new(&wl, &cfg);
+        let mut cost = AnalyticCostModel::small();
+        while run.step(&mut cost, &mut Fifo) {}
+        assert_eq!(direct, run.into_report());
     }
 
     #[test]

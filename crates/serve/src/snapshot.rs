@@ -46,7 +46,9 @@ pub(crate) mod section {
     pub const CORE: u8 = 3;
     /// Router state (fleet snapshots only).
     pub const ROUTER: u8 = 4;
-    /// The command log recorded so far.
+    /// The fleet's command log recorded so far: router picks and
+    /// indexed lifecycle transitions (fleet snapshots only; written
+    /// last).
     pub const LOG: u8 = 5;
     /// Replica lifecycle state: per-slot states, pending fleet events,
     /// displaced requests and machine-seconds accounting (fleet
@@ -76,7 +78,11 @@ pub const MAGIC: [u8; 8] = *b"RPUSNAP1";
 /// Version 3 added the fleet LIFECYCLE section (replica states,
 /// pending fleet events, displaced requests, machine-seconds) and the
 /// lifecycle/re-route command-log tags.
-pub const FORMAT_VERSION: u32 = 3;
+/// Version 4 shrank the command log to router picks plus lifecycle
+/// transitions tagged with their event index, made the LOG section
+/// fleet-only, and dropped the RUN section's per-replica assignment
+/// counts (reports now derive them from the picks).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be restored. Every decode failure is one
 /// of these — restoring never panics on hostile bytes.

@@ -4,17 +4,19 @@
 //! deprecation window closed with them); what must hold now is that
 //! the calendar core is **closed under its own mechanisms**: for every
 //! workload, an uninterrupted run, a run snapshotted mid-flight and
-//! resumed, and a replay of the recorded command log all produce
-//! byte-identical reports and digests. This suite drives a family of
+//! resumed, and a replay all produce byte-identical reports and
+//! digests. This suite drives a family of
 //! 112 seeded workloads (open loop, closed loop, traced; single- and
 //! multi-class; with preemption pressure) through that triangle:
 //!
 //! - single machine, under every scheduling policy (Fifo, SJF,
 //!   PriorityAging, DeadlineEdf): uninterrupted == snapshot/resume at
-//!   the run's midpoint == log replay;
+//!   the run's midpoint == a fresh `serve_with` run (a single machine
+//!   logs no decisions, so that is its replay);
 //! - a three-replica fleet, under every router (RoundRobin,
 //!   JoinShortestQueue, LeastKvLoad, SessionAffinity), policies
-//!   rotating per workload: same triangle, router state frozen too;
+//!   rotating per workload: same triangle, router state frozen too,
+//!   replayed from the recorded command log;
 //! - a one-replica fleet against the bare single-machine scheduler:
 //!   the fleet driver must degenerate to it record-for-record.
 //!
@@ -143,7 +145,6 @@ fn serve_closes_under_snapshot_and_replay_under_every_policy() {
             let mut p = policy(name, &wl);
             while full.step(&mut cost, p.as_mut()) {}
             let total = full.events();
-            let log = full.log().clone();
             let uninterrupted = full.into_report();
 
             // Leg 2: snapshot at the midpoint, thaw, finish.
@@ -170,9 +171,9 @@ fn serve_closes_under_snapshot_and_replay_under_every_policy() {
                 "workload {i} policy {name}: resumed report diverges"
             );
 
-            // Leg 3: replay the recorded decisions, no scheduler search.
-            let replayed =
-                log.replay_serve(&wl, &mut machine(), &config, policy(name, &wl).as_mut());
+            // Leg 3: a single machine logs no decisions, so replaying
+            // it is a fresh serve_with run.
+            let replayed = serve_with(&wl, &mut machine(), &config, policy(name, &wl).as_mut());
             assert_eq!(
                 replayed, uninterrupted,
                 "workload {i} policy {name}: replayed report diverges"
@@ -238,7 +239,7 @@ fn fleet_closes_under_snapshot_and_replay_under_every_router() {
                 "workload {i} router {name}: resumed report diverges"
             );
 
-            // Leg 3: replay the recorded routing/stepping decisions.
+            // Leg 3: replay the recorded picks and transitions.
             let replayed = mk_fleet().replay(&wl, &log);
             assert_eq!(
                 replayed, uninterrupted,

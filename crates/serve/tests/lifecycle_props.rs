@@ -3,15 +3,14 @@
 //! Three invariant families over randomly generated workloads, fleet
 //! sizes, routers and [`churn_tape`] lifecycle storms:
 //!
-//! 1. **Draining admits nothing new** — walking the command log with a
-//!    replayed lifecycle-state machine, no `Enqueue` or `Reroute`
-//!    command ever targets a replica that is draining or down at that
-//!    point in the log.
+//! 1. **Draining admits nothing new** — every router pick the command
+//!    log records targets a replica that is live right after the step
+//!    that made it.
 //! 2. **Failure conserves requests** — every issued request still ends
 //!    its lifecycle exactly once (completed or rejected, no duplicate
 //!    ids), even when failures displace in-flight work through the
-//!    router, and the assignment counters account for every enqueue
-//!    *and* every re-route.
+//!    router, and the log holds one pick per arrival *and* per
+//!    re-route, which the assignment counters sum to.
 //! 3. **Churned runs digest identically three ways** — straight run ==
 //!    snapshot-at-every-lifecycle-boundary-then-resume == command-log
 //!    replay, down to full-report equality (including machine-seconds
@@ -19,14 +18,19 @@
 //!
 //! A fourth property pins the fleet's next-event rule: `next_time`
 //! predicts every `step` under churn and under a full blackout, with
-//! and without a migration delay.
+//! and without a migration delay. A fifth replays autoscaled runs,
+//! whose controller injects transitions at boundaries that tie with
+//! arrivals.
 
 use proptest::prelude::*;
+use rpu_models::LengthDistribution;
 use rpu_serve::{
-    churn_tape, digest_fleet_report, AnalyticCostModel, Command, Fleet, FleetBuilder, FleetEvent,
-    FleetEventKind, FleetRun, JoinShortestQueue, LeastKvLoad, LifecycleState, PriorityAging,
-    RoundRobin, Router, ServeConfig, SessionAffinity, Workload,
+    churn_tape, digest_fleet_report, run_autoscaled, AnalyticCostModel, ArrivalProcess, Autoscaler,
+    AutoscalerConfig, ClassSpec, Fifo, Fleet, FleetBuilder, FleetEvent, FleetEventKind, FleetRun,
+    JoinShortestQueue, LeastKvLoad, LifecycleState, PriorityAging, RoundRobin, Router, ServeConfig,
+    SessionAffinity, Workload,
 };
+use rpu_util::stats::Percentiles;
 
 fn build_router(i: usize) -> Box<dyn Router> {
     match i {
@@ -56,29 +60,13 @@ fn build_fleet_with_delay(n: usize, cfg: &ServeConfig, delay_s: f64) -> Fleet {
         .build()
 }
 
-/// Runs the workload under the churn storm to completion, returning
-/// the finished run for inspection.
-fn churned_run(
-    wl: &Workload,
-    fleet: &mut Fleet,
-    router: &mut dyn Router,
-    events: &[FleetEvent],
-) -> FleetRun {
+/// Starts the workload with the churn storm injected.
+fn churned_start(wl: &Workload, fleet: &Fleet, events: &[FleetEvent]) -> FleetRun {
     let mut run = fleet.start(wl);
     for ev in events {
         run.inject(*ev);
     }
-    while run.step(fleet, router) {}
     run
-}
-
-/// Replays lifecycle transitions alongside the log cursor.
-fn apply(states: &mut [LifecycleState], ev: &FleetEvent) {
-    states[ev.replica as usize] = match ev.kind {
-        FleetEventKind::Join => LifecycleState::Live,
-        FleetEventKind::Drain => LifecycleState::Draining,
-        FleetEventKind::Leave | FleetEventKind::Fail => LifecycleState::Down,
-    };
 }
 
 fn arb_case() -> impl Strategy<Value = (Workload, usize, usize, Vec<FleetEvent>)> {
@@ -102,54 +90,49 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A draining (or down) replica never receives new work: every
-    /// `Enqueue` and every `Reroute` in the command log targets a
-    /// replica that is live at that point in the log.
+    /// pick the log records — arrival or re-route — targets a replica
+    /// that is live right after the step that made it (a routing step
+    /// applies no transition, so that is its state at routing time).
     #[test]
     fn draining_replicas_are_never_admitted_new_work(case in arb_case()) {
         let (wl, n, router_idx, events) = case;
         let cfg = ServeConfig::default();
         let mut fleet = build_fleet(n, &cfg);
         let mut router = build_router(router_idx);
-        let run = churned_run(&wl, &mut fleet, router.as_mut(), &events);
-        let mut states = vec![LifecycleState::Live; n];
-        for (i, cmd) in run.log().commands().iter().enumerate() {
-            match cmd {
-                Command::Enqueue { replica } | Command::Reroute { replica } => {
-                    prop_assert_eq!(
-                        states[*replica as usize],
-                        LifecycleState::Live,
-                        "log position {}: replica {} admitted while {}",
-                        i,
-                        replica,
-                        states[*replica as usize].name()
-                    );
-                }
-                Command::Lifecycle(ev) => apply(&mut states, ev),
-                Command::Step { .. } => {}
+        let mut run = churned_start(&wl, &fleet, &events);
+        let mut routed = 0;
+        while run.step(&mut fleet, router.as_mut()) {
+            let picks = run.log().picks();
+            if picks.len() > routed {
+                routed = picks.len();
+                let pick = picks[routed - 1] as usize;
+                prop_assert_eq!(
+                    run.states()[pick],
+                    LifecycleState::Live,
+                    "pick {}: replica {} admitted while {}",
+                    routed - 1,
+                    pick,
+                    run.states()[pick].name()
+                );
             }
         }
     }
 
     /// Failures displace in-flight work but never lose or duplicate a
     /// request: terminal states still sum to the workload, ids stay
-    /// unique, and `assigned` counts every enqueue plus every re-route.
+    /// unique, the log picks a replica for every arrival plus every
+    /// displaced request, and `assigned` counts every pick.
     #[test]
     fn failure_and_reenqueue_conserve_requests(case in arb_case()) {
         let (wl, n, router_idx, events) = case;
         let cfg = ServeConfig::default();
         let mut fleet = build_fleet(n, &cfg);
         let mut router = build_router(router_idx);
-        let run = churned_run(&wl, &mut fleet, router.as_mut(), &events);
+        let mut run = churned_start(&wl, &fleet, &events);
+        while run.step(&mut fleet, router.as_mut()) {}
         let stats = run.stats();
         prop_assert!(stats.conserved(), "terminal leak: {stats:?}");
-        let (mut enqueues, mut reroutes) = (0u32, 0u32);
-        for cmd in run.log().commands() {
-            match cmd {
-                Command::Enqueue { .. } => enqueues += 1,
-                Command::Reroute { .. } => reroutes += 1,
-                _ => {}
-            }
-        }
+        let picks = run.log().picks().len() as u32;
         let report = run.into_report();
         prop_assert_eq!(
             report.aggregate.records.len() as u32 + report.aggregate.rejected,
@@ -165,11 +148,15 @@ proptest! {
         let before = ids.len();
         ids.dedup();
         prop_assert_eq!(ids.len(), before, "a request id completed twice");
-        prop_assert_eq!(enqueues, wl.num_requests);
+        prop_assert_eq!(
+            picks,
+            wl.num_requests + report.lifecycle.displaced,
+            "the log misses an arrival or re-route pick"
+        );
         prop_assert_eq!(
             report.assigned.iter().sum::<u32>(),
-            enqueues + reroutes,
-            "assignment counters miss an enqueue or re-route"
+            picks,
+            "assignment counters miss a pick"
         );
         prop_assert_eq!(report.lifecycle.events(), events.len() as u32);
     }
@@ -190,7 +177,7 @@ proptest! {
         // Freeze at every lifecycle boundary as the straight run passes it.
         let mut boundary_snaps = Vec::new();
         while run.step(&mut fleet, router.as_mut()) {
-            if matches!(run.log().commands().last(), Some(Command::Lifecycle(_))) {
+            if run.log().transitions().last().is_some_and(|t| t.0 + 1 == run.events()) {
                 boundary_snaps.push(run.snapshot(router.as_ref()));
             }
         }
@@ -280,5 +267,108 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// [`run_autoscaled`]'s control loop, unrolled so the finished run —
+/// and its command log — stays inspectable.
+fn autoscaled_run(
+    wl: &Workload,
+    fleet: &mut Fleet,
+    router: &mut dyn Router,
+    config: AutoscalerConfig,
+) -> FleetRun {
+    let mut scaler = Autoscaler::new(config);
+    let mut run = fleet.start(wl);
+    let mut boundary = config.interval_s;
+    while run.step_until(fleet, router, boundary) {
+        let ttfts = run.ttfts_completed_since((boundary - config.window_s).max(0.0));
+        let p99 = (!ttfts.is_empty()).then(|| Percentiles::from_samples(&ttfts).p99);
+        let telemetry = run.telemetry(fleet);
+        for ev in scaler.control(boundary, run.states(), &telemetry, p99) {
+            run.inject(ev);
+        }
+        boundary += config.interval_s;
+    }
+    run
+}
+
+/// One live replica plus four spare slots for the autoscaler to join.
+fn elastic_fleet() -> Fleet {
+    let cfg = ServeConfig::default();
+    FleetBuilder::new()
+        .group(
+            1,
+            &cfg,
+            || Box::new(AnalyticCostModel::small()),
+            || Box::new(Fifo),
+        )
+        .group_with_state(
+            LifecycleState::Down,
+            4,
+            &cfg,
+            || Box::new(AnalyticCostModel::small()),
+            || Box::new(Fifo),
+        )
+        .build()
+}
+
+/// A trace with one arrival exactly on every control boundary — the
+/// boundary accumulated the way the controller accumulates it — and,
+/// over the first half, a burst on every `burst_every`-th one: the
+/// controller joins under the bursts and drains in the quiet tail, its
+/// injections tying with arrivals that have already run.
+fn arb_boundary_tape() -> impl Strategy<Value = Workload> {
+    (16usize..=60, 1usize..=4, 4usize..=48, 0u64..1 << 40).prop_map(
+        |(boundaries, burst_every, burst, seed)| {
+            let interval = AutoscalerConfig::default().interval_s;
+            let mut arrivals_s = Vec::new();
+            let mut t = 0.0;
+            for b in 0..boundaries {
+                t += interval;
+                let bursting = b < boundaries / 2 && b % burst_every == 0;
+                let n = if bursting { 1 + burst } else { 1 };
+                arrivals_s.extend(std::iter::repeat_n(t, n));
+            }
+            Workload {
+                num_requests: arrivals_s.len() as u32,
+                arrivals: ArrivalProcess::Trace { arrivals_s },
+                prompt_lens: LengthDistribution::Uniform { lo: 64, hi: 1024 },
+                output_lens: LengthDistribution::Uniform { lo: 8, hi: 96 },
+                seed,
+                classes: vec![ClassSpec::interactive()],
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// An autoscaled run replays identically: the controller's
+    /// transitions re-enter at the event index that applied them, so a
+    /// join injected at a boundary still lands after that boundary's
+    /// arrivals. The hand-driven loop is pinned to [`run_autoscaled`].
+    #[test]
+    fn autoscaled_runs_replay_identically(wl in arb_boundary_tape()) {
+        let config = AutoscalerConfig::default();
+        let mut fleet = elastic_fleet();
+        let run = autoscaled_run(&wl, &mut fleet, &mut RoundRobin::new(), config);
+        let log = run.log().clone();
+        let recorded = run.into_report();
+        prop_assert_eq!(
+            log.transitions().len() as u32,
+            recorded.lifecycle.events()
+        );
+        let library = run_autoscaled(
+            &mut elastic_fleet(),
+            &wl,
+            &mut RoundRobin::new(),
+            &mut Autoscaler::new(config),
+        );
+        prop_assert_eq!(&library, &recorded, "hand-driven loop drifted");
+        let replayed = elastic_fleet().replay(&wl, &log);
+        prop_assert_eq!(&replayed, &recorded, "autoscaled replay differs");
+        prop_assert_eq!(digest_fleet_report(&replayed), digest_fleet_report(&recorded));
     }
 }

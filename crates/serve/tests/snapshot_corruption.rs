@@ -10,8 +10,8 @@
 
 use rpu_serve::snapshot::MAGIC;
 use rpu_serve::{
-    AnalyticCostModel, Fifo, Fleet, FleetBuilder, FleetRun, PriorityAging, RoundRobin, Router,
-    ServeConfig, ServeRun, SessionAffinity, SnapshotError, Workload,
+    churn_tape, AnalyticCostModel, Fifo, Fleet, FleetBuilder, FleetEvent, FleetRun, PriorityAging,
+    RoundRobin, Router, ServeConfig, ServeRun, SessionAffinity, SnapshotError, Workload,
 };
 
 fn serve_snapshot_at(events: u64) -> (Workload, Vec<u8>) {
@@ -25,31 +25,35 @@ fn serve_snapshot_at(events: u64) -> (Workload, Vec<u8>) {
     (wl, run.snapshot())
 }
 
+fn fleet3() -> Fleet {
+    FleetBuilder::new()
+        .group(
+            3,
+            &ServeConfig::default(),
+            || Box::new(AnalyticCostModel::small()),
+            || Box::new(PriorityAging::new(0.25)),
+        )
+        .build()
+}
+
 fn fleet_snapshot_at(events: u64) -> (Workload, Fleet, Vec<u8>) {
+    churned_fleet_snapshot_at(events, &[])
+}
+
+/// A three-replica fleet snapshot after `events` events, with the
+/// `churn` lifecycle tape injected at the start.
+fn churned_fleet_snapshot_at(events: u64, churn: &[FleetEvent]) -> (Workload, Fleet, Vec<u8>) {
     let wl = Workload::poisson(1500.0, 192, 24, 48);
-    let cfg = ServeConfig::default();
-    let fleet = FleetBuilder::new()
-        .group(
-            3,
-            &cfg,
-            || Box::new(AnalyticCostModel::small()),
-            || Box::new(PriorityAging::new(0.25)),
-        )
-        .build();
-    let mut serving = FleetBuilder::new()
-        .group(
-            3,
-            &cfg,
-            || Box::new(AnalyticCostModel::small()),
-            || Box::new(PriorityAging::new(0.25)),
-        )
-        .build();
+    let mut serving = fleet3();
     let mut router = SessionAffinity::new();
     let mut run = serving.start(&wl);
+    for ev in churn {
+        run.inject(*ev);
+    }
     for _ in 0..events {
         assert!(run.step(&mut serving, &mut router));
     }
-    (wl, fleet, run.snapshot(&router))
+    (wl, fleet3(), run.snapshot(&router))
 }
 
 /// Offset of the first section id: magic + format version + the
@@ -213,11 +217,10 @@ fn fleet_byte_flips_and_truncations_are_rejected() {
 #[test]
 fn resuming_into_a_wrong_sized_fleet_is_rejected() {
     let (wl, _, bytes) = fleet_snapshot_at(20);
-    let cfg = ServeConfig::default();
     let smaller = FleetBuilder::new()
         .group(
             2,
-            &cfg,
+            &ServeConfig::default(),
             || Box::new(AnalyticCostModel::small()),
             || Box::new(PriorityAging::new(0.25)),
         )
@@ -311,14 +314,7 @@ fn checksummed_fleet_core_mutations_never_panic_the_wake_rebuild() {
             let evil = mutate_checksummed(&bytes, start, len, i);
             let mut router: Box<dyn Router> = Box::new(SessionAffinity::new());
             if let Ok(mut run) = FleetRun::resume(&wl, &fleet, router.as_mut(), &evil) {
-                let mut serving = FleetBuilder::new()
-                    .group(
-                        3,
-                        &ServeConfig::default(),
-                        || Box::new(AnalyticCostModel::small()),
-                        || Box::new(PriorityAging::new(0.25)),
-                    )
-                    .build();
+                let mut serving = fleet3();
                 for _ in 0..2_000 {
                     if !run.step(&mut serving, router.as_mut()) {
                         break;
@@ -327,4 +323,47 @@ fn checksummed_fleet_core_mutations_never_panic_the_wake_rebuild() {
             }
         }
     }
+}
+
+/// Checksum-valid flips of the fleet LOG section — router picks and
+/// indexed lifecycle transitions — must fail typed (a pick or a
+/// transition naming a replica out of range, transition indices out of
+/// order or past the run's event count, a count the payload cannot
+/// hold) or thaw into a run that steps to its report without panicking.
+/// A resumed run never re-reads its log except to count picks into the
+/// report, so that is the path a surviving flip must not break.
+#[test]
+fn checksummed_fleet_log_mutations_are_rejected_or_thaw_steppable() {
+    let churn = churn_tape(3, 0xC4, 0.02, 4);
+    let (wl, fleet, bytes) = churned_fleet_snapshot_at(96, &churn);
+    {
+        let mut router: Box<dyn Router> = Box::new(SessionAffinity::new());
+        let run = FleetRun::resume(&wl, &fleet, router.as_mut(), &bytes).expect("pristine bytes");
+        assert!(
+            !run.log().transitions().is_empty(),
+            "the snapshot must carry applied transitions"
+        );
+    }
+    let (_, start, len) = sections(&bytes)
+        .into_iter()
+        .find(|s| s.0 == 5)
+        .expect("fleet snapshots carry a log section");
+    let (mut rejected, mut thawed) = (0u32, 0u32);
+    for i in 0..len {
+        let evil = mutate_checksummed(&bytes, start, len, i);
+        let mut router: Box<dyn Router> = Box::new(SessionAffinity::new());
+        match FleetRun::resume(&wl, &fleet, router.as_mut(), &evil) {
+            Err(_) => rejected += 1,
+            Ok(mut run) => {
+                thawed += 1;
+                let mut serving = fleet3();
+                while run.step(&mut serving, router.as_mut()) {}
+                let report = run.into_report();
+                assert_eq!(report.assigned.len(), 3, "flipping log byte {i}");
+            }
+        }
+    }
+    // Every pick flip lands out of range; transition times survive.
+    assert!(rejected > 0, "no log mutation was rejected");
+    assert!(thawed > 0, "no log mutation thawed: sweep too weak?");
 }
