@@ -14,7 +14,12 @@
 //! - a plain run gates against it, failing on a >25% requests/sec
 //!   regression (ratio < 0.75) — the lifecycle machinery (routable
 //!   masks, telemetry refresh, control boundaries) must stay off the
-//!   serving hot path.
+//!   serving hot path;
+//! - the bench also asserts flatness, as `router_scale` does across
+//!   widths: µs/request at 200k requests must stay within 1.5× of the
+//!   value at 25k requests of the same tape. A control loop whose
+//!   windowed reads rescan every completed record is quadratic in run
+//!   length and fails this.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rpu_bench::perf::{record_or_gate, PerfSnapshot};
@@ -29,11 +34,32 @@ use std::time::{Duration, Instant};
 /// held for many compressed days.
 const NUM_REQUESTS: u32 = 200_000;
 
-fn sustained_workload() -> Workload {
+/// The short run the sustained one's per-request cost is held against.
+const SHORT_REQUESTS: u32 = 25_000;
+
+/// Largest allowed growth of µs/request from the short run to the
+/// sustained one.
+const MAX_GROWTH: f64 = 1.5;
+
+fn sustained_workload(num_requests: u32) -> Workload {
     Workload {
-        num_requests: NUM_REQUESTS,
+        num_requests,
         ..autoscale::diurnal_workload()
     }
+}
+
+/// Best-of-`passes` wall time over full autoscaled passes of `wl`,
+/// with the controller's joins and drains; every pass must reproduce
+/// the first pass's digest and decisions bit for bit.
+fn best_of(wl: &Workload, passes: u32) -> (u32, u32, Duration) {
+    let (digest, joins, drains, mut elapsed) = run_timed(wl);
+    for _ in 1..passes {
+        let (d, j, dr, el) = run_timed(wl);
+        assert_eq!(d, digest, "autoscaled run must be deterministic");
+        assert_eq!((j, dr), (joins, drains), "controller decisions drifted");
+        elapsed = elapsed.min(el);
+    }
+    (joins, drains, elapsed)
 }
 
 /// One full autoscaled pass, timing the serving loop plus the control
@@ -64,14 +90,7 @@ fn headline(c: &mut Criterion) {
 
     // Best of three full passes; the digests pin that the controller's
     // decisions are bit-identical pass to pass.
-    let wl = sustained_workload();
-    let (digest, joins, drains, mut elapsed) = run_timed(&wl);
-    for _ in 0..2 {
-        let (d, j, dr, el) = run_timed(&wl);
-        assert_eq!(d, digest, "autoscaled run must be deterministic");
-        assert_eq!((j, dr), (joins, drains), "controller decisions drifted");
-        elapsed = elapsed.min(el);
-    }
+    let (joins, drains, elapsed) = best_of(&sustained_workload(NUM_REQUESTS), 3);
     assert!(joins >= 1, "sustained diurnal load never triggered a join");
     let requests_per_sec = f64::from(NUM_REQUESTS) / elapsed.as_secs_f64();
     let us_per_request = elapsed.as_micros() as f64 / f64::from(NUM_REQUESTS);
@@ -79,6 +98,21 @@ fn headline(c: &mut Criterion) {
         "autoscale: {NUM_REQUESTS} requests in {:.3} s ({requests_per_sec:.0} req/s, \
          {us_per_request:.2} us/req), {joins} joins, {drains} drains",
         elapsed.as_secs_f64(),
+    );
+
+    // Flatness: the same tape cut short must cost about as much per
+    // request as the sustained run.
+    let (_, _, short) = best_of(&sustained_workload(SHORT_REQUESTS), 3);
+    let short_us = short.as_micros() as f64 / f64::from(SHORT_REQUESTS);
+    let growth = us_per_request / short_us;
+    println!(
+        "autoscale: {SHORT_REQUESTS} requests at {short_us:.2} us/req; \
+         {NUM_REQUESTS} requests cost {growth:.2}x that per request"
+    );
+    assert!(
+        growth <= MAX_GROWTH,
+        "us/request grows {growth:.2}x from {SHORT_REQUESTS} to {NUM_REQUESTS} requests \
+         (limit {MAX_GROWTH}x) — per-request cost is growing with run length"
     );
 
     let mut snap = PerfSnapshot::new();

@@ -30,7 +30,7 @@ pub mod checks {
 /// Measured performance snapshots: the `BENCH_*.json` trajectory.
 ///
 /// Bench targets record their headline numbers (events/sec, ns/event,
-/// peak slab occupancy, …) as a [`perf::PerfSnapshot`] and pass it
+/// peak batch, …) as a [`perf::PerfSnapshot`] and pass it
 /// through [`perf::record_or_gate`], which follows the repo's
 /// golden-drift pattern:
 ///

@@ -6,8 +6,8 @@
 //! flat as the fleet gets wide?** It drives the same analytic-cost
 //! serving stack across fleets of 8 to 1000 replicas at a constant
 //! per-replica offered load (~95% decode utilisation), and reports
-//! events processed, events per request, peak slab occupancy and the
-//! fleet-report digest at every width.
+//! events processed, events per request, the largest batch any replica
+//! held and the fleet-report digest at every width.
 //!
 //! The registry run keeps the request count small (a fixed number of
 //! requests *per replica*) so the sweep stays cheap enough for the
@@ -18,7 +18,7 @@
 //!
 //! The digest column is the determinism pin: the golden snapshot holds
 //! the exact [`rpu_serve::ReportDigest`] of every width, so any change
-//! to routing order, slab reuse or telemetry accounting at 1000
+//! to routing order, batch turnover or telemetry accounting at 1000
 //! replicas shows up as a byte diff — at every engine job count.
 
 use crate::engine::Engine;
@@ -33,7 +33,7 @@ use rpu_util::table::{Cell, Table};
 pub const WIDTH_SWEEP: [u32; 4] = [8, 64, 256, 1000];
 
 /// Requests per replica in the registry sweep — enough churn that
-/// every replica's slab sees reuse, small enough that the 1000-replica
+/// every replica's batch turns over, small enough that the 1000-replica
 /// rung stays test-cheap.
 pub const REQUESTS_PER_REPLICA: u32 = 8;
 
@@ -85,8 +85,9 @@ pub struct ScalePoint {
     /// Discrete events the driver processed.
     pub events: u64,
     /// Highest number of simultaneously resident requests any single
-    /// replica's slab ever held.
-    pub peak_slab_occupancy: u32,
+    /// replica's batch ever held (the table's "peak slab" column, a
+    /// header kept for byte-stable goldens).
+    pub peak_batch: u32,
     /// Fleet decode utilisation over the run.
     pub fleet_utilization: f64,
     /// Decode-load imbalance (max/mean) across replicas.
@@ -112,13 +113,12 @@ pub fn run_point(replicas: u32, wl: &Workload) -> ScalePoint {
     let mut run = fleet.start(wl);
     while run.step(&mut fleet, &mut router) {}
     let events = run.events();
-    let peak = run.peak_slab_occupancy();
     let report = run.into_report();
     ScalePoint {
         replicas,
         requests: wl.num_requests,
         events,
-        peak_slab_occupancy: peak,
+        peak_batch: report.aggregate.peak_batch,
         fleet_utilization: report.fleet_utilization(),
         imbalance: report.imbalance(),
         digest: digest_fleet_report(&report),
@@ -191,7 +191,7 @@ impl FleetScale {
                 Cell::int(i64::from(p.requests)),
                 Cell::int(p.events as i64),
                 Cell::num(p.events as f64 / f64::from(p.requests), 2),
-                Cell::int(i64::from(p.peak_slab_occupancy)),
+                Cell::int(i64::from(p.peak_batch)),
                 Cell::num(p.fleet_utilization, 3),
                 Cell::num(p.imbalance, 2),
                 Cell::str(p.digest.to_string()),
@@ -283,7 +283,7 @@ mod tests {
             // Every request costs at least an enqueue event plus one
             // scheduling step; completed work means a busy fleet.
             assert!(p.events > u64::from(p.requests));
-            assert!(p.peak_slab_occupancy >= 1);
+            assert!(p.peak_batch >= 1);
             assert!(p.fleet_utilization > 0.0);
             assert!(p.imbalance >= 1.0 - 1e-9);
         }
@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn top_rung_reaches_a_thousand_replicas() {
         // Acceptance: the sweep's top rung really is the paper-scale
-        // width, and its digest is pinned (any drift in slab reuse or
+        // width, and its digest is pinned (any drift in batch turnover or
         // routing order at width 1000 must fail loudly here and in the
         // golden).
         let p = sweep().point(1000);

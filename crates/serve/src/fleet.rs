@@ -306,7 +306,7 @@ impl Fleet {
     #[must_use]
     pub fn start(&self, workload: &Workload) -> FleetRun {
         let source = RequestSource::new(workload);
-        let mut cores: Vec<Core> = self.replicas.iter().map(|r| Core::new(r.config)).collect();
+        let cores: Vec<Core> = self.replicas.iter().map(|r| Core::new(r.config)).collect();
         let states = self.initial_states.clone();
         let Derived {
             wake,
@@ -314,7 +314,7 @@ impl Fleet {
             index,
             kv_caps,
             routable,
-        } = Derived::build(self, &mut cores, &states);
+        } = Derived::build(self, &cores, &states);
         FleetRun {
             source,
             cores,
@@ -462,8 +462,7 @@ pub struct PerfCounters {
     /// Routing-index dirty marks observed (one per event that touched
     /// a replica's telemetry or lifecycle state).
     pub index_marks: u64,
-    /// Calendar-queue insertions across the fleet wake calendar and
-    /// every core's ready calendar.
+    /// Insertions into the fleet wake calendar.
     pub wheel_ops: u64,
 }
 
@@ -494,9 +493,9 @@ impl Derived {
     /// exactly, and identical counters reproduce its routing. Fresh
     /// cores are idle (next event at infinity), so a fresh run's
     /// calendar starts empty and the first arrival seeds it.
-    fn build(fleet: &Fleet, cores: &mut [Core], states: &[LifecycleState]) -> Self {
+    fn build(fleet: &Fleet, cores: &[Core], states: &[LifecycleState]) -> Self {
         let mut wake = CalendarQueue::with_components(cores.len());
-        for (i, core) in cores.iter_mut().enumerate() {
+        for (i, core) in cores.iter().enumerate() {
             wake.schedule(i as u32, core.next_event_s());
         }
         let telemetry = cached_telemetry(cores, &fleet.replicas);
@@ -879,30 +878,23 @@ impl FleetRun {
 
     /// TTFTs of every request that completed at or after sim time `t`,
     /// in replica order then per-replica completion order — the
-    /// autoscaler's windowed latency sample.
+    /// autoscaler's windowed latency sample. Each replica's records are
+    /// sorted by finish time, so the window is found by binary search:
+    /// O(replicas · log records + window), not a rescan of the run.
     #[must_use]
     pub fn ttfts_completed_since(&self, t: f64) -> Vec<f64> {
-        self.cores
-            .iter()
-            .flat_map(|c| {
-                c.records()
-                    .iter()
-                    .filter(move |r| r.finish_s >= t)
-                    .map(RequestRecord::ttft_s)
-            })
-            .collect()
-    }
-
-    /// Highest number of simultaneously resident requests any single
-    /// replica's slab ever held — the perf trajectory's occupancy
-    /// figure.
-    #[must_use]
-    pub fn peak_slab_occupancy(&self) -> u32 {
-        self.cores
-            .iter()
-            .map(Core::peak_slab_occupancy)
-            .max()
-            .unwrap_or(0)
+        fn window(c: &Core, t: f64) -> &[RequestRecord] {
+            let recs = c.records();
+            &recs[recs.partition_point(|r| r.finish_s < t)..]
+        }
+        // Sized exactly up front: a growing collect at every control
+        // boundary measurably raised the autoscaled run's peak RSS.
+        let n = self.cores.iter().map(|c| window(c, t).len()).sum();
+        let mut ttfts = Vec::with_capacity(n);
+        for c in &self.cores {
+            ttfts.extend(window(c, t).iter().map(RequestRecord::ttft_s));
+        }
+        ttfts
     }
 
     /// Per-subsystem hot-path counters accumulated so far — calendar
@@ -918,8 +910,7 @@ impl FleetRun {
             route_scan_fallbacks: self.route_stats.scan_fallbacks(),
             index_leaf_updates,
             index_marks,
-            wheel_ops: self.wake.scheduled_ops()
-                + self.cores.iter().map(Core::calendar_ops).sum::<u64>(),
+            wheel_ops: self.wake.scheduled_ops(),
         }
     }
 
@@ -1082,7 +1073,7 @@ impl FleetRun {
             index,
             kv_caps,
             routable,
-        } = Derived::build(fleet, &mut cores, &states);
+        } = Derived::build(fleet, &cores, &states);
         Ok(Self {
             source,
             cores,
@@ -1616,6 +1607,49 @@ mod tests {
         while thawed.step(&mut f, &mut router) {}
         while straight.step(&mut f, &mut router) {}
         assert_eq!(straight.into_report(), thawed.into_report());
+    }
+
+    #[test]
+    fn ttft_window_matches_a_full_filter_under_churn() {
+        // The binary-searched window must return exactly what filtering
+        // every record returns, in the same order, at every probe time
+        // — including mid-run, across failures that strand a replica's
+        // records while its clock stands still.
+        let brute = |run: &FleetRun, t: f64| -> Vec<f64> {
+            run.cores
+                .iter()
+                .flat_map(|c| c.records().iter().filter(move |r| r.finish_s >= t))
+                .map(RequestRecord::ttft_s)
+                .collect()
+        };
+        let wl = Workload::poisson(1500.0, 256, 24, 120);
+        let mut f = fleet_with_delay(0.002);
+        let mut router = JoinShortestQueue;
+        let mut run = f.start(&wl);
+        for ev in churn_tape(2, 11, 0.04, 8) {
+            run.inject(ev);
+        }
+        let mut probes = 0u32;
+        loop {
+            let more = run.step(&mut f, &mut router);
+            if run.events().is_multiple_of(17) || !more {
+                let mut ts = vec![f64::NEG_INFINITY, 0.0, run.now_s(), f64::INFINITY];
+                for c in &run.cores {
+                    for r in c.records() {
+                        ts.extend([r.finish_s, r.finish_s - 1e-6, r.finish_s + 1e-6]);
+                    }
+                }
+                for t in ts {
+                    assert_eq!(run.ttfts_completed_since(t), brute(&run, t), "t = {t}");
+                    probes += 1;
+                }
+            }
+            if !more {
+                break;
+            }
+        }
+        assert!(run.lifecycle_counts().fails > 0, "tape applied no failure");
+        assert!(probes > 1000, "too few probes: {probes}");
     }
 
     #[test]

@@ -98,7 +98,6 @@ mod rng;
 mod router;
 mod routing_index;
 mod scheduler;
-mod slab;
 pub mod snapshot;
 
 pub use arrivals::{fuzz_tape, ArrivalProcess, FuzzFamily, RequestSource, Workload};
@@ -126,5 +125,4 @@ pub use router::{
 };
 pub use routing_index::FleetRoutingIndex;
 pub use scheduler::{serve, serve_with, RunStats, ServeConfig, ServeReport, ServeRun};
-pub use slab::Slab;
 pub use snapshot::SnapshotError;

@@ -70,13 +70,11 @@
 //! ```
 
 use crate::arrivals::{RequestSource, Workload};
-use crate::calendar::CalendarQueue;
 use crate::cost::CostModel;
 use crate::digest::ReportDigest;
 use crate::policy::{ActiveRequest, Fifo, QueuedRequest, SchedulingPolicy};
 use crate::request::{Request, RequestRecord};
 use crate::router::ReplicaTelemetry;
-use crate::slab::Slab;
 use crate::snapshot::{
     fnv1a, section, workload_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter, KIND_SERVE,
 };
@@ -366,22 +364,6 @@ impl ServeRun {
         self.core.telemetry(kv_capacity_tokens)
     }
 
-    /// Highest number of simultaneously resident requests the request
-    /// slab ever held — the perf trajectory's occupancy figure.
-    #[must_use]
-    pub fn peak_slab_occupancy(&self) -> u32 {
-        self.core.peak_slab_occupancy()
-    }
-
-    /// Live wake-ups in the core's ready calendar — non-zero whenever
-    /// slots are still prefilling towards a future readiness tick.
-    /// Exposed so the snapshot closure suite can prove it froze a run
-    /// with a non-empty event heap.
-    #[must_use]
-    pub fn pending_wakeups(&self) -> usize {
-        self.core.pending_wakeups()
-    }
-
     /// Freezes the whole run — source and core — into a versioned,
     /// checksummed byte stream.
     #[must_use]
@@ -468,27 +450,19 @@ impl ServeRun {
 /// iteration or one clock jump), so a single-core event loop replays
 /// the pre-fleet scheduler bit-for-bit: the golden policy-sweep
 /// snapshots pin that equivalence.
+///
+/// The batch is one plain array of at most `max_batch` slots in
+/// admission order; readiness (`ready_at <= clock`) is answered by
+/// scanning it, which the decode iteration does anyway.
 pub(crate) struct Core {
     config: ServeConfig,
     queue: Vec<QueuedRequest>,
-    /// In-flight requests live in slab cells; `active` holds their keys
-    /// in admission order (the order the pre-slab `Vec<Slot>` kept), so
-    /// policy indices and iteration order are unchanged while completed
-    /// cells are recycled without per-event allocation. Each entry
-    /// mirrors the slot's decode-critical fields (`ready_at`,
-    /// `context`) so the per-iteration batch scans stay on this
-    /// contiguous array instead of chasing slab cells.
-    slab: Slab<Slot>,
-    active: Vec<BatchSlot>,
-    /// Pending prefill completions of not-yet-ready slots, keyed by
-    /// slab key. Drained into `ready_count` whenever the clock
-    /// advances; makes [`Core::next_event_s`] O(1).
-    ready_events: CalendarQueue,
-    /// Number of active slots with `ready_at <= clock`.
-    ready_count: u32,
+    /// The serving batch, in admission order — the order policy
+    /// indices address.
+    active: Vec<Slot>,
     // Incrementally maintained telemetry counters. All integer
     // arithmetic, so they equal recomputation by scan exactly
-    // (debug-asserted in `telemetry`/`next_event_s`).
+    // (debug-asserted in `telemetry`).
     active_reserved: u64,
     queued_reserved: u64,
     active_in_flight: u64,
@@ -514,44 +488,9 @@ fn in_flight_tokens(q: &QueuedRequest) -> u64 {
     u64::from(q.req.output_len.saturating_sub(q.generated))
 }
 
-/// A batch-resident slot as the decode hot loop sees it: the slab key
-/// plus every field a decode iteration reads or writes, kept in one
-/// contiguous array so the per-token loop never touches the scattered
-/// slab cells. The mirrored fields (`context`, `generated`,
-/// `first_token_s`) are authoritative while a request is resident; the
-/// cold paths that surface the slab cell (completion, preemption,
-/// failure, snapshot save) patch them back in.
-#[derive(Debug, Clone, Copy)]
-struct BatchSlot {
-    key: u32,
-    context: u32,
-    generated: u32,
-    output_len: u32,
-    ready_at: f64,
-    /// First-token time; NaN while no token has been emitted (the
-    /// in-band image of `QueuedRequest::first_token_s`).
-    first_token_s: f64,
-}
-
-impl BatchSlot {
-    /// The hot image of `first_token_s` as the queued-request option.
-    fn first_token_opt(&self) -> Option<f64> {
-        if self.first_token_s.is_nan() {
-            None
-        } else {
-            Some(self.first_token_s)
-        }
-    }
-
-    /// Decode tokens still owed, from the authoritative hot counter —
-    /// the batch-resident analogue of [`in_flight_tokens`].
-    fn in_flight_tokens(&self) -> u64 {
-        u64::from(self.output_len.saturating_sub(self.generated))
-    }
-}
-
 impl Core {
-    /// A fresh, idle core at clock zero.
+    /// A fresh, idle core at clock zero. Allocates nothing until the
+    /// first request arrives.
     ///
     /// # Panics
     ///
@@ -561,15 +500,12 @@ impl Core {
         Self {
             config,
             queue: Vec::new(),
-            slab: Slab::new(),
-            active: Vec::with_capacity(config.max_batch as usize),
-            ready_events: CalendarQueue::with_components(config.max_batch as usize),
-            ready_count: 0,
+            active: Vec::new(),
             active_reserved: 0,
             queued_reserved: 0,
             active_in_flight: 0,
             queued_in_flight: 0,
-            views: Vec::with_capacity(config.max_batch as usize),
+            views: Vec::new(),
             clock: 0.0,
             first_arrival_s: f64::INFINITY,
             last_finish_s: f64::NEG_INFINITY,
@@ -595,7 +531,6 @@ impl Core {
     pub(crate) fn enqueue(&mut self, req: Request) {
         self.first_arrival_s = self.first_arrival_s.min(req.arrival_s);
         self.clock = self.clock.max(req.arrival_s);
-        self.drain_ready();
         self.stalled = false;
         let q = QueuedRequest::fresh(req);
         self.queued_reserved += q.req.reserved_tokens();
@@ -612,7 +547,6 @@ impl Core {
     pub(crate) fn enqueue_displaced(&mut self, q: QueuedRequest, now: f64) {
         self.first_arrival_s = self.first_arrival_s.min(q.req.arrival_s);
         self.clock = self.clock.max(now);
-        self.drain_ready();
         self.stalled = false;
         self.queued_reserved += q.req.reserved_tokens();
         self.queued_in_flight += in_flight_tokens(&q);
@@ -621,12 +555,12 @@ impl Core {
 
     /// Crashes this core: every queued and resident request is stripped
     /// out and returned (queue order first, then batch admission
-    /// order), the batch, ready calendar and telemetry counters are
-    /// emptied, and the clock stays where it was. Resident requests
-    /// count one more preemption — their KV is gone and the next
-    /// admission pays a full re-prefill of prompt + generated tokens.
-    /// Completion records and rejection counts survive: the failure
-    /// loses in-flight *work*, not history.
+    /// order), the batch and telemetry counters are emptied, and the
+    /// clock stays where it was. Resident requests count one more
+    /// preemption — their KV is gone and the next admission pays a full
+    /// re-prefill of prompt + generated tokens. Completion records and
+    /// rejection counts survive: the failure loses in-flight *work*,
+    /// not history.
     pub(crate) fn fail(&mut self) -> Vec<QueuedRequest> {
         let mut displaced: Vec<QueuedRequest> =
             Vec::with_capacity(self.queue.len() + self.active.len());
@@ -635,23 +569,14 @@ impl Core {
             self.queued_in_flight -= in_flight_tokens(&q);
             displaced.push(q);
         }
-        for a in std::mem::take(&mut self.active) {
-            let slot = self.slab.remove(a.key).expect("active key is live");
-            if slot.ready_at <= self.clock {
-                self.ready_count -= 1;
-            } else {
-                self.ready_events.cancel(a.key);
-            }
-            self.active_reserved -= slot.q.req.reserved_tokens();
-            self.active_in_flight -= a.in_flight_tokens();
+        for s in self.active.drain(..) {
+            self.active_reserved -= s.q.req.reserved_tokens();
+            self.active_in_flight -= in_flight_tokens(&s.q);
             displaced.push(QueuedRequest {
-                generated: a.generated,
-                first_token_s: a.first_token_opt(),
-                preemptions: slot.q.preemptions + 1,
-                ..slot.q
+                preemptions: s.q.preemptions + 1,
+                ..s.q
             });
         }
-        debug_assert_eq!(self.ready_count, 0, "failed core still counts ready slots");
         debug_assert_eq!(self.active_reserved, 0, "failed core still reserves KV");
         debug_assert_eq!(
             self.queued_reserved + self.active_in_flight + self.queued_in_flight,
@@ -661,66 +586,32 @@ impl Core {
         displaced
     }
 
-    /// Completion records so far, in completion order — the telemetry
-    /// window the autoscaler derives its p99 TTFT signal from.
+    /// Completion records so far, in completion order and therefore
+    /// sorted by `finish_s` (the core clock never goes back) — the
+    /// telemetry window the autoscaler derives its p99 TTFT signal
+    /// from.
     pub(crate) fn records(&self) -> &[RequestRecord] {
         &self.report.records
-    }
-
-    /// Promotes every pending prefill completion at or before the clock
-    /// into the ready count. Called after every clock advance so
-    /// `ready_count` always equals the number of slots with
-    /// `ready_at <= clock`.
-    fn drain_ready(&mut self) {
-        while let Some((tick, _)) = self.ready_events.peek() {
-            if tick > self.clock {
-                break;
-            }
-            self.ready_events.pop();
-            self.ready_count += 1;
-        }
     }
 
     /// When this core next wants to run: now (its clock) while it has
     /// queued or decodable work, the earliest prefill completion while
     /// everything admitted is still prefilling, infinity when idle.
-    /// O(1) via the ready-event calendar (`&mut` only to let the
-    /// calendar discard lazily-cancelled entries).
-    pub(crate) fn next_event_s(&mut self) -> f64 {
-        let next = if self.stalled {
-            f64::INFINITY
-        } else if self.ready_count > 0 || !self.queue.is_empty() {
-            self.clock
-        } else {
-            self.ready_events.peek().map_or(f64::INFINITY, |(t, _)| t)
-        };
-        debug_assert_eq!(
-            next.to_bits(),
-            self.next_event_scan().to_bits(),
-            "incremental next-event disagrees with scan"
-        );
-        next
-    }
-
-    /// The scan-based next-event computation the retired pre-calendar
-    /// driver used — kept as the debug cross-check for the O(1)
-    /// path.
-    pub(crate) fn next_event_scan(&self) -> f64 {
+    /// One scan of the batch (at most `max_batch` slots).
+    pub(crate) fn next_event_s(&self) -> f64 {
         if self.stalled {
             return f64::INFINITY;
         }
-        if self.active.iter().any(|a| {
-            self.slab
-                .get(a.key)
-                .is_some_and(|s| s.ready_at <= self.clock)
-        }) || !self.queue.is_empty()
-        {
-            return self.clock;
-        }
-        self.active
+        let next_ready = self
+            .active
             .iter()
-            .filter_map(|a| self.slab.get(a.key).map(|s| s.ready_at))
-            .fold(f64::INFINITY, f64::min)
+            .map(|s| s.ready_at)
+            .fold(f64::INFINITY, f64::min);
+        if !self.queue.is_empty() || next_ready <= self.clock {
+            self.clock
+        } else {
+            next_ready
+        }
     }
 
     /// What the core publishes to a fleet router: queue depth, KV
@@ -744,44 +635,19 @@ impl Core {
         t
     }
 
-    /// The scan-based telemetry computation the retired pre-calendar
-    /// driver used — kept as the debug
-    /// cross-check for the incremental counters.
+    /// The telemetry recomputed by scanning the queue and the batch —
+    /// the debug cross-check for the incremental counters (the queue
+    /// can be long, so the hot path never scans it).
     pub(crate) fn telemetry_scan(&self, kv_capacity_tokens: u64) -> ReplicaTelemetry {
-        let slots = || self.active.iter().filter_map(|a| self.slab.get(a.key));
+        let requests = || self.active.iter().map(|s| &s.q).chain(&self.queue);
         ReplicaTelemetry {
             queue_depth: self.queue.len() as u32,
             active_requests: self.active.len() as u32,
-            reserved_tokens: slots().map(|s| s.q.req.reserved_tokens()).sum(),
+            reserved_tokens: self.active.iter().map(|s| s.q.req.reserved_tokens()).sum(),
             queued_tokens: self.queue.iter().map(|q| q.req.reserved_tokens()).sum(),
             kv_capacity_tokens,
-            // Resident decode progress is authoritative in the hot
-            // batch array, not the slab cell.
-            in_flight_tokens: self
-                .active
-                .iter()
-                .map(BatchSlot::in_flight_tokens)
-                .sum::<u64>()
-                + self.queue.iter().map(in_flight_tokens).sum::<u64>(),
+            in_flight_tokens: requests().map(in_flight_tokens).sum(),
         }
-    }
-
-    /// Highest number of simultaneously resident requests this core's
-    /// slab ever held — the perf trajectory's occupancy figure.
-    pub(crate) fn peak_slab_occupancy(&self) -> u32 {
-        self.slab.peak_occupancy()
-    }
-
-    /// Live entries in the ready calendar — slots still prefilling
-    /// (or otherwise not yet ready), each holding a future wake-up.
-    pub(crate) fn pending_wakeups(&self) -> usize {
-        self.ready_events.len()
-    }
-
-    /// Total insertions into the ready calendar so far — this core's
-    /// share of the fleet's wheel-ops counter.
-    pub(crate) fn calendar_ops(&self) -> u64 {
-        self.ready_events.scheduled_ops()
     }
 
     /// Runs one scheduling event: one admission phase, then either one
@@ -844,35 +710,24 @@ impl Core {
                     break 'admit;
                 }
                 self.views.clear();
-                for a in &self.active {
-                    let s = self.slab.get(a.key).expect("active key is live");
-                    self.views.push(ActiveRequest {
-                        req: s.q.req,
-                        generated: a.generated,
-                        ready: a.ready_at <= self.clock,
-                    });
-                }
+                self.views.extend(self.active.iter().map(|s| ActiveRequest {
+                    req: s.q.req,
+                    generated: s.q.generated,
+                    ready: s.ready_at <= self.clock,
+                }));
                 let Some(victim) = policy.preempt_victim(&self.views, &cand, self.clock) else {
                     break 'admit;
                 };
                 assert!(victim < self.active.len(), "policy evicted out of range");
-                let va = self.active.remove(victim);
-                let evicted = self.slab.remove(va.key).expect("active key is live");
-                if evicted.ready_at <= self.clock {
-                    self.ready_count -= 1;
-                } else {
-                    self.ready_events.cancel(va.key);
-                }
-                self.active_reserved -= evicted.q.req.reserved_tokens();
-                self.active_in_flight -= va.in_flight_tokens();
+                let evicted = self.active.remove(victim).q;
+                self.active_reserved -= evicted.req.reserved_tokens();
+                self.active_in_flight -= in_flight_tokens(&evicted);
                 evictions_this_phase += 1;
                 self.report.preemptions += 1;
                 progressed = true;
                 let back = QueuedRequest {
-                    generated: va.generated,
-                    first_token_s: va.first_token_opt(),
-                    preemptions: evicted.q.preemptions + 1,
-                    ..evicted.q
+                    preemptions: evicted.preemptions + 1,
+                    ..evicted
                 };
                 self.queued_reserved += back.req.reserved_tokens();
                 self.queued_in_flight += in_flight_tokens(&back);
@@ -892,7 +747,6 @@ impl Core {
             self.report.prefill_busy_s += prefill;
             let ready_at = if self.config.collocated_prefill {
                 self.clock += prefill;
-                self.drain_ready();
                 self.clock
             } else {
                 self.clock + prefill
@@ -900,41 +754,37 @@ impl Core {
             if q.first_admit_s.is_none() {
                 q.first_admit_s = Some(self.clock);
             }
-            let context = q.req.prompt_len.saturating_add(q.generated);
             self.active_reserved += q.req.reserved_tokens();
             self.active_in_flight += in_flight_tokens(&q);
-            let hot = BatchSlot {
-                key: 0,
-                context,
-                generated: q.generated,
-                output_len: q.req.output_len,
-                ready_at,
-                first_token_s: q.first_token_s.unwrap_or(f64::NAN),
-            };
-            let key = self.slab.insert(Slot {
+            self.active.push(Slot {
                 q,
                 ready_at,
-                context,
+                context: q.req.prompt_len.saturating_add(q.generated),
             });
-            self.active.push(BatchSlot { key, ..hot });
-            if ready_at <= self.clock {
-                self.ready_count += 1;
-            } else {
-                self.ready_events.schedule(key, ready_at);
-            }
             self.report.peak_reserved_tokens =
                 self.report.peak_reserved_tokens.max(self.active_reserved);
             self.report.peak_batch = self.report.peak_batch.max(self.active.len() as u32);
         }
 
-        if self.ready_count == 0 {
+        // One pass over the batch: the decodable count and widest
+        // context, and the earliest pending prefill completion.
+        let mut batch = 0u32;
+        let mut max_context = 0u32;
+        let mut next_ready = f64::INFINITY;
+        for s in &self.active {
+            if s.ready_at <= self.clock {
+                batch += 1;
+                max_context = max_context.max(s.context);
+            } else {
+                next_ready = next_ready.min(s.ready_at);
+            }
+        }
+
+        if batch == 0 {
             // Nothing to decode: jump to the next prefill completion —
             // unless the queue is empty and an arrival comes first, in
             // which case the driver pushes it in and the clock advances
-            // to the arrival instead (via `enqueue`). With no slot
-            // ready, every active slot's completion is still pending in
-            // the calendar, so its head is the earliest ready_at.
-            let next_ready = self.ready_events.peek().map_or(f64::INFINITY, |(t, _)| t);
+            // to the arrival instead (via `enqueue`).
             // The cap is read here, not at step entry: a rejection
             // above may have prompted a closed-loop client to issue a
             // request sooner than any arrival that existed before.
@@ -942,7 +792,6 @@ impl Core {
             if next_ready.is_finite() && (!self.queue.is_empty() || next_ready <= arrival_cap) {
                 debug_assert!(next_ready > self.clock, "unready slot at or before clock");
                 self.clock = self.clock.max(next_ready);
-                self.drain_ready();
             } else if !progressed && next_ready.is_infinite() {
                 debug_assert!(
                     self.queue.is_empty(),
@@ -954,55 +803,50 @@ impl Core {
         }
 
         // One decode iteration: one token for every ready request.
-        let batch = self.ready_count;
-        let mut max_context = 0u32;
-        for a in &self.active {
-            if a.ready_at <= self.clock {
-                max_context = max_context.max(a.context);
-            }
-        }
         let dt = cost.decode_step_s(batch, self.config.bucket(max_context));
         debug_assert!(dt > 0.0, "decode iterations must take time");
         let iter_start = self.clock;
         self.clock += dt;
-        self.drain_ready();
         self.report.decode_busy_s += dt;
         self.report.decode_iterations += 1;
 
         let mut i = 0;
         while i < self.active.len() {
-            let a = &mut self.active[i];
-            if a.ready_at > iter_start {
+            let s = &mut self.active[i];
+            if s.ready_at > iter_start {
                 i += 1;
                 continue;
             }
             // Mirror the saturating in-flight definition: a request
             // already at (or past) its output length carries zero
             // in-flight tokens, so this token moves nothing.
-            if a.generated < a.output_len {
+            if s.q.generated < s.q.req.output_len {
                 self.active_in_flight -= 1;
             }
-            a.generated += 1;
-            a.context += 1;
-            if a.first_token_s.is_nan() {
-                a.first_token_s = self.clock;
-            }
-            if a.generated >= a.output_len {
-                let a = self.active.swap_remove(i);
-                let done = self.slab.remove(a.key).expect("active key is live");
-                self.ready_count -= 1;
-                self.active_reserved -= done.q.req.reserved_tokens();
+            s.q.generated += 1;
+            s.context += 1;
+            s.q.first_token_s.get_or_insert(self.clock);
+            if s.q.generated >= s.q.req.output_len {
+                let done = self.active.swap_remove(i).q;
+                self.active_reserved -= done.req.reserved_tokens();
+                debug_assert!(
+                    self.report
+                        .records
+                        .last()
+                        .is_none_or(|r| r.finish_s <= self.clock),
+                    "records must stay sorted by finish time"
+                );
                 self.report.records.push(RequestRecord {
-                    id: done.q.req.id,
-                    arrival_s: done.q.req.arrival_s,
-                    admit_s: done.q.first_admit_s.expect("admitted at least once"),
-                    first_token_s: a.first_token_opt().expect("at least one token"),
+                    id: done.req.id,
+                    arrival_s: done.req.arrival_s,
+                    admit_s: done.first_admit_s.expect("admitted at least once"),
+                    first_token_s: done.first_token_s.expect("at least one token"),
                     finish_s: self.clock,
-                    prompt_len: done.q.req.prompt_len,
-                    output_len: done.q.req.output_len,
-                    tenant: done.q.req.tenant,
-                    class: done.q.req.class,
-                    preemptions: done.q.preemptions,
+                    prompt_len: done.req.prompt_len,
+                    output_len: done.req.output_len,
+                    tenant: done.req.tenant,
+                    class: done.req.class,
+                    preemptions: done.preemptions,
                 });
                 source.on_completion(self.clock);
             } else {
@@ -1032,13 +876,8 @@ impl Core {
         self.config
     }
 
-    /// Serialises the core's full state into an open snapshot section.
-    ///
-    /// The slab is written as its raw cell layout (occupancy tags, free
-    /// chain, peak) rather than as a dense request list: key-reuse
-    /// order determines future key assignments, so fragmentation must
-    /// survive the round trip for a resumed run to snapshot
-    /// byte-identically to the uninterrupted one.
+    /// Serialises the core's full state into an open snapshot section:
+    /// the queue, then the resident slots densely in admission order.
     pub(crate) fn save(&self, w: &mut SnapshotWriter) {
         w.put_u32(self.config.max_batch);
         w.put_u32(self.config.seq_bucket);
@@ -1047,26 +886,11 @@ impl Core {
         for q in &self.queue {
             q.save(w);
         }
-        // Decode progress (`generated`, `first_token_s`, `context`) is
-        // authoritative in the hot batch array; patch it back into each
-        // cell's image as it is written. Cells serialise in key order
-        // and the occupied set is exactly the batch, so a key-sorted
-        // walk of the batch lines up one-to-one.
-        let mut by_key: Vec<&BatchSlot> = self.active.iter().collect();
-        by_key.sort_by_key(|a| a.key);
-        let mut next = by_key.into_iter();
-        self.slab.save(w, SnapshotWriter::put_u32, |w, s: &Slot| {
-            let a = next.next().expect("occupied cell without a batch entry");
-            let mut q = s.q;
-            q.generated = a.generated;
-            q.first_token_s = a.first_token_opt();
-            q.save(w);
-            w.put_f64(s.ready_at);
-            w.put_u32(a.context);
-        });
         w.put_usize(self.active.len());
-        for a in &self.active {
-            w.put_u32(a.key);
+        for s in &self.active {
+            s.q.save(w);
+            w.put_f64(s.ready_at);
+            w.put_u32(s.context);
         }
         w.put_f64(self.clock);
         w.put_f64(self.first_arrival_s);
@@ -1105,41 +929,24 @@ impl Core {
         for _ in 0..n_queue {
             queue.push(QueuedRequest::load(r)?);
         }
-        let slab: Slab<Slot> = Slab::load(
-            r,
-            SnapshotReader::get_u32,
-            |r| {
-                Ok(Slot {
-                    q: QueuedRequest::load(r)?,
-                    ready_at: r.get_f64()?,
-                    context: r.get_u32()?,
-                })
-            },
-            SnapshotError::Corrupt,
-        )?;
-        let n_active = r.get_count(4)?;
-        if n_active != slab.len() {
-            return Err(SnapshotError::Corrupt("active list disagrees with slab"));
-        }
+        let n_active = r.get_count(8)?;
         let mut active = Vec::with_capacity(n_active);
-        let mut seen = vec![false; slab.capacity()];
         for _ in 0..n_active {
-            let key = r.get_u32()?;
-            if !slab.contains(key) {
-                return Err(SnapshotError::Corrupt("active key addresses no live cell"));
+            let s = Slot {
+                q: QueuedRequest::load(r)?,
+                ready_at: r.get_f64()?,
+                context: r.get_u32()?,
+            };
+            if s.ready_at.is_nan() {
+                return Err(SnapshotError::Corrupt("slot ready_at is NaN"));
             }
-            if std::mem::replace(&mut seen[key as usize], true) {
-                return Err(SnapshotError::Corrupt("active key listed twice"));
+            // A resident slot was admitted by definition; completing
+            // one without an admission stamp would panic the record
+            // writer, so hostile bytes must fail here instead.
+            if s.q.first_admit_s.is_none() {
+                return Err(SnapshotError::Corrupt("active slot missing admission time"));
             }
-            let s = slab.get(key).expect("validated above");
-            active.push(BatchSlot {
-                key,
-                context: s.context,
-                generated: s.q.generated,
-                output_len: s.q.req.output_len,
-                ready_at: s.ready_at,
-                first_token_s: s.q.first_token_s.unwrap_or(f64::NAN),
-            });
+            active.push(s);
         }
         let clock = r.get_f64()?;
         let first_arrival_s = r.get_f64()?;
@@ -1152,9 +959,18 @@ impl Core {
         }
         let stalled = r.get_bool()?;
         let n_records = r.get_count(8)?;
-        let mut records = Vec::with_capacity(n_records);
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(n_records);
         for _ in 0..n_records {
-            records.push(RequestRecord::load(r)?);
+            let rec = RequestRecord::load(r)?;
+            // Windowed reads binary-search the records by finish time.
+            if rec.finish_s.is_nan() || records.last().is_some_and(|p| p.finish_s > rec.finish_s) {
+                return Err(SnapshotError::Corrupt("records out of finish order"));
+            }
+            records.push(rec);
+        }
+        // The clock never goes back, so no completion lies ahead of it.
+        if records.last().is_some_and(|p| p.finish_s > clock) {
+            return Err(SnapshotError::Corrupt("record finishes after the clock"));
         }
         let rejected = r.get_u32()?;
         let n_rejected = r.get_count(8)?;
@@ -1162,42 +978,19 @@ impl Core {
         for _ in 0..n_rejected {
             rejected_requests.push(Request::load(r)?);
         }
-        // Derived state (ready calendar, incremental counters) is
-        // rebuilt from the slots rather than serialised: it is a pure
-        // function of them, and rebuilding keeps the format free of
-        // redundant fields that could disagree.
-        let mut ready_events = CalendarQueue::with_components(slab.capacity());
-        let mut ready_count = 0u32;
-        let mut active_reserved = 0u64;
-        let mut active_in_flight = 0u64;
-        for a in &active {
-            let s = slab.get(a.key).expect("validated above");
-            if s.ready_at.is_nan() {
-                return Err(SnapshotError::Corrupt("slot ready_at is NaN"));
-            }
-            // A resident slot was admitted by definition; completing
-            // one without an admission stamp would panic the record
-            // writer, so hostile bytes must fail here instead.
-            if s.q.first_admit_s.is_none() {
-                return Err(SnapshotError::Corrupt("active slot missing admission time"));
-            }
-            active_reserved += s.q.req.reserved_tokens();
-            active_in_flight += in_flight_tokens(&s.q);
-            if s.ready_at <= clock {
-                ready_count += 1;
-            } else {
-                ready_events.schedule(a.key, s.ready_at);
-            }
-        }
+        // The incremental counters are rebuilt from the slots rather
+        // than serialised: they are a pure function of them, and
+        // rebuilding keeps the format free of redundant fields that
+        // could disagree.
+        let requests = || active.iter().map(|s: &Slot| &s.q);
+        let active_reserved = requests().map(|q| q.req.reserved_tokens()).sum();
+        let active_in_flight = requests().map(in_flight_tokens).sum();
         let queued_reserved = queue.iter().map(|q| q.req.reserved_tokens()).sum();
         let queued_in_flight = queue.iter().map(in_flight_tokens).sum();
         Ok(Self {
             config,
             queue,
-            slab,
             active,
-            ready_events,
-            ready_count,
             active_reserved,
             queued_reserved,
             active_in_flight,
@@ -1257,6 +1050,35 @@ mod tests {
         let mut cost = AnalyticCostModel::small();
         while run.step(&mut cost, &mut Fifo) {}
         assert_eq!(direct, run.into_report());
+    }
+
+    #[test]
+    fn restore_rejects_records_out_of_finish_order() {
+        // Windowed reads binary-search each core's records by finish
+        // time, so a snapshot must not smuggle in an unsorted pile.
+        let wl = Workload::poisson(800.0, 128, 16, 32);
+        let mut run = ServeRun::new(&wl, &ServeConfig::default());
+        let mut cost = AnalyticCostModel::small();
+        while run.core.completed() < 2 {
+            assert!(run.step(&mut cost, &mut Fifo));
+        }
+        let thaw = |edit: &dyn Fn(&mut [RequestRecord], f64)| {
+            let mut bad = ServeRun::resume(&wl, &run.snapshot()).expect("pristine thaws");
+            let clock = bad.core.clock;
+            edit(&mut bad.core.report.records, clock);
+            ServeRun::resume(&wl, &bad.snapshot()).map(|_| ())
+        };
+        assert_eq!(thaw(&|_, _| {}), Ok(()));
+        let out_of_order = Err(SnapshotError::Corrupt("records out of finish order"));
+        assert_eq!(
+            thaw(&|recs, _| recs[1].finish_s = recs[0].finish_s - 1.0),
+            out_of_order
+        );
+        assert_eq!(thaw(&|recs, _| recs[0].finish_s = f64::NAN), out_of_order);
+        assert_eq!(
+            thaw(&|recs, clock| recs[recs.len() - 1].finish_s = clock + 1.0),
+            Err(SnapshotError::Corrupt("record finishes after the clock"))
+        );
     }
 
     #[test]

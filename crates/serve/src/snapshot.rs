@@ -1,7 +1,7 @@
 //! Versioned, dependency-free binary snapshots.
 //!
-//! A snapshot freezes a mid-flight serving run — scheduler cores,
-//! in-flight request slabs, the arrival source's RNG and pending tape,
+//! A snapshot freezes a mid-flight serving run — scheduler cores and
+//! their serving batches, the arrival source's RNG and pending tape,
 //! router state — into a plain `Vec<u8>` that a later process restores
 //! bit-identically. The format is deliberately dumb: no external
 //! serialisation crates, just little-endian primitives inside
@@ -82,7 +82,10 @@ pub const MAGIC: [u8; 8] = *b"RPUSNAP1";
 /// transitions tagged with their event index, made the LOG section
 /// fleet-only, and dropped the RUN section's per-replica assignment
 /// counts (reports now derive them from the picks).
-pub const FORMAT_VERSION: u32 = 4;
+/// Version 5 replaced the slab-backed core layout with a dense batch:
+/// each resident slot (request, ready time, context) in admission
+/// order, with no cell keys or free chain.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be restored. Every decode failure is one
 /// of these — restoring never panics on hostile bytes.

@@ -1,20 +1,19 @@
-//! Property suite for the event core's two storage primitives — the
-//! [`CalendarQueue`] and the [`Slab`] — plus snapshot closure over the
-//! new core layout.
+//! Property suite for the event core's calendar — the
+//! [`CalendarQueue`] behind the fleet's wake-ups — plus snapshot
+//! closure over the core layout.
 //!
 //! The calendar is checked against a naive model (a map of live
 //! wake-ups) under random interleavings of schedule / reschedule /
 //! cancel / pop / peek: no wake-up is ever lost or duplicated, pops
 //! surface in `(tick, id)` order with FIFO-by-id tie-breaks, and the
-//! heap never grows past the compaction bound. The slab is checked
-//! against a map model: keys are never aliased while live, lookups and
-//! removals always agree, and the raw layout round-trips through
-//! serialization preserving free-list reuse order.
+//! heap never grows past the compaction bound. Mid-run snapshots of a
+//! batch that has turned over must thaw to identical bytes, identical
+//! telemetry and a bit-identical finish.
 
 use proptest::prelude::*;
 use rpu_serve::{
     AnalyticCostModel, CalendarQueue, Fifo, FleetBuilder, FleetRun, PriorityAging, ServeConfig,
-    ServeRng, ServeRun, SessionAffinity, Slab, Workload,
+    ServeRng, ServeRun, SessionAffinity, Workload,
 };
 use std::collections::BTreeMap;
 
@@ -226,218 +225,48 @@ proptest! {
             live_cap
         );
     }
-
-    /// Slab keys behave like map keys: never aliased while live,
-    /// lookups always agree, reuse only after removal.
-    #[test]
-    fn slab_agrees_with_the_naive_model(seed in 0u64..1 << 48, n_ops in 1usize..400) {
-        let mut rng = ServeRng::new(seed);
-        let mut slab: Slab<u64> = Slab::new();
-        let mut model: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut peak = 0u32;
-        for op in 0..n_ops {
-            if rng.next_u64().is_multiple_of(2) {
-                let value = rng.next_u64();
-                let key = slab.insert(value);
-                prop_assert!(
-                    !model.contains_key(&key),
-                    "op {op}: key {key} aliased while live"
-                );
-                model.insert(key, value);
-            } else {
-                let key = (rng.next_u64() % 16) as u32;
-                prop_assert_eq!(slab.remove(key), model.remove(&key));
-            }
-            peak = peak.max(model.len() as u32);
-            prop_assert_eq!(slab.len(), model.len());
-            prop_assert_eq!(slab.peak_occupancy(), peak);
-            for (&key, &value) in &model {
-                prop_assert_eq!(slab.get(key), Some(&value));
-                prop_assert!(slab.contains(key));
-            }
-            let live: Vec<(u32, u64)> = slab.iter().map(|(k, v)| (k, *v)).collect();
-            let want: Vec<(u32, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-            prop_assert_eq!(live, want, "iteration order must be ascending keys");
-        }
-    }
-
-    /// The raw layout — free chain included — survives serialization:
-    /// a reloaded slab re-serializes to identical words and hands out
-    /// identical keys for identical insert sequences.
-    #[test]
-    fn slab_layout_roundtrips_preserving_reuse_order(seed in 0u64..1 << 48) {
-        let mut rng = ServeRng::new(seed);
-        let mut slab: Slab<u64> = Slab::new();
-        for _ in 0..120 {
-            if rng.next_u64().is_multiple_of(2) {
-                slab.insert(rng.next_u64());
-            } else {
-                slab.remove((rng.next_u64() % 16) as u32);
-            }
-        }
-        let save = |s: &Slab<u64>| {
-            let mut words: Vec<u64> = Vec::new();
-            s.save(
-                &mut words,
-                |w, x| w.push(u64::from(x)),
-                |w, v| w.push(*v),
-            );
-            words
-        };
-        let words = save(&slab);
-        let mut cursor = (words.clone(), 0usize);
-        let mut reloaded: Slab<u64> = Slab::load(
-            &mut cursor,
-            |c| {
-                let w = c.0.get(c.1).copied().ok_or("eof")?;
-                c.1 += 1;
-                u32::try_from(w).map_err(|_| "overflow")
-            },
-            |c| {
-                let w = c.0.get(c.1).copied().ok_or("eof")?;
-                c.1 += 1;
-                Ok(w)
-            },
-            |_| "corrupt",
-        )
-        .expect("pristine layout thaws");
-        prop_assert_eq!(cursor.1, words.len(), "loader consumed every word");
-        prop_assert_eq!(&save(&reloaded), &words, "reload must re-serialize identically");
-        // Key reuse order is part of the layout: identical inserts on
-        // the original and the reload must yield identical keys.
-        for _ in 0..40 {
-            prop_assert_eq!(slab.insert(7), reloaded.insert(7));
-        }
-    }
 }
 
-/// Fleet-scale occupancy: thousands of resident requests force the
-/// slab's cell vector to grow repeatedly, and key discipline must hold
-/// through churn — a key handed out while another request lives under
-/// it would corrupt two requests' state at once.
-#[test]
-fn slab_keys_never_alias_at_fleet_scale_occupancy() {
-    let mut slab: Slab<u32> = Slab::new();
-    let mut live: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut rng = ServeRng::new(0xF1EE7);
-    for v in 0..6000u32 {
-        let k = slab.insert(v);
-        assert!(live.insert(k, v).is_none(), "key {k} aliased while live");
-    }
-    assert_eq!(slab.peak_occupancy(), 6000);
-    for round in 1..=3u32 {
-        // Free roughly half at random, then refill: every handed-out
-        // key must be vacant in the model, and every survivor must
-        // still read back its own value.
-        let keys: Vec<u32> = live.keys().copied().collect();
-        for &k in &keys {
-            if rng.next_u64().is_multiple_of(2) {
-                assert_eq!(slab.remove(k), live.remove(&k));
-            }
-        }
-        for v in 0..1000u32 {
-            let value = round * 10_000 + v;
-            let k = slab.insert(value);
-            assert!(
-                live.insert(k, value).is_none(),
-                "key {k} aliased while live"
-            );
-        }
-        for (&k, &v) in &live {
-            assert_eq!(slab.get(k), Some(&v));
-        }
-    }
-    // Churn reused freed cells instead of growing the slab.
-    assert_eq!(slab.capacity(), 6000, "reuse must not grow the slab");
-}
-
-/// The raw-layout round trip at 1000-replica occupancy: thousands of
-/// cells, a long fragmented free chain,
-/// and the reload must re-serialize identically and hand out identical
-/// keys — reuse order is part of the layout contract at every scale.
-#[test]
-fn slab_layout_roundtrips_at_fleet_scale_occupancy() {
-    let mut slab: Slab<u64> = Slab::new();
-    let keys: Vec<u32> = (0..4096u64).map(|v| slab.insert(v)).collect();
-    for &k in keys.iter().rev().step_by(3) {
-        slab.remove(k);
-    }
-    let save = |s: &Slab<u64>| {
-        let mut words: Vec<u64> = Vec::new();
-        s.save(&mut words, |w, x| w.push(u64::from(x)), |w, v| w.push(*v));
-        words
-    };
-    let words = save(&slab);
-    let mut cursor = (words.clone(), 0usize);
-    let mut reloaded: Slab<u64> = Slab::load(
-        &mut cursor,
-        |c| {
-            let w = c.0.get(c.1).copied().ok_or("eof")?;
-            c.1 += 1;
-            u32::try_from(w).map_err(|_| "overflow")
-        },
-        |c| {
-            let w = c.0.get(c.1).copied().ok_or("eof")?;
-            c.1 += 1;
-            Ok(w)
-        },
-        |_| "corrupt",
-    )
-    .expect("pristine layout thaws");
-    assert_eq!(cursor.1, words.len(), "loader consumed every word");
-    assert_eq!(
-        save(&reloaded),
-        words,
-        "reload must re-serialize identically"
-    );
-    assert_eq!(reloaded.peak_occupancy(), 4096);
-    // Reuse order: ~1366 freed cells, then fresh growth — identical on
-    // both sides.
-    for v in 0..1500u64 {
-        assert_eq!(slab.insert(v), reloaded.insert(v));
-    }
-}
-
-/// Steps a run until its core holds a non-empty wake-up heap *and* a
-/// fragmented slab (free holes below live cells), then freezes it.
+/// Steps a run until its batch has turned over — at least one request
+/// completed while at least two stay resident — then freezes it.
 /// Panics if the workload never reaches that shape.
-fn freeze_fragmented(wl: &Workload, cfg: &ServeConfig) -> (ServeRun, Vec<u8>) {
+fn freeze_after_turnover(wl: &Workload, cfg: &ServeConfig) -> (ServeRun, Vec<u8>) {
     let mut run = ServeRun::new(wl, cfg);
     let mut cost = AnalyticCostModel::small();
     loop {
         assert!(
             run.step(&mut cost, &mut PriorityAging::new(0.02)),
-            "run finished before reaching a fragmented mid-run state"
+            "run finished before reaching a turned-over mid-run state"
         );
         let stats = run.stats();
-        let fragmented = run.peak_slab_occupancy() > stats.active && stats.active >= 1;
-        if fragmented && run.pending_wakeups() > 0 {
+        if stats.completed >= 1 && stats.active >= 2 {
             let bytes = run.snapshot();
             return (run, bytes);
         }
     }
 }
 
-/// Mid-run freeze with a non-empty event heap and a fragmented slab:
-/// the thawed run must re-freeze to the same bytes and finish
-/// bit-identically to the uninterrupted original.
+/// Mid-run freeze of a batch that has turned over (completions behind
+/// it, several requests resident): the thawed run must re-freeze to
+/// the same bytes and finish bit-identically to the uninterrupted
+/// original.
 #[test]
 fn fragmented_mid_run_snapshot_resumes_bit_identically() {
     // Long prompts make prefill (~4 ms) span several decode steps
-    // (~1.4 ms), so freshly admitted slots hold future wake-ups while
+    // (~1.4 ms), so freshly admitted slots are still prefilling while
     // earlier ones decode; varied output lengths stagger completions
-    // so the slab fragments while a prefill is pending.
+    // so the batch turns over while others stay resident.
     let mut wl = Workload::poisson(2000.0, 2000, 8, 64);
     wl.output_lens = rpu_models::LengthDistribution::Uniform { lo: 2, hi: 16 };
     let cfg = ServeConfig {
         max_batch: 4,
         ..ServeConfig::default()
     };
-    let (mut original, bytes) = freeze_fragmented(&wl, &cfg);
+    let (mut original, bytes) = freeze_after_turnover(&wl, &cfg);
     let mut resumed = ServeRun::resume(&wl, &bytes).expect("snapshot thaws");
     // Closure: freezing the thawed state reproduces the bytes exactly
-    // — the slab's raw layout (free chain, peak) and the rebuilt
-    // calendar lose nothing in the round trip.
+    // — the batch and the rebuilt counters lose nothing in the round
+    // trip.
     assert_eq!(resumed.snapshot(), bytes, "re-freeze must be bit-identical");
     let mut cost_a = AnalyticCostModel::small();
     let mut cost_b = AnalyticCostModel::small();
@@ -448,27 +277,22 @@ fn fragmented_mid_run_snapshot_resumes_bit_identically() {
     assert_eq!(original.into_report(), resumed.into_report());
 }
 
-/// Restoring a run whose slab holds freed-then-reused cells must not
-/// resurrect stale telemetry: the thawed core's published counters
-/// (in-flight tokens, committed KV) must equal the frozen original's
-/// exactly — a freed slot's tokens leaking back in would misroute
+/// Restoring a run whose batch has turned over must not resurrect
+/// stale telemetry: the thawed core's published counters (in-flight
+/// tokens, committed KV) must equal the frozen original's exactly — a
+/// completed request's tokens leaking back in would misroute
 /// every subsequent arrival. The continuation runs under debug
 /// cross-checks (incremental counters vs recomputation by scan), so
 /// drift introduced later in the run is caught too.
 #[test]
-fn thawed_arena_reuse_does_not_resurrect_stale_telemetry() {
+fn thawed_batch_turnover_does_not_resurrect_stale_telemetry() {
     let mut wl = Workload::poisson(2000.0, 2000, 8, 64);
     wl.output_lens = rpu_models::LengthDistribution::Uniform { lo: 2, hi: 16 };
     let cfg = ServeConfig {
         max_batch: 4,
         ..ServeConfig::default()
     };
-    let (mut original, bytes) = freeze_fragmented(&wl, &cfg);
-    let stats = original.stats();
-    assert!(
-        original.peak_slab_occupancy() > stats.active,
-        "freeze point must hold freed-then-reusable slots"
-    );
+    let (mut original, bytes) = freeze_after_turnover(&wl, &cfg);
     let mut resumed = ServeRun::resume(&wl, &bytes).expect("snapshot thaws");
     let kv = AnalyticCostModel::small().kv_capacity_tokens;
     assert_eq!(

@@ -257,12 +257,13 @@ fn mutate_checksummed(bytes: &[u8], start: usize, len: usize, i: usize) -> Vec<u
     evil
 }
 
-/// Checksum-*valid* hostile mutations of the core section — the slab
-/// cell tags, free chain, active key list, counters — must hit the
-/// structural validators: every byte flip either fails typed or thaws
-/// into a state that can be stepped without panicking. This is the
-/// no-panic guarantee for the v2 slab layout that checksums alone
-/// cannot give (a hostile writer can always recompute them).
+/// Checksum-*valid* hostile mutations of the core section — the queue,
+/// the resident slots and their ready times, the clocks, the
+/// completion records and counters — must hit the structural
+/// validators: every byte flip either fails typed or thaws into a
+/// state that can be stepped without panicking. This is the no-panic
+/// guarantee for the dense batch layout that checksums alone cannot
+/// give (a hostile writer can always recompute them).
 #[test]
 fn checksummed_core_mutations_are_rejected_or_thaw_steppable() {
     let (wl, bytes) = serve_snapshot_at(40);
@@ -300,7 +301,8 @@ fn checksummed_core_mutations_are_rejected_or_thaw_steppable() {
 
 /// The fleet resume path rebuilds its wake calendar from each thawed
 /// core — checksum-valid per-replica core mutations must never panic
-/// it (NaN clocks and broken slab layouts fail typed instead).
+/// it (NaN clocks and ready times, and records out of finish order,
+/// fail typed instead).
 #[test]
 fn checksummed_fleet_core_mutations_never_panic_the_wake_rebuild() {
     let (wl, fleet, bytes) = fleet_snapshot_at(64);
