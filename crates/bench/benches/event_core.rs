@@ -1,4 +1,4 @@
-//! Event-core throughput: the calendar-queue fleet driver on a
+//! Event-core throughput: the fleet event driver on a
 //! 100k-request, 128-replica workload.
 //!
 //! This bench is the measured half of the event-core story. The scan
@@ -35,7 +35,7 @@ const NUM_REQUESTS: u32 = 100_000;
 
 fn workload() -> Workload {
     // ~95% utilization across 128 replicas: queues run deep, so the
-    // telemetry cache and calendar wake-ups work over a real backlog.
+    // telemetry cache and the wake tree work over a real backlog.
     Workload::poisson(52_000.0, 256, 16, NUM_REQUESTS)
 }
 
@@ -57,7 +57,7 @@ fn mk_fleet(replicas: usize) -> Fleet {
         .build()
 }
 
-/// Runs the calendar-queue driver to completion, returning the report,
+/// Runs the fleet event driver to completion, returning the report,
 /// the number of discrete events processed and the wall time.
 fn run_calendar(wl: &Workload, replicas: usize) -> (FleetReport, u64, Duration) {
     let mut fleet = mk_fleet(replicas);

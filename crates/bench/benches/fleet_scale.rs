@@ -38,7 +38,7 @@ fn mk_fleet(replicas: usize) -> Fleet {
         .build()
 }
 
-/// Runs one full workload through the calendar driver, timing only the
+/// Runs one full workload through the fleet event driver, timing only the
 /// event loop (fleet construction and the report merge are real costs,
 /// but per-event throughput is the gated trajectory). Also returns the
 /// largest batch any replica held, read from the untimed report.

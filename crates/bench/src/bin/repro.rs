@@ -72,8 +72,8 @@ fn parse(args: &[String]) -> Result<Option<Options>, String> {
                 usage();
                 return Ok(None);
             }
-            // Hidden: per-subsystem hot-path counters (wheel ops,
-            // index updates, route calls, scratch reuse) from one
+            // Hidden: per-subsystem hot-path counters (routing-index
+            // updates, route calls, scratch reuse) from one
             // probe run per built-in router. CI greps the output to
             // assert `route_scan_fallbacks=0` — the built-in routers
             // must never fall back to an O(replicas) scan.

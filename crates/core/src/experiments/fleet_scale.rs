@@ -2,7 +2,7 @@
 //!
 //! The fleet sweep asks a capacity question at planner scale (a
 //! handful of replicas); this sweep asks the *event core* question
-//! behind it: **does the calendar-queue driver keep its per-event cost
+//! behind it: **does the fleet event driver keep its per-event cost
 //! flat as the fleet gets wide?** It drives the same analytic-cost
 //! serving stack across fleets of 8 to 1000 replicas at a constant
 //! per-replica offered load (~95% decode utilisation), and reports
@@ -96,7 +96,7 @@ pub struct ScalePoint {
     pub digest: ReportDigest,
 }
 
-/// Runs one width to completion through the calendar-queue driver and
+/// Runs one width to completion through the fleet event driver and
 /// summarises it. Deterministic per `(replicas, workload)`; the bench
 /// wraps this same function in a timer at 10M requests.
 #[must_use]
@@ -248,14 +248,13 @@ pub fn counters_report() -> String {
         out.push_str(&format!(
             "counters[{name}]: replicas={REPLICAS} requests={REQUESTS} \
              route_calls={} route_index_hits={} route_scan_fallbacks={} \
-             index_leaf_updates={} index_marks={} wheel_ops={} \
+             index_leaf_updates={} index_marks={} \
              scratch_reuse_hits={scratch_hits}\n",
             c.route_calls,
             c.route_index_hits,
             c.route_scan_fallbacks,
             c.index_leaf_updates,
             c.index_marks,
-            c.wheel_ops,
         ));
     }
     out
@@ -350,7 +349,6 @@ mod tests {
                 !line.contains("route_calls=0 "),
                 "probe routed nothing: {line}"
             );
-            assert!(!line.contains("wheel_ops=0 "), "calendar idle: {line}");
             assert!(
                 !line.ends_with("scratch_reuse_hits=0"),
                 "report path reallocated per metric: {line}"

@@ -73,12 +73,12 @@
 use std::collections::VecDeque;
 
 use crate::arrivals::{RequestSource, Workload};
-use crate::calendar::CalendarQueue;
 use crate::class::ClassSpec;
 use crate::cost::CostModel;
 use crate::digest::ReportDigest;
 use crate::lifecycle::{FleetEvent, FleetEventKind, LifecycleCounts, LifecycleState};
 use crate::metrics::MultiClassReport;
+use crate::min_tree::MinTree;
 use crate::policy::{QueuedRequest, SchedulingPolicy};
 use crate::replay::{CommandLog, LoggedPicks};
 use crate::request::{Request, RequestRecord};
@@ -387,14 +387,15 @@ impl Fleet {
 pub struct FleetRun {
     source: RequestSource,
     cores: Vec<Core>,
-    /// The global wake-up calendar: each replica's next scheduling
-    /// event, keyed `(tick, replica)`. A replica's entry is refreshed
-    /// after every event that touches it — nothing else can move its
-    /// next event — so the driver pops the globally earliest event in
-    /// amortised `O(1)` (a timing wheel; see [`CalendarQueue`]) instead
-    /// of scanning every replica per event. Not serialised: rebuilt
-    /// deterministically from the cores on resume.
-    wake: CalendarQueue,
+    /// The global wake-up calendar: a winner tree whose leaf `i` holds
+    /// [`wake_key`] of replica `i`'s next scheduling event (`+∞` for an
+    /// idle replica), so the root is the earliest `(tick, replica)`. A
+    /// replica's leaf is overwritten after every event that touches it
+    /// — nothing else can move its next event — so picking the next
+    /// step is a root read and keeping it current one `O(log R)`
+    /// pull-up, instead of a scan of every replica per event. Not
+    /// serialised: rebuilt deterministically from the cores on resume.
+    wake: MinTree<u64>,
     /// Cached per-replica telemetry, index-aligned with `cores`. A
     /// replica's published counters can only change when an event
     /// touches it (a lifecycle transition included), so the driver
@@ -446,7 +447,8 @@ pub struct FleetRun {
 /// Per-subsystem hot-path counters for one [`FleetRun`] — the numbers
 /// behind the repro driver's `--counters` report. All counts are since
 /// run start (or resume; they are diagnostic state, not part of the
-/// snapshot wire format).
+/// snapshot wire format). The wake calendar keeps no counter: it
+/// writes one leaf per event, so its work is [`FleetRun::events`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
     /// Routing decisions made (arrivals plus displaced re-routes).
@@ -457,13 +459,11 @@ pub struct PerfCounters {
     /// routers outside join-shortest-queue's KV-saturated slow path.
     pub route_scan_fallbacks: u64,
     /// Routing-index leaf refreshes applied (each an `O(log R)`
-    /// tournament pull-up).
+    /// winner-tree pull-up per tree).
     pub index_leaf_updates: u64,
     /// Routing-index dirty marks observed (one per event that touched
     /// a replica's telemetry or lifecycle state).
     pub index_marks: u64,
-    /// Insertions into the fleet wake calendar.
-    pub wheel_ops: u64,
 }
 
 /// The telemetry every replica currently publishes — the cache the
@@ -476,11 +476,36 @@ fn cached_telemetry(cores: &[Core], replicas: &[FleetReplica]) -> Vec<ReplicaTel
         .collect()
 }
 
+/// The wake calendar's key for a tick: the sign-fold of its IEEE-754
+/// bits, under which `f64::total_cmp` order is unsigned integer order.
+///
+/// # Panics
+///
+/// Panics if `tick` is NaN — a wake-up must order against every other.
+fn wake_key(tick: f64) -> u64 {
+    assert!(!tick.is_nan(), "wake-up ticks must be comparable");
+    let bits = tick.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// Inverse of [`wake_key`].
+fn wake_tick(key: u64) -> f64 {
+    if key >> 63 == 1 {
+        f64::from_bits(key & !(1 << 63))
+    } else {
+        f64::from_bits(!key)
+    }
+}
+
 /// The state a [`FleetRun`] derives from its cores and lifecycle states
-/// instead of serialising: the wake-up calendar, the telemetry cache,
-/// the routable mask, the routing index and the KV capacities.
+/// instead of serialising: the wake-up tree, the telemetry cache, the
+/// routable mask, the routing index and the KV capacities.
 struct Derived {
-    wake: CalendarQueue,
+    wake: MinTree<u64>,
     telemetry: Vec<ReplicaTelemetry>,
     index: FleetRoutingIndex,
     kv_caps: Vec<u64>,
@@ -488,16 +513,14 @@ struct Derived {
 }
 
 impl Derived {
-    /// Builds the derived state for a fresh or thawed run. Identical
-    /// `(tick, replica)` keys reproduce a frozen run's pop order
+    /// Builds the derived state for a fresh or thawed run, the wake
+    /// tree bottom-up from every core's next event. Identical
+    /// `(tick, replica)` keys reproduce a frozen run's step order
     /// exactly, and identical counters reproduce its routing. Fresh
-    /// cores are idle (next event at infinity), so a fresh run's
-    /// calendar starts empty and the first arrival seeds it.
+    /// cores are idle (next event at infinity) until the first arrival.
     fn build(fleet: &Fleet, cores: &[Core], states: &[LifecycleState]) -> Self {
-        let mut wake = CalendarQueue::with_components(cores.len());
-        for (i, core) in cores.iter().enumerate() {
-            wake.schedule(i as u32, core.next_event_s());
-        }
+        let keys = cores.iter().map(|c| wake_key(c.next_event_s())).collect();
+        let wake = MinTree::new(keys, wake_key(f64::INFINITY));
         let telemetry = cached_telemetry(cores, &fleet.replicas);
         let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
         let index = FleetRoutingIndex::new(&telemetry, &routable);
@@ -627,9 +650,8 @@ impl FleetRun {
             self.cores[pick].enqueue(req);
             pick
         } else {
-            let (tick, which) = self.wake.pop().expect("next_event is finite");
-            self.now_s = self.now_s.max(tick);
-            let which = which as usize;
+            let (which, _) = self.wake.min();
+            self.now_s = self.now_s.max(next.wake);
             let replica = &mut fleet.replicas[which];
             self.cores[which].step(
                 replica.cost.as_mut(),
@@ -642,7 +664,7 @@ impl FleetRun {
         // moved (cores share nothing but the arrival source, which is
         // re-read above every step).
         self.wake
-            .schedule(touched as u32, self.cores[touched].next_event_s());
+            .set(touched, wake_key(self.cores[touched].next_event_s()));
         self.telemetry[touched] = self.cores[touched].telemetry(self.kv_caps[touched]);
         self.index.mark_dirty(touched);
         self.events += 1;
@@ -755,7 +777,7 @@ impl FleetRun {
     /// `None` when it is complete (or wedged — [`FleetRun::step`]
     /// distinguishes the two).
     #[must_use]
-    pub fn next_time(&mut self) -> Option<f64> {
+    pub fn next_time(&self) -> Option<f64> {
         let next = self.next_events().earliest();
         // Events never run in the past: one that came due while the
         // clock ran ahead (a re-route or arrival held back by an
@@ -765,7 +787,7 @@ impl FleetRun {
 
     /// The candidate times [`FleetRun::step`] and [`FleetRun::next_time`]
     /// both choose from.
-    fn next_events(&mut self) -> NextEvents {
+    fn next_events(&self) -> NextEvents {
         // The index maintains the live count incrementally, so this is
         // O(1) instead of a mask scan per event.
         let any_live = self.index.live_count() > 0;
@@ -787,9 +809,9 @@ impl FleetRun {
                 .map_or(f64::INFINITY, |e| e.at_s),
             reroute: routable(reroute),
             arrival: routable(arrival),
-            // The calendar's head is the earliest replica event; ties
-            // on the tick pop the lowest replica index.
-            wake: self.wake.peek().map_or(f64::INFINITY, |(t, _)| t),
+            // The tree's root is the earliest replica event; ties on
+            // the tick go to the lowest replica index.
+            wake: wake_tick(self.wake.min().1),
             starved: !any_live && (reroute.is_finite() || arrival.is_finite()),
         }
     }
@@ -897,8 +919,8 @@ impl FleetRun {
         ttfts
     }
 
-    /// Per-subsystem hot-path counters accumulated so far — calendar
-    /// insertions, routing-index maintenance and routing decisions.
+    /// Per-subsystem hot-path counters accumulated so far —
+    /// routing-index maintenance and routing decisions.
     /// Diagnostic only (the repro driver's `--counters` report): never
     /// serialised, reset on resume.
     #[must_use]
@@ -910,7 +932,6 @@ impl FleetRun {
             route_scan_fallbacks: self.route_stats.scan_fallbacks(),
             index_leaf_updates,
             index_marks,
-            wheel_ops: self.wake.scheduled_ops(),
         }
     }
 
@@ -1290,6 +1311,162 @@ mod tests {
                 || Box::new(Fifo),
             )
             .build()
+    }
+
+    #[test]
+    fn negative_zero_and_negative_ticks_order_like_total_cmp() {
+        let ticks = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            1e-300,
+            2.5,
+            f64::INFINITY,
+        ];
+        for (a, b) in ticks.iter().zip(&ticks[1..]) {
+            assert!(wake_key(*a) < wake_key(*b), "{a} must wake before {b}");
+        }
+        for t in ticks {
+            assert_eq!(wake_tick(wake_key(t)).to_bits(), t.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wake-up ticks must be comparable")]
+    fn nan_tick_is_rejected() {
+        let _ = wake_key(f64::NAN);
+    }
+
+    #[test]
+    fn infinite_tick_means_idle() {
+        // An idle replica's `+∞` wake-up orders after every finite one,
+        // so the tree names it only once every replica is idle.
+        let never = wake_key(f64::INFINITY);
+        assert!(wake_key(f64::MAX) < never);
+        let mut t = MinTree::new(vec![never; 3], never);
+        assert_eq!(wake_tick(t.min().1), f64::INFINITY);
+        t.set(2, wake_key(1.0));
+        assert_eq!(t.min(), (2, wake_key(1.0)));
+        t.set(2, never); // rescheduled to `+∞`: idle again
+        assert_eq!(wake_tick(t.min().1), f64::INFINITY);
+    }
+
+    /// The wake tree read as a calendar: the earliest `(tick, replica)`
+    /// that is not idle, if any. Ticks compare by bits so `-0.0` and
+    /// `0.0` stay apart.
+    fn next_wake(t: &MinTree<u64>) -> Option<(u64, usize)> {
+        let (i, k) = t.min();
+        (k != wake_key(f64::INFINITY)).then(|| (wake_tick(k).to_bits(), i))
+    }
+
+    /// The naive calendar: replica → live finite tick; the lowest
+    /// `(tick, replica)` is what the tree must name next.
+    fn model_next(model: &std::collections::BTreeMap<usize, f64>) -> Option<(u64, usize)> {
+        model
+            .iter()
+            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))
+            .map(|(&i, &tick)| (tick.to_bits(), i))
+    }
+
+    /// Drives the wake tree the way the fleet does — reschedule (to
+    /// `+∞` for idle), cancel, pop the earliest (which idles it), peek —
+    /// and checks it against the naive calendar after every step, then
+    /// drains both.
+    fn check_wake_tree(
+        seed: u64,
+        width: usize,
+        n_ops: usize,
+        draw_tick: impl Fn(&mut crate::ServeRng) -> f64,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prop_assert_eq;
+        let never = wake_key(f64::INFINITY);
+        let mut rng = crate::ServeRng::new(seed);
+        let mut t = MinTree::new(vec![never; width], never);
+        let mut model = std::collections::BTreeMap::new();
+        for _ in 0..n_ops {
+            let id = (rng.next_u64() % width as u64) as usize;
+            match rng.next_u64() % 5 {
+                0 | 1 => {
+                    let tick = draw_tick(&mut rng);
+                    t.set(id, wake_key(tick));
+                    if tick == f64::INFINITY {
+                        model.remove(&id);
+                    } else {
+                        model.insert(id, tick);
+                    }
+                }
+                2 => {
+                    t.set(id, never);
+                    model.remove(&id);
+                }
+                3 => {
+                    let want = model_next(&model);
+                    prop_assert_eq!(next_wake(&t), want, "pop disagrees with model");
+                    if let Some((_, i)) = want {
+                        t.set(i, never);
+                        model.remove(&i);
+                    }
+                }
+                _ => prop_assert_eq!(next_wake(&t), model_next(&model), "peek disagrees"),
+            }
+            let live = (0..width).filter(|&i| t.key(i) != never).count();
+            prop_assert_eq!(live, model.len(), "live count drifted");
+            for (&i, &tick) in &model {
+                prop_assert_eq!(wake_tick(t.key(i)).to_bits(), tick.to_bits());
+            }
+        }
+        let mut drained = Vec::new();
+        while let Some((tick, i)) = next_wake(&t) {
+            drained.push((tick, i));
+            t.set(i, never);
+        }
+        let mut expected: Vec<_> = model.iter().map(|(&i, &tick)| (tick, i)).collect();
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let expected: Vec<_> = expected
+            .iter()
+            .map(|&(tick, i)| (tick.to_bits(), i))
+            .collect();
+        prop_assert_eq!(drained, expected);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random reschedule / cancel / pop / peek interleavings over 16
+        /// replicas never lose or duplicate a wake-up, and wake-ups
+        /// surface in `(tick, replica)` order.
+        #[test]
+        fn wake_tree_agrees_with_the_naive_model(
+            seed in 0u64..1 << 48,
+            n_ops in 1usize..400,
+        ) {
+            check_wake_tree(seed, 16, n_ops, |rng| {
+                if rng.next_u64().is_multiple_of(16) {
+                    f64::INFINITY
+                } else {
+                    (rng.next_u64() % 1000) as f64 / 8.0
+                }
+            })?;
+        }
+
+        /// The same at a padded width of 96 replicas, with negative
+        /// ticks, signed zeros and a spread wide enough to exercise the
+        /// sign-folded key across its whole range.
+        #[test]
+        fn wide_wake_tree_agrees_with_the_naive_model(
+            seed in 0u64..1 << 48,
+            n_ops in 1usize..500,
+        ) {
+            check_wake_tree(seed, 96, n_ops, |rng| match rng.next_u64() % 8 {
+                0 => f64::INFINITY,
+                1 => -((rng.next_u64() % 64) as f64) / 4.0,
+                2 => -0.0,
+                3 => (rng.next_u64() % (1 << 40)) as f64,
+                _ => (rng.next_u64() % 4096) as f64 / 16.0,
+            })?;
+        }
     }
 
     #[test]

@@ -84,13 +84,13 @@
 mod arrivals;
 mod autoscale;
 pub mod bisect;
-mod calendar;
 mod class;
 mod cost;
 mod digest;
 mod fleet;
 pub mod lifecycle;
 mod metrics;
+mod min_tree;
 mod policy;
 mod replay;
 mod request;
@@ -103,7 +103,6 @@ pub mod snapshot;
 pub use arrivals::{fuzz_tape, ArrivalProcess, FuzzFamily, RequestSource, Workload};
 pub use autoscale::{run_autoscaled, Autoscaler, AutoscalerConfig};
 pub use bisect::{bisect_divergence, BisectOutcome};
-pub use calendar::CalendarQueue;
 pub use class::{ClassSpec, SloTargets};
 pub use cost::{AnalyticCostModel, CostModel};
 pub use digest::{

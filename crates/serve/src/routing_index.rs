@@ -6,13 +6,11 @@
 //! entries that cannot have changed. [`FleetRoutingIndex`] turns that
 //! scan into an indexed lookup:
 //!
-//! * two **tournament trees** (flat, power-of-two padded, one `u64` /
-//!   key-pair per node) hold every *routable* replica keyed exactly as
-//!   the built-in routers compare them — `(backlog, index)` for
-//!   [`crate::JoinShortestQueue`] and `(kv-load bits, backlog, index)`
-//!   for [`crate::LeastKvLoad`]. Internal nodes store the full winning
-//!   key, so the argmin is a root read and a leaf refresh is one
-//!   `O(log R)` pull-up;
+//! * two **winner trees** (`MinTree`) hold every *routable* replica
+//!   keyed exactly as the built-in routers compare them — backlog for
+//!   [`crate::JoinShortestQueue`] and `(kv-load bits, backlog)`, packed
+//!   into one `u128`, for [`crate::LeastKvLoad`]. The argmin is a root
+//!   read and a leaf refresh is one `O(log R)` pull-up;
 //! * a **routable bitset** answers "first routable replica at or after
 //!   slot `i`, wrapping" — [`crate::RoundRobin`]'s probe — by word
 //!   scan instead of a per-slot loop.
@@ -24,13 +22,14 @@
 //! transitions update the bitset eagerly — it is the cheap index and
 //! the one `RoundRobin` needs fresh.
 //!
-//! Key packing preserves the routers' exact comparison order. Backlogs
-//! pack as `backlog << 32 | index`, so the unsigned order of the packed
-//! word is the lexicographic `(backlog, index)` order. KV load is
+//! The trees preserve the routers' exact comparison order. Both
+//! routers break their last tie on the lowest replica index, and a
+//! winner tree breaks ties on tree position — the lowest leaf wins —
+//! so the index never enters a key. KV load is
 //! `ReplicaTelemetry::kv_load()` — a non-negative `f64`, whose IEEE bit
 //! pattern orders identically to `f64::total_cmp` — paired with the
-//! backlog word for the tie-break. Unroutable replicas and padding
-//! leaves hold `u64::MAX` keys and can never win a tournament.
+//! backlog for the tie-break. Unroutable replicas hold all-ones keys,
+//! which no backlog (a `u32`) or load reaches, so they never win.
 //!
 //! The index is *derived* state: it is rebuilt from telemetry on run
 //! start and resume and is never serialised, so snapshot wire formats
@@ -41,38 +40,39 @@
 
 use std::cell::RefCell;
 
+use crate::min_tree::MinTree;
 use crate::router::ReplicaTelemetry;
 
-/// Sentinel key for unroutable replicas and padding leaves: loses every
-/// tournament. A real key only equals this when a replica with index
-/// `u32::MAX` carries a backlog of `u32::MAX` — beyond any
-/// constructible fleet.
+/// Sentinel key for unroutable replicas: loses to every real key.
 const NO_KEY: u64 = u64::MAX;
 
-/// Packs the join-shortest-queue comparison key: unsigned order of the
-/// packed word is the `(backlog, index)` order the router scans by.
-fn backlog_key(t: &ReplicaTelemetry, i: usize) -> u64 {
-    (u64::from(t.backlog()) << 32) | i as u64
-}
+/// Sentinel least-KV-load key: `(NO_KEY, NO_KEY)`.
+const NO_KV_KEY: u128 = u128::MAX;
 
-/// Packs the least-KV-load comparison key. `kv_load()` is non-negative,
-/// so its raw bits order exactly as `f64::total_cmp`; the backlog word
-/// carries the router's `(backlog, index)` tie-break.
-fn kv_key(t: &ReplicaTelemetry, i: usize) -> (u64, u64) {
-    (t.kv_load().to_bits(), backlog_key(t, i))
+/// A replica's two tree keys: the join-shortest-queue backlog and the
+/// least-KV-load `(kv-load bits, backlog)` pair, or the sentinels when
+/// it is unroutable. `kv_load()` is non-negative, so its raw bits order
+/// exactly as `f64::total_cmp`. The pair is packed high/low into one
+/// `u128`, whose order is the pair's lexicographic order and compares
+/// without a branch.
+fn keys(t: &ReplicaTelemetry, routable: bool) -> (u64, u128) {
+    if routable {
+        let backlog = u64::from(t.backlog());
+        let load = u128::from(t.kv_load().to_bits());
+        (backlog, load << 64 | u128::from(backlog))
+    } else {
+        (NO_KEY, NO_KV_KEY)
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
     /// Provisioned replica slots (leaves in use).
     n: usize,
-    /// Leaf span: `n.next_power_of_two()`.
-    size: usize,
-    /// Min-tournament over packed `(backlog, index)` keys; 1-based,
-    /// root at `[1]`, leaves at `[size ..]`.
-    backlog: Vec<u64>,
-    /// Min-tournament over `(kv-load bits, backlog-key)` pairs.
-    kv: Vec<(u64, u64)>,
+    /// Winner tree over backlogs.
+    backlog: MinTree<u64>,
+    /// Winner tree over packed `(kv-load bits, backlog)` pairs.
+    kv: MinTree<u128>,
     /// Routable bitset, one bit per slot, maintained eagerly.
     live: Vec<u64>,
     /// Number of set bits in `live`.
@@ -92,32 +92,14 @@ impl Inner {
         (self.live[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Recomputes leaf `i` from its telemetry and pulls the change up
-    /// to the root, stopping at the first ancestor both tournaments
-    /// already agree on.
+    /// Recomputes leaf `i` of both trees from its telemetry.
     fn refresh_leaf(&mut self, i: usize, t: &ReplicaTelemetry) {
-        let (bk, kk) = if self.is_live(i) {
-            (backlog_key(t, i), kv_key(t, i))
-        } else {
-            (NO_KEY, (NO_KEY, NO_KEY))
-        };
-        let mut node = self.size + i;
-        if self.backlog[node] == bk && self.kv[node] == kk {
+        let (bk, kk) = keys(t, self.is_live(i));
+        if self.backlog.key(i) == bk && self.kv.key(i) == kk {
             return;
         }
-        self.backlog[node] = bk;
-        self.kv[node] = kk;
-        while node > 1 {
-            node /= 2;
-            let (l, r) = (node * 2, node * 2 + 1);
-            let nb = self.backlog[l].min(self.backlog[r]);
-            let nk = self.kv[l].min(self.kv[r]);
-            if self.backlog[node] == nb && self.kv[node] == nk {
-                break;
-            }
-            self.backlog[node] = nb;
-            self.kv[node] = nk;
-        }
+        self.backlog.set(i, bk);
+        self.kv.set(i, kk);
         self.leaf_updates += 1;
     }
 
@@ -200,7 +182,6 @@ impl FleetRoutingIndex {
             "telemetry and routable mask must cover the same replicas"
         );
         let n = telemetry.len();
-        let size = n.next_power_of_two().max(1);
         let mut live = vec![0u64; n.div_ceil(64).max(1)];
         let mut live_count = 0;
         for (i, &r) in routable.iter().enumerate() {
@@ -209,11 +190,15 @@ impl FleetRoutingIndex {
                 live_count += 1;
             }
         }
-        let mut inner = Inner {
+        let (backlog, kv) = telemetry
+            .iter()
+            .zip(routable)
+            .map(|(t, &r)| keys(t, r))
+            .unzip();
+        let inner = Inner {
             n,
-            size,
-            backlog: vec![NO_KEY; 2 * size],
-            kv: vec![(NO_KEY, NO_KEY); 2 * size],
+            backlog: MinTree::new(backlog, NO_KEY),
+            kv: MinTree::new(kv, NO_KV_KEY),
             live,
             live_count,
             dirty: Vec::with_capacity(n),
@@ -221,10 +206,6 @@ impl FleetRoutingIndex {
             leaf_updates: 0,
             marks: 0,
         };
-        for (i, t) in telemetry.iter().enumerate() {
-            inner.refresh_leaf(i, t);
-        }
-        inner.leaf_updates = 0;
         Self {
             inner: RefCell::new(inner),
         }
@@ -276,8 +257,8 @@ impl FleetRoutingIndex {
     pub fn min_backlog_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
         let mut inner = self.inner.borrow_mut();
         inner.flush(telemetry);
-        let key = inner.backlog[1];
-        (key != NO_KEY).then_some((key & u64::from(u32::MAX)) as usize)
+        let (i, key) = inner.backlog.min();
+        (key != NO_KEY).then_some(i)
     }
 
     /// The routable replica minimising `(kv_load, backlog, index)`
@@ -287,8 +268,8 @@ impl FleetRoutingIndex {
     pub fn min_kv_load_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
         let mut inner = self.inner.borrow_mut();
         inner.flush(telemetry);
-        let (load, key) = inner.kv[1];
-        (load != NO_KEY).then_some((key & u64::from(u32::MAX)) as usize)
+        let (i, key) = inner.kv.min();
+        (key != NO_KV_KEY).then_some(i)
     }
 
     /// First routable replica in the wrapping slot order `start, start

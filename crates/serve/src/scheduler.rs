@@ -952,8 +952,8 @@ impl Core {
         let first_arrival_s = r.get_f64()?;
         let last_finish_s = r.get_f64()?;
         // NaN wall-clock state would poison every comparison downstream
-        // — including the fleet wake calendar, which (rightly) panics
-        // on incomparable ticks. Hostile bytes must fail typed instead.
+        // — including the fleet wake calendar's key, which (rightly)
+        // panics on incomparable ticks. Hostile bytes must fail typed instead.
         if clock.is_nan() || first_arrival_s.is_nan() || last_finish_s.is_nan() {
             return Err(SnapshotError::Corrupt("clock state is NaN"));
         }
