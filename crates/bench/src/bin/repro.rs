@@ -73,10 +73,10 @@ fn parse(args: &[String]) -> Result<Option<Options>, String> {
                 return Ok(None);
             }
             // Hidden: per-subsystem hot-path counters (routing-index
-            // updates, route calls, scratch reuse) from one
-            // probe run per built-in router. CI greps the output to
-            // assert `route_scan_fallbacks=0` — the built-in routers
-            // must never fall back to an O(replicas) scan.
+            // updates, route calls) from one probe run per built-in
+            // router. CI greps the output to assert
+            // `route_scan_fallbacks=0` — the built-in routers must
+            // never fall back to an O(replicas) scan.
             "--counters" => {
                 print!("{}", exp::fleet_scale::counters_report());
                 return Ok(None);

@@ -203,8 +203,7 @@ impl FleetScale {
 
 /// Per-subsystem hot-path counters behind the `repro --counters`
 /// probe: the 64-replica rung run once per built-in router, one line
-/// each with the [`rpu_serve::PerfCounters`] the fleet driver kept and
-/// the reporting path's scratch-buffer reuse hits.
+/// each with the [`rpu_serve::PerfCounters`] the fleet driver kept.
 ///
 /// The load is the sweep's own saturating-but-stable point, so the
 /// join-shortest-queue argmin always has KV headroom and
@@ -239,17 +238,10 @@ pub fn counters_report() -> String {
         let mut run = fleet.start(&wl);
         while run.step(&mut fleet, router.as_mut()) {}
         let c = run.perf_counters();
-        let hits_before = rpu_serve::scratch_reuse_hits();
-        // Latency percentiles are computed when the SLO summary is
-        // built — that is the selection-over-scratch path whose reuse
-        // the counter watches.
-        let _ = run.into_report().multi_class(&wl.classes);
-        let scratch_hits = rpu_serve::scratch_reuse_hits() - hits_before;
         out.push_str(&format!(
             "counters[{name}]: replicas={REPLICAS} requests={REQUESTS} \
              route_calls={} route_index_hits={} route_scan_fallbacks={} \
-             index_leaf_updates={} index_marks={} \
-             scratch_reuse_hits={scratch_hits}\n",
+             index_leaf_updates={} index_marks={}\n",
             c.route_calls,
             c.route_index_hits,
             c.route_scan_fallbacks,
@@ -348,10 +340,6 @@ mod tests {
             assert!(
                 !line.contains("route_calls=0 "),
                 "probe routed nothing: {line}"
-            );
-            assert!(
-                !line.ends_with("scratch_reuse_hits=0"),
-                "report path reallocated per metric: {line}"
             );
         }
     }

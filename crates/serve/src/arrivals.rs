@@ -2,9 +2,11 @@
 //!
 //! A [`Workload`] pairs an [`ArrivalProcess`] with prompt/output
 //! [`LengthDistribution`]s, a set of SLO [`ClassSpec`]s and a seed.
-//! Open-loop processes (Poisson, trace replay) pre-generate their whole
-//! request tape; the closed loop issues a client's next request only
-//! after its previous one finishes, so its arrivals are produced during
+//! Random open-loop processes (Poisson, on/off, diurnal) are drawn
+//! lazily, one request ahead of the simulation, so a source's memory
+//! does not grow with run length; trace replay holds its explicit tape.
+//! The closed loop issues a client's next request only after its
+//! previous one finishes, so its arrivals are produced during
 //! simulation via [`RequestSource::on_completion`].
 //!
 //! Each request is stamped with an SLO class (sampled from the class
@@ -171,16 +173,104 @@ impl Workload {
     }
 }
 
+/// The generator state of a lazily drawn open-loop process: the time
+/// of the last candidate arrival, the ON time left in the current burst
+/// and the process parameters. The mean gap `1 / rate` is computed once;
+/// the division is exact to the bit, so caching it changes no draw.
+#[derive(Debug, Clone)]
+enum Clock {
+    /// [`ArrivalProcess::Poisson`].
+    Poisson { t: f64, gap_mean: f64 },
+    /// [`ArrivalProcess::OnOff`], and [`ArrivalProcess::DiurnalOnOff`]
+    /// when `envelope` is set: candidates at the peak rate, thinned.
+    OnOff {
+        t: f64,
+        on_left: f64,
+        gap_mean: f64,
+        mean_on_s: f64,
+        mean_off_s: f64,
+        envelope: Option<Envelope>,
+    },
+}
+
+/// The diurnal and flash-crowd rate modulation of
+/// [`ArrivalProcess::DiurnalOnOff`].
+#[derive(Debug, Clone, Copy)]
+struct Envelope {
+    period_s: f64,
+    trough: f64,
+    flash_every_s: f64,
+    flash_width_s: f64,
+    flash_mult: f64,
+}
+
+impl Clock {
+    /// Draws the next arrival time. The draws are gap, then any burned
+    /// ON/OFF windows, then (diurnal only) the thinning coin, repeated
+    /// until a candidate is accepted.
+    fn next(&mut self, rng: &mut ServeRng) -> f64 {
+        match self {
+            Self::Poisson { t, gap_mean } => {
+                *t += rng.next_exp(*gap_mean);
+                *t
+            }
+            Self::OnOff {
+                t,
+                on_left,
+                gap_mean,
+                mean_on_s,
+                mean_off_s,
+                envelope,
+            } => loop {
+                let mut gap = rng.next_exp(*gap_mean);
+                // Burn whole ON windows the gap jumps over; the
+                // exponential is memoryless, so the residual gap stays
+                // exponential and the thinned process is exactly
+                // Poisson-on/silent-off.
+                while gap > *on_left {
+                    gap -= *on_left;
+                    *t += *on_left + rng.next_exp(*mean_off_s);
+                    *on_left = rng.next_exp(*mean_on_s);
+                }
+                *t += gap;
+                *on_left -= gap;
+                let Some(e) = envelope else {
+                    return *t;
+                };
+                let level = e.trough
+                    + (1.0 - e.trough)
+                        * 0.5
+                        * (1.0 - (std::f64::consts::TAU * *t / e.period_s).cos());
+                let flash = if *t % e.flash_every_s < e.flash_width_s {
+                    e.flash_mult
+                } else {
+                    1.0
+                };
+                if rng.next_f64() * e.flash_mult < level * flash {
+                    return *t;
+                }
+            },
+        }
+    }
+}
+
 /// The stream of requests feeding the scheduler.
 ///
-/// Open-loop tapes are fully materialised up front; the closed loop
-/// issues lazily on completions. Either way, classes and lengths are
-/// drawn from one deterministic stream in issue order, so a fixed seed
-/// fixes the tape.
-#[derive(Debug)]
+/// Poisson, on/off and diurnal sources draw lazily: the source holds a
+/// one-request lookahead and draws the next request when the current
+/// one is popped, so its memory does not grow with the run length.
+/// Trace replay holds its (already explicit) tape; the closed loop
+/// issues on completions. Either way, arrival times, classes and
+/// lengths are drawn from one deterministic stream in issue order, so
+/// a fixed seed fixes the tape.
+#[derive(Debug, Clone)]
 pub struct RequestSource {
     pending: VecDeque<Request>,
     rng: ServeRng,
+    /// The open-loop generator still drawing, if any. `None` for trace
+    /// replay, closed loops and sources restored from a snapshot (whose
+    /// remaining tape is already materialised in `pending`).
+    clock: Option<Clock>,
     prompt_lens: LengthDistribution,
     output_lens: LengthDistribution,
     classes: Vec<ClassSpec>,
@@ -192,7 +282,8 @@ pub struct RequestSource {
 }
 
 impl RequestSource {
-    /// Builds the source for a workload.
+    /// Builds the source for a workload. A random open-loop source
+    /// draws its first request here.
     ///
     /// # Panics
     ///
@@ -200,37 +291,14 @@ impl RequestSource {
     /// a non-positive Poisson rate, or a clientless closed loop.
     #[must_use]
     pub fn new(workload: &Workload) -> Self {
-        assert!(
-            !workload.classes.is_empty(),
-            "a workload needs at least one class"
-        );
-        assert!(
-            workload.classes.iter().any(|c| c.share > 0.0),
-            "at least one class needs positive share"
-        );
-        assert!(
-            workload.classes.len() <= usize::from(u8::MAX) + 1,
-            "at most 256 SLO classes (class ids are u8)"
-        );
-        let mut src = Self {
-            pending: VecDeque::new(),
-            rng: ServeRng::new(workload.seed),
-            prompt_lens: workload.prompt_lens.clone(),
-            output_lens: workload.output_lens.clone(),
-            classes: workload.classes.clone(),
-            class_issued: vec![0; workload.classes.len()],
-            issued: 0,
-            budget: workload.num_requests,
-            think_s: None,
-        };
+        let mut src = Self::bare(workload);
         match &workload.arrivals {
             ArrivalProcess::Poisson { rate_rps } => {
                 assert!(*rate_rps > 0.0, "Poisson rate must be positive");
-                let mut t = 0.0;
-                for _ in 0..workload.num_requests {
-                    t += src.rng.next_exp(1.0 / rate_rps);
-                    src.issue(t);
-                }
+                src.clock = Some(Clock::Poisson {
+                    t: 0.0,
+                    gap_mean: 1.0 / rate_rps,
+                });
             }
             ArrivalProcess::OnOff {
                 rate_rps,
@@ -242,23 +310,14 @@ impl RequestSource {
                     *mean_on_s > 0.0 && *mean_off_s > 0.0,
                     "on/off sojourn means must be positive"
                 );
-                let mut t = 0.0;
-                let mut on_left = src.rng.next_exp(*mean_on_s);
-                for _ in 0..workload.num_requests {
-                    let mut gap = src.rng.next_exp(1.0 / rate_rps);
-                    // Burn whole ON windows the gap jumps over; the
-                    // exponential is memoryless, so the residual gap
-                    // stays exponential and the thinned process is
-                    // exactly Poisson-on/silent-off.
-                    while gap > on_left {
-                        gap -= on_left;
-                        t += on_left + src.rng.next_exp(*mean_off_s);
-                        on_left = src.rng.next_exp(*mean_on_s);
-                    }
-                    t += gap;
-                    on_left -= gap;
-                    src.issue(t);
-                }
+                src.clock = Some(Clock::OnOff {
+                    t: 0.0,
+                    on_left: src.rng.next_exp(*mean_on_s),
+                    gap_mean: 1.0 / rate_rps,
+                    mean_on_s: *mean_on_s,
+                    mean_off_s: *mean_off_s,
+                    envelope: None,
+                });
             }
             ArrivalProcess::DiurnalOnOff {
                 rate_rps,
@@ -287,31 +346,20 @@ impl RequestSource {
                 );
                 // Candidates at the highest instantaneous rate, thinned
                 // down to the modulated one — exact for Poisson streams.
-                let peak = rate_rps * flash_mult;
-                let mut t = 0.0;
-                let mut on_left = src.rng.next_exp(*mean_on_s);
-                while src.issued < workload.num_requests {
-                    let mut gap = src.rng.next_exp(1.0 / peak);
-                    while gap > on_left {
-                        gap -= on_left;
-                        t += on_left + src.rng.next_exp(*mean_off_s);
-                        on_left = src.rng.next_exp(*mean_on_s);
-                    }
-                    t += gap;
-                    on_left -= gap;
-                    let envelope = trough
-                        + (1.0 - trough)
-                            * 0.5
-                            * (1.0 - (std::f64::consts::TAU * t / period_s).cos());
-                    let flash = if t % flash_every_s < *flash_width_s {
-                        *flash_mult
-                    } else {
-                        1.0
-                    };
-                    if src.rng.next_f64() * flash_mult < envelope * flash {
-                        src.issue(t);
-                    }
-                }
+                src.clock = Some(Clock::OnOff {
+                    t: 0.0,
+                    on_left: src.rng.next_exp(*mean_on_s),
+                    gap_mean: 1.0 / (rate_rps * flash_mult),
+                    mean_on_s: *mean_on_s,
+                    mean_off_s: *mean_off_s,
+                    envelope: Some(Envelope {
+                        period_s: *period_s,
+                        trough: *trough,
+                        flash_every_s: *flash_every_s,
+                        flash_width_s: *flash_width_s,
+                        flash_mult: *flash_mult,
+                    }),
+                });
             }
             ArrivalProcess::Trace { arrivals_s } => {
                 let mut tape: Vec<f64> = arrivals_s
@@ -333,7 +381,48 @@ impl RequestSource {
                 }
             }
         }
+        src.draw();
         src
+    }
+
+    /// A source for `workload` that has issued nothing and has no
+    /// arrival process attached yet.
+    fn bare(workload: &Workload) -> Self {
+        assert!(
+            !workload.classes.is_empty(),
+            "a workload needs at least one class"
+        );
+        assert!(
+            workload.classes.iter().any(|c| c.share > 0.0),
+            "at least one class needs positive share"
+        );
+        assert!(
+            workload.classes.len() <= usize::from(u8::MAX) + 1,
+            "at most 256 SLO classes (class ids are u8)"
+        );
+        Self {
+            pending: VecDeque::new(),
+            rng: ServeRng::new(workload.seed),
+            clock: None,
+            prompt_lens: workload.prompt_lens.clone(),
+            output_lens: workload.output_lens.clone(),
+            classes: workload.classes.clone(),
+            class_issued: vec![0; workload.classes.len()],
+            issued: 0,
+            budget: workload.num_requests,
+            think_s: None,
+        }
+    }
+
+    /// Issues the open-loop generator's next request, if it has one
+    /// left. The clock is borrowed in place: this runs once per arrival.
+    fn draw(&mut self) {
+        if self.issued < self.budget {
+            if let Some(clock) = &mut self.clock {
+                let t = clock.next(&mut self.rng);
+                self.issue(t);
+            }
+        }
     }
 
     /// Samples a class index by cumulative share. Single-class
@@ -400,13 +489,15 @@ impl RequestSource {
         self.pending.front().map(|r| r.arrival_s)
     }
 
-    /// Pops the next request if it has arrived by `now`.
+    /// Pops the next request if it has arrived by `now`; a lazy
+    /// open-loop source then draws the one after it.
     pub fn pop_ready(&mut self, now: f64) -> Option<Request> {
-        if self.pending.front()?.arrival_s <= now {
-            self.pending.pop_front()
-        } else {
-            None
+        if self.pending.front()?.arrival_s > now {
+            return None;
         }
+        let req = self.pending.pop_front();
+        self.draw();
+        req
     }
 
     /// Notifies the source that a request finished at `finish_s`; in
@@ -428,13 +519,15 @@ impl RequestSource {
         self.pending.is_empty() && self.issued >= self.budget
     }
 
-    /// Requests issued so far.
+    /// Requests issued so far: handed out plus [pending](Self::pending).
     #[must_use]
     pub fn issued(&self) -> u32 {
         self.issued
     }
 
-    /// Requests generated but not yet handed to a scheduler.
+    /// Requests generated but not yet handed to a scheduler: at most
+    /// one for a fresh Poisson, on/off or diurnal source, the whole
+    /// materialised remainder for one restored from a snapshot.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.pending.len()
@@ -445,7 +538,19 @@ impl RequestSource {
     /// are rebuilt from the workload at restore time (they may hold
     /// `&'static str` names a byte stream cannot carry), which is why
     /// snapshots fingerprint the workload instead of embedding it.
+    ///
+    /// A lazy source writes the state an eagerly generated tape would
+    /// hold: a clone draws the rest of the tape and is written instead,
+    /// so the bytes do not depend on how far generation had got.
     pub(crate) fn save(&self, w: &mut SnapshotWriter) {
+        if self.clock.is_some() {
+            let mut tape = self.clone();
+            while tape.issued < tape.budget {
+                tape.draw();
+            }
+            tape.clock = None;
+            return tape.save(w);
+        }
         w.put_u64(self.rng.state());
         w.put_u32(self.issued);
         w.put_u32(self.budget);
@@ -484,6 +589,7 @@ impl RequestSource {
         Ok(Self {
             pending,
             rng,
+            clock: None,
             prompt_lens: workload.prompt_lens.clone(),
             output_lens: workload.output_lens.clone(),
             classes: workload.classes.clone(),
@@ -681,6 +787,8 @@ pub fn fuzz_tape(family: FuzzFamily, seed: u64) -> Workload {
 mod tests {
     use super::*;
     use crate::class::SloTargets;
+    use crate::snapshot::SnapshotWriter;
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn drain(src: &mut RequestSource) -> Vec<Request> {
         let mut v = Vec::new();
@@ -688,6 +796,166 @@ mod tests {
             v.push(r);
         }
         v
+    }
+
+    /// The eager generator the random open-loop processes used before
+    /// they went lazy: the whole tape drawn in `new`, in the same RNG
+    /// order, with nothing left to draw.
+    fn eager(workload: &Workload) -> RequestSource {
+        let mut src = RequestSource::bare(workload);
+        match &workload.arrivals {
+            ArrivalProcess::Poisson { rate_rps } => {
+                let mut t = 0.0;
+                for _ in 0..workload.num_requests {
+                    t += src.rng.next_exp(1.0 / rate_rps);
+                    src.issue(t);
+                }
+            }
+            ArrivalProcess::OnOff {
+                rate_rps,
+                mean_on_s,
+                mean_off_s,
+            } => {
+                let mut t = 0.0;
+                let mut on_left = src.rng.next_exp(*mean_on_s);
+                for _ in 0..workload.num_requests {
+                    let mut gap = src.rng.next_exp(1.0 / rate_rps);
+                    while gap > on_left {
+                        gap -= on_left;
+                        t += on_left + src.rng.next_exp(*mean_off_s);
+                        on_left = src.rng.next_exp(*mean_on_s);
+                    }
+                    t += gap;
+                    on_left -= gap;
+                    src.issue(t);
+                }
+            }
+            ArrivalProcess::DiurnalOnOff {
+                rate_rps,
+                mean_on_s,
+                mean_off_s,
+                period_s,
+                trough,
+                flash_every_s,
+                flash_width_s,
+                flash_mult,
+            } => {
+                let peak = rate_rps * flash_mult;
+                let mut t = 0.0;
+                let mut on_left = src.rng.next_exp(*mean_on_s);
+                while src.issued < workload.num_requests {
+                    let mut gap = src.rng.next_exp(1.0 / peak);
+                    while gap > on_left {
+                        gap -= on_left;
+                        t += on_left + src.rng.next_exp(*mean_off_s);
+                        on_left = src.rng.next_exp(*mean_on_s);
+                    }
+                    t += gap;
+                    on_left -= gap;
+                    let envelope = trough
+                        + (1.0 - trough)
+                            * 0.5
+                            * (1.0 - (std::f64::consts::TAU * t / period_s).cos());
+                    let flash = if t % flash_every_s < *flash_width_s {
+                        *flash_mult
+                    } else {
+                        1.0
+                    };
+                    if src.rng.next_f64() * flash_mult < envelope * flash {
+                        src.issue(t);
+                    }
+                }
+            }
+            other => unreachable!("no eager reference for {other:?}"),
+        }
+        src
+    }
+
+    /// The source's SOURCE-section payload, as a snapshot writes it.
+    fn saved(src: &RequestSource) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.begin_section(1);
+        src.save(&mut w);
+        w.end_section();
+        w.finish()
+    }
+
+    fn same_request(a: &Request, b: &Request) -> bool {
+        a == b
+            && a.arrival_s.to_bits() == b.arrival_s.to_bits()
+            && a.deadline_s.to_bits() == b.deadline_s.to_bits()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A lazily drawn Poisson, on/off or diurnal source hands out
+        /// exactly the eager tape (arrival times compared by bits),
+        /// never holds more than one request ahead, and snapshots to
+        /// the eager source's bytes at the start and after `k` pops.
+        #[test]
+        fn lazy_tape_is_the_eager_tape(
+            seed in 0u64..1 << 48,
+            kind in 0u8..3,
+            rate_rps in 5.0f64..5000.0,
+            on_off in (0.0005f64..0.5, 0.0005f64..0.5),
+            diurnal in (0.05f64..5.0, 0.05f64..1.0, 0.01f64..1.0, 0.0f64..0.95, 1.0f64..6.0),
+            mix in (0u32..300, 1usize..=2, 0.0f64..1.0),
+        ) {
+            let (mean_on_s, mean_off_s) = on_off;
+            let (period_s, trough, flash_every_s, width_frac, flash_mult) = diurnal;
+            let (num_requests, n_classes, pop_frac) = mix;
+            let arrivals = match kind {
+                0 => ArrivalProcess::Poisson { rate_rps },
+                1 => ArrivalProcess::OnOff { rate_rps, mean_on_s, mean_off_s },
+                _ => ArrivalProcess::DiurnalOnOff {
+                    rate_rps,
+                    mean_on_s,
+                    mean_off_s,
+                    period_s,
+                    trough,
+                    flash_every_s,
+                    flash_width_s: width_frac * flash_every_s,
+                    flash_mult,
+                },
+            };
+            let classes = [
+                ClassSpec {
+                    share: 2.0,
+                    tenants: 3,
+                    ..ClassSpec::interactive()
+                },
+                ClassSpec {
+                    prompt_lens: Some(LengthDistribution::Uniform { lo: 1, hi: 900 }),
+                    ..ClassSpec::batch()
+                },
+            ];
+            let w = Workload {
+                arrivals,
+                prompt_lens: LengthDistribution::Uniform { lo: 16, hi: 512 },
+                output_lens: LengthDistribution::Uniform { lo: 1, hi: 64 },
+                num_requests,
+                seed,
+                classes: classes[..n_classes].to_vec(),
+            };
+            let mut lazy = RequestSource::new(&w);
+            let mut reference = eager(&w);
+            prop_assert!(saved(&lazy) == saved(&reference), "fresh snapshot bytes differ");
+            let k = (f64::from(num_requests) * pop_frac) as u32;
+            for i in 0..=num_requests {
+                prop_assert!(lazy.pending() <= 1, "{} requests pending", lazy.pending());
+                if i == k {
+                    prop_assert!(saved(&lazy) == saved(&reference), "bytes differ after {k} pops");
+                }
+                match (lazy.pop_ready(f64::INFINITY), reference.pop_ready(f64::INFINITY)) {
+                    (Some(a), Some(b)) => prop_assert!(same_request(&a, &b), "{a:?} != {b:?}"),
+                    (None, None) => prop_assert_eq!(i, num_requests),
+                    (a, b) => prop_assert!(false, "tape lengths differ: {a:?} vs {b:?}"),
+                }
+            }
+            prop_assert!(lazy.exhausted() && reference.exhausted());
+            prop_assert_eq!(lazy.issued(), num_requests);
+        }
     }
 
     #[test]

@@ -1161,13 +1161,11 @@ impl FleetRun {
 /// [`ServeReport::utilization`] on the merged report is therefore
 /// *machine-seconds per wall-second* — up to N for an N-replica fleet;
 /// [`FleetReport::fleet_utilization`] normalises it.
+///
+/// The merged records are in fleet-wide completion order, merged from
+/// the replicas' already sorted records (see [`merge_records`]).
 pub(crate) fn merge(replicas: &[ServeReport]) -> ServeReport {
-    let mut records: Vec<RequestRecord> = replicas
-        .iter()
-        .flat_map(|r| r.records.iter().copied())
-        .collect();
-    // Fleet-wide completion order; ids break exact finish-time ties.
-    records.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+    let records = merge_records(replicas);
     let mut rejected_requests: Vec<_> = replicas
         .iter()
         .flat_map(|r| r.rejected_requests.iter().copied())
@@ -1202,6 +1200,45 @@ pub(crate) fn merge(replicas: &[ServeReport]) -> ServeReport {
             .max()
             .unwrap_or(0),
     }
+}
+
+/// Every replica's records in fleet-wide completion order: `finish_s`
+/// under `f64::total_cmp`, ids breaking exact ties.
+///
+/// A core records completions in clock order, so each replica's records
+/// are already sorted by `finish_s`. A winner tree over the replicas'
+/// next records, keyed like the wake calendar, merges them straight
+/// into a vector of exact capacity, lower replica first on ties. A run
+/// of equal finish times can still be out of id order — across replicas,
+/// and within one, whose same-iteration completions are pushed in batch
+/// order — so each such run is sorted by the full comparator last.
+/// Runs are grouped by `==`, not by bits, so a replica's `0.0, -0.0`
+/// (in order under `<=`, not under `total_cmp`) is put right as well.
+fn merge_records(replicas: &[ServeReport]) -> Vec<RequestRecord> {
+    let head =
+        |recs: &[RequestRecord], at: usize| recs.get(at).map_or(u64::MAX, |r| wake_key(r.finish_s));
+    let total = replicas.iter().map(|r| r.records.len()).sum();
+    let mut records = Vec::with_capacity(total);
+    let mut next = vec![0usize; replicas.len()];
+    let mut heads = MinTree::new(
+        replicas.iter().map(|r| head(&r.records, 0)).collect(),
+        u64::MAX,
+    );
+    for _ in 0..total {
+        // A drained replica's `u64::MAX` never beats a record: the
+        // largest key a non-NaN finish time folds to is `+inf`'s.
+        let (i, _) = heads.min();
+        let recs = &replicas[i].records;
+        records.push(recs[next[i]]);
+        next[i] += 1;
+        heads.set(i, head(recs, next[i]));
+    }
+    for run in records.chunk_by_mut(|a, b| a.finish_s == b.finish_s) {
+        if run.len() > 1 {
+            run.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+        }
+    }
+    records
 }
 
 /// The outcome of serving one workload across a fleet.
@@ -1466,6 +1503,90 @@ mod tests {
                 3 => (rng.next_u64() % (1 << 40)) as f64,
                 _ => (rng.next_u64() % 4096) as f64 / 16.0,
             })?;
+        }
+    }
+
+    /// `width` replicas of finish-sorted records. Finish times come from
+    /// a small grid (signed zeros included) so ties are common within
+    /// and across replicas, ids are shuffled so tied runs arrive out of
+    /// id order, and about a quarter of the replicas are empty.
+    fn random_replicas(seed: u64, width: usize) -> Vec<ServeReport> {
+        let mut rng = crate::rng::ServeRng::new(seed);
+        let lens: Vec<usize> = (0..width)
+            .map(|_| match rng.next_u64() % 4 {
+                0 => 0,
+                _ => 1 + (rng.next_u64() % 12) as usize,
+            })
+            .collect();
+        let mut ids: Vec<u32> = (0..lens.iter().sum::<usize>() as u32).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        let mut ids = ids.into_iter();
+        lens.iter()
+            .map(|&len| {
+                let mut records: Vec<RequestRecord> = (0..len)
+                    .map(|_| {
+                        let finish_s = match rng.next_u64() % 16 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            k => (k % 6) as f64 / 4.0,
+                        };
+                        RequestRecord {
+                            id: ids.next().expect("one id per record"),
+                            arrival_s: 0.0,
+                            admit_s: 0.0,
+                            first_token_s: 0.0,
+                            finish_s,
+                            prompt_len: 1,
+                            output_len: 1,
+                            tenant: 0,
+                            class: 0,
+                            preemptions: 0,
+                        }
+                    })
+                    .collect();
+                // Core order: non-decreasing by `<=`, so signed zeros
+                // stay in whatever order they were drawn.
+                records.sort_by(|a, b| a.finish_s.partial_cmp(&b.finish_s).expect("no NaN"));
+                ServeReport {
+                    records,
+                    rejected: 0,
+                    rejected_requests: vec![],
+                    preemptions: 0,
+                    makespan_s: 0.0,
+                    decode_busy_s: 0.0,
+                    prefill_busy_s: 0.0,
+                    decode_iterations: 0,
+                    peak_batch: 0,
+                    peak_reserved_tokens: 0,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The winner-tree merge equals the collect-and-sort it
+        /// replaced, record for record and bit for bit.
+        #[test]
+        fn merge_equals_the_sort_it_replaced(
+            seed in 0u64..1 << 48,
+            width in proptest::sample::select(vec![1usize, 3, 64, 1000]),
+        ) {
+            let replicas = random_replicas(seed, width);
+            let mut expected: Vec<RequestRecord> = replicas
+                .iter()
+                .flat_map(|r| r.records.iter().copied())
+                .collect();
+            expected.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+            let merged = merge(&replicas).records;
+            let bits = |recs: &[RequestRecord]| -> Vec<(u32, u64)> {
+                recs.iter().map(|r| (r.id, r.finish_s.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&merged), bits(&expected));
+            proptest::prop_assert_eq!(merged.capacity(), expected.len());
         }
     }
 

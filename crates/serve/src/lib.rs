@@ -110,7 +110,7 @@ pub use digest::{
 };
 pub use fleet::{Fleet, FleetBuilder, FleetReplica, FleetReport, FleetRun, PerfCounters};
 pub use lifecycle::{churn_tape, FleetEvent, FleetEventKind, LifecycleCounts, LifecycleState};
-pub use metrics::{scratch_reuse_hits, ClassSlo, MultiClassReport, SloReport};
+pub use metrics::{ClassSlo, MultiClassReport, SloReport};
 pub use policy::{
     ActiveRequest, DeadlineEdf, Fifo, PriorityAging, QueuedRequest, SchedulingPolicy,
     ShortestJobFirst,

@@ -1,26 +1,11 @@
 //! SLO reporting: latency percentiles, goodput and utilisation —
 //! aggregate and per SLO class.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::class::{ClassSpec, SloTargets};
 use crate::request::RequestRecord;
 use crate::scheduler::ServeReport;
 use rpu_util::stats::Percentiles;
 use rpu_util::table::{num, Table};
-
-/// Latency summaries served from an already-allocated scratch buffer
-/// (no realloc), process-wide. Diagnostic only — the repro driver's
-/// `--counters` report reads it to confirm the reporting path stays
-/// allocation-free after its first buffer.
-static SCRATCH_REUSE_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of latency summaries that reused an existing
-/// scratch allocation instead of growing one.
-#[must_use]
-pub fn scratch_reuse_hits() -> u64 {
-    SCRATCH_REUSE_HITS.load(Ordering::Relaxed)
-}
 
 /// Aggregated serving metrics for one run (or one class of it).
 #[derive(Debug, Clone, PartialEq)]
@@ -61,46 +46,43 @@ impl SloReport {
     /// Summarises a serve run against one set of SLO targets.
     #[must_use]
     pub fn new(report: &ServeReport, slo: &SloTargets) -> Self {
-        let records: Vec<&RequestRecord> = report.records.iter().collect();
-        summarise(&records, report.rejected, report, &|_| *slo)
+        summarise(&report.records, |_| true, report.rejected, report, |_| *slo)
     }
 }
 
-/// Builds one [`SloReport`] over a record subset, judging each record
-/// against the targets `slo_of` assigns it. Rates share the run's
+/// Builds one [`SloReport`] over the records `keep` selects, judging
+/// each against the targets `slo_of` assigns it. Rates share the run's
 /// makespan, so per-class rates sum to the aggregate's.
 fn summarise(
-    records: &[&RequestRecord],
+    records: &[RequestRecord],
+    keep: impl Fn(&RequestRecord) -> bool + Copy,
     rejected: u32,
     run: &ServeReport,
-    slo_of: &dyn Fn(&RequestRecord) -> SloTargets,
+    slo_of: impl Fn(&RequestRecord) -> SloTargets,
 ) -> SloReport {
-    // One scratch buffer serves all three latency summaries: filled,
-    // summarised by selection (no sort, no per-metric allocation),
-    // refilled. At fleet scale the old path — three sample vectors,
-    // each fully sorted — dominated report time.
-    let mut scratch: Vec<f64> = Vec::with_capacity(records.len());
-    let summarise_metric = |scratch: &mut Vec<f64>, sample: &dyn Fn(&RequestRecord) -> f64| {
-        let cap = scratch.capacity();
+    let kept = || records.iter().filter(move |r| keep(r));
+    let completed = kept().count();
+    // One scratch buffer serves all three latency summaries: filled in
+    // record order (the mean accumulates in that order), summarised by
+    // selection (no sort, no per-metric allocation), refilled. At fleet
+    // scale the old path — three sample vectors, each fully sorted —
+    // dominated report time.
+    let mut scratch: Vec<f64> = Vec::with_capacity(completed);
+    let mut summary = |sample: fn(&RequestRecord) -> f64| {
         scratch.clear();
-        scratch.extend(records.iter().map(|r| sample(r)));
-        if cap > 0 && scratch.capacity() == cap {
-            SCRATCH_REUSE_HITS.fetch_add(1, Ordering::Relaxed);
-        }
-        Percentiles::from_scratch(scratch)
+        scratch.extend(kept().map(sample));
+        Percentiles::from_scratch(&mut scratch)
     };
-    let ttft = summarise_metric(&mut scratch, &RequestRecord::ttft_s);
-    let tpot = summarise_metric(&mut scratch, &RequestRecord::tpot_s);
-    let e2e = summarise_metric(&mut scratch, &RequestRecord::e2e_s);
-    let good = records
-        .iter()
+    let ttft = summary(RequestRecord::ttft_s);
+    let tpot = summary(RequestRecord::tpot_s);
+    let e2e = summary(RequestRecord::e2e_s);
+    let good = kept()
         .filter(|r| {
             let slo = slo_of(r);
             r.ttft_s() <= slo.ttft_s && r.tpot_s() <= slo.tpot_s
         })
         .count();
-    let completed = records.len();
-    let tokens: u64 = records.iter().map(|r| u64::from(r.output_len)).sum();
+    let tokens: u64 = kept().map(|r| u64::from(r.output_len)).sum();
     let span = run.makespan_s.max(f64::MIN_POSITIVE);
     SloReport {
         ttft,
@@ -171,17 +153,11 @@ impl MultiClassReport {
                 .get(r.class as usize)
                 .map_or_else(SloTargets::interactive, |c| c.slo)
         };
-        let all: Vec<&RequestRecord> = report.records.iter().collect();
-        let aggregate = summarise(&all, report.rejected, report, &slo_of);
+        let aggregate = summarise(&report.records, |_| true, report.rejected, report, slo_of);
         let per_class = classes
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let recs: Vec<&RequestRecord> = report
-                    .records
-                    .iter()
-                    .filter(|r| usize::from(r.class) == i)
-                    .collect();
                 let rejected = report
                     .rejected_requests
                     .iter()
@@ -190,7 +166,13 @@ impl MultiClassReport {
                 ClassSlo {
                     name: spec.name,
                     slo: spec.slo,
-                    report: summarise(&recs, rejected, report, &|_| spec.slo),
+                    report: summarise(
+                        &report.records,
+                        |r| usize::from(r.class) == i,
+                        rejected,
+                        report,
+                        |_| spec.slo,
+                    ),
                 }
             })
             .collect();

@@ -223,7 +223,10 @@ pub fn serve_with(
 pub struct RunStats {
     /// Requests issued by the arrival source so far.
     pub issued: u32,
-    /// Issued but not yet handed to any scheduler.
+    /// Issued but not yet handed to any scheduler. A fresh Poisson,
+    /// on/off or diurnal run holds at most one (its source draws one
+    /// request ahead); a run restored from a snapshot holds the
+    /// materialised remainder of its tape.
     pub pending_arrivals: usize,
     /// Waiting in scheduler queues (all replicas).
     pub queued: u32,
