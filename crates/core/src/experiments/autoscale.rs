@@ -196,11 +196,10 @@ impl Condition {
 /// contributes its full width. Identical scoring for every condition.
 #[must_use]
 pub fn slo_violation_seconds(report: &FleetReport) -> f64 {
-    let records = &report.aggregate.records;
-    let horizon = records.iter().fold(0.0f64, |m, r| m.max(r.arrival_s));
+    let horizon = report.records().fold(0.0f64, |m, r| m.max(r.arrival_s));
     let windows = (horizon / SLO_WINDOW_S).floor() as usize + 1;
     let mut ttfts: Vec<Vec<f64>> = vec![Vec::new(); windows];
-    for r in records {
+    for r in report.records() {
         ttfts[(r.arrival_s / SLO_WINDOW_S).floor() as usize].push(r.ttft_s());
     }
     let violated = ttfts
@@ -225,9 +224,7 @@ pub fn run_point(condition: Condition) -> AutoscalePoint {
         }
     };
     let ttfts: Vec<f64> = report
-        .aggregate
-        .records
-        .iter()
+        .records()
         .map(rpu_serve::RequestRecord::ttft_s)
         .collect();
     AutoscalePoint {

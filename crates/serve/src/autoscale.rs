@@ -410,9 +410,7 @@ mod tests {
         let scaled_report = run_autoscaled(&mut f, &wl, &mut JoinShortestQueue, &mut scaler);
         let p99 = |r: &FleetReport| {
             let mut t: Vec<f64> = r
-                .aggregate
-                .records
-                .iter()
+                .records()
                 .map(crate::request::RequestRecord::ttft_s)
                 .collect();
             t.sort_by(f64::total_cmp);

@@ -119,9 +119,15 @@ fn hash_record(w: &mut DigestWriter, r: &RequestRecord) {
     w.u32(r.preemptions);
 }
 
-fn hash_serve_report(w: &mut DigestWriter, r: &ServeReport) {
-    w.usize(r.records.len());
-    for rec in &r.records {
+/// Hashes a report whose records are `records` — its own, or a fleet
+/// aggregate's read through the completion order.
+fn hash_serve_report<'a, R>(
+    w: &mut DigestWriter,
+    records: impl ExactSizeIterator<Item = &'a RequestRecord>,
+    r: &ServeReport<R>,
+) {
+    w.usize(records.len());
+    for rec in records {
         hash_record(w, rec);
     }
     w.u32(r.rejected);
@@ -143,31 +149,36 @@ fn hash_serve_report(w: &mut DigestWriter, r: &ServeReport) {
 #[must_use]
 pub fn digest_serve_report(report: &ServeReport) -> ReportDigest {
     let mut w = DigestWriter::new();
-    hash_serve_report(&mut w, report);
+    hash_serve_report(&mut w, report.records.iter(), report);
     w.finish()
 }
 
 /// Digest of a fleet report: per-replica reports in replica order, the
-/// assignment vector, then the merged aggregate.
+/// assignment vector, then the merged aggregate. The aggregate hashes
+/// as a report that owns its records in completion order
+/// ([`FleetReport::records`]), so the digest is the same bytes whether
+/// the aggregate stores records or only their order.
 #[must_use]
 pub fn digest_fleet_report(report: &FleetReport) -> ReportDigest {
     let mut w = DigestWriter::new();
     w.usize(report.replicas.len());
     for r in &report.replicas {
-        hash_serve_report(&mut w, r);
+        hash_serve_report(&mut w, r.records.iter(), r);
     }
     for &n in &report.assigned {
         w.u32(n);
     }
-    hash_serve_report(&mut w, &report.aggregate);
+    hash_serve_report(&mut w, report.records(), &report.aggregate);
     w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::class::ClassSpec;
     use crate::cost::AnalyticCostModel;
     use crate::fleet::FleetBuilder;
+    use crate::metrics::MultiClassReport;
     use crate::policy::Fifo;
     use crate::router::RoundRobin;
     use crate::scheduler::{serve, ServeConfig};
@@ -227,6 +238,140 @@ mod tests {
         assert!(!a.imbalance().is_nan());
         for u in a.per_replica_utilization() {
             assert!(!u.is_nan());
+        }
+    }
+
+    /// The fleet digest as it was when the aggregate owned a sorted
+    /// copy of every record: the replicas, the assignments, then an
+    /// owned aggregate built by collect-and-sort, hashed field by
+    /// field.
+    fn owned_aggregate_digest(report: &FleetReport) -> ReportDigest {
+        fn hash_owned(w: &mut DigestWriter, r: &ServeReport) {
+            w.usize(r.records.len());
+            for rec in &r.records {
+                hash_record(w, rec);
+            }
+            w.u32(r.rejected);
+            w.usize(r.rejected_requests.len());
+            for req in &r.rejected_requests {
+                hash_request(w, req);
+            }
+            w.u32(r.preemptions);
+            w.f64(r.makespan_s);
+            w.f64(r.decode_busy_s);
+            w.f64(r.prefill_busy_s);
+            w.u64(r.decode_iterations);
+            w.u32(r.peak_batch);
+            w.u64(r.peak_reserved_tokens);
+        }
+        let mut w = DigestWriter::new();
+        w.usize(report.replicas.len());
+        for r in &report.replicas {
+            hash_owned(&mut w, r);
+        }
+        for &n in &report.assigned {
+            w.u32(n);
+        }
+        hash_owned(&mut w, &owned_aggregate(report));
+        w.finish()
+    }
+
+    /// The aggregate as it was built when it owned its records: every
+    /// replica's records collected and sorted into completion order.
+    fn owned_aggregate(report: &FleetReport) -> ServeReport {
+        let mut records: Vec<RequestRecord> = report
+            .replicas
+            .iter()
+            .flat_map(|r| r.records.iter().copied())
+            .collect();
+        records.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+        report.aggregate.with_records(records)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Finish-time ties within and across replicas, signed zeros
+        /// and empty replicas: the view digests as the owned, sorted
+        /// aggregate did.
+        #[test]
+        fn view_digest_equals_the_owned_aggregate_digest(
+            seed in 0u64..1 << 48,
+            width in proptest::sample::select(vec![1usize, 3, 64]),
+        ) {
+            let report = crate::fleet::tests::report_of(
+                crate::fleet::tests::random_replicas(seed, width),
+            );
+            proptest::prop_assert_eq!(
+                digest_fleet_report(&report),
+                owned_aggregate_digest(&report)
+            );
+        }
+
+        /// The same on simulated fleets under churn, with half the
+        /// replicas too small for the longest prompts rejecting them.
+        /// The SLO summaries read through the view (means in completion
+        /// order, quantiles from the replicas' records) equal those of
+        /// the owned aggregate bit for bit, an empty class's NaNs
+        /// included.
+        #[test]
+        fn churned_fleet_digest_equals_the_owned_aggregate_digest(
+            seed in 0u64..1 << 48,
+            width in proptest::sample::select(vec![1usize, 3, 64]),
+        ) {
+            use crate::lifecycle::churn_tape;
+            use rpu_models::LengthDistribution;
+            let wl = Workload {
+                prompt_lens: LengthDistribution::Uniform { lo: 8, hi: 1600 },
+                output_lens: LengthDistribution::Uniform { lo: 1, hi: 24 },
+                seed,
+                classes: vec![ClassSpec::interactive(), ClassSpec::batch()],
+                ..Workload::poisson(400.0 * width as f64, 1, 1, 256)
+            };
+            let small = AnalyticCostModel {
+                kv_capacity_tokens: 1024,
+                ..AnalyticCostModel::small()
+            };
+            let mut fleet = FleetBuilder::new()
+                .migration_delay_s(0.002)
+                .group(
+                    width.div_ceil(2),
+                    &ServeConfig::default(),
+                    || Box::new(small),
+                    || Box::new(Fifo),
+                )
+                .group(
+                    width / 2,
+                    &ServeConfig::default(),
+                    || Box::new(AnalyticCostModel::small()),
+                    || Box::new(Fifo),
+                )
+                .build();
+            let mut router = RoundRobin::new();
+            let mut run = fleet.start(&wl);
+            if width > 1 {
+                // Spread over the first half of the arrival span.
+                for ev in churn_tape(width as u32, seed, 0.32 / width as f64, 6) {
+                    run.inject(ev);
+                }
+            }
+            while run.step(&mut fleet, &mut router) {}
+            let report = run.into_report();
+            proptest::prop_assert!(report.aggregate.rejected > 0, "no rejections");
+            proptest::prop_assert!(width == 1 || report.lifecycle.events() > 0, "no churn");
+            proptest::prop_assert_eq!(
+                digest_fleet_report(&report),
+                owned_aggregate_digest(&report)
+            );
+            let classes = [
+                ClassSpec::interactive(),
+                ClassSpec::batch(),
+                ClassSpec { name: "unrouted", ..ClassSpec::batch() },
+            ];
+            proptest::prop_assert_eq!(
+                format!("{:?}", report.multi_class(&classes)),
+                format!("{:?}", MultiClassReport::new(&owned_aggregate(&report), &classes))
+            );
         }
     }
 

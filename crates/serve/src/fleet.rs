@@ -66,7 +66,7 @@
 //! let a = fleet.serve(&wl, &mut JoinShortestQueue);
 //! let b = fleet.serve(&wl, &mut JoinShortestQueue);
 //! assert_eq!(a.aggregate.records.len(), 64);
-//! assert_eq!(a.aggregate, b.aggregate);
+//! assert_eq!(a, b);
 //! assert_eq!(a.assigned.iter().sum::<u32>(), 64);
 //! ```
 
@@ -1151,7 +1151,8 @@ impl FleetRun {
     }
 }
 
-/// Folds per-replica reports into one fleet-wide [`ServeReport`].
+/// Folds per-replica reports into one fleet-wide [`ServeReport`] whose
+/// records are the completion order over the replicas' own records.
 ///
 /// Counts, busy times and iterations are sums over replicas (in replica
 /// order, so the fold is deterministic); the makespan spans the
@@ -1161,25 +1162,25 @@ impl FleetRun {
 /// [`ServeReport::utilization`] on the merged report is therefore
 /// *machine-seconds per wall-second* — up to N for an N-replica fleet;
 /// [`FleetReport::fleet_utilization`] normalises it.
-///
-/// The merged records are in fleet-wide completion order, merged from
-/// the replicas' already sorted records (see [`merge_records`]).
-pub(crate) fn merge(replicas: &[ServeReport]) -> ServeReport {
-    let records = merge_records(replicas);
+pub(crate) fn merge(replicas: &[ServeReport]) -> ServeReport<MergeOrder> {
+    let table = record_table(replicas);
+    let records = MergeOrder::of(&table);
     let mut rejected_requests: Vec<_> = replicas
         .iter()
         .flat_map(|r| r.rejected_requests.iter().copied())
         .collect();
     rejected_requests.sort_by_key(|r| r.id);
-    let first_arrival = records
+    // Both folds run in completion order, as they did over the owned
+    // aggregate, so a signed-zero tie resolves to the same bits.
+    let (mut first_arrival, mut last_finish) = (f64::INFINITY, f64::NEG_INFINITY);
+    for r in records.gather(table) {
+        first_arrival = first_arrival.min(r.arrival_s);
+        last_finish = last_finish.max(r.finish_s);
+    }
+    let first_arrival = rejected_requests
         .iter()
         .map(|r| r.arrival_s)
-        .chain(rejected_requests.iter().map(|r| r.arrival_s))
-        .fold(f64::INFINITY, f64::min);
-    let last_finish = records
-        .iter()
-        .map(|r| r.finish_s)
-        .fold(f64::NEG_INFINITY, f64::max);
+        .fold(first_arrival, f64::min);
     ServeReport {
         makespan_s: if last_finish.is_finite() && first_arrival.is_finite() {
             (last_finish - first_arrival).max(0.0)
@@ -1202,58 +1203,116 @@ pub(crate) fn merge(replicas: &[ServeReport]) -> ServeReport {
     }
 }
 
-/// Every replica's records in fleet-wide completion order: `finish_s`
-/// under `f64::total_cmp`, ids breaking exact ties.
+/// Each replica's records as one slice, indexed by replica: the table
+/// a [`MergeOrder`] is read through.
+fn record_table(replicas: &[ServeReport]) -> Vec<&[RequestRecord]> {
+    replicas.iter().map(|r| r.records.as_slice()).collect()
+}
+
+/// A fleet's completion order: one `(replica, index)` pair per
+/// completed request, naming `replicas[replica].records[index]`.
 ///
-/// A core records completions in clock order, so each replica's records
-/// are already sorted by `finish_s`. A winner tree over the replicas'
-/// next records, keyed like the wake calendar, merges them straight
-/// into a vector of exact capacity, lower replica first on ties. A run
-/// of equal finish times can still be out of id order — across replicas,
-/// and within one, whose same-iteration completions are pushed in batch
-/// order — so each such run is sorted by the full comparator last.
-/// Runs are grouped by `==`, not by bits, so a replica's `0.0, -0.0`
-/// (in order under `<=`, not under `total_cmp`) is put right as well.
-fn merge_records(replicas: &[ServeReport]) -> Vec<RequestRecord> {
-    let head =
-        |recs: &[RequestRecord], at: usize| recs.get(at).map_or(u64::MAX, |r| wake_key(r.finish_s));
-    let total = replicas.iter().map(|r| r.records.len()).sum();
-    let mut records = Vec::with_capacity(total);
-    let mut next = vec![0usize; replicas.len()];
-    let mut heads = MinTree::new(
-        replicas.iter().map(|r| head(&r.records, 0)).collect(),
-        u64::MAX,
-    );
-    for _ in 0..total {
-        // A drained replica's `u64::MAX` never beats a record: the
-        // largest key a non-NaN finish time folds to is `+inf`'s.
-        let (i, _) = heads.min();
-        let recs = &replicas[i].records;
-        records.push(recs[next[i]]);
-        next[i] += 1;
-        heads.set(i, head(recs, next[i]));
+/// The fleet aggregate holds this instead of a second copy of every
+/// record — 8 bytes per request against a 56-byte [`RequestRecord`] —
+/// and [`FleetReport::records`] reads the replicas' records through it.
+/// The order is `finish_s` under `f64::total_cmp`, ids breaking exact
+/// ties.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergeOrder(Vec<(u32, u32)>);
+
+impl MergeOrder {
+    /// Completed requests in the order.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
     }
-    for run in records.chunk_by_mut(|a, b| a.finish_s == b.finish_s) {
-        if run.len() > 1 {
-            run.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+
+    /// Whether no request completed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Merges the replicas' records, one slice per replica in `table`.
+    ///
+    /// A core records completions in clock order, so each replica's
+    /// records are already sorted by `finish_s`. A winner tree over the
+    /// replicas' next records, keyed like the wake calendar, merges
+    /// them straight into an order of exact capacity, lower replica
+    /// first on ties. A run of equal finish times can still be out of
+    /// id order — across replicas, and within one, whose
+    /// same-iteration completions are pushed in batch order — so each
+    /// such run is sorted by the full comparator last. Runs are grouped
+    /// by `==`, not by bits, so a replica's `0.0, -0.0` (in order under
+    /// `<=`, not under `total_cmp`) is put right as well.
+    fn of(table: &[&[RequestRecord]]) -> Self {
+        let head = |r: usize, at: u32| {
+            table[r]
+                .get(at as usize)
+                .map_or(u64::MAX, |rec| wake_key(rec.finish_s))
+        };
+        let total = table.iter().map(|recs| recs.len()).sum();
+        let mut order = Vec::with_capacity(total);
+        let mut next = vec![0u32; table.len()];
+        let mut heads = MinTree::new((0..table.len()).map(|r| head(r, 0)).collect(), u64::MAX);
+        for _ in 0..total {
+            // A drained replica's `u64::MAX` never beats a record: the
+            // largest key a non-NaN finish time folds to is `+inf`'s.
+            let (r, _) = heads.min();
+            order.push((r as u32, next[r]));
+            next[r] += 1;
+            heads.set(r, head(r, next[r]));
         }
+        let rec = |&(r, i): &(u32, u32)| &table[r as usize][i as usize];
+        for run in order.chunk_by_mut(|a, b| rec(a).finish_s == rec(b).finish_s) {
+            if run.len() > 1 {
+                run.sort_by(|a, b| {
+                    let (a, b) = (rec(a), rec(b));
+                    a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id))
+                });
+            }
+        }
+        Self(order)
     }
-    records
+
+    /// The records the order names, read through `table`.
+    fn gather<'a>(
+        &'a self,
+        table: Vec<&'a [RequestRecord]>,
+    ) -> impl ExactSizeIterator<Item = &'a RequestRecord> + Clone + 'a {
+        self.0
+            .iter()
+            .map(move |&(r, i)| &table[r as usize][i as usize])
+    }
 }
 
 /// The outcome of serving one workload across a fleet.
+///
+/// Every completion record is stored once, in the replica that
+/// completed it; the aggregate holds the fleet-wide completion order
+/// over them, and [`FleetReport::records`] reads them in that order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// One [`ServeReport`] per replica, in replica order. Each is
-    /// anchored at the first arrival *routed to that replica*.
+    /// anchored at the first arrival *routed to that replica*, and owns
+    /// its records in the order the replica completed them.
+    ///
+    /// The aggregate's order indexes these records by position, so
+    /// they must stay as the run left them: after a replica's records
+    /// are shortened, reordered or swapped for another report's,
+    /// [`FleetReport::records`], [`FleetReport::multi_class`] and
+    /// [`crate::digest_fleet_report`] panic or read the wrong records.
     pub replicas: Vec<ServeReport>,
     /// Requests the router sent to each replica (completions plus
     /// rejections, displaced re-routes included), index-aligned with
     /// `replicas`.
     pub assigned: Vec<u32>,
-    /// The fleet-wide merged report: records in completion order,
-    /// counts and busy-times summed, makespan spanning the whole run.
-    pub aggregate: ServeReport,
+    /// The fleet-wide merged report: counts and busy-times summed,
+    /// makespan spanning the whole run, and in place of records the
+    /// completion order over the replicas' records
+    /// ([`FleetReport::records`] reads through it). It is valid only
+    /// with the `replicas` it was merged from.
+    pub aggregate: ServeReport<MergeOrder>,
     /// Machine-seconds of capacity paid for: one second per non-down
     /// (live or draining) replica per sim second, integrated over the
     /// run. The cost axis the autoscaler trades against SLO-hours.
@@ -1264,6 +1323,20 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
+    /// Every completed request's record in fleet-wide completion order:
+    /// `finish_s` under `f64::total_cmp`, ids breaking exact ties. The
+    /// records are the replicas' own, read through the aggregate's
+    /// [`MergeOrder`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the order names a record that is gone: a replica's
+    /// records were shortened after the run (see
+    /// [`FleetReport::replicas`]).
+    pub fn records(&self) -> impl ExactSizeIterator<Item = &RequestRecord> + Clone + '_ {
+        self.aggregate.records.gather(record_table(&self.replicas))
+    }
+
     /// Number of provisioned replica slots.
     #[must_use]
     pub fn num_replicas(&self) -> usize {
@@ -1325,12 +1398,13 @@ impl FleetReport {
     /// see [`FleetReport::fleet_utilization`] for the normalised one.
     #[must_use]
     pub fn multi_class(&self, classes: &[ClassSpec]) -> MultiClassReport {
-        MultiClassReport::new(&self.aggregate, classes)
+        let stored = self.replicas.iter().flat_map(|r| r.records.iter());
+        MultiClassReport::over(self.records(), stored, &self.aggregate, classes)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::arrivals::ArrivalProcess;
     use crate::cost::AnalyticCostModel;
@@ -1510,7 +1584,7 @@ mod tests {
     /// a small grid (signed zeros included) so ties are common within
     /// and across replicas, ids are shuffled so tied runs arrive out of
     /// id order, and about a quarter of the replicas are empty.
-    fn random_replicas(seed: u64, width: usize) -> Vec<ServeReport> {
+    pub(crate) fn random_replicas(seed: u64, width: usize) -> Vec<ServeReport> {
         let mut rng = crate::rng::ServeRng::new(seed);
         let lens: Vec<usize> = (0..width)
             .map(|_| match rng.next_u64() % 4 {
@@ -1565,28 +1639,44 @@ mod tests {
             .collect()
     }
 
+    /// A fleet report over `replicas`, merged as `into_report` merges.
+    pub(crate) fn report_of(replicas: Vec<ServeReport>) -> FleetReport {
+        FleetReport {
+            aggregate: merge(&replicas),
+            assigned: vec![0; replicas.len()],
+            replicas,
+            machine_seconds: 0.0,
+            lifecycle: LifecycleCounts::default(),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The winner-tree merge equals the collect-and-sort it
-        /// replaced, record for record and bit for bit.
+        /// The completion-order view equals the collect-and-sort the
+        /// owned aggregate was once built by, record for record and bit
+        /// for bit, and the order costs one exact-capacity pair per
+        /// record.
         #[test]
         fn merge_equals_the_sort_it_replaced(
             seed in 0u64..1 << 48,
             width in proptest::sample::select(vec![1usize, 3, 64, 1000]),
         ) {
-            let replicas = random_replicas(seed, width);
-            let mut expected: Vec<RequestRecord> = replicas
+            let report = report_of(random_replicas(seed, width));
+            let mut expected: Vec<RequestRecord> = report
+                .replicas
                 .iter()
                 .flat_map(|r| r.records.iter().copied())
                 .collect();
             expected.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
-            let merged = merge(&replicas).records;
             let bits = |recs: &[RequestRecord]| -> Vec<(u32, u64)> {
                 recs.iter().map(|r| (r.id, r.finish_s.to_bits())).collect()
             };
-            proptest::prop_assert_eq!(bits(&merged), bits(&expected));
-            proptest::prop_assert_eq!(merged.capacity(), expected.len());
+            let viewed: Vec<RequestRecord> = report.records().copied().collect();
+            proptest::prop_assert_eq!(bits(&viewed), bits(&expected));
+            let order = &report.aggregate.records.0;
+            proptest::prop_assert_eq!(order.capacity(), expected.len());
+            proptest::prop_assert_eq!(std::mem::size_of_val(order.as_slice()), 8 * expected.len());
         }
     }
 
@@ -1658,11 +1748,8 @@ mod tests {
         assert_eq!(r.lifecycle, LifecycleCounts::default());
         assert!(r.machine_seconds > 0.0);
         // Merged records are in completion order.
-        assert!(r
-            .aggregate
-            .records
-            .windows(2)
-            .all(|w| w[0].finish_s <= w[1].finish_s));
+        let merged: Vec<&RequestRecord> = r.records().collect();
+        assert!(merged.windows(2).all(|w| w[0].finish_s <= w[1].finish_s));
     }
 
     #[test]
@@ -1670,12 +1757,7 @@ mod tests {
         let wl = Workload::poisson(3000.0, 512, 32, 96);
         let p99 = |n: usize| {
             let r = fleet(n).serve(&wl, &mut JoinShortestQueue);
-            let mut ttfts: Vec<f64> = r
-                .aggregate
-                .records
-                .iter()
-                .map(RequestRecord::ttft_s)
-                .collect();
+            let mut ttfts: Vec<f64> = r.records().map(RequestRecord::ttft_s).collect();
             ttfts.sort_by(f64::total_cmp);
             ttfts[ttfts.len() * 99 / 100]
         };

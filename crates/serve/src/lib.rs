@@ -108,7 +108,9 @@ pub use cost::{AnalyticCostModel, CostModel};
 pub use digest::{
     canonical_f64_bits, digest_fleet_report, digest_serve_report, DigestWriter, ReportDigest,
 };
-pub use fleet::{Fleet, FleetBuilder, FleetReplica, FleetReport, FleetRun, PerfCounters};
+pub use fleet::{
+    Fleet, FleetBuilder, FleetReplica, FleetReport, FleetRun, MergeOrder, PerfCounters,
+};
 pub use lifecycle::{churn_tape, FleetEvent, FleetEventKind, LifecycleCounts, LifecycleState};
 pub use metrics::{ClassSlo, MultiClassReport, SloReport};
 pub use policy::{

@@ -4,7 +4,7 @@
 use crate::class::{ClassSpec, SloTargets};
 use crate::request::RequestRecord;
 use crate::scheduler::ServeReport;
-use rpu_util::stats::Percentiles;
+use rpu_util::stats::{Moments, Percentiles};
 use rpu_util::table::{num, Table};
 
 /// Aggregated serving metrics for one run (or one class of it).
@@ -46,43 +46,71 @@ impl SloReport {
     /// Summarises a serve run against one set of SLO targets.
     #[must_use]
     pub fn new(report: &ServeReport, slo: &SloTargets) -> Self {
-        summarise(&report.records, |_| true, report.rejected, report, |_| *slo)
+        let mut tally = Tally::default();
+        for r in &report.records {
+            tally.push(r, *slo);
+        }
+        let mut scratch = Vec::with_capacity(report.records.len());
+        summarise(
+            &tally,
+            report.records.iter(),
+            report.rejected,
+            report,
+            &mut scratch,
+        )
     }
 }
 
-/// Builds one [`SloReport`] over the records `keep` selects, judging
-/// each against the targets `slo_of` assigns it. Rates share the run's
+/// The order-dependent half of one [`SloReport`]: counts, and the
+/// latency means and maxima accumulated in the order the records are
+/// pushed (completion order, so the means keep their bits).
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    completed: usize,
+    good: usize,
+    tokens: u64,
+    ttft: Moments,
+    tpot: Moments,
+    e2e: Moments,
+}
+
+impl Tally {
+    /// Counts `r`, judged against `slo`, and accumulates its latencies.
+    fn push(&mut self, r: &RequestRecord, slo: SloTargets) {
+        let (ttft, tpot) = (r.ttft_s(), r.tpot_s());
+        self.completed += 1;
+        self.good += usize::from(ttft <= slo.ttft_s && tpot <= slo.tpot_s);
+        self.tokens += u64::from(r.output_len);
+        self.ttft.push(ttft);
+        self.tpot.push(tpot);
+        self.e2e.push(r.e2e_s());
+    }
+}
+
+/// Builds one [`SloReport`] from its `tally` and its records, `stored`
+/// in any order — whichever is cheapest to read. Rates share the run's
 /// makespan, so per-class rates sum to the aggregate's.
-fn summarise(
-    records: &[RequestRecord],
-    keep: impl Fn(&RequestRecord) -> bool + Copy,
+///
+/// `stored` is walked once per latency summary, to fill the quantile
+/// samples: one caller-owned scratch buffer serves every summary,
+/// filled, summarised by selection (no sort, no per-metric
+/// allocation), refilled.
+fn summarise<'a, R>(
+    tally: &Tally,
+    stored: impl Iterator<Item = &'a RequestRecord> + Clone,
     rejected: u32,
-    run: &ServeReport,
-    slo_of: impl Fn(&RequestRecord) -> SloTargets,
+    run: &ServeReport<R>,
+    scratch: &mut Vec<f64>,
 ) -> SloReport {
-    let kept = || records.iter().filter(move |r| keep(r));
-    let completed = kept().count();
-    // One scratch buffer serves all three latency summaries: filled in
-    // record order (the mean accumulates in that order), summarised by
-    // selection (no sort, no per-metric allocation), refilled. At fleet
-    // scale the old path — three sample vectors, each fully sorted —
-    // dominated report time.
-    let mut scratch: Vec<f64> = Vec::with_capacity(completed);
-    let mut summary = |sample: fn(&RequestRecord) -> f64| {
+    let mut summary = |sample: fn(&RequestRecord) -> f64, moments| {
         scratch.clear();
-        scratch.extend(kept().map(sample));
-        Percentiles::from_scratch(&mut scratch)
+        scratch.extend(stored.clone().map(sample));
+        Percentiles::from_parts(scratch, moments)
     };
-    let ttft = summary(RequestRecord::ttft_s);
-    let tpot = summary(RequestRecord::tpot_s);
-    let e2e = summary(RequestRecord::e2e_s);
-    let good = kept()
-        .filter(|r| {
-            let slo = slo_of(r);
-            r.ttft_s() <= slo.ttft_s && r.tpot_s() <= slo.tpot_s
-        })
-        .count();
-    let tokens: u64 = kept().map(|r| u64::from(r.output_len)).sum();
+    let ttft = summary(RequestRecord::ttft_s, tally.ttft);
+    let tpot = summary(RequestRecord::tpot_s, tally.tpot);
+    let e2e = summary(RequestRecord::e2e_s, tally.e2e);
+    let (completed, good) = (tally.completed, tally.good);
     let span = run.makespan_s.max(f64::MIN_POSITIVE);
     SloReport {
         ttft,
@@ -91,7 +119,7 @@ fn summarise(
         completed: completed as u32,
         rejected,
         throughput_rps: completed as f64 / span,
-        throughput_tok_s: tokens as f64 / span,
+        throughput_tok_s: tally.tokens as f64 / span,
         goodput_rps: good as f64 / span,
         slo_attainment: if completed > 0 {
             good as f64 / completed as f64
@@ -148,16 +176,47 @@ impl MultiClassReport {
     /// in the aggregate and dropped from per-class slices.
     #[must_use]
     pub fn new(report: &ServeReport, classes: &[ClassSpec]) -> Self {
-        let slo_of = |r: &RequestRecord| {
-            classes
-                .get(r.class as usize)
-                .map_or_else(SloTargets::interactive, |c| c.slo)
-        };
-        let aggregate = summarise(&report.records, |_| true, report.rejected, report, slo_of);
+        let records = report.records.iter();
+        Self::over(records.clone(), records, report, classes)
+    }
+
+    /// [`MultiClassReport::new`] over records held outside `report`: a
+    /// fleet's, `ordered` read in completion order through its
+    /// aggregate's [`crate::MergeOrder`] and `stored` replica by
+    /// replica. Only the means need completion order, so `ordered` is
+    /// walked once, tallying every summary together; each summary's
+    /// quantile samples are filled from `stored`.
+    pub(crate) fn over<'a, R>(
+        ordered: impl ExactSizeIterator<Item = &'a RequestRecord>,
+        stored: impl Iterator<Item = &'a RequestRecord> + Clone,
+        report: &ServeReport<R>,
+        classes: &[ClassSpec],
+    ) -> Self {
+        // Every class's sample fits the aggregate's buffer.
+        let mut scratch = Vec::with_capacity(ordered.len());
+        let mut aggregate = Tally::default();
+        let mut per_class = vec![Tally::default(); classes.len()];
+        for r in ordered {
+            match classes.get(usize::from(r.class)) {
+                Some(spec) => {
+                    aggregate.push(r, spec.slo);
+                    per_class[usize::from(r.class)].push(r, spec.slo);
+                }
+                None => aggregate.push(r, SloTargets::interactive()),
+            }
+        }
+        let aggregate = summarise(
+            &aggregate,
+            stored.clone(),
+            report.rejected,
+            report,
+            &mut scratch,
+        );
         let per_class = classes
             .iter()
+            .zip(&per_class)
             .enumerate()
-            .map(|(i, spec)| {
+            .map(|(i, (spec, tally))| {
                 let rejected = report
                     .rejected_requests
                     .iter()
@@ -167,11 +226,11 @@ impl MultiClassReport {
                     name: spec.name,
                     slo: spec.slo,
                     report: summarise(
-                        &report.records,
-                        |r| usize::from(r.class) == i,
+                        tally,
+                        stored.clone().filter(|r| usize::from(r.class) == i),
                         rejected,
                         report,
-                        |_| spec.slo,
+                        &mut scratch,
                     ),
                 }
             })

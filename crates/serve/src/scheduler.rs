@@ -130,10 +130,15 @@ struct Slot {
 }
 
 /// The outcome of serving one workload.
+///
+/// `R` is the record store. A machine's own report owns its records
+/// (`Vec<RequestRecord>`); a fleet's aggregate holds only the
+/// completion order over its replicas' records (see
+/// [`crate::FleetReport::records`]), so every record is stored once.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
+pub struct ServeReport<R = Vec<RequestRecord>> {
     /// Completion records, in completion order.
-    pub records: Vec<RequestRecord>,
+    pub records: R,
     /// Requests dropped because they exceed machine capacity even as
     /// the only resident request.
     pub rejected: u32,
@@ -162,6 +167,27 @@ impl ServeReport {
     #[must_use]
     pub fn output_tokens(&self) -> u64 {
         self.records.iter().map(|r| u64::from(r.output_len)).sum()
+    }
+}
+
+impl<R> ServeReport<R> {
+    /// The same counters over another record store: for example
+    /// `fleet.aggregate.with_records(fleet.records().copied().collect())`
+    /// materialises a fleet's aggregate as an owned report.
+    #[must_use]
+    pub fn with_records<S>(&self, records: S) -> ServeReport<S> {
+        ServeReport {
+            records,
+            rejected: self.rejected,
+            rejected_requests: self.rejected_requests.clone(),
+            preemptions: self.preemptions,
+            makespan_s: self.makespan_s,
+            decode_busy_s: self.decode_busy_s,
+            prefill_busy_s: self.prefill_busy_s,
+            decode_iterations: self.decode_iterations,
+            peak_batch: self.peak_batch,
+            peak_reserved_tokens: self.peak_reserved_tokens,
+        }
     }
 
     /// Decode-machine utilisation: fraction of the makespan spent in

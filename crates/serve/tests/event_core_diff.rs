@@ -264,21 +264,36 @@ fn one_replica_fleet_degenerates_to_the_single_machine_scheduler() {
                 )
                 .build();
             let fleet_report = fleet.serve(&wl, router("round-robin").as_mut());
-            // The merge step orders records canonically by
-            // (finish time, id); the bare scheduler emits exact
-            // finish-time ties in batch order. Normalise the single
-            // run to the canonical order — every record and every
-            // scalar must then agree exactly.
+            // The replica's own report is the bare scheduler's, byte
+            // for byte: the same records in the same push order and
+            // the same scalars, with no normalisation.
+            assert_eq!(
+                digest_serve_report(&fleet_report.replicas[0]),
+                digest_serve_report(&single),
+                "workload {i} policy {name}: 1-replica fleet replica digest diverges"
+            );
+            assert_eq!(
+                fleet_report.replicas[0], single,
+                "workload {i} policy {name}: 1-replica fleet replica diverges"
+            );
+            // The aggregate orders records canonically by (finish
+            // time, id); the bare scheduler emits exact finish-time
+            // ties in batch order. Re-sorted, the single run is the
+            // aggregate read through its completion order — every
+            // record and every scalar.
             single
                 .records
                 .sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+            let aggregate = fleet_report
+                .aggregate
+                .with_records(fleet_report.records().copied().collect::<Vec<_>>());
             assert_eq!(
-                digest_serve_report(&fleet_report.aggregate),
+                digest_serve_report(&aggregate),
                 digest_serve_report(&single),
                 "workload {i} policy {name}: 1-replica fleet digest diverges"
             );
             assert_eq!(
-                fleet_report.aggregate, single,
+                aggregate, single,
                 "workload {i} policy {name}: 1-replica fleet diverges record-for-record"
             );
         }

@@ -147,7 +147,7 @@ fn single_replica_fleet_matches_bare_scheduler() {
                 // fleet-wide completion order.
                 let mut sorted = expected.records.clone();
                 sorted.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
-                assert_eq!(got.aggregate.records, sorted);
+                assert!(got.records().eq(&sorted));
                 assert_eq!(got.aggregate.makespan_s, expected.makespan_s);
                 assert_eq!(got.aggregate.decode_busy_s, expected.decode_busy_s);
                 assert_eq!(got.assigned, vec![wl.num_requests]);

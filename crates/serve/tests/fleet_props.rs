@@ -131,16 +131,15 @@ proptest! {
         let r = serve(&wl, n, router.as_mut(), &cfg);
         // Sum of per-replica output tokens == aggregate output tokens.
         let per_replica: u64 = r.replicas.iter().map(|p| p.output_tokens()).sum();
-        prop_assert_eq!(per_replica, r.aggregate.output_tokens());
+        let aggregate: u64 = r.records().map(|rec| u64::from(rec.output_len)).sum();
+        prop_assert_eq!(per_replica, aggregate);
         // Every issued request ends exactly once: completed or rejected.
         prop_assert_eq!(
             r.aggregate.records.len() as u32 + r.aggregate.rejected,
             wl.num_requests
         );
         let mut ids: Vec<u32> = r
-            .aggregate
-            .records
-            .iter()
+            .records()
             .map(|rec| rec.id)
             .chain(r.aggregate.rejected_requests.iter().map(|req| req.id))
             .collect();
@@ -149,7 +148,7 @@ proptest! {
         ids.dedup();
         prop_assert_eq!(ids.len(), before, "a request id appeared twice");
         // Completed requests emitted exactly their sampled output.
-        for rec in &r.aggregate.records {
+        for rec in r.records() {
             prop_assert!(rec.output_len >= 1);
             prop_assert!(rec.finish_s >= rec.first_token_s);
         }

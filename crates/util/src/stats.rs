@@ -85,11 +85,20 @@ pub fn percentile_mut(xs: &mut [f64], p: f64) -> f64 {
     if p.is_nan() || xs.is_empty() {
         return f64::NAN;
     }
+    select_percentile(xs, 0, p).0
+}
+
+/// [`percentile_mut`]'s selection over the non-empty, NaN-free `xs`,
+/// made inside `xs[from..]`: every element before `from` must rank at
+/// or below every element from it on, and `from` must not exceed the
+/// low rank of `p`. Returns the percentile and that low rank, which
+/// partitions `xs` the same way for a later call at a higher `p`.
+fn select_percentile(xs: &mut [f64], from: usize, p: f64) -> (f64, usize) {
     let rank = (p.clamp(0.0, 100.0) / 100.0) * (xs.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    let (_, &mut lo_v, right) = xs.select_nth_unstable_by(lo, f64::total_cmp);
+    let (_, &mut lo_v, right) = xs[from..].select_nth_unstable_by(lo - from, f64::total_cmp);
     let hi_v = if hi == lo {
         lo_v
     } else {
@@ -103,7 +112,7 @@ pub fn percentile_mut(xs: &mut [f64], p: f64) -> f64 {
             .min_by(f64::total_cmp)
             .expect("hi < len, so the right partition is non-empty")
     };
-    lo_v + frac * (hi_v - lo_v)
+    (lo_v + frac * (hi_v - lo_v), lo)
 }
 
 /// The p50/p95/p99 latency summary used by SLO reporting, with the mean
@@ -134,15 +143,38 @@ impl Percentiles {
     }
 
     /// [`Percentiles::from_samples`] over a caller-owned scratch
-    /// buffer: NaNs are filtered out of `scratch` in place (order
-    /// preserved, so the mean accumulates in sample order and matches
-    /// [`Percentiles::from_samples`] bit-for-bit), then each quantile
-    /// is selected without sorting. The buffer is left permuted;
-    /// reusing it across metrics amortises the one allocation the
-    /// summary needs.
+    /// buffer: the mean and maximum accumulate in sample order (so the
+    /// mean matches [`Percentiles::from_samples`] bit-for-bit), then
+    /// the quantiles are selected as in [`Percentiles::from_parts`].
+    /// The buffer is left NaN-free and permuted; reusing it across
+    /// metrics amortises the one allocation the summary needs.
     #[must_use]
     pub fn from_scratch(scratch: &mut Vec<f64>) -> Self {
+        let mut moments = Moments::new();
+        for &x in scratch.iter() {
+            moments.push(x);
+        }
+        Self::from_parts(scratch, moments)
+    }
+
+    /// The summary of a sample set whose mean and maximum were already
+    /// accumulated into `moments`, in the order the mean must keep,
+    /// with the quantiles selected from `scratch` — the same samples
+    /// in any order. NaNs are filtered out of `scratch` in place, then
+    /// each quantile is selected without sorting, each inside the
+    /// previous one's right partition: p95 among the samples at or
+    /// above the p50 rank, p99 among those at or above the p95 rank.
+    /// Order statistics are exact, so each equals [`percentile`] bit
+    /// for bit whatever the order of `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics when `scratch` and `moments` count different
+    /// non-NaN samples.
+    #[must_use]
+    pub fn from_parts(scratch: &mut Vec<f64>, moments: Moments) -> Self {
         scratch.retain(|x| !x.is_nan());
+        debug_assert_eq!(scratch.len(), moments.n, "moments of other samples");
         if scratch.is_empty() {
             return Self {
                 p50: f64::NAN,
@@ -152,16 +184,53 @@ impl Percentiles {
                 max: f64::NAN,
             };
         }
-        // Mean and max read the pristine sample order before the
-        // selection passes permute the buffer.
-        let mean = mean(scratch);
-        let max = scratch.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let (p50, lo) = select_percentile(scratch, 0, 50.0);
+        let (p95, lo) = select_percentile(scratch, lo, 95.0);
+        let (p99, _) = select_percentile(scratch, lo, 99.0);
         Self {
-            p50: percentile_mut(scratch, 50.0),
-            p95: percentile_mut(scratch, 95.0),
-            p99: percentile_mut(scratch, 99.0),
-            mean,
-            max,
+            p50,
+            p95,
+            p99,
+            mean: moments.sum / moments.n as f64,
+            max: moments.max,
+        }
+    }
+}
+
+/// The order-dependent half of a [`Percentiles`] summary: the count,
+/// sum and maximum of a sample stream, NaNs skipped. The sum folds
+/// left to right from the seed [`Iterator::sum`] uses, so `sum / n` is
+/// [`mean`] of the NaN-free samples, bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct Moments {
+    n: usize,
+    sum: f64,
+    max: f64,
+}
+
+impl Default for Moments {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Moments {
+    /// No samples yet.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            n: 0,
+            sum: std::iter::empty::<f64>().sum(),
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Accumulates `x` unless it is NaN.
+    pub fn push(&mut self, x: f64) {
+        if !x.is_nan() {
+            self.n += 1;
+            self.sum += x;
+            self.max = self.max.max(x);
         }
     }
 }
@@ -381,9 +450,66 @@ mod tests {
                     );
                     cases += 1;
                 }
+                assert_summary_matches_the_sort(&xs);
             }
         }
         assert!(cases > 30_000, "exhaustive sweep ran {cases} cases");
+    }
+
+    /// The nested-selection summary against the sort-based reference,
+    /// one quantile at a time, and its mean and maximum against an
+    /// in-order fold of the NaN-free samples.
+    fn assert_summary_matches_the_sort(xs: &[f64]) {
+        let s = Percentiles::from_scratch(&mut xs.to_vec());
+        let got = [s.p50, s.p95, s.p99].map(f64::to_bits);
+        let want = [50.0, 95.0, 99.0].map(|p| percentile_by_sort(xs, p).to_bits());
+        assert_eq!(got, want, "quantiles diverged on xs={xs:?}");
+        let clean: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
+        let (mean, max) = if clean.is_empty() {
+            (f64::NAN, f64::NAN)
+        } else {
+            let max = clean.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (super::mean(&clean), max)
+        };
+        assert_eq!(
+            (s.mean.to_bits(), s.max.to_bits()),
+            (mean.to_bits(), max.to_bits()),
+            "mean/max diverged on xs={xs:?}"
+        );
+        // The quantiles may be selected from the samples in any order.
+        let mut moments = Moments::new();
+        xs.iter().for_each(|&x| moments.push(x));
+        let mut reversed: Vec<f64> = xs.iter().rev().copied().collect();
+        let parts = Percentiles::from_parts(&mut reversed, moments);
+        let bits = |s: Percentiles| [s.p50, s.p95, s.p99, s.mean, s.max].map(f64::to_bits);
+        assert_eq!(bits(parts), bits(s), "from_parts diverged on xs={xs:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The nested selection at lengths the exhaustive sweep cannot
+        /// reach, over a tie-heavy value set with signed zeros,
+        /// infinities and NaNs.
+        #[test]
+        fn nested_selection_matches_the_sort_at_length(
+            seed in 0u64..1 << 48,
+            len in 5usize..2000,
+        ) {
+            let values = [0.0, -0.0, 1.0, -1.5, 2.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e-300];
+            let mut s = seed;
+            let xs: Vec<f64> = (0..len)
+                .map(|_| {
+                    s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    if (s >> 60) < 4 {
+                        (s >> 40) as f64 / 4096.0
+                    } else {
+                        values[(s >> 33) as usize % values.len()]
+                    }
+                })
+                .collect();
+            assert_summary_matches_the_sort(&xs);
+        }
     }
 
     #[test]
