@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rpu_bench::perf::{record_or_gate, PerfSnapshot};
 use rpu_serve::{
-    AnalyticCostModel, Fifo, FleetBuilder, FleetRun, PriorityAging, Router, ServeConfig, ServeRun,
-    SessionAffinity, Workload,
+    AnalyticCostModel, Fifo, FleetBuilder, FleetRun, PriorityAging, RoundRobin, Router,
+    ServeConfig, SessionAffinity, Workload,
 };
 use std::hint::black_box;
 use std::path::Path;
@@ -15,26 +15,37 @@ use std::time::Instant;
 fn bench(c: &mut Criterion) {
     let cfg = ServeConfig::default();
 
-    // A single-machine run frozen mid-flight: a deep queue, a full
-    // batch and a long completed-record history — the expensive
-    // snapshot shape.
+    // A single machine (a one-replica fleet, as `serve_with` runs it)
+    // frozen mid-flight: a deep queue, a full batch and a long
+    // completed-record history — the expensive snapshot shape.
     let wl = Workload::poisson(1500.0, 512, 48, 256);
-    let mut run = ServeRun::new(&wl, &cfg);
-    let mut cost = AnalyticCostModel::small();
+    let mut serving = FleetBuilder::new()
+        .group(
+            1,
+            &cfg,
+            || Box::new(AnalyticCostModel::small()),
+            || Box::new(Fifo),
+        )
+        .build();
+    let mut serve_router = RoundRobin::new();
+    let mut run = serving.start(&wl);
     for _ in 0..1500 {
-        if !run.step(&mut cost, &mut Fifo) {
+        if !run.step(&mut serving, &mut serve_router) {
             break;
         }
     }
+    let thaw = |bytes: &[u8]| {
+        FleetRun::resume(&wl, &serving, &mut RoundRobin::new(), bytes).expect("pristine bytes")
+    };
     c.bench_function("snapshot_serve_freeze", |b| {
-        b.iter(|| black_box(run.snapshot()));
+        b.iter(|| black_box(run.snapshot(&serve_router)));
     });
-    let bytes = run.snapshot();
+    let bytes = run.snapshot(&serve_router);
     c.bench_function("snapshot_serve_thaw", |b| {
-        b.iter(|| ServeRun::resume(black_box(&wl), black_box(&bytes)).expect("pristine bytes"));
+        b.iter(|| thaw(black_box(&bytes)));
     });
     c.bench_function("snapshot_serve_state_digest", |b| {
-        b.iter(|| black_box(run.state_digest()));
+        b.iter(|| black_box(run.state_digest(&serve_router)));
     });
 
     // Fleet snapshot including router state.
@@ -78,12 +89,12 @@ fn bench(c: &mut Criterion) {
     let iters = 200u32;
     let t = Instant::now();
     for _ in 0..iters {
-        black_box(run.snapshot());
+        black_box(run.snapshot(&serve_router));
     }
     let freeze_per_sec = f64::from(iters) / t.elapsed().as_secs_f64();
     let t = Instant::now();
     for _ in 0..iters {
-        black_box(ServeRun::resume(&wl, &bytes).expect("pristine bytes"));
+        black_box(thaw(&bytes));
     }
     let thaw_per_sec = f64::from(iters) / t.elapsed().as_secs_f64();
     let mut snap = PerfSnapshot::new();

@@ -286,13 +286,22 @@ mod tests {
 
     #[test]
     fn run_snapshots_and_checkpoints_do_not_cross_thaw() {
-        // A serving run snapshot must not parse as a checkpoint.
+        // A serving run snapshot (one machine: a one-replica fleet)
+        // must not parse as a checkpoint.
         let wl = rpu_serve::Workload::poisson(500.0, 64, 8, 8);
-        let mut run = rpu_serve::ServeRun::new(&wl, &rpu_serve::ServeConfig::default());
-        let mut cost = rpu_serve::AnalyticCostModel::small();
-        while run.step(&mut cost, &mut rpu_serve::Fifo) {}
+        let mut fleet = rpu_serve::FleetBuilder::new()
+            .group(
+                1,
+                &rpu_serve::ServeConfig::default(),
+                || Box::new(rpu_serve::AnalyticCostModel::small()),
+                || Box::new(rpu_serve::Fifo),
+            )
+            .build();
+        let mut router = rpu_serve::RoundRobin::new();
+        let mut run = fleet.start(&wl);
+        while run.step(&mut fleet, &mut router) {}
         assert!(matches!(
-            RunCheckpoint::from_bytes(&run.snapshot()),
+            RunCheckpoint::from_bytes(&run.snapshot(&router)),
             Err(SnapshotError::SectionMismatch { .. })
         ));
     }

@@ -3,11 +3,11 @@
 //! When two engine builds (or two configurations that should be
 //! equivalent) produce different reports for the same workload, the
 //! interesting question is *which decision* first went a different
-//! way. A run's [state digest](crate::ServeRun::state_digest) hashes
+//! way. A run's [state digest](crate::FleetRun::state_digest) hashes
 //! its full frozen state. A decision that differs at event `k` changes
 //! that state at once, and append-only records carry the difference
-//! forward: every core's completed-request records and, for fleets,
-//! the command log of router picks and lifecycle transitions. So
+//! forward: every core's completed-request records and the command
+//! log of router picks and lifecycle transitions. So
 //! divergence is monotone in the event index — the digests differ
 //! after every `n > k` and agree after every `n <= k` — which is what
 //! lets [`bisect_divergence`] binary-search the first divergent event
@@ -34,7 +34,7 @@ pub enum BisectOutcome {
     InitialStateDiffers,
     /// The engines agree up to and including event `event - 1` and
     /// first disagree while executing event `event` (0-based run event
-    /// index, as counted by [`crate::ServeRun::events`]).
+    /// index, as counted by [`crate::FleetRun::events`]).
     DivergedAt {
         /// 0-based index of the first divergent event.
         event: u64,
@@ -59,7 +59,7 @@ impl BisectOutcome {
 /// events and return the state digest there; see the [module
 /// docs](self) for the determinism contract. `max_events` is the
 /// horizon to search — typically the recorded run's
-/// [`events()`](crate::ServeRun::events) count (probing past the end
+/// [`events()`](crate::FleetRun::events) count (probing past the end
 /// of a run is fine: a completed run simply stops stepping, so its
 /// digest plateaus).
 ///
@@ -96,12 +96,15 @@ mod tests {
     use super::*;
     use crate::arrivals::Workload;
     use crate::cost::AnalyticCostModel;
+    use crate::fleet::{Fleet, FleetBuilder};
     use crate::policy::{ActiveRequest, Fifo, QueuedRequest, SchedulingPolicy};
-    use crate::scheduler::{ServeConfig, ServeRun};
+    use crate::router::RoundRobin;
+    use crate::scheduler::ServeConfig;
 
     /// Behaves exactly like [`Fifo`] until its `deviate_on`-th
     /// `select` call, where it picks the back of the queue instead —
     /// a seeded synthetic divergence with a knowable first event.
+    #[derive(Clone)]
     struct DivergeAfter {
         inner: Fifo,
         deviate_on: u32,
@@ -131,20 +134,33 @@ mod tests {
         }
     }
 
+    /// One machine under `policy`: a one-replica fleet.
+    fn machine(cfg: &ServeConfig, policy: impl SchedulingPolicy + Clone + 'static) -> Fleet {
+        FleetBuilder::new()
+            .group(
+                1,
+                cfg,
+                || Box::new(AnalyticCostModel::small()),
+                || Box::new(policy.clone()),
+            )
+            .build()
+    }
+
     fn digest_after(
         wl: &Workload,
         cfg: &ServeConfig,
-        policy: &mut dyn SchedulingPolicy,
+        policy: impl SchedulingPolicy + Clone + 'static,
         events: u64,
     ) -> ReportDigest {
-        let mut run = ServeRun::new(wl, cfg);
-        let mut cost = AnalyticCostModel::small();
+        let mut fleet = machine(cfg, policy);
+        let mut router = RoundRobin::new();
+        let mut run = fleet.start(wl);
         for _ in 0..events {
-            if !run.step(&mut cost, policy) {
+            if !run.step(&mut fleet, &mut router) {
                 break;
             }
         }
-        run.state_digest()
+        run.state_digest(&router)
     }
 
     #[test]
@@ -152,16 +168,16 @@ mod tests {
         let wl = Workload::poisson(900.0, 96, 16, 24);
         let cfg = ServeConfig::default();
         let total = {
-            let mut run = ServeRun::new(&wl, &cfg);
-            let mut cost = AnalyticCostModel::small();
-            while run.step(&mut cost, &mut Fifo) {}
+            let mut fleet = machine(&cfg, Fifo);
+            let mut router = RoundRobin::new();
+            let mut run = fleet.start(&wl);
+            while run.step(&mut fleet, &mut router) {}
             run.events()
         };
-        let outcome = bisect_divergence(
-            total,
-            &mut |n| digest_after(&wl, &cfg, &mut Fifo, n),
-            &mut |n| digest_after(&wl, &cfg, &mut Fifo, n),
-        );
+        let outcome =
+            bisect_divergence(total, &mut |n| digest_after(&wl, &cfg, Fifo, n), &mut |n| {
+                digest_after(&wl, &cfg, Fifo, n)
+            });
         assert_eq!(outcome, BisectOutcome::Identical);
         assert_eq!(outcome.event(), None);
     }
@@ -174,10 +190,9 @@ mod tests {
             max_batch: a.max_batch + 1,
             ..a
         };
-        let outcome =
-            bisect_divergence(64, &mut |n| digest_after(&wl, &a, &mut Fifo, n), &mut |n| {
-                digest_after(&wl, &b, &mut Fifo, n)
-            });
+        let outcome = bisect_divergence(64, &mut |n| digest_after(&wl, &a, Fifo, n), &mut |n| {
+            digest_after(&wl, &b, Fifo, n)
+        });
         assert_eq!(outcome, BisectOutcome::InitialStateDiffers);
     }
 
@@ -196,18 +211,17 @@ mod tests {
 
         // Ground truth by linear scan: step both runs in lockstep and
         // find the first event count where the digests differ.
-        let mut a = ServeRun::new(&wl, &cfg);
-        let mut b = ServeRun::new(&wl, &cfg);
-        let mut cost_a = AnalyticCostModel::small();
-        let mut cost_b = AnalyticCostModel::small();
-        let mut policy_b = fresh_divergent();
+        let (mut fleet_a, mut router_a) = (machine(&cfg, Fifo), RoundRobin::new());
+        let (mut fleet_b, mut router_b) = (machine(&cfg, fresh_divergent()), RoundRobin::new());
+        let mut a = fleet_a.start(&wl);
+        let mut b = fleet_b.start(&wl);
         let mut first_divergent_event = None;
         let mut n = 0u64;
         loop {
-            let more_a = a.step(&mut cost_a, &mut Fifo);
-            let more_b = b.step(&mut cost_b, &mut policy_b);
+            let more_a = a.step(&mut fleet_a, &mut router_a);
+            let more_b = b.step(&mut fleet_b, &mut router_b);
             n += 1;
-            if a.state_digest() != b.state_digest() {
+            if a.state_digest(&router_a) != b.state_digest(&router_b) {
                 first_divergent_event = Some(n - 1);
                 break;
             }
@@ -222,11 +236,11 @@ mod tests {
         );
 
         // Finish run A to get the search horizon.
-        while a.step(&mut cost_a, &mut Fifo) {}
+        while a.step(&mut fleet_a, &mut router_a) {}
         let outcome = bisect_divergence(
             a.events(),
-            &mut |k| digest_after(&wl, &cfg, &mut Fifo, k),
-            &mut |k| digest_after(&wl, &cfg, &mut fresh_divergent(), k),
+            &mut |k| digest_after(&wl, &cfg, Fifo, k),
+            &mut |k| digest_after(&wl, &cfg, fresh_divergent(), k),
         );
         assert_eq!(outcome, BisectOutcome::DivergedAt { event: expected });
         assert_eq!(outcome.event(), Some(expected));
@@ -236,11 +250,9 @@ mod tests {
     fn zero_horizon_with_equal_initial_state_is_identical() {
         let wl = Workload::poisson(900.0, 96, 16, 24);
         let cfg = ServeConfig::default();
-        let outcome = bisect_divergence(
-            0,
-            &mut |n| digest_after(&wl, &cfg, &mut Fifo, n),
-            &mut |n| digest_after(&wl, &cfg, &mut Fifo, n),
-        );
+        let outcome = bisect_divergence(0, &mut |n| digest_after(&wl, &cfg, Fifo, n), &mut |n| {
+            digest_after(&wl, &cfg, Fifo, n)
+        });
         assert_eq!(outcome, BisectOutcome::Identical);
     }
 }

@@ -40,9 +40,10 @@
 //! scheduler step. Replica completions feed the shared arrival source,
 //! so closed-loop workloads work across the fleet (a client's next
 //! request may be routed to a *different* replica than its last). With
-//! one replica the driver degenerates to exactly the single-machine
-//! scheduler; the differential suite asserts record-for-record
-//! equality.
+//! one replica the driver is the single-machine scheduler:
+//! [`crate::serve_with`] runs it, and the differential suite pins its
+//! reports to a committed table of digests recorded from the retired
+//! stand-alone single-machine loop.
 //!
 //! # Example
 //!
@@ -305,37 +306,13 @@ impl Fleet {
     /// [`crate::RequestSource::new`]).
     #[must_use]
     pub fn start(&self, workload: &Workload) -> FleetRun {
-        let source = RequestSource::new(workload);
-        let cores: Vec<Core> = self.replicas.iter().map(|r| Core::new(r.config)).collect();
-        let states = self.initial_states.clone();
-        let Derived {
-            wake,
-            telemetry,
-            index,
-            kv_caps,
-            routable,
-        } = Derived::build(self, &cores, &states);
-        FleetRun {
-            source,
-            cores,
-            wake,
-            telemetry,
-            index,
-            route_stats: RouteStats::default(),
-            kv_caps,
-            log: CommandLog::default(),
-            events: 0,
-            fingerprint: workload_fingerprint(workload),
-            states,
-            routable,
-            pending_events: VecDeque::new(),
-            displaced: VecDeque::new(),
-            now_s: 0.0,
-            migration_delay_s: self.migration_delay_s,
-            ms_accrued: 0.0,
-            ms_anchor_s: 0.0,
-            counts: LifecycleCounts::default(),
-        }
+        FleetRun::new(
+            workload,
+            self.replicas.iter().map(|r| r.config),
+            kv_caps(&self.replicas),
+            self.initial_states.clone(),
+            self.migration_delay_s,
+        )
     }
 
     /// Replays a recorded [`CommandLog`] against this fleet: the one
@@ -466,13 +443,22 @@ pub struct PerfCounters {
     pub index_marks: u64,
 }
 
-/// The telemetry every replica currently publishes — the cache the
-/// router reads, rebuilt wholesale only at run start and resume.
-fn cached_telemetry(cores: &[Core], replicas: &[FleetReplica]) -> Vec<ReplicaTelemetry> {
+/// The telemetry every replica currently publishes, given each one's
+/// KV capacity — the cache the router reads, rebuilt wholesale only at
+/// run start and resume.
+fn cached_telemetry(cores: &[Core], kv_caps: &[u64]) -> Vec<ReplicaTelemetry> {
     cores
         .iter()
-        .zip(replicas)
-        .map(|(c, r)| c.telemetry(r.cost.kv_capacity_tokens()))
+        .zip(kv_caps)
+        .map(|(c, &kv)| c.telemetry(kv))
+        .collect()
+}
+
+/// Each replica's published KV capacity, in replica order.
+fn kv_caps(replicas: &[FleetReplica]) -> Vec<u64> {
+    replicas
+        .iter()
+        .map(|r| r.cost.kv_capacity_tokens())
         .collect()
 }
 
@@ -501,14 +487,13 @@ fn wake_tick(key: u64) -> f64 {
     }
 }
 
-/// The state a [`FleetRun`] derives from its cores and lifecycle states
-/// instead of serialising: the wake-up tree, the telemetry cache, the
-/// routable mask, the routing index and the KV capacities.
+/// The state a [`FleetRun`] derives from its cores, KV capacities and
+/// lifecycle states instead of serialising: the wake-up tree, the
+/// telemetry cache, the routable mask and the routing index.
 struct Derived {
     wake: MinTree<u64>,
     telemetry: Vec<ReplicaTelemetry>,
     index: FleetRoutingIndex,
-    kv_caps: Vec<u64>,
     routable: Vec<bool>,
 }
 
@@ -518,22 +503,16 @@ impl Derived {
     /// `(tick, replica)` keys reproduce a frozen run's step order
     /// exactly, and identical counters reproduce its routing. Fresh
     /// cores are idle (next event at infinity) until the first arrival.
-    fn build(fleet: &Fleet, cores: &[Core], states: &[LifecycleState]) -> Self {
+    fn build(kv_caps: &[u64], cores: &[Core], states: &[LifecycleState]) -> Self {
         let keys = cores.iter().map(|c| wake_key(c.next_event_s())).collect();
         let wake = MinTree::new(keys, wake_key(f64::INFINITY));
-        let telemetry = cached_telemetry(cores, &fleet.replicas);
+        let telemetry = cached_telemetry(cores, kv_caps);
         let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
         let index = FleetRoutingIndex::new(&telemetry, &routable);
-        let kv_caps = fleet
-            .replicas
-            .iter()
-            .map(|r| r.cost.kv_capacity_tokens())
-            .collect();
         Self {
             wake,
             telemetry,
             index,
-            kv_caps,
             routable,
         }
     }
@@ -577,6 +556,53 @@ impl std::fmt::Debug for FleetRun {
 }
 
 impl FleetRun {
+    /// A fresh run over `workload`, no events executed yet: one idle
+    /// core per config, with the given KV capacities, initial lifecycle
+    /// states and failure migration delay. [`Fleet::start`] passes its
+    /// replicas'; [`crate::serve_with`] passes one live machine's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload is invalid (see
+    /// [`crate::RequestSource::new`]) or a config's `max_batch` is zero.
+    pub(crate) fn new(
+        workload: &Workload,
+        configs: impl IntoIterator<Item = ServeConfig>,
+        kv_caps: Vec<u64>,
+        states: Vec<LifecycleState>,
+        migration_delay_s: f64,
+    ) -> Self {
+        let source = RequestSource::new(workload);
+        let cores: Vec<Core> = configs.into_iter().map(Core::new).collect();
+        let Derived {
+            wake,
+            telemetry,
+            index,
+            routable,
+        } = Derived::build(&kv_caps, &cores, &states);
+        Self {
+            source,
+            cores,
+            wake,
+            telemetry,
+            index,
+            route_stats: RouteStats::default(),
+            kv_caps,
+            log: CommandLog::default(),
+            events: 0,
+            fingerprint: workload_fingerprint(workload),
+            states,
+            routable,
+            pending_events: VecDeque::new(),
+            displaced: VecDeque::new(),
+            now_s: 0.0,
+            migration_delay_s,
+            ms_accrued: 0.0,
+            ms_anchor_s: 0.0,
+            counts: LifecycleCounts::default(),
+        }
+    }
+
     /// Executes exactly one global event — a lifecycle transition, a
     /// displaced request re-routed, an arrival routed and enqueued, or
     /// one replica's scheduler step — logging any transition or routing
@@ -594,6 +620,21 @@ impl FleetRun {
             fleet.replicas.len(),
             "fleet changed size mid-run"
         );
+        self.advance(router, |i, core, source| {
+            let replica = &mut fleet.replicas[i];
+            core.step(replica.cost.as_mut(), replica.policy.as_mut(), source);
+        })
+    }
+
+    /// The event loop behind [`FleetRun::step`] and
+    /// [`crate::serve_with`]: executes one global event, with
+    /// `step_core(i, core, source)` running replica `i`'s scheduler step
+    /// on the machine and policy the caller holds for it.
+    pub(crate) fn advance(
+        &mut self,
+        router: &mut dyn Router,
+        mut step_core: impl FnMut(usize, &mut Core, &mut RequestSource),
+    ) -> bool {
         let next = self.next_events();
         if !next.earliest().is_finite() {
             assert!(
@@ -622,7 +663,7 @@ impl FleetRun {
             self.telemetry[i] = self.cores[i].telemetry(self.kv_caps[i]);
             debug_assert_eq!(
                 self.telemetry,
-                cached_telemetry(&self.cores, &fleet.replicas),
+                cached_telemetry(&self.cores, &self.kv_caps),
                 "telemetry cache drifted after lifecycle event"
             );
             self.log.push_transition(self.events, ev);
@@ -640,24 +681,19 @@ impl FleetRun {
             // at the current clock, never in the past.
             let t = due.max(self.now_s);
             self.now_s = t;
-            let pick = self.route(fleet, router, &q.req);
+            let pick = self.route(router, &q.req);
             self.cores[pick].enqueue_displaced(q, t);
             pick
         } else if next.arrival <= next.wake {
             let req = self.source.pop_ready(next.arrival).expect("arrival is due");
             self.now_s = self.now_s.max(next.arrival);
-            let pick = self.route(fleet, router, &req);
+            let pick = self.route(router, &req);
             self.cores[pick].enqueue(req);
             pick
         } else {
             let (which, _) = self.wake.min();
             self.now_s = self.now_s.max(next.wake);
-            let replica = &mut fleet.replicas[which];
-            self.cores[which].step(
-                replica.cost.as_mut(),
-                replica.policy.as_mut(),
-                &mut self.source,
-            );
+            step_core(which, &mut self.cores[which], &mut self.source);
             which
         };
         // Only the touched replica's next event and telemetry can have
@@ -673,10 +709,10 @@ impl FleetRun {
 
     /// Asks the router for a live replica for `req` at the current
     /// clock and logs the pick.
-    fn route(&mut self, fleet: &Fleet, router: &mut dyn Router, req: &Request) -> usize {
+    fn route(&mut self, router: &mut dyn Router, req: &Request) -> usize {
         debug_assert_eq!(
             self.telemetry,
-            cached_telemetry(&self.cores, &fleet.replicas),
+            cached_telemetry(&self.cores, &self.kv_caps),
             "telemetry cache drifted from the cores"
         );
         self.route_stats.note_route_call();
@@ -893,7 +929,7 @@ impl FleetRun {
             fleet.replicas.len(),
             "fleet changed size mid-run"
         );
-        let fresh = cached_telemetry(&self.cores, &fleet.replicas);
+        let fresh = cached_telemetry(&self.cores, &kv_caps(&fleet.replicas));
         debug_assert_eq!(self.telemetry, fresh, "telemetry cache drifted");
         fresh
     }
@@ -1088,13 +1124,13 @@ impl FleetRun {
         r.begin_section(section::LOG)?;
         let log = CommandLog::load(&mut r, n, events)?;
         r.end_section()?;
+        let kv_caps = kv_caps(&fleet.replicas);
         let Derived {
             wake,
             telemetry,
             index,
-            kv_caps,
             routable,
-        } = Derived::build(fleet, &cores, &states);
+        } = Derived::build(&kv_caps, &cores, &states);
         Ok(Self {
             source,
             cores,
@@ -1412,6 +1448,13 @@ pub(crate) mod tests {
     use crate::policy::Fifo;
     use crate::router::{JoinShortestQueue, RoundRobin, SessionAffinity};
     use rpu_models::LengthDistribution;
+
+    impl FleetRun {
+        /// The replicas' cores, for tests that hand-edit frozen state.
+        pub(crate) fn cores_mut(&mut self) -> &mut [Core] {
+            &mut self.cores
+        }
+    }
 
     fn fleet(n: usize) -> Fleet {
         FleetBuilder::new()

@@ -45,14 +45,15 @@
 //! and fleet size.
 //!
 //! Determinism is load-bearing, so it has its own tooling layer:
-//! [`ServeRun`]/[`FleetRun`] unroll the serving loops into resumable
-//! runs that can be frozen to versioned, checksummed bytes
-//! ([`snapshot`]) and thawed to continue bit-identically; every fleet
-//! run records a [`CommandLog`] of its router picks and lifecycle
-//! transitions, which [`Fleet::replay`] feeds back through the same
-//! driver to a report that digests ([`digest_fleet_report`])
-//! identically to the recording; and when two builds disagree, [`bisect`]
-//! binary-searches the first event where their state digests diverge.
+//! [`FleetRun`] unrolls the one serving loop — [`serve_with`] is a
+//! one-replica run of it — into a resumable run that can be frozen to
+//! versioned, checksummed bytes ([`snapshot`]) and thawed to continue
+//! bit-identically; every run records a [`CommandLog`] of its router
+//! picks and lifecycle transitions, which [`Fleet::replay`] feeds back
+//! through the same driver to a report that digests
+//! ([`digest_fleet_report`]) identically to the recording; and when two
+//! builds disagree, [`bisect`] binary-searches the first event where
+//! their state digests diverge.
 //! [`fuzz_tape`] generates adversarial workloads (flash bursts,
 //! zero-length prompts, KV-filling monster contexts, deadline
 //! inversions, session churn) to stress all of it.
@@ -125,5 +126,5 @@ pub use router::{
     SessionAffinity,
 };
 pub use routing_index::FleetRoutingIndex;
-pub use scheduler::{serve, serve_with, RunStats, ServeConfig, ServeReport, ServeRun};
+pub use scheduler::{serve, serve_with, RunStats, ServeConfig, ServeReport};
 pub use snapshot::SnapshotError;

@@ -11,8 +11,8 @@
 //! so they are not logged. [`crate::Fleet::replay`] runs the one fleet
 //! driver ([`crate::FleetRun::step`]) with the log standing in for the
 //! router, and the replayed report digests identically to the recorded
-//! one. A single machine makes no decision a log could hold: replaying
-//! one is just [`crate::serve_with`].
+//! one. A single machine ([`crate::serve_with`]) is a one-replica run
+//! whose log holds only picks of replica 0.
 
 use crate::lifecycle::FleetEvent;
 use crate::request::Request;

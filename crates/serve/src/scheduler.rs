@@ -71,13 +71,12 @@
 
 use crate::arrivals::{RequestSource, Workload};
 use crate::cost::CostModel;
-use crate::digest::ReportDigest;
+use crate::fleet::FleetRun;
+use crate::lifecycle::LifecycleState;
 use crate::policy::{ActiveRequest, Fifo, QueuedRequest, SchedulingPolicy};
 use crate::request::{Request, RequestRecord};
-use crate::router::ReplicaTelemetry;
-use crate::snapshot::{
-    fnv1a, section, workload_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter, KIND_SERVE,
-};
+use crate::router::{ReplicaTelemetry, RoundRobin};
+use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Scheduler knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -222,6 +221,12 @@ pub fn serve(workload: &Workload, cost: &mut dyn CostModel, config: &ServeConfig
 /// Serves a workload against a cost model under continuous batching,
 /// with admission/eviction ordered by `policy`.
 ///
+/// The run is a one-replica [`crate::FleetRun`] under
+/// [`crate::RoundRobin`], driven by the same event loop as every fleet,
+/// and the result is its one replica's report. To step, snapshot or
+/// replay a single machine, build that fleet with
+/// [`crate::FleetBuilder`].
+///
 /// Deterministic: the schedule depends only on the workload (seed
 /// included), the cost model's returned latencies, the config and the
 /// policy.
@@ -237,9 +242,18 @@ pub fn serve_with(
     config: &ServeConfig,
     policy: &mut dyn SchedulingPolicy,
 ) -> ServeReport {
-    let mut run = ServeRun::new(workload, config);
-    while run.step(cost, policy) {}
-    run.into_report()
+    let mut run = FleetRun::new(
+        workload,
+        [*config],
+        vec![cost.kv_capacity_tokens()],
+        vec![LifecycleState::Live],
+        0.0,
+    );
+    let mut router = RoundRobin::new();
+    while run.advance(&mut router, |_, core, source| {
+        core.step(cost, policy, source);
+    }) {}
+    run.into_report().replicas.swap_remove(0)
 }
 
 /// Point-in-time counters of a run, for invariant checks at snapshot
@@ -263,8 +277,7 @@ pub struct RunStats {
     /// Rejected as over-capacity (all replicas).
     pub rejected: u32,
     /// Displaced by a replica failure and waiting out the migration
-    /// delay before re-routing (fleet runs only; always zero for a
-    /// single-machine run).
+    /// delay before re-routing (zero until a replica fails).
     pub displaced: u32,
 }
 
@@ -282,203 +295,19 @@ impl RunStats {
     }
 }
 
-/// A resumable single-machine serving run: [`serve_with`] unrolled into
-/// an object you can step, snapshot and restore.
-///
-/// Driving a fresh run to completion is bit-identical to
-/// [`serve_with`]; the extras are the checkpointing surface —
-/// [`ServeRun::snapshot`] freezes the entire run state (arrival source,
-/// core) into bytes, [`ServeRun::resume`] picks it back up such that
-/// the finished report is byte-identical to the uninterrupted run.
-///
-/// ```
-/// use rpu_serve::{AnalyticCostModel, Fifo, ServeConfig, ServeRun, Workload};
-///
-/// let wl = Workload::poisson(400.0, 128, 16, 24);
-/// let cfg = ServeConfig::default();
-/// let mut run = ServeRun::new(&wl, &cfg);
-/// let mut cost = AnalyticCostModel::small();
-/// // Step half-way, freeze, thaw, finish.
-/// for _ in 0..10 {
-///     run.step(&mut cost, &mut Fifo);
-/// }
-/// let bytes = run.snapshot();
-/// let mut resumed = ServeRun::resume(&wl, &bytes).unwrap();
-/// while resumed.step(&mut cost, &mut Fifo) {}
-/// assert_eq!(resumed.into_report().records.len(), 24);
-/// ```
-pub struct ServeRun {
-    source: RequestSource,
-    core: Core,
-    events: u64,
-    fingerprint: u64,
-}
-
-impl std::fmt::Debug for ServeRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeRun")
-            .field("events", &self.events)
-            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ServeRun {
-    /// A fresh run over `workload`, no events executed yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.max_batch` is zero or the workload is invalid
-    /// (see [`RequestSource::new`]).
-    #[must_use]
-    pub fn new(workload: &Workload, config: &ServeConfig) -> Self {
-        Self {
-            source: RequestSource::new(workload),
-            core: Core::new(*config),
-            events: 0,
-            fingerprint: workload_fingerprint(workload),
-        }
-    }
-
-    /// Executes exactly one event — an arrival hand-off or one core
-    /// step. Returns `false` once the run is complete (no pending
-    /// arrival, no core event).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy misbehaves (see [`serve_with`]).
-    pub fn step(&mut self, cost: &mut dyn CostModel, policy: &mut dyn SchedulingPolicy) -> bool {
-        let next_arrival = self.source.next_arrival_s().unwrap_or(f64::INFINITY);
-        let next_event = self.core.next_event_s();
-        if !next_arrival.is_finite() && !next_event.is_finite() {
-            return false;
-        }
-        // Arrivals win ties so the admission phase at any clock value
-        // sees every request that has arrived by then.
-        if next_arrival <= next_event {
-            let req = self.source.pop_ready(next_arrival).expect("arrival is due");
-            self.core.enqueue(req);
-        } else {
-            self.core.step(cost, policy, &mut self.source);
-        }
-        self.events += 1;
-        true
-    }
-
-    /// Events executed so far.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Point-in-time lifecycle counters, for conservation checks.
-    #[must_use]
-    pub fn stats(&self) -> RunStats {
-        RunStats {
-            issued: self.source.issued(),
-            pending_arrivals: self.source.pending(),
-            queued: self.core.queue_len() as u32,
-            active: self.core.active_len() as u32,
-            completed: self.core.completed(),
-            rejected: self.core.rejected(),
-            displaced: 0,
-        }
-    }
-
-    /// What the core would publish to a router, given its machine's KV
-    /// capacity — the counters cap invariants are checked against.
-    #[must_use]
-    pub fn telemetry(&self, kv_capacity_tokens: u64) -> ReplicaTelemetry {
-        self.core.telemetry(kv_capacity_tokens)
-    }
-
-    /// Freezes the whole run — source and core — into a versioned,
-    /// checksummed byte stream.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.begin_section(section::RUN);
-        w.put_u8(KIND_SERVE);
-        w.put_u64(self.fingerprint);
-        w.put_u64(self.events);
-        w.put_usize(1);
-        w.end_section();
-        w.begin_section(section::SOURCE);
-        self.source.save(&mut w);
-        w.end_section();
-        w.begin_section(section::CORE);
-        self.core.save(&mut w);
-        w.end_section();
-        w.finish()
-    }
-
-    /// Thaws a run frozen by [`ServeRun::snapshot`]. The same workload
-    /// must be supplied — snapshots carry its fingerprint, not its
-    /// contents — and resuming continues bit-identically to the run
-    /// that was frozen.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`]: corruption, truncation, version skew or a
-    /// workload other than the one the snapshot was taken against.
-    pub fn resume(workload: &Workload, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes)?;
-        r.begin_section(section::RUN)?;
-        if r.get_u8()? != KIND_SERVE {
-            return Err(SnapshotError::Corrupt("not a single-machine snapshot"));
-        }
-        let fingerprint = r.get_u64()?;
-        if fingerprint != workload_fingerprint(workload) {
-            return Err(SnapshotError::WorkloadMismatch);
-        }
-        let events = r.get_u64()?;
-        if r.get_usize()? != 1 {
-            return Err(SnapshotError::Corrupt("replica count differs"));
-        }
-        r.end_section()?;
-        r.begin_section(section::SOURCE)?;
-        let source = RequestSource::restore(workload, &mut r)?;
-        r.end_section()?;
-        r.begin_section(section::CORE)?;
-        let core = Core::restore(&mut r)?;
-        r.end_section()?;
-        Ok(Self {
-            source,
-            core,
-            events,
-            fingerprint,
-        })
-    }
-
-    /// Digest of the full frozen state (snapshot bytes hashed). Two
-    /// runs share a state digest exactly when they would snapshot to
-    /// identical bytes — the probe [`crate::bisect`] binary-searches.
-    #[must_use]
-    pub fn state_digest(&self) -> ReportDigest {
-        ReportDigest(fnv1a(&self.snapshot()))
-    }
-
-    /// Finalises the run and yields its report.
-    #[must_use]
-    pub fn into_report(self) -> ServeReport {
-        debug_assert!(self.source.exhausted());
-        self.core.into_report()
-    }
-}
-
-/// The resumable scheduler state machine behind [`serve_with`] and the
+/// One replica's resumable scheduler state machine, stepped by the one
+/// event loop ([`crate::FleetRun`]) behind both [`serve_with`] and the
 /// fleet layer ([`crate::Fleet`]).
 ///
 /// One `Core` is one replica: it owns the queue, the serving batch and
 /// its own clock, but *not* the request stream — arrivals are pushed in
-/// from outside via [`Core::enqueue`], which is what lets a fleet
-/// driver interleave N cores in global event order and route each
-/// arrival on live telemetry. [`Core::step`] performs exactly one
-/// scheduling event (one admission phase followed by one decode
-/// iteration or one clock jump), so a single-core event loop replays
-/// the pre-fleet scheduler bit-for-bit: the golden policy-sweep
-/// snapshots pin that equivalence.
+/// from outside via [`Core::enqueue`], which is what lets the driver
+/// interleave N cores in global event order and route each arrival on
+/// live telemetry. [`Core::step`] performs exactly one scheduling event
+/// (one admission phase followed by one decode iteration or one clock
+/// jump), so a one-replica run replays the pre-fleet scheduler
+/// bit-for-bit: the golden policy-sweep snapshots and the pinned
+/// `serve_with` digest table pin that equivalence.
 ///
 /// The batch is one plain array of at most `max_batch` slots in
 /// admission order; readiness (`ready_at <= clock`) is answered by
@@ -1063,6 +892,7 @@ mod tests {
     use crate::arrivals::ArrivalProcess;
     use crate::class::ClassSpec;
     use crate::cost::AnalyticCostModel;
+    use crate::fleet::{Fleet, FleetBuilder};
     use crate::policy::{DeadlineEdf, PriorityAging, ShortestJobFirst};
     use rpu_models::LengthDistribution;
 
@@ -1070,15 +900,28 @@ mod tests {
         serve(wl, &mut AnalyticCostModel::small(), cfg)
     }
 
+    /// One machine under FIFO: a one-replica fleet.
+    fn machine(cfg: &ServeConfig) -> Fleet {
+        FleetBuilder::new()
+            .group(
+                1,
+                cfg,
+                || Box::new(AnalyticCostModel::small()),
+                || Box::new(Fifo),
+            )
+            .build()
+    }
+
     #[test]
     fn recorded_run_equals_direct_serve_with() {
         let wl = Workload::poisson(800.0, 128, 16, 32);
         let cfg = ServeConfig::default();
         let direct = serve_with(&wl, &mut AnalyticCostModel::small(), &cfg, &mut Fifo);
-        let mut run = ServeRun::new(&wl, &cfg);
-        let mut cost = AnalyticCostModel::small();
-        while run.step(&mut cost, &mut Fifo) {}
-        assert_eq!(direct, run.into_report());
+        let mut fleet = machine(&cfg);
+        let mut router = RoundRobin::new();
+        let mut run = fleet.start(&wl);
+        while run.step(&mut fleet, &mut router) {}
+        assert_eq!(direct, run.into_report().replicas[0]);
     }
 
     #[test]
@@ -1086,16 +929,25 @@ mod tests {
         // Windowed reads binary-search each core's records by finish
         // time, so a snapshot must not smuggle in an unsorted pile.
         let wl = Workload::poisson(800.0, 128, 16, 32);
-        let mut run = ServeRun::new(&wl, &ServeConfig::default());
-        let mut cost = AnalyticCostModel::small();
-        while run.core.completed() < 2 {
-            assert!(run.step(&mut cost, &mut Fifo));
+        let mut fleet = machine(&ServeConfig::default());
+        let mut router = RoundRobin::new();
+        let mut run = fleet.start(&wl);
+        while run.stats().completed < 2 {
+            assert!(run.step(&mut fleet, &mut router));
         }
         let thaw = |edit: &dyn Fn(&mut [RequestRecord], f64)| {
-            let mut bad = ServeRun::resume(&wl, &run.snapshot()).expect("pristine thaws");
-            let clock = bad.core.clock;
-            edit(&mut bad.core.report.records, clock);
-            ServeRun::resume(&wl, &bad.snapshot()).map(|_| ())
+            let mut thawed_router = RoundRobin::new();
+            let mut bad = FleetRun::resume(&wl, &fleet, &mut thawed_router, &run.snapshot(&router))
+                .expect("pristine thaws");
+            let core = &mut bad.cores_mut()[0];
+            edit(&mut core.report.records, core.clock);
+            FleetRun::resume(
+                &wl,
+                &fleet,
+                &mut RoundRobin::new(),
+                &bad.snapshot(&thawed_router),
+            )
+            .map(|_| ())
         };
         assert_eq!(thaw(&|_, _| {}), Ok(()));
         let out_of_order = Err(SnapshotError::Corrupt("records out of finish order"));

@@ -35,7 +35,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Section ids used by run snapshots, in stream order.
+/// Section ids used by run snapshots. Stream order is RUN, LIFECYCLE,
+/// SOURCE, one CORE per replica, ROUTER, LOG.
 pub(crate) mod section {
     /// Run header: snapshot kind, workload fingerprint, event count,
     /// replica count.
@@ -44,21 +45,20 @@ pub(crate) mod section {
     pub const SOURCE: u8 = 2;
     /// One scheduler core (repeated per replica, in replica order).
     pub const CORE: u8 = 3;
-    /// Router state (fleet snapshots only).
+    /// Router state.
     pub const ROUTER: u8 = 4;
-    /// The fleet's command log recorded so far: router picks and
-    /// indexed lifecycle transitions (fleet snapshots only; written
-    /// last).
+    /// The command log recorded so far: router picks and indexed
+    /// lifecycle transitions.
     pub const LOG: u8 = 5;
     /// Replica lifecycle state: per-slot states, pending fleet events,
-    /// displaced requests and machine-seconds accounting (fleet
-    /// snapshots only; written between RUN and SOURCE).
+    /// displaced requests and machine-seconds accounting.
     pub const LIFECYCLE: u8 = 6;
 }
 
-/// Snapshot kind tag: single-machine run.
-pub(crate) const KIND_SERVE: u8 = 1;
-/// Snapshot kind tag: fleet run.
+/// Snapshot kind tag of a run snapshot, the first byte of its RUN
+/// section. Every run is a fleet run, a single machine included; the
+/// tag `1` of the retired single-machine snapshot kind is rejected as
+/// corrupt.
 pub(crate) const KIND_FLEET: u8 = 2;
 
 /// Fingerprint of a workload's full static description. Snapshots

@@ -1,37 +1,40 @@
-//! Differential closure battery for the calendar event core.
+//! Differential closure battery for the event core.
 //!
-//! The pre-calendar scan drivers are gone (their one-release
-//! deprecation window closed with them); what must hold now is that
-//! the calendar core is **closed under its own mechanisms**: for every
-//! workload, an uninterrupted run, a run snapshotted mid-flight and
-//! resumed, and a replay all produce byte-identical reports and
-//! digests. This suite drives a family of
-//! 112 seeded workloads (open loop, closed loop, traced; single- and
-//! multi-class; with preemption pressure) through that triangle:
+//! There is one event loop, `FleetRun`; `serve_with` is a
+//! one-replica run of it. What must hold is that the loop is **closed
+//! under its own mechanisms**: for every workload, an uninterrupted
+//! run, a run snapshotted mid-flight and resumed, and a replay of its
+//! command log all produce byte-identical reports and digests. This
+//! suite drives a family of 112 seeded workloads (open loop, closed
+//! loop, traced; single- and multi-class; with preemption pressure)
+//! through that triangle:
 //!
-//! - single machine, under every scheduling policy (Fifo, SJF,
-//!   PriorityAging, DeadlineEdf): uninterrupted == snapshot/resume at
-//!   the run's midpoint == a fresh `serve_with` run (a single machine
-//!   logs no decisions, so that is its replay);
+//! - one machine (a one-replica fleet under round-robin), under every
+//!   scheduling policy (Fifo, SJF, PriorityAging, DeadlineEdf):
+//!   uninterrupted == snapshot/resume at the run's midpoint ==
+//!   `Fleet::replay` of the recorded log;
 //! - a three-replica fleet, under every router (RoundRobin,
 //!   JoinShortestQueue, LeastKvLoad, SessionAffinity), policies
-//!   rotating per workload: same triangle, router state frozen too,
-//!   replayed from the recorded command log;
-//! - a one-replica fleet against the bare single-machine scheduler:
-//!   the fleet driver must degenerate to it record-for-record.
+//!   rotating per workload: same triangle, router state frozen too;
+//! - `serve_with` against `serve_with_digests.txt`: the 448 report
+//!   digests the stand-alone single-machine loop produced for this
+//!   battery before it was deleted, so the one-replica driver must
+//!   reproduce that loop byte for byte;
+//! - a one-replica fleet's aggregate against the single machine's
+//!   records in completion order.
 //!
 //! The scan-era cross-checks live on as `debug_assert`s inside the
 //! core (incremental telemetry and next-event vs recomputation by
 //! scan), so every debug run of this battery still exercises them; the
-//! 19 repro-target goldens are held byte-identical by the separate
-//! golden gate in CI.
+//! repro-target goldens are held byte-identical by the separate golden
+//! gate in CI.
 
 use rpu_models::LengthDistribution;
 use rpu_serve::{
     digest_fleet_report, digest_serve_report, serve_with, AnalyticCostModel, ArrivalProcess,
-    ClassSpec, CostModel, DeadlineEdf, Fifo, FleetBuilder, FleetRun, JoinShortestQueue,
+    ClassSpec, CostModel, DeadlineEdf, Fifo, Fleet, FleetBuilder, FleetRun, JoinShortestQueue,
     LeastKvLoad, PriorityAging, RoundRobin, Router, SchedulingPolicy, ServeConfig, ServeRng,
-    ServeRun, SessionAffinity, ShortestJobFirst, SloTargets, Workload,
+    SessionAffinity, ShortestJobFirst, SloTargets, Workload,
 };
 
 const NUM_WORKLOADS: u64 = 112;
@@ -134,36 +137,49 @@ fn machine() -> AnalyticCostModel {
     AnalyticCostModel::small()
 }
 
+/// One machine under the named policy: a one-replica fleet.
+fn single_machine(config: &ServeConfig, name: &str, wl: &Workload) -> Fleet {
+    FleetBuilder::new()
+        .group(
+            1,
+            config,
+            || Box::new(machine()) as Box<dyn CostModel>,
+            || policy(name, wl),
+        )
+        .build()
+}
+
 #[test]
 fn serve_closes_under_snapshot_and_replay_under_every_policy() {
     for i in 0..NUM_WORKLOADS {
         let (wl, config) = workload(i);
         for name in POLICIES {
             // Leg 1: the uninterrupted run, recording its log.
-            let mut full = ServeRun::new(&wl, &config);
-            let mut cost = machine();
-            let mut p = policy(name, &wl);
-            while full.step(&mut cost, p.as_mut()) {}
+            let mut fleet = single_machine(&config, name, &wl);
+            let mut router = RoundRobin::new();
+            let mut full = fleet.start(&wl);
+            while full.step(&mut fleet, &mut router) {}
             let total = full.events();
+            let log = full.log().clone();
             let uninterrupted = full.into_report();
 
             // Leg 2: snapshot at the midpoint, thaw, finish.
-            let mut head = ServeRun::new(&wl, &config);
-            let mut cost = machine();
-            let mut p = policy(name, &wl);
+            let mut fleet_a = single_machine(&config, name, &wl);
+            let mut router_a = RoundRobin::new();
+            let mut head = fleet_a.start(&wl);
             for _ in 0..total / 2 {
-                assert!(head.step(&mut cost, p.as_mut()));
+                assert!(head.step(&mut fleet_a, &mut router_a));
             }
-            let bytes = head.snapshot();
-            let mut tail = ServeRun::resume(&wl, &bytes)
+            let bytes = head.snapshot(&router_a);
+            let mut fleet_b = single_machine(&config, name, &wl);
+            let mut router_b = RoundRobin::new();
+            let mut tail = FleetRun::resume(&wl, &fleet_b, &mut router_b, &bytes)
                 .unwrap_or_else(|e| panic!("workload {i} policy {name}: thaw failed: {e:?}"));
-            let mut cost = machine();
-            let mut p = policy(name, &wl);
-            while tail.step(&mut cost, p.as_mut()) {}
+            while tail.step(&mut fleet_b, &mut router_b) {}
             let resumed = tail.into_report();
             assert_eq!(
-                digest_serve_report(&resumed),
-                digest_serve_report(&uninterrupted),
+                digest_serve_report(&resumed.replicas[0]),
+                digest_serve_report(&uninterrupted.replicas[0]),
                 "workload {i} policy {name}: resume digest diverges"
             );
             assert_eq!(
@@ -171,14 +187,52 @@ fn serve_closes_under_snapshot_and_replay_under_every_policy() {
                 "workload {i} policy {name}: resumed report diverges"
             );
 
-            // Leg 3: a single machine logs no decisions, so replaying
-            // it is a fresh serve_with run.
-            let replayed = serve_with(&wl, &mut machine(), &config, policy(name, &wl).as_mut());
+            // Leg 3: replay the recorded picks.
+            let replayed = single_machine(&config, name, &wl).replay(&wl, &log);
             assert_eq!(
                 replayed, uninterrupted,
                 "workload {i} policy {name}: replayed report diverges"
             );
         }
+    }
+}
+
+/// The committed reference table: `(workload, policy) -> digest`.
+fn pinned_serve_with_digests() -> Vec<(u64, String, String)> {
+    include_str!("serve_with_digests.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            assert_eq!(cols.len(), 3, "malformed table line {l:?}");
+            let i = cols[0].parse().expect("workload index");
+            (i, cols[1].to_string(), cols[2].to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn serve_with_reproduces_the_pinned_digest_table() {
+    let table = pinned_serve_with_digests();
+    let pairs: Vec<(u64, &str)> = (0..NUM_WORKLOADS)
+        .flat_map(|i| POLICIES.map(|name| (i, name)))
+        .collect();
+    assert_eq!(
+        table
+            .iter()
+            .map(|(i, name, _)| (*i, name.as_str()))
+            .collect::<Vec<_>>(),
+        pairs,
+        "the table must cover every (workload, policy) pair once, in order"
+    );
+    for (i, name, pinned) in &table {
+        let (wl, config) = workload(*i);
+        let report = serve_with(&wl, &mut machine(), &config, policy(name, &wl).as_mut());
+        assert_eq!(
+            &digest_serve_report(&report).to_string(),
+            pinned,
+            "workload {i} policy {name}: serve_with left the pinned digest"
+        );
     }
 }
 
@@ -255,29 +309,10 @@ fn one_replica_fleet_degenerates_to_the_single_machine_scheduler() {
         let (wl, config) = workload(i);
         for name in POLICIES {
             let mut single = serve_with(&wl, &mut machine(), &config, policy(name, &wl).as_mut());
-            let mut fleet = FleetBuilder::new()
-                .group(
-                    1,
-                    &config,
-                    || Box::new(machine()) as Box<dyn CostModel>,
-                    || policy(name, &wl),
-                )
-                .build();
-            let fleet_report = fleet.serve(&wl, router("round-robin").as_mut());
-            // The replica's own report is the bare scheduler's, byte
-            // for byte: the same records in the same push order and
-            // the same scalars, with no normalisation.
-            assert_eq!(
-                digest_serve_report(&fleet_report.replicas[0]),
-                digest_serve_report(&single),
-                "workload {i} policy {name}: 1-replica fleet replica digest diverges"
-            );
-            assert_eq!(
-                fleet_report.replicas[0], single,
-                "workload {i} policy {name}: 1-replica fleet replica diverges"
-            );
+            let fleet_report =
+                single_machine(&config, name, &wl).serve(&wl, router("round-robin").as_mut());
             // The aggregate orders records canonically by (finish
-            // time, id); the bare scheduler emits exact finish-time
+            // time, id); the single machine emits exact finish-time
             // ties in batch order. Re-sorted, the single run is the
             // aggregate read through its completion order — every
             // record and every scalar.

@@ -8,25 +8,56 @@
 //! properties.
 
 use rpu_serve::{
-    AnalyticCostModel, Fifo, FleetBuilder, FleetRun, PriorityAging, ServeConfig, ServeRun,
+    AnalyticCostModel, Fifo, Fleet, FleetBuilder, FleetRun, PriorityAging, RoundRobin, ServeConfig,
     SessionAffinity, Workload,
 };
 
-/// Steps a run until its batch has turned over — at least one request
-/// completed while at least two stay resident — then freezes it.
-/// Panics if the workload never reaches that shape.
-fn freeze_after_turnover(wl: &Workload, cfg: &ServeConfig) -> (ServeRun, Vec<u8>) {
-    let mut run = ServeRun::new(wl, cfg);
-    let mut cost = AnalyticCostModel::small();
+/// One machine under priority aging: a one-replica fleet.
+fn machine(cfg: &ServeConfig) -> Fleet {
+    FleetBuilder::new()
+        .group(
+            1,
+            cfg,
+            || Box::new(AnalyticCostModel::small()),
+            || Box::new(PriorityAging::new(0.02)),
+        )
+        .build()
+}
+
+/// The turned-over workload: long prompts make prefill (~4 ms) span
+/// several decode steps (~1.4 ms), so freshly admitted slots are still
+/// prefilling while earlier ones decode; varied output lengths stagger
+/// completions so the batch turns over while others stay resident.
+fn turnover_workload() -> (Workload, ServeConfig) {
+    let mut wl = Workload::poisson(2000.0, 2000, 8, 64);
+    wl.output_lens = rpu_models::LengthDistribution::Uniform { lo: 2, hi: 16 };
+    let cfg = ServeConfig {
+        max_batch: 4,
+        ..ServeConfig::default()
+    };
+    (wl, cfg)
+}
+
+/// Steps a one-machine run until its batch has turned over — at least
+/// one request completed while at least two stay resident — then
+/// freezes it. Returns the machine, its router, the live run and the
+/// bytes. Panics if the workload never reaches that shape.
+fn freeze_after_turnover(
+    wl: &Workload,
+    cfg: &ServeConfig,
+) -> (Fleet, RoundRobin, FleetRun, Vec<u8>) {
+    let mut fleet = machine(cfg);
+    let mut router = RoundRobin::new();
+    let mut run = fleet.start(wl);
     loop {
         assert!(
-            run.step(&mut cost, &mut PriorityAging::new(0.02)),
+            run.step(&mut fleet, &mut router),
             "run finished before reaching a turned-over mid-run state"
         );
         let stats = run.stats();
         if stats.completed >= 1 && stats.active >= 2 {
-            let bytes = run.snapshot();
-            return (run, bytes);
+            let bytes = run.snapshot(&router);
+            return (fleet, router, run, bytes);
         }
     }
 }
@@ -37,28 +68,21 @@ fn freeze_after_turnover(wl: &Workload, cfg: &ServeConfig) -> (ServeRun, Vec<u8>
 /// original.
 #[test]
 fn fragmented_mid_run_snapshot_resumes_bit_identically() {
-    // Long prompts make prefill (~4 ms) span several decode steps
-    // (~1.4 ms), so freshly admitted slots are still prefilling while
-    // earlier ones decode; varied output lengths stagger completions
-    // so the batch turns over while others stay resident.
-    let mut wl = Workload::poisson(2000.0, 2000, 8, 64);
-    wl.output_lens = rpu_models::LengthDistribution::Uniform { lo: 2, hi: 16 };
-    let cfg = ServeConfig {
-        max_batch: 4,
-        ..ServeConfig::default()
-    };
-    let (mut original, bytes) = freeze_after_turnover(&wl, &cfg);
-    let mut resumed = ServeRun::resume(&wl, &bytes).expect("snapshot thaws");
+    let (wl, cfg) = turnover_workload();
+    let (mut fleet_a, mut router_a, mut original, bytes) = freeze_after_turnover(&wl, &cfg);
+    let mut fleet_b = machine(&cfg);
+    let mut router_b = RoundRobin::new();
+    let mut resumed = FleetRun::resume(&wl, &fleet_b, &mut router_b, &bytes).expect("thaws");
     // Closure: freezing the thawed state reproduces the bytes exactly
     // — the batch and the rebuilt counters lose nothing in the round
     // trip.
-    assert_eq!(resumed.snapshot(), bytes, "re-freeze must be bit-identical");
-    let mut cost_a = AnalyticCostModel::small();
-    let mut cost_b = AnalyticCostModel::small();
-    let mut pol_a = PriorityAging::new(0.02);
-    let mut pol_b = PriorityAging::new(0.02);
-    while original.step(&mut cost_a, &mut pol_a) {}
-    while resumed.step(&mut cost_b, &mut pol_b) {}
+    assert_eq!(
+        resumed.snapshot(&router_b),
+        bytes,
+        "re-freeze must be bit-identical"
+    );
+    while original.step(&mut fleet_a, &mut router_a) {}
+    while resumed.step(&mut fleet_b, &mut router_b) {}
     assert_eq!(original.into_report(), resumed.into_report());
 }
 
@@ -71,33 +95,25 @@ fn fragmented_mid_run_snapshot_resumes_bit_identically() {
 /// drift introduced later in the run is caught too.
 #[test]
 fn thawed_batch_turnover_does_not_resurrect_stale_telemetry() {
-    let mut wl = Workload::poisson(2000.0, 2000, 8, 64);
-    wl.output_lens = rpu_models::LengthDistribution::Uniform { lo: 2, hi: 16 };
-    let cfg = ServeConfig {
-        max_batch: 4,
-        ..ServeConfig::default()
-    };
-    let (mut original, bytes) = freeze_after_turnover(&wl, &cfg);
-    let mut resumed = ServeRun::resume(&wl, &bytes).expect("snapshot thaws");
-    let kv = AnalyticCostModel::small().kv_capacity_tokens;
+    let (wl, cfg) = turnover_workload();
+    let (mut fleet_a, mut router_a, mut original, bytes) = freeze_after_turnover(&wl, &cfg);
+    let mut fleet_b = machine(&cfg);
+    let mut router_b = RoundRobin::new();
+    let mut resumed = FleetRun::resume(&wl, &fleet_b, &mut router_b, &bytes).expect("thaws");
     assert_eq!(
-        resumed.telemetry(kv),
-        original.telemetry(kv),
+        resumed.telemetry(&fleet_b)[0],
+        original.telemetry(&fleet_a)[0],
         "thawed telemetry differs at the freeze point"
     );
-    let mut cost_a = AnalyticCostModel::small();
-    let mut cost_b = AnalyticCostModel::small();
-    let mut pol_a = PriorityAging::new(0.02);
-    let mut pol_b = PriorityAging::new(0.02);
     loop {
         assert_eq!(
-            resumed.telemetry(kv),
-            original.telemetry(kv),
+            resumed.telemetry(&fleet_b)[0],
+            original.telemetry(&fleet_a)[0],
             "telemetry drifts after event {}",
             original.events()
         );
-        let more = original.step(&mut cost_a, &mut pol_a);
-        if !resumed.step(&mut cost_b, &mut pol_b) {
+        let more = original.step(&mut fleet_a, &mut router_a);
+        if !resumed.step(&mut fleet_b, &mut router_b) {
             assert!(!more, "runs finish at different event counts");
             break;
         }

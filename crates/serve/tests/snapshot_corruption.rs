@@ -2,27 +2,47 @@
 //! with a typed [`SnapshotError`] — never panic, never silently
 //! resume from mangled state.
 //!
-//! The suite takes real mid-run snapshots (single-machine and fleet),
-//! then exhaustively flips every byte and cuts every prefix, asserting
-//! each mutation is rejected. Targeted cases pin the typed variant:
-//! bad magic, format-version skew, per-section checksum mismatch,
-//! truncation, and cross-kind / cross-workload confusion.
+//! The suite takes real mid-run snapshots (one machine — a
+//! one-replica fleet, as `serve_with` runs it — and a three-replica
+//! fleet), then exhaustively flips every byte and cuts every prefix of
+//! the one-machine snapshot, asserting each mutation is rejected.
+//! Targeted cases pin the typed variant: bad magic, format-version
+//! skew, per-section checksum mismatch, truncation, a retired snapshot
+//! kind and cross-workload confusion.
 
 use rpu_serve::snapshot::MAGIC;
 use rpu_serve::{
     churn_tape, AnalyticCostModel, Fifo, Fleet, FleetBuilder, FleetEvent, FleetRun, PriorityAging,
-    RoundRobin, Router, ServeConfig, ServeRun, SessionAffinity, SnapshotError, Workload,
+    RoundRobin, Router, ServeConfig, SessionAffinity, SnapshotError, Workload,
 };
 
+/// One machine under FIFO: a one-replica fleet.
+fn machine() -> Fleet {
+    FleetBuilder::new()
+        .group(
+            1,
+            &ServeConfig::default(),
+            || Box::new(AnalyticCostModel::small()),
+            || Box::new(Fifo),
+        )
+        .build()
+}
+
+/// A one-machine snapshot after `events` events.
 fn serve_snapshot_at(events: u64) -> (Workload, Vec<u8>) {
     let wl = Workload::poisson(1500.0, 192, 24, 48);
-    let cfg = ServeConfig::default();
-    let mut run = ServeRun::new(&wl, &cfg);
-    let mut cost = AnalyticCostModel::small();
+    let mut serving = machine();
+    let mut router = RoundRobin::new();
+    let mut run = serving.start(&wl);
     for _ in 0..events {
-        assert!(run.step(&mut cost, &mut Fifo));
+        assert!(run.step(&mut serving, &mut router));
     }
-    (wl, run.snapshot())
+    (wl, run.snapshot(&router))
+}
+
+/// Thaws a one-machine snapshot into a fresh machine and router.
+fn resume_serve(wl: &Workload, bytes: &[u8]) -> Result<FleetRun, SnapshotError> {
+    FleetRun::resume(wl, &machine(), &mut RoundRobin::new(), bytes)
 }
 
 fn fleet3() -> Fleet {
@@ -67,14 +87,14 @@ fn header_len() -> usize {
 fn every_single_byte_flip_is_rejected() {
     let (wl, bytes) = serve_snapshot_at(40);
     assert!(
-        ServeRun::resume(&wl, &bytes).is_ok(),
+        resume_serve(&wl, &bytes).is_ok(),
         "pristine bytes must thaw"
     );
     for i in 0..bytes.len() {
         let mut evil = bytes.clone();
         evil[i] ^= 0xFF;
         assert!(
-            ServeRun::resume(&wl, &evil).is_err(),
+            resume_serve(&wl, &evil).is_err(),
             "flipping byte {i} of {} was accepted",
             bytes.len()
         );
@@ -85,7 +105,7 @@ fn every_single_byte_flip_is_rejected() {
 fn every_proper_prefix_truncation_is_rejected() {
     let (wl, bytes) = serve_snapshot_at(40);
     for cut in 0..bytes.len() {
-        let err = ServeRun::resume(&wl, &bytes[..cut]).expect_err("a proper prefix was accepted");
+        let err = resume_serve(&wl, &bytes[..cut]).expect_err("a proper prefix was accepted");
         if cut >= header_len() {
             assert!(
                 matches!(err, SnapshotError::Truncated),
@@ -100,7 +120,7 @@ fn bad_magic_is_typed() {
     let (wl, mut bytes) = serve_snapshot_at(10);
     bytes[0] = b'X';
     assert!(matches!(
-        ServeRun::resume(&wl, &bytes),
+        resume_serve(&wl, &bytes),
         Err(SnapshotError::BadMagic)
     ));
 }
@@ -109,7 +129,7 @@ fn bad_magic_is_typed() {
 fn format_version_skew_is_typed() {
     let (wl, mut bytes) = serve_snapshot_at(10);
     bytes[MAGIC.len()] = bytes[MAGIC.len()].wrapping_add(1);
-    let err = ServeRun::resume(&wl, &bytes).expect_err("future format accepted");
+    let err = resume_serve(&wl, &bytes).expect_err("future format accepted");
     let SnapshotError::VersionMismatch { found, expected } = err else {
         panic!("expected VersionMismatch, got {err:?}");
     };
@@ -125,7 +145,7 @@ fn crate_version_skew_is_typed() {
     let mut evil = bytes.clone();
     evil[start] = evil[start].wrapping_add(1);
     assert!(matches!(
-        ServeRun::resume(&wl, &evil),
+        resume_serve(&wl, &evil),
         Err(SnapshotError::VersionMismatch { .. })
     ));
 }
@@ -136,7 +156,7 @@ fn payload_corruption_is_a_checksum_mismatch_naming_the_section() {
     // First section is RUN: id byte, 8-byte length, then payload.
     let payload = header_len() + 1 + 8;
     bytes[payload] ^= 0x01;
-    let err = ServeRun::resume(&wl, &bytes).expect_err("corrupt payload accepted");
+    let err = resume_serve(&wl, &bytes).expect_err("corrupt payload accepted");
     assert!(
         matches!(err, SnapshotError::ChecksumMismatch { section: 1 }),
         "got {err:?}"
@@ -147,14 +167,14 @@ fn payload_corruption_is_a_checksum_mismatch_naming_the_section() {
 fn empty_and_tiny_inputs_are_rejected_without_panicking() {
     let (wl, _) = serve_snapshot_at(1);
     assert!(matches!(
-        ServeRun::resume(&wl, &[]),
+        resume_serve(&wl, &[]),
         Err(SnapshotError::Truncated)
     ));
     for n in 1..MAGIC.len() {
-        assert!(ServeRun::resume(&wl, &MAGIC[..n]).is_err());
+        assert!(resume_serve(&wl, &MAGIC[..n]).is_err());
     }
     assert!(matches!(
-        ServeRun::resume(&wl, &MAGIC),
+        resume_serve(&wl, &MAGIC),
         Err(SnapshotError::Truncated)
     ));
 }
@@ -164,22 +184,34 @@ fn resuming_under_a_different_workload_is_a_workload_mismatch() {
     let (_, bytes) = serve_snapshot_at(10);
     let other = Workload::poisson(1500.0, 192, 24, 47);
     assert!(matches!(
-        ServeRun::resume(&other, &bytes),
+        resume_serve(&other, &bytes),
         Err(SnapshotError::WorkloadMismatch)
     ));
 }
 
+/// A one-machine snapshot and a three-replica one are the same kind
+/// but not interchangeable: each fails typed in the other's fleet. A
+/// snapshot carrying the retired single-machine kind tag `1` in its RUN
+/// header — checksum repaired, so only the tag is wrong — fails typed
+/// too, never thawing and never panicking.
 #[test]
 fn fleet_and_serve_snapshots_do_not_cross_thaw() {
     let (wl, fleet, fleet_bytes) = fleet_snapshot_at(20);
     assert!(matches!(
-        ServeRun::resume(&wl, &fleet_bytes),
+        resume_serve(&wl, &fleet_bytes),
         Err(SnapshotError::Corrupt(_))
     ));
     let (swl, serve_bytes) = serve_snapshot_at(20);
     let mut router: Box<dyn Router> = Box::new(SessionAffinity::new());
     assert!(matches!(
         FleetRun::resume(&swl, &fleet, router.as_mut(), &serve_bytes),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    let (_, start, len) = sections(&serve_bytes)[0];
+    assert_eq!(serve_bytes[start], 2, "the RUN section opens with the kind");
+    let retired = set_checksummed(&serve_bytes, start, len, 0, 1);
+    assert!(matches!(
+        resume_serve(&swl, &retired),
         Err(SnapshotError::Corrupt(_))
     ));
 }
@@ -194,8 +226,9 @@ fn fleet_byte_flips_and_truncations_are_rejected() {
             "pristine fleet bytes must thaw"
         );
     }
-    // Sampled flips (every 7th byte) keep the fleet half of the sweep
-    // cheap; the serve half above is exhaustive over the same format.
+    // Sampled flips (every 7th byte) keep the three-replica half of
+    // the sweep cheap; the one-machine half above is exhaustive over
+    // the same format.
     for i in (0..bytes.len()).step_by(7) {
         let mut evil = bytes.clone();
         evil[i] ^= 0xFF;
@@ -247,14 +280,20 @@ fn sections(bytes: &[u8]) -> Vec<(u8, usize, usize)> {
     out
 }
 
-/// Flips `payload[i]` and repairs the section checksum so the mutation
-/// reaches the structural validators instead of dying at the hash.
-fn mutate_checksummed(bytes: &[u8], start: usize, len: usize, i: usize) -> Vec<u8> {
+/// Sets `payload[i]` to `value` and repairs the section checksum so the
+/// mutation reaches the structural validators instead of dying at the
+/// hash.
+fn set_checksummed(bytes: &[u8], start: usize, len: usize, i: usize, value: u8) -> Vec<u8> {
     let mut evil = bytes.to_vec();
-    evil[start + i] ^= 0xFF;
+    evil[start + i] = value;
     let sum = rpu_serve::snapshot::fnv1a(&evil[start..start + len]);
     evil[start + len..start + len + 8].copy_from_slice(&sum.to_le_bytes());
     evil
+}
+
+/// Flips `payload[i]`, checksum repaired (see [`set_checksummed`]).
+fn mutate_checksummed(bytes: &[u8], start: usize, len: usize, i: usize) -> Vec<u8> {
+    set_checksummed(bytes, start, len, i, !bytes[start + i])
 }
 
 /// Checksum-*valid* hostile mutations of the core section — the queue,
@@ -270,20 +309,21 @@ fn checksummed_core_mutations_are_rejected_or_thaw_steppable() {
     let (_, start, len) = sections(&bytes)
         .into_iter()
         .find(|s| s.0 == 3)
-        .expect("serve snapshots carry a core section");
+        .expect("one-machine snapshots carry a core section");
     let mut thawed = 0u32;
     for i in 0..len {
         let evil = mutate_checksummed(&bytes, start, len, i);
-        match ServeRun::resume(&wl, &evil) {
+        let mut router = RoundRobin::new();
+        match FleetRun::resume(&wl, &machine(), &mut router, &evil) {
             Err(_) => {} // typed rejection — never a panic
             Ok(mut run) => {
                 thawed += 1;
                 // A mutation that still parses must yield a steppable
                 // state (bounded: a mutated output length can
                 // legitimately lengthen the run).
-                let mut cost = AnalyticCostModel::small();
+                let mut serving = machine();
                 for _ in 0..5_000 {
-                    if !run.step(&mut cost, &mut Fifo) {
+                    if !run.step(&mut serving, &mut router) {
                         break;
                     }
                 }
@@ -310,7 +350,7 @@ fn checksummed_fleet_core_mutations_never_panic_the_wake_rebuild() {
         if id != 3 {
             continue;
         }
-        // Sampled: the serve-side sweep above is exhaustive on the
+        // Sampled: the one-machine sweep above is exhaustive on the
         // same core format; here the target is the wake rebuild.
         for i in (0..len).step_by(3) {
             let evil = mutate_checksummed(&bytes, start, len, i);

@@ -4,18 +4,19 @@
 //! bit-identically — for any seeded workload, snapshotting at *any*
 //! event index and restoring into a fresh machine yields a final
 //! report **byte-identical** to the uninterrupted run. One property
-//! per scheduling policy (64 cases each) on the single-machine run,
-//! plus a fleet-level property that also freezes router state and
-//! closes the triangle: uninterrupted == resumed == replayed-from-log.
-//! A single machine logs no decisions, so its triangle closes on a
-//! fresh [`serve_with`] run instead.
+//! per scheduling policy (64 cases each) on a single machine (a
+//! one-replica fleet, as [`serve_with`] runs it), plus a fleet-level
+//! property over one to four replicas and every router. Both freeze
+//! router state and close the triangle: uninterrupted == resumed ==
+//! replayed-from-log; the single machine's also matches a fresh
+//! [`serve_with`] run.
 
 use proptest::prelude::*;
 use rpu_models::LengthDistribution;
 use rpu_serve::{
     digest_fleet_report, digest_serve_report, serve_with, AnalyticCostModel, ArrivalProcess,
     ClassSpec, DeadlineEdf, Fifo, FleetBuilder, FleetRun, JoinShortestQueue, LeastKvLoad,
-    PriorityAging, RoundRobin, Router, SchedulingPolicy, ServeConfig, ServeRun, SessionAffinity,
+    PriorityAging, RoundRobin, Router, SchedulingPolicy, ServeConfig, SessionAffinity,
     ShortestJobFirst, SloTargets, Workload,
 };
 
@@ -62,53 +63,77 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
         })
 }
 
-/// Runs the workload twice with the given policy factory: once
-/// uninterrupted, once snapshotted at `cut` (taken modulo the run
-/// length) and restored into a fresh run. Asserts byte-identical
-/// reports and digests.
+/// Runs the workload on one machine (a one-replica fleet) with the
+/// given policy factory: once uninterrupted, once snapshotted at `cut`
+/// (taken modulo the run length) and restored into a fresh run, once
+/// replayed from the recorded log. Asserts byte-identical reports and
+/// digests, and that a fresh [`serve_with`] run is the replica's report.
 fn assert_serve_cut_equivalence(
     wl: &Workload,
     cut: u64,
     make_policy: impl Fn() -> Box<dyn SchedulingPolicy>,
 ) -> Result<(), TestCaseError> {
     let cfg = ServeConfig::default();
+    let machine = || {
+        FleetBuilder::new()
+            .group(
+                1,
+                &cfg,
+                || Box::new(AnalyticCostModel::small()),
+                &make_policy,
+            )
+            .build()
+    };
 
-    let mut full = ServeRun::new(wl, &cfg);
-    let mut cost = AnalyticCostModel::small();
-    let mut policy = make_policy();
-    while full.step(&mut cost, policy.as_mut()) {}
+    let mut fleet = machine();
+    let mut router = RoundRobin::new();
+    let mut full = fleet.start(wl);
+    while full.step(&mut fleet, &mut router) {}
     let total = full.events();
+    let log = full.log().clone();
     let uninterrupted = full.into_report();
 
     let cut = cut % total.max(1);
-    let mut head = ServeRun::new(wl, &cfg);
-    let mut cost = AnalyticCostModel::small();
-    let mut policy = make_policy();
+    let mut fleet_a = machine();
+    let mut router_a = RoundRobin::new();
+    let mut head = fleet_a.start(wl);
     for _ in 0..cut {
-        prop_assert!(head.step(&mut cost, policy.as_mut()));
+        prop_assert!(head.step(&mut fleet_a, &mut router_a));
     }
-    let bytes = head.snapshot();
+    let bytes = head.snapshot(&router_a);
 
-    let mut tail = ServeRun::resume(wl, &bytes).expect("snapshot must thaw");
-    let mut cost = AnalyticCostModel::small();
-    let mut policy = make_policy();
-    while tail.step(&mut cost, policy.as_mut()) {}
+    let mut fleet_b = machine();
+    let mut router_b = RoundRobin::new();
+    let mut tail =
+        FleetRun::resume(wl, &fleet_b, &mut router_b, &bytes).expect("snapshot must thaw");
+    while tail.step(&mut fleet_b, &mut router_b) {}
     let resumed = tail.into_report();
 
     prop_assert_eq!(&resumed, &uninterrupted, "resumed report differs");
     prop_assert_eq!(
-        digest_serve_report(&resumed),
-        digest_serve_report(&uninterrupted)
+        digest_serve_report(&resumed.replicas[0]),
+        digest_serve_report(&uninterrupted.replicas[0])
+    );
+    prop_assert_eq!(
+        digest_fleet_report(&resumed),
+        digest_fleet_report(&uninterrupted)
     );
 
-    // Close the triangle: a fresh serve_with run matches too.
+    // Close the triangle: the replayed log and a fresh serve_with run
+    // match too.
+    let replayed = machine().replay(wl, &log);
+    prop_assert_eq!(&replayed, &uninterrupted, "replayed report differs");
     let direct = serve_with(
         wl,
         &mut AnalyticCostModel::small(),
         &cfg,
         make_policy().as_mut(),
     );
-    prop_assert_eq!(&direct, &uninterrupted, "serve_with report differs");
+    prop_assert_eq!(
+        &direct,
+        &uninterrupted.replicas[0],
+        "serve_with report differs"
+    );
     Ok(())
 }
 
