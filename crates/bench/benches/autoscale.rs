@@ -12,9 +12,9 @@
 //! - `BENCH_BLESS=1 cargo bench --bench autoscale` re-records the
 //!   committed baseline;
 //! - a plain run gates against it, failing on a >25% requests/sec
-//!   regression (ratio < 0.75) — the lifecycle machinery (routable
-//!   masks, telemetry refresh, control boundaries) must stay off the
-//!   serving hot path;
+//!   regression (ratio < 0.75) — the lifecycle machinery (the routing
+//!   index's routable bitset, telemetry refresh, control boundaries)
+//!   must stay off the serving hot path;
 //! - the bench also asserts flatness, as `router_scale` does across
 //!   widths: µs/request at 200k requests must stay within 1.5× of the
 //!   value at 25k requests of the same tape. A control loop whose

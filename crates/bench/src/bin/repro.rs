@@ -72,11 +72,10 @@ fn parse(args: &[String]) -> Result<Option<Options>, String> {
                 usage();
                 return Ok(None);
             }
-            // Hidden: per-subsystem hot-path counters (routing-index
-            // updates, route calls) from one probe run per built-in
-            // router. CI greps the output to assert
-            // `route_scan_fallbacks=0` — the built-in routers must
-            // never fall back to an O(replicas) scan.
+            // Hidden: per-subsystem hot-path counters (route calls,
+            // routing-index updates) from one probe run per built-in
+            // router. CI checks the output has one line per router and
+            // no `route_calls=0`.
             "--counters" => {
                 print!("{}", exp::fleet_scale::counters_report());
                 return Ok(None);

@@ -23,8 +23,9 @@
 
 use crate::engine::Engine;
 use rpu_serve::{
-    digest_fleet_report, AnalyticCostModel, CostModel, Fifo, FleetBuilder, ReportDigest,
-    RoundRobin, SchedulingPolicy, ServeConfig, Workload,
+    digest_fleet_report, AnalyticCostModel, CostModel, Fifo, FleetBuilder, FleetRun,
+    JoinShortestQueue, LeastKvLoad, ReportDigest, RoundRobin, Router, SchedulingPolicy,
+    ServeConfig, SessionAffinity, Workload,
 };
 use rpu_util::table::{Cell, Table};
 
@@ -201,21 +202,35 @@ impl FleetScale {
     }
 }
 
+/// Fleet width of the `repro --counters` probe: the sweep's 64 rung.
+const PROBE_REPLICAS: u32 = 64;
+
+/// Requests the probe routes: 50 per replica.
+const PROBE_REQUESTS: u32 = PROBE_REPLICAS * 50;
+
+/// Runs the counters probe — the 64-replica rung at the sweep's own
+/// saturating-but-stable load — to completion under `router`.
+fn run_probe(router: &mut dyn Router) -> FleetRun {
+    let mut fleet = FleetBuilder::new()
+        .group(
+            PROBE_REPLICAS as usize,
+            &scale_config(),
+            || Box::new(AnalyticCostModel::small()) as Box<dyn CostModel>,
+            || Box::new(Fifo) as Box<dyn SchedulingPolicy>,
+        )
+        .build();
+    let mut run = fleet.start(&scale_workload(PROBE_REPLICAS, PROBE_REQUESTS));
+    while run.step(&mut fleet, router) {}
+    run
+}
+
 /// Per-subsystem hot-path counters behind the `repro --counters`
 /// probe: the 64-replica rung run once per built-in router, one line
-/// each with the [`rpu_serve::PerfCounters`] the fleet driver kept.
-///
-/// The load is the sweep's own saturating-but-stable point, so the
-/// join-shortest-queue argmin always has KV headroom and
-/// `route_scan_fallbacks` must read 0 for every built-in router — the
-/// line CI greps to prove the `O(R)` route scans stayed retired.
+/// each with the routing decisions the command log recorded and the
+/// [`rpu_serve::PerfCounters`] the fleet driver kept. CI checks that
+/// every router routed something.
 #[must_use]
 pub fn counters_report() -> String {
-    use rpu_serve::{JoinShortestQueue, LeastKvLoad, Router, SessionAffinity};
-
-    const REPLICAS: u32 = 64;
-    const REQUESTS: u32 = REPLICAS * 50;
-
     type MkRouter = fn() -> Box<dyn Router>;
     let routers: [(&str, MkRouter); 4] = [
         ("round_robin", || Box::new(RoundRobin::new())),
@@ -223,28 +238,14 @@ pub fn counters_report() -> String {
         ("least_kv", || Box::new(LeastKvLoad)),
         ("affinity", || Box::new(SessionAffinity::new())),
     ];
-    let wl = scale_workload(REPLICAS, REQUESTS);
     let mut out = String::new();
     for (name, mk) in routers {
-        let mut fleet = FleetBuilder::new()
-            .group(
-                REPLICAS as usize,
-                &scale_config(),
-                || Box::new(AnalyticCostModel::small()) as Box<dyn CostModel>,
-                || Box::new(Fifo) as Box<dyn SchedulingPolicy>,
-            )
-            .build();
-        let mut router = mk();
-        let mut run = fleet.start(&wl);
-        while run.step(&mut fleet, router.as_mut()) {}
+        let run = run_probe(mk().as_mut());
         let c = run.perf_counters();
         out.push_str(&format!(
-            "counters[{name}]: replicas={REPLICAS} requests={REQUESTS} \
-             route_calls={} route_index_hits={} route_scan_fallbacks={} \
-             index_leaf_updates={} index_marks={}\n",
-            c.route_calls,
-            c.route_index_hits,
-            c.route_scan_fallbacks,
+            "counters[{name}]: replicas={PROBE_REPLICAS} requests={PROBE_REQUESTS} \
+             route_calls={} index_leaf_updates={} index_marks={}\n",
+            run.log().picks().len(),
             c.index_leaf_updates,
             c.index_marks,
         ));
@@ -255,6 +256,7 @@ pub fn counters_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpu_serve::{Request, RoutingView};
     use std::sync::OnceLock;
 
     /// The sweep is deterministic; run it once and share it across the
@@ -317,10 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn counters_probe_covers_every_builtin_router_with_zero_scan_fallbacks() {
-        // The CI perf-counters leg greps these lines: every built-in
-        // router must route entirely off the index, and the routed
-        // work must actually show up in the counters.
+    fn counters_probe_covers_every_builtin_router() {
+        // The CI perf-counters leg greps these lines: one per built-in
+        // router, and the routed work must actually show up in them.
         let report = counters_report();
         let lines: Vec<&str> = report.lines().collect();
         assert_eq!(lines.len(), 4, "one line per built-in router:\n{report}");
@@ -334,14 +335,48 @@ mod tests {
         }
         for line in &lines {
             assert!(
-                line.contains("route_scan_fallbacks=0"),
-                "built-in router fell back to an O(R) scan: {line}"
-            );
-            assert!(
                 !line.contains("route_calls=0 "),
                 "probe routed nothing: {line}"
             );
         }
+    }
+
+    /// [`JoinShortestQueue`], checked on every route of the probe: the
+    /// index's backlog argmin has KV headroom, so the router's `O(R)`
+    /// saturated scan never runs, and the pick is that argmin.
+    struct ArgminCheckedJsq {
+        routes: u32,
+    }
+
+    impl Router for ArgminCheckedJsq {
+        fn name(&self) -> &'static str {
+            "jsq-argmin-checked"
+        }
+
+        fn route(&mut self, req: &Request, view: &RoutingView<'_>) -> usize {
+            let argmin = view
+                .min_backlog_replica()
+                .expect("some replica is routable");
+            assert!(
+                view.replica(argmin).has_kv_headroom(req.reserved_tokens()),
+                "request {} met a KV-saturated argmin: JSQ would scan",
+                req.id
+            );
+            let pick = JoinShortestQueue.route(req, view);
+            assert_eq!(pick, argmin, "request {} left the argmin", req.id);
+            self.routes += 1;
+            pick
+        }
+    }
+
+    #[test]
+    fn jsq_probe_routes_every_request_off_the_index_argmin() {
+        // The probe load keeps every JSQ decision on the O(log R)
+        // lookup: no route reaches the headroom-restricted scan.
+        let mut router = ArgminCheckedJsq { routes: 0 };
+        let run = run_probe(&mut router);
+        assert_eq!(router.routes, PROBE_REQUESTS);
+        assert_eq!(run.log().picks().len(), PROBE_REQUESTS as usize);
     }
 
     #[test]

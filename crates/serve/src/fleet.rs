@@ -83,7 +83,7 @@ use crate::min_tree::MinTree;
 use crate::policy::{QueuedRequest, SchedulingPolicy};
 use crate::replay::{CommandLog, LoggedPicks};
 use crate::request::{Request, RequestRecord};
-use crate::router::{ReplicaTelemetry, RouteStats, Router, RoutingView};
+use crate::router::{ReplicaTelemetry, Router, RoutingView};
 use crate::routing_index::FleetRoutingIndex;
 use crate::scheduler::{Core, RunStats, ServeConfig, ServeReport};
 use crate::snapshot::{
@@ -382,13 +382,12 @@ pub struct FleetRun {
     /// rebuilt deterministically from the cores on resume, like the
     /// wake-up calendar.
     telemetry: Vec<ReplicaTelemetry>,
-    /// Ordered indexes over `telemetry` and `routable` — the routers'
-    /// `O(log R)` lookup structure. One dirty mark per event keeps it
-    /// in sync; like the telemetry cache it is derived state, rebuilt
-    /// on resume, never serialised.
+    /// Ordered indexes over `telemetry`, plus the routable bitset
+    /// derived from `states` — the mask and `O(log R)` lookups every
+    /// [`RoutingView`] reads. One dirty mark per event and one bit flip
+    /// per lifecycle transition keep it in sync; like the telemetry
+    /// cache it is derived state, rebuilt on resume, never serialised.
     index: FleetRoutingIndex,
-    /// Routing-path counters, shared into every view handed a router.
-    route_stats: RouteStats,
     /// Each replica's published KV capacity, cached once at run start:
     /// capacities are fixed per cost model, so the per-event telemetry
     /// refresh skips the virtual call.
@@ -399,10 +398,9 @@ pub struct FleetRun {
     log: CommandLog,
     events: u64,
     fingerprint: u64,
-    /// Each slot's current lifecycle state, in replica order.
+    /// Each slot's current lifecycle state, in replica order — the
+    /// source of truth the index's routable bitset is derived from.
     states: Vec<LifecycleState>,
-    /// `states[i].is_routable()`, cached as the mask the router sees.
-    routable: Vec<bool>,
     /// Injected lifecycle events not yet applied, sorted by time
     /// (stable: equal-time events apply in injection order).
     pending_events: VecDeque<FleetEvent>,
@@ -428,13 +426,6 @@ pub struct FleetRun {
 /// writes one leaf per event, so its work is [`FleetRun::events`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
-    /// Routing decisions made (arrivals plus displaced re-routes).
-    pub route_calls: u64,
-    /// Routing lookups answered from the [`FleetRoutingIndex`].
-    pub route_index_hits: u64,
-    /// Linear `O(R)` routing scans taken. Zero for the built-in
-    /// routers outside join-shortest-queue's KV-saturated slow path.
-    pub route_scan_fallbacks: u64,
     /// Routing-index leaf refreshes applied (each an `O(log R)`
     /// winner-tree pull-up per tree).
     pub index_leaf_updates: u64,
@@ -489,12 +480,11 @@ fn wake_tick(key: u64) -> f64 {
 
 /// The state a [`FleetRun`] derives from its cores, KV capacities and
 /// lifecycle states instead of serialising: the wake-up tree, the
-/// telemetry cache, the routable mask and the routing index.
+/// telemetry cache and the routing index with its routable bitset.
 struct Derived {
     wake: MinTree<u64>,
     telemetry: Vec<ReplicaTelemetry>,
     index: FleetRoutingIndex,
-    routable: Vec<bool>,
 }
 
 impl Derived {
@@ -513,7 +503,6 @@ impl Derived {
             wake,
             telemetry,
             index,
-            routable,
         }
     }
 }
@@ -578,7 +567,6 @@ impl FleetRun {
             wake,
             telemetry,
             index,
-            routable,
         } = Derived::build(&kv_caps, &cores, &states);
         Self {
             source,
@@ -586,13 +574,11 @@ impl FleetRun {
             wake,
             telemetry,
             index,
-            route_stats: RouteStats::default(),
             kv_caps,
             log: CommandLog::default(),
             events: 0,
             fingerprint: workload_fingerprint(workload),
             states,
-            routable,
             pending_events: VecDeque::new(),
             displaced: VecDeque::new(),
             now_s: 0.0,
@@ -658,8 +644,7 @@ impl FleetRun {
             self.accrue_machine_seconds(ev.at_s);
             self.now_s = self.now_s.max(ev.at_s);
             let i = self.apply_transition(&ev);
-            self.routable[i] = self.states[i].is_routable();
-            self.index.set_routable(i, self.routable[i]);
+            self.index.set_routable(i, self.states[i].is_routable());
             self.telemetry[i] = self.cores[i].telemetry(self.kv_caps[i]);
             debug_assert_eq!(
                 self.telemetry,
@@ -669,9 +654,7 @@ impl FleetRun {
             self.log.push_transition(self.events, ev);
             router.on_fleet_event(
                 &ev,
-                &RoutingView::new(&self.telemetry, &self.routable, ev.at_s)
-                    .with_index(&self.index)
-                    .with_stats(&self.route_stats),
+                &RoutingView::new(&self.telemetry, &self.index, ev.at_s),
             );
             i
         } else if next.reroute <= next.arrival && next.reroute <= next.wake {
@@ -715,15 +698,15 @@ impl FleetRun {
             cached_telemetry(&self.cores, &self.kv_caps),
             "telemetry cache drifted from the cores"
         );
-        self.route_stats.note_route_call();
         let pick = router.route(
             req,
-            &RoutingView::new(&self.telemetry, &self.routable, self.now_s)
-                .with_index(&self.index)
-                .with_stats(&self.route_stats),
+            &RoutingView::new(&self.telemetry, &self.index, self.now_s),
         );
         assert!(pick < self.cores.len(), "router picked out of range");
-        assert!(self.routable[pick], "router picked an unroutable replica");
+        assert!(
+            self.states[pick].is_routable(),
+            "router picked an unroutable replica"
+        );
         self.log.push_pick(pick);
         pick
     }
@@ -829,8 +812,8 @@ impl FleetRun {
         let any_live = self.index.live_count() > 0;
         debug_assert_eq!(
             any_live,
-            self.routable.iter().any(|&r| r),
-            "index live count drifted from the routable mask"
+            self.states.iter().any(|s| s.is_routable()),
+            "index live count drifted from the lifecycle states"
         );
         let reroute = self
             .displaced
@@ -956,16 +939,13 @@ impl FleetRun {
     }
 
     /// Per-subsystem hot-path counters accumulated so far —
-    /// routing-index maintenance and routing decisions.
-    /// Diagnostic only (the repro driver's `--counters` report): never
+    /// routing-index maintenance (routing decisions are
+    /// `self.log().picks().len()`). Diagnostic only (the repro driver's `--counters` report): never
     /// serialised, reset on resume.
     #[must_use]
     pub fn perf_counters(&self) -> PerfCounters {
         let (index_leaf_updates, index_marks) = self.index.update_counts();
         PerfCounters {
-            route_calls: self.route_stats.route_calls(),
-            route_index_hits: self.route_stats.index_hits(),
-            route_scan_fallbacks: self.route_stats.scan_fallbacks(),
             index_leaf_updates,
             index_marks,
         }
@@ -1129,7 +1109,6 @@ impl FleetRun {
             wake,
             telemetry,
             index,
-            routable,
         } = Derived::build(&kv_caps, &cores, &states);
         Ok(Self {
             source,
@@ -1137,13 +1116,11 @@ impl FleetRun {
             wake,
             telemetry,
             index,
-            route_stats: RouteStats::default(),
             kv_caps,
             log,
             events,
             fingerprint,
             states,
-            routable,
             pending_events,
             displaced,
             now_s,

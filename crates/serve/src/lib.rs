@@ -122,7 +122,7 @@ pub use replay::CommandLog;
 pub use request::{Request, RequestRecord};
 pub use rng::ServeRng;
 pub use router::{
-    JoinShortestQueue, LeastKvLoad, ReplicaTelemetry, RoundRobin, RouteStats, Router, RoutingView,
+    JoinShortestQueue, LeastKvLoad, ReplicaTelemetry, RoundRobin, Router, RoutingView,
     SessionAffinity,
 };
 pub use routing_index::FleetRoutingIndex;

@@ -4,10 +4,10 @@
 //! [`Router`]. The router is deliberately blind to everything except
 //! the [`RoutingView`] — per-replica [`ReplicaTelemetry`] (the counters
 //! a real replica would publish: queue depth, KV occupancy,
-//! outstanding tokens), the live/draining routable mask, and the sim
-//! clock — so routing policies stay honest: no peeking at another
-//! replica's policy internals or the sampled lengths of its resident
-//! requests.
+//! outstanding tokens), the routable mask and `O(log R)` argmins of the
+//! fleet's [`FleetRoutingIndex`], and the sim clock — so routing
+//! policies stay honest: no peeking at another replica's policy
+//! internals or the sampled lengths of its resident requests.
 //!
 //! | Router | Picks | Uses telemetry | Stateful |
 //! |---|---|---|---|
@@ -20,8 +20,6 @@
 //! the mask excludes them from candidacy, and [`SessionAffinity`]
 //! walks a session's ring successors so its keys land on the nearest
 //! live replica — and snap back home when the replica rejoins.
-
-use std::cell::Cell;
 
 use crate::lifecycle::FleetEvent;
 use crate::request::Request;
@@ -80,71 +78,21 @@ impl ReplicaTelemetry {
     }
 }
 
-/// Per-decision counters for the routing path, shared by reference
-/// into every [`RoutingView`] a run constructs. `Cell`-based so the
-/// view can stay `Copy` and routers keep taking `&RoutingView`.
-///
-/// [`RouteStats::scan_fallbacks`] is the number to watch: it counts
-/// every `O(R)` linear scan taken where an indexed lookup was the
-/// alternative — zero on a built-in-router run with the fleet's
-/// [`FleetRoutingIndex`] attached (barring the KV-saturated
-/// join-shortest-queue slow path, which is exact by design).
-#[derive(Debug, Default)]
-pub struct RouteStats {
-    route_calls: Cell<u64>,
-    index_hits: Cell<u64>,
-    scan_fallbacks: Cell<u64>,
-}
-
-impl RouteStats {
-    /// Routing decisions made (one per arrival or displaced re-route).
-    #[must_use]
-    pub fn route_calls(&self) -> u64 {
-        self.route_calls.get()
-    }
-
-    /// Indexed (`O(log R)` or bitset) lookups answered.
-    #[must_use]
-    pub fn index_hits(&self) -> u64 {
-        self.index_hits.get()
-    }
-
-    /// Linear `O(R)` scans taken — no index attached, or a router's
-    /// exact slow path.
-    #[must_use]
-    pub fn scan_fallbacks(&self) -> u64 {
-        self.scan_fallbacks.get()
-    }
-
-    pub(crate) fn note_route_call(&self) {
-        self.route_calls.set(self.route_calls.get() + 1);
-    }
-
-    fn note_index_hit(&self) {
-        self.index_hits.set(self.index_hits.get() + 1);
-    }
-
-    fn note_scan(&self) {
-        self.scan_fallbacks.set(self.scan_fallbacks.get() + 1);
-    }
-}
-
 /// Everything a router may see when placing one request: the
 /// index-aligned telemetry of every provisioned replica slot, the
-/// routable mask (`true` only for live replicas — draining and down
-/// slots must not receive new work), and the sim clock.
+/// fleet's [`FleetRoutingIndex`] over it (whose routable bitset is
+/// `true` only for live replicas — draining and down slots must not
+/// receive new work), and the sim clock.
 ///
 /// New routing inputs land here as fields instead of breaking every
 /// downstream [`Router`] `impl` with a signature change.
 ///
 /// # Writing an `O(log R)` custom router
 ///
-/// A fleet run attaches its [`FleetRoutingIndex`] to every view it
-/// hands a router, and the view's [`RoutingView::min_backlog_replica`],
+/// Every view answers [`RoutingView::min_backlog_replica`],
 /// [`RoutingView::min_kv_load_replica`] and
-/// [`RoutingView::next_routable_from`] lookups answer from that index
-/// in `O(log R)` (falling back to the exact linear scan on a bare
-/// view, so picks are identical either way). Custom routers opt in by
+/// [`RoutingView::next_routable_from`] from its index in `O(log R)`
+/// (the last by a bitset word scan). Custom routers get that cost by
 /// phrasing their decision through those lookups instead of scanning
 /// [`RoutingView::routable`]:
 ///
@@ -184,18 +132,16 @@ impl RouteStats {
 /// let workload = Workload::poisson(800.0, 256, 16, 40);
 /// let report = fleet.serve(&workload, &mut ShortestWithSpill);
 /// assert_eq!(report.aggregate.records.len(), 40);
-/// // Identical decisions to the equivalent scan-based router: while
-/// // every replica has headroom, this *is* join-shortest-queue.
-/// let scanned = fleet.serve(&workload, &mut JoinShortestQueue);
-/// assert_eq!(report.assigned, scanned.assigned);
+/// // While every replica has headroom, this *is* join-shortest-queue:
+/// // the two routers make identical decisions.
+/// let jsq = fleet.serve(&workload, &mut JoinShortestQueue);
+/// assert_eq!(report.assigned, jsq.assigned);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct RoutingView<'a> {
     telemetry: &'a [ReplicaTelemetry],
-    routable: &'a [bool],
+    index: &'a FleetRoutingIndex,
     now_s: f64,
-    index: Option<&'a FleetRoutingIndex>,
-    stats: Option<&'a RouteStats>,
 }
 
 impl<'a> RoutingView<'a> {
@@ -203,41 +149,24 @@ impl<'a> RoutingView<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when the telemetry and mask slices disagree on the
+    /// Panics when the telemetry and the index disagree on the
     /// provisioned replica count.
     #[must_use]
-    pub fn new(telemetry: &'a [ReplicaTelemetry], routable: &'a [bool], now_s: f64) -> Self {
+    pub fn new(
+        telemetry: &'a [ReplicaTelemetry],
+        index: &'a FleetRoutingIndex,
+        now_s: f64,
+    ) -> Self {
         assert_eq!(
             telemetry.len(),
-            routable.len(),
-            "telemetry and routable mask must cover the same replicas"
+            index.len(),
+            "telemetry and routing index must cover the same replicas"
         );
         Self {
             telemetry,
-            routable,
+            index,
             now_s,
-            index: None,
-            stats: None,
         }
-    }
-
-    /// Attaches a [`FleetRoutingIndex`] kept in sync with `telemetry`
-    /// and the routable mask: the view's argmin and next-routable
-    /// lookups then answer from the index instead of scanning. The
-    /// fleet driver attaches its own index to every view it builds;
-    /// custom harnesses may attach one they maintain themselves.
-    #[must_use]
-    pub fn with_index(mut self, index: &'a FleetRoutingIndex) -> Self {
-        self.index = Some(index);
-        self
-    }
-
-    /// Attaches routing-path counters; the view's lookups record
-    /// index hits and scan fallbacks into them.
-    #[must_use]
-    pub fn with_stats(mut self, stats: &'a RouteStats) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Provisioned replica slots (routable or not).
@@ -273,99 +202,49 @@ impl<'a> RoutingView<'a> {
     /// Whether slot `i` may receive new work (live, not draining/down).
     #[must_use]
     pub fn is_routable(&self, i: usize) -> bool {
-        self.routable[i]
+        self.index.is_routable(i)
     }
 
     /// Indices of the replicas that may receive new work, ascending.
-    pub fn routable(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.routable.len()).filter(move |&i| self.routable[i])
+    pub fn routable(&self) -> impl Iterator<Item = usize> + 'a {
+        self.index.routable()
     }
 
-    /// How many replicas may receive new work.
+    /// How many replicas may receive new work: `O(1)`.
     #[must_use]
     pub fn routable_count(&self) -> usize {
-        self.routable.iter().filter(|&&r| r).count()
-    }
-
-    fn note_index_hit(&self) {
-        if let Some(s) = self.stats {
-            s.note_index_hit();
-        }
-    }
-
-    pub(crate) fn note_scan(&self) {
-        if let Some(s) = self.stats {
-            s.note_scan();
-        }
+        self.index.live_count()
     }
 
     /// The routable replica with the fewest requests on it, ties broken
     /// by lowest index — the exact argmin `(backlog, index)` order
     /// [`JoinShortestQueue`] ranks by. `None` when nothing is routable.
-    ///
-    /// `O(log R)` with an attached [`FleetRoutingIndex`], an `O(R)`
-    /// scan otherwise — same answer either way.
+    /// `O(log R)`.
     #[must_use]
     pub fn min_backlog_replica(&self) -> Option<usize> {
-        if let Some(idx) = self.index {
-            self.note_index_hit();
-            idx.min_backlog_replica(self.telemetry)
-        } else {
-            self.note_scan();
-            self.routable()
-                .min_by_key(|&i| (self.telemetry[i].backlog(), i))
-        }
+        self.index.min_backlog_replica(self.telemetry)
     }
 
     /// The routable replica with the lowest committed-KV fraction,
     /// ties broken by backlog then index — [`LeastKvLoad`]'s exact
     /// comparison order (`f64::total_cmp` on the fraction). `None`
-    /// when nothing is routable.
-    ///
-    /// `O(log R)` with an attached [`FleetRoutingIndex`], an `O(R)`
-    /// scan otherwise — same answer either way.
+    /// when nothing is routable. `O(log R)`.
     #[must_use]
     pub fn min_kv_load_replica(&self) -> Option<usize> {
-        if let Some(idx) = self.index {
-            self.note_index_hit();
-            idx.min_kv_load_replica(self.telemetry)
-        } else {
-            self.note_scan();
-            self.routable().min_by(|&a, &b| {
-                self.telemetry[a]
-                    .kv_load()
-                    .total_cmp(&self.telemetry[b].kv_load())
-                    .then(
-                        self.telemetry[a]
-                            .backlog()
-                            .cmp(&self.telemetry[b].backlog()),
-                    )
-                    .then(a.cmp(&b))
-            })
-        }
+        self.index.min_kv_load_replica(self.telemetry)
     }
 
     /// The first routable replica in the wrapping slot order `start,
     /// start + 1, .., len - 1, 0, .., start - 1` — [`RoundRobin`]'s
-    /// probe. `None` when nothing is routable.
-    ///
-    /// A bitset word-scan with an attached [`FleetRoutingIndex`], a
-    /// per-slot loop otherwise — same answer either way.
+    /// probe, a bitset word scan. `None` when nothing is routable.
     ///
     /// # Panics
     ///
     /// Panics when `start` is not a valid slot index.
     #[must_use]
     pub fn next_routable_from(&self, start: usize) -> Option<usize> {
-        assert!(start < self.routable.len(), "start slot out of range");
-        if let Some(idx) = self.index {
-            self.note_index_hit();
-            idx.next_routable_from(start)
-        } else {
-            self.note_scan();
-            let n = self.routable.len();
-            (0..n).map(|k| (start + k) % n).find(|&i| self.routable[i])
-        }
+        assert!(start < self.len(), "start slot out of range");
+        self.index.next_routable_from(start)
     }
 }
 
@@ -510,12 +389,10 @@ impl Router for RoundRobin {
 /// (the replica's own admission back-pressure then queues the request
 /// until space frees).
 ///
-/// With a [`FleetRoutingIndex`] attached to the view, the common case
-/// is one `O(log R)` lookup: the global backlog argmin that has KV
-/// headroom *is* the headroom-restricted argmin (the restricted set is
-/// a subset containing it). Only when the argmin is KV-saturated does
-/// the exact restricted scan run — counted as a
-/// [`RouteStats::scan_fallbacks`].
+/// The common case is one `O(log R)` lookup: the global backlog argmin
+/// that has KV headroom *is* the headroom-restricted argmin (the
+/// restricted set is a subset containing it). Only when the argmin is
+/// KV-saturated does the exact `O(R)` restricted scan run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinShortestQueue;
 
@@ -536,7 +413,6 @@ impl Router for JoinShortestQueue {
         // headroom-restricted scan. An empty restricted set means no
         // routable replica fits the request, and the overall-shortest
         // `g` takes it (its admission back-pressure queues the work).
-        view.note_scan();
         view.routable()
             .filter(|&i| view.replica(i).has_kv_headroom(need))
             .min_by_key(|&i| (view.replica(i).backlog(), i))
@@ -580,7 +456,8 @@ impl Router for LeastKvLoad {
 pub struct SessionAffinity {
     vnodes: u32,
     /// Ring for the last-seen fleet size: (point hash, replica),
-    /// sorted by hash.
+    /// sorted by hash. Empty until the first route after construction
+    /// or a state load.
     ring: Vec<(u64, usize)>,
     ring_replicas: usize,
 }
@@ -635,7 +512,7 @@ impl Router for SessionAffinity {
     }
 
     fn route(&mut self, req: &Request, view: &RoutingView<'_>) -> usize {
-        if self.ring_replicas != view.len() {
+        if self.ring.is_empty() || self.ring_replicas != view.len() {
             self.rebuild(view.len());
         }
         // A salted key hash keeps session points decoupled from ring
@@ -655,7 +532,7 @@ impl Router for SessionAffinity {
 
     fn save_state(&self, w: &mut SnapshotWriter) {
         // The ring itself is a pure function of (vnodes, replica
-        // count): save the inputs, rebuild on load.
+        // count): save the inputs.
         w.put_u32(self.vnodes);
         w.put_usize(self.ring_replicas);
     }
@@ -665,13 +542,11 @@ impl Router for SessionAffinity {
         if vnodes != self.vnodes {
             return Err(SnapshotError::Corrupt("affinity vnode count differs"));
         }
-        let replicas = r.get_usize()?;
-        if replicas == 0 {
-            self.ring.clear();
-            self.ring_replicas = 0;
-        } else {
-            self.rebuild(replicas);
-        }
+        // The saved count is kept only so a re-snapshot writes the same
+        // bytes; it is never trusted to size a ring. The next route
+        // rebuilds the empty ring for the fleet it actually sees.
+        self.ring_replicas = r.get_usize()?;
+        self.ring.clear();
         Ok(())
     }
 }
@@ -714,18 +589,28 @@ mod tests {
         }
     }
 
+    /// Routes over a view whose index marks the `mask` slots routable.
+    fn route_masked<R: Router>(
+        r: &mut R,
+        rq: &Request,
+        fleet: &[ReplicaTelemetry],
+        mask: &[bool],
+    ) -> usize {
+        let index = FleetRoutingIndex::new(fleet, mask);
+        r.route(rq, &RoutingView::new(fleet, &index, 0.0))
+    }
+
     /// Routes over an all-routable view — the static-fleet case every
     /// pre-lifecycle test exercised.
     fn route_all_live<R: Router>(r: &mut R, rq: &Request, fleet: &[ReplicaTelemetry]) -> usize {
-        let mask = vec![true; fleet.len()];
-        r.route(rq, &RoutingView::new(fleet, &mask, 0.0))
+        route_masked(r, rq, fleet, &vec![true; fleet.len()])
     }
 
     #[test]
     fn view_exposes_mask_clock_and_counts() {
         let fleet = vec![idle(4096); 3];
-        let mask = vec![true, false, true];
-        let view = RoutingView::new(&fleet, &mask, 1.25);
+        let index = FleetRoutingIndex::new(&fleet, &[true, false, true]);
+        let view = RoutingView::new(&fleet, &index, 1.25);
         assert_eq!(view.len(), 3);
         assert!(!view.is_empty());
         assert_eq!(view.now_s(), 1.25);
@@ -738,10 +623,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "same replicas")]
-    fn view_rejects_mismatched_mask() {
+    fn view_rejects_mismatched_index() {
         let fleet = vec![idle(4096); 3];
-        let mask = vec![true; 2];
-        let _ = RoutingView::new(&fleet, &mask, 0.0);
+        let index = FleetRoutingIndex::new(&fleet[..2], &[true; 2]);
+        let _ = RoutingView::new(&fleet, &index, 0.0);
     }
 
     #[test]
@@ -760,7 +645,7 @@ mod tests {
         let mask = vec![true, false, true, false];
         let mut rr = RoundRobin::new();
         let picks: Vec<usize> = (0..5)
-            .map(|_| rr.route(&req(0), &RoutingView::new(&fleet, &mask, 0.0)))
+            .map(|_| route_masked(&mut rr, &req(0), &fleet, &mask))
             .collect();
         // Only replicas 0 and 2 are live: the rotation alternates.
         assert_eq!(picks, vec![0, 2, 0, 2, 0]);
@@ -795,7 +680,7 @@ mod tests {
         fleet[2].queue_depth = 5;
         let mask = vec![false, true, true];
         assert_eq!(
-            JoinShortestQueue.route(&req(0), &RoutingView::new(&fleet, &mask, 0.0)),
+            route_masked(&mut JoinShortestQueue, &req(0), &fleet, &mask),
             1
         );
         // Same in the no-headroom fallback path.
@@ -803,7 +688,7 @@ mod tests {
         tight[1].queue_depth = 4;
         tight[2].queue_depth = 3;
         assert_eq!(
-            JoinShortestQueue.route(&req(0), &RoutingView::new(&tight, &mask, 0.0)),
+            route_masked(&mut JoinShortestQueue, &req(0), &tight, &mask),
             2
         );
     }
@@ -823,10 +708,7 @@ mod tests {
         fleet[2].reserved_tokens = 8192;
         // Replica 0 is the emptiest but down.
         let mask = vec![false, true, true];
-        assert_eq!(
-            LeastKvLoad.route(&req(0), &RoutingView::new(&fleet, &mask, 0.0)),
-            1
-        );
+        assert_eq!(route_masked(&mut LeastKvLoad, &req(0), &fleet, &mask), 1);
     }
 
     #[test]
@@ -855,13 +737,10 @@ mod tests {
             let home = route_all_live(&mut aff, &req(session), &fleet);
             let mut mask = vec![true; 4];
             mask[home] = false;
-            let spill = aff.route(&req(session), &RoutingView::new(&fleet, &mask, 0.0));
+            let spill = route_masked(&mut aff, &req(session), &fleet, &mask);
             assert_ne!(spill, home, "session {session} routed to a masked replica");
             // Deterministic spill target: same mask, same answer.
-            assert_eq!(
-                spill,
-                aff.route(&req(session), &RoutingView::new(&fleet, &mask, 0.0))
-            );
+            assert_eq!(spill, route_masked(&mut aff, &req(session), &fleet, &mask));
             // Home replica back: the session snaps back, nothing moved.
             assert_eq!(route_all_live(&mut aff, &req(session), &fleet), home);
         }
@@ -1017,8 +896,8 @@ mod tests {
     fn default_fleet_event_hook_is_a_no_op() {
         use crate::lifecycle::{FleetEvent, FleetEventKind};
         let fleet = vec![idle(4096); 2];
-        let mask = vec![true, false];
-        let view = RoutingView::new(&fleet, &mask, 3.0);
+        let index = FleetRoutingIndex::new(&fleet, &[true, false]);
+        let view = RoutingView::new(&fleet, &index, 3.0);
         let ev = FleetEvent {
             at_s: 3.0,
             replica: 1,

@@ -13,7 +13,8 @@
 //!   read and a leaf refresh is one `O(log R)` pull-up;
 //! * a **routable bitset** answers "first routable replica at or after
 //!   slot `i`, wrapping" — [`crate::RoundRobin`]'s probe — by word
-//!   scan instead of a per-slot loop.
+//!   scan instead of a per-slot loop. It is the fleet's one routable
+//!   mask: every [`crate::RoutingView`] reads it.
 //!
 //! Updates are split in two so runs that never query a tree never pay
 //! for it: the driver **marks** a replica dirty in `O(1)` after each
@@ -31,12 +32,12 @@
 //! backlog for the tie-break. Unroutable replicas hold all-ones keys,
 //! which no backlog (a `u32`) or load reaches, so they never win.
 //!
-//! The index is *derived* state: it is rebuilt from telemetry on run
-//! start and resume and is never serialised, so snapshot wire formats
-//! are untouched. Routers reach it through
-//! [`crate::RoutingView::min_backlog_replica`] and friends, which fall
-//! back to the original scans when no index is attached — custom
-//! routers opt in by calling those methods instead of scanning.
+//! The index is *derived* state: it is rebuilt from telemetry and
+//! lifecycle states on run start and resume and is never serialised, so
+//! snapshot wire formats are untouched. Routers reach it through
+//! [`crate::RoutingView::min_backlog_replica`] and friends; custom
+//! routers get the same `O(log R)` answers by calling those methods
+//! instead of scanning.
 
 use std::cell::RefCell;
 
@@ -65,81 +66,46 @@ fn keys(t: &ReplicaTelemetry, routable: bool) -> (u64, u128) {
     }
 }
 
+/// Whether bit `i` of a routable bitset is set.
+fn bit(live: &[u64], i: usize) -> bool {
+    (live[i / 64] >> (i % 64)) & 1 == 1
+}
+
+/// The lazily flushed half of the index: both winner trees and the
+/// dirty set awaiting their next query.
 #[derive(Debug)]
-struct Inner {
-    /// Provisioned replica slots (leaves in use).
-    n: usize,
+struct Trees {
     /// Winner tree over backlogs.
     backlog: MinTree<u64>,
     /// Winner tree over packed `(kv-load bits, backlog)` pairs.
     kv: MinTree<u128>,
-    /// Routable bitset, one bit per slot, maintained eagerly.
-    live: Vec<u64>,
-    /// Number of set bits in `live`.
-    live_count: usize,
     /// Replicas whose leaves are stale, each listed at most once.
     dirty: Vec<u32>,
     /// `dirty` membership, indexed by replica.
     dirty_mask: Vec<bool>,
     /// Leaf refreshes applied (each an `O(log R)` pull-up).
     leaf_updates: u64,
-    /// Dirty marks observed (one per telemetry delta event).
-    marks: u64,
 }
 
-impl Inner {
-    fn is_live(&self, i: usize) -> bool {
-        (self.live[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Recomputes leaf `i` of both trees from its telemetry.
-    fn refresh_leaf(&mut self, i: usize, t: &ReplicaTelemetry) {
-        let (bk, kk) = keys(t, self.is_live(i));
-        if self.backlog.key(i) == bk && self.kv.key(i) == kk {
-            return;
-        }
-        self.backlog.set(i, bk);
-        self.kv.set(i, kk);
-        self.leaf_updates += 1;
-    }
-
-    /// Applies every pending dirty mark against the current telemetry.
-    fn flush(&mut self, telemetry: &[ReplicaTelemetry]) {
-        debug_assert_eq!(telemetry.len(), self.n, "index and telemetry disagree");
+impl Trees {
+    /// Recomputes every dirty leaf of both trees from the current
+    /// telemetry and routable bitset.
+    fn flush(&mut self, telemetry: &[ReplicaTelemetry], live: &[u64]) {
+        debug_assert_eq!(
+            telemetry.len(),
+            self.dirty_mask.len(),
+            "index and telemetry disagree"
+        );
         while let Some(i) = self.dirty.pop() {
             let i = i as usize;
             self.dirty_mask[i] = false;
-            self.refresh_leaf(i, &telemetry[i]);
-        }
-    }
-
-    /// First routable slot in the wrapping order `start, start + 1, ..,
-    /// n - 1, 0, .., start - 1`.
-    fn next_routable(&self, start: usize) -> Option<usize> {
-        if self.live_count == 0 {
-            return None;
-        }
-        debug_assert!(start < self.n);
-        let nw = self.live.len();
-        let w0 = start / 64;
-        let head = self.live[w0] & (!0u64 << (start % 64));
-        if head != 0 {
-            return Some(w0 * 64 + head.trailing_zeros() as usize);
-        }
-        for k in 1..=nw {
-            let w = (w0 + k) % nw;
-            let m = if w == w0 {
-                // Back at the start word: only the bits before `start`
-                // remain candidates.
-                self.live[w0] & !(!0u64 << (start % 64))
-            } else {
-                self.live[w]
-            };
-            if m != 0 {
-                return Some(w * 64 + m.trailing_zeros() as usize);
+            let (bk, kk) = keys(&telemetry[i], bit(live, i));
+            if self.backlog.key(i) != bk || self.kv.key(i) != kk {
+                self.backlog.set(i, bk);
+                self.kv.set(i, kk);
+                self.leaf_updates += 1;
             }
         }
-        None
     }
 }
 
@@ -148,28 +114,25 @@ impl Inner {
 ///
 /// Owned by [`crate::FleetRun`], which marks one replica dirty per
 /// event and flips bitset bits on lifecycle transitions; queries come
-/// from routers via [`crate::RoutingView`]. Queries take `&self`
-/// (lazy flushing uses interior mutability) so a `RoutingView` can
-/// carry a shared reference.
+/// from routers via [`crate::RoutingView`]. The bitset reads are plain
+/// loads; only the trees' lazy flush needs interior mutability, so a
+/// `RoutingView` can carry a shared reference.
+#[derive(Debug)]
 pub struct FleetRoutingIndex {
-    inner: RefCell<Inner>,
-}
-
-impl std::fmt::Debug for FleetRoutingIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("FleetRoutingIndex")
-            .field("replicas", &inner.n)
-            .field("live", &inner.live_count)
-            .field("dirty", &inner.dirty.len())
-            .field("leaf_updates", &inner.leaf_updates)
-            .finish()
-    }
+    /// Provisioned replica slots.
+    n: usize,
+    /// Routable bitset, one bit per slot, maintained eagerly.
+    live: Vec<u64>,
+    /// Number of set bits in `live`.
+    live_count: usize,
+    /// Dirty marks observed (one per telemetry delta event).
+    marks: u64,
+    trees: RefCell<Trees>,
 }
 
 impl FleetRoutingIndex {
     /// Builds the index over a fleet's current telemetry and routable
-    /// mask (index-aligned, as in [`crate::RoutingView::new`]).
+    /// mask (index-aligned).
     ///
     /// # Panics
     ///
@@ -195,69 +158,78 @@ impl FleetRoutingIndex {
             .zip(routable)
             .map(|(t, &r)| keys(t, r))
             .unzip();
-        let inner = Inner {
+        Self {
             n,
-            backlog: MinTree::new(backlog, NO_KEY),
-            kv: MinTree::new(kv, NO_KV_KEY),
             live,
             live_count,
-            dirty: Vec::with_capacity(n),
-            dirty_mask: vec![false; n],
-            leaf_updates: 0,
             marks: 0,
-        };
-        Self {
-            inner: RefCell::new(inner),
+            trees: RefCell::new(Trees {
+                backlog: MinTree::new(backlog, NO_KEY),
+                kv: MinTree::new(kv, NO_KV_KEY),
+                dirty: Vec::with_capacity(n),
+                dirty_mask: vec![false; n],
+                leaf_updates: 0,
+            }),
         }
+    }
+
+    /// Provisioned replica slots (routable or not).
+    pub(crate) fn len(&self) -> usize {
+        self.n
     }
 
     /// Records that replica `i`'s telemetry may have changed: `O(1)`,
     /// deduplicated. The stale leaf is recomputed lazily on the next
     /// tree query.
-    pub fn mark_dirty(&self, i: usize) {
-        let mut inner = self.inner.borrow_mut();
-        inner.marks += 1;
-        if !inner.dirty_mask[i] {
-            inner.dirty_mask[i] = true;
-            inner.dirty.push(i as u32);
+    pub fn mark_dirty(&mut self, i: usize) {
+        self.marks += 1;
+        let trees = self.trees.get_mut();
+        if !trees.dirty_mask[i] {
+            trees.dirty_mask[i] = true;
+            trees.dirty.push(i as u32);
         }
     }
 
     /// Flips replica `i`'s routable bit (eagerly — the bitset must be
     /// fresh for every query) and marks its tree leaves dirty.
-    pub fn set_routable(&self, i: usize, routable: bool) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            let (word, bit) = (i / 64, 1u64 << (i % 64));
-            let was = inner.live[word] & bit != 0;
-            if was != routable {
-                inner.live[word] ^= bit;
-                if routable {
-                    inner.live_count += 1;
-                } else {
-                    inner.live_count -= 1;
-                }
+    pub fn set_routable(&mut self, i: usize, routable: bool) {
+        if self.is_routable(i) != routable {
+            self.live[i / 64] ^= 1u64 << (i % 64);
+            if routable {
+                self.live_count += 1;
+            } else {
+                self.live_count -= 1;
             }
         }
         self.mark_dirty(i);
     }
 
+    /// Whether slot `i` may receive new work.
+    pub(crate) fn is_routable(&self, i: usize) -> bool {
+        bit(&self.live, i)
+    }
+
+    /// Indices of the routable replicas, ascending.
+    pub(crate) fn routable(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).filter(|&i| self.is_routable(i))
+    }
+
     /// How many replicas are currently routable.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.inner.borrow().live_count
+        self.live_count
     }
 
     /// The routable replica minimising `(backlog, index)` — the
-    /// argmin [`crate::JoinShortestQueue`] scans for — or `None` when
+    /// argmin [`crate::JoinShortestQueue`] ranks by — or `None` when
     /// nothing is routable. Flushes pending dirty marks against
     /// `telemetry`, which must be the same per-replica slice the marks
     /// were issued for.
     #[must_use]
     pub fn min_backlog_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
-        let mut inner = self.inner.borrow_mut();
-        inner.flush(telemetry);
-        let (i, key) = inner.backlog.min();
+        let mut trees = self.trees.borrow_mut();
+        trees.flush(telemetry, &self.live);
+        let (i, key) = trees.backlog.min();
         (key != NO_KEY).then_some(i)
     }
 
@@ -266,9 +238,9 @@ impl FleetRoutingIndex {
     /// or `None` when nothing is routable.
     #[must_use]
     pub fn min_kv_load_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
-        let mut inner = self.inner.borrow_mut();
-        inner.flush(telemetry);
-        let (i, key) = inner.kv.min();
+        let mut trees = self.trees.borrow_mut();
+        trees.flush(telemetry, &self.live);
+        let (i, key) = trees.kv.min();
         (key != NO_KV_KEY).then_some(i)
     }
 
@@ -277,7 +249,30 @@ impl FleetRoutingIndex {
     /// `None` when nothing is routable.
     #[must_use]
     pub fn next_routable_from(&self, start: usize) -> Option<usize> {
-        self.inner.borrow().next_routable(start)
+        if self.live_count == 0 {
+            return None;
+        }
+        debug_assert!(start < self.n);
+        let nw = self.live.len();
+        let w0 = start / 64;
+        let head = self.live[w0] & (!0u64 << (start % 64));
+        if head != 0 {
+            return Some(w0 * 64 + head.trailing_zeros() as usize);
+        }
+        for k in 1..=nw {
+            let w = (w0 + k) % nw;
+            let m = if w == w0 {
+                // Back at the start word: only the bits before `start`
+                // remain candidates.
+                self.live[w0] & !(!0u64 << (start % 64))
+            } else {
+                self.live[w]
+            };
+            if m != 0 {
+                return Some(w * 64 + m.trailing_zeros() as usize);
+            }
+        }
+        None
     }
 
     /// `(leaf updates applied, dirty marks observed)` since
@@ -285,8 +280,7 @@ impl FleetRoutingIndex {
     /// driver's `--counters` report.
     #[must_use]
     pub fn update_counts(&self) -> (u64, u64) {
-        let inner = self.inner.borrow();
-        (inner.leaf_updates, inner.marks)
+        (self.trees.borrow().leaf_updates, self.marks)
     }
 }
 
@@ -330,7 +324,7 @@ mod tests {
             .map(|i| tel(i % 3, 0, u64::from(i) * 100, 4096))
             .collect();
         let routable = vec![true; 13];
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let mut idx = FleetRoutingIndex::new(&telemetry, &routable);
         assert_eq!(
             idx.min_backlog_replica(&telemetry),
             scan_backlog(&telemetry, &routable)
@@ -362,7 +356,7 @@ mod tests {
     fn unroutable_replicas_never_win() {
         let telemetry: Vec<ReplicaTelemetry> = (0..5).map(|i| tel(i, 0, 0, 4096)).collect();
         let mut routable = vec![true; 5];
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let mut idx = FleetRoutingIndex::new(&telemetry, &routable);
         assert_eq!(idx.min_backlog_replica(&telemetry), Some(0));
         idx.set_routable(0, false);
         routable[0] = false;
@@ -410,7 +404,7 @@ mod tests {
     #[test]
     fn dirty_marks_deduplicate_and_flush_once() {
         let mut telemetry = vec![tel(1, 0, 0, 1024); 4];
-        let idx = FleetRoutingIndex::new(&telemetry, &[true; 4]);
+        let mut idx = FleetRoutingIndex::new(&telemetry, &[true; 4]);
         telemetry[2].queue_depth = 0;
         for _ in 0..10 {
             idx.mark_dirty(2);

@@ -1,7 +1,7 @@
 //! Differential battery for the `O(log R)` routing index: under random
 //! telemetry delta streams and lifecycle storms, every indexed lookup
 //! stays bit-identical to the full rescan it replaces, and every stock
-//! router decides identically with and without the index attached.
+//! router decides exactly as a scan oracle says it should.
 //!
 //! Two layers:
 //!
@@ -9,11 +9,13 @@
 //!   `O(1)` dirty marks and routable flips the fleet driver issues is
 //!   compared against scans with the routers' exact comparison order,
 //!   query by query, through hundreds of random mutations;
-//! * **router vs router** — each stock router routes the same request
-//!   over the same telemetry twice, once on a bare [`RoutingView`]
-//!   (linear scans) and once with the index attached. The picks must
-//!   match exactly, KV-saturated fallback paths included: the index is
-//!   a pure accelerator, never a behaviour change.
+//! * **router vs oracle** — each stock router routes the same request
+//!   over the same telemetry twice, once on a view over the
+//!   incrementally maintained index and once on a view over an index
+//!   rebuilt from scratch. The picks must match each other, and the
+//!   join-shortest-queue, least-KV and round-robin picks must match
+//!   oracles built from the scans below, KV-saturated fallback paths
+//!   included.
 
 use proptest::prelude::*;
 use rpu_serve::{
@@ -97,7 +99,7 @@ proptest! {
         let mut rng = ServeRng::new(seed);
         let mut telemetry: Vec<ReplicaTelemetry> = (0..n).map(|_| tel(&mut rng)).collect();
         let mut routable: Vec<bool> = (0..n).map(|_| !rng.next_u64().is_multiple_of(4)).collect();
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let mut idx = FleetRoutingIndex::new(&telemetry, &routable);
         for step in 0..ops {
             let i = (rng.next_u64() % n as u64) as usize;
             match rng.next_u64() % 6 {
@@ -148,12 +150,13 @@ proptest! {
         }
     }
 
-    /// Every stock router picks the same replica on a bare view and on
-    /// an indexed view, request after request, through lifecycle flips
-    /// and telemetry churn — the decision-identity proof behind
-    /// switching the built-ins to `O(log R)` lookups.
+    /// Every stock router picks the same replica on the incrementally
+    /// maintained index and on one rebuilt from scratch, request after
+    /// request, through lifecycle flips and telemetry churn; the
+    /// join-shortest-queue, least-KV and round-robin picks equal their
+    /// scan oracles.
     #[test]
-    fn stock_routers_decide_identically_with_and_without_the_index(
+    fn stock_routers_match_scan_oracles_on_incremental_and_rebuilt_indexes(
         seed in 0u64..1 << 48,
         n in 1usize..150,
         rounds in 1usize..80,
@@ -164,34 +167,56 @@ proptest! {
         // Routers panic with nothing routable; pin one replica live.
         let anchor = (rng.next_u64() % n as u64) as usize;
         routable[anchor] = true;
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
-        // Stateful routers advance in lockstep on both sides.
-        let mut rr_plain = RoundRobin::new();
-        let mut rr_indexed = RoundRobin::new();
-        let mut aff_plain = SessionAffinity::new();
-        let mut aff_indexed = SessionAffinity::new();
+        let mut idx = FleetRoutingIndex::new(&telemetry, &routable);
+        // Stateful routers advance in lockstep on both sides, and the
+        // round-robin oracle keeps its own cursor.
+        let mut rr_incremental = RoundRobin::new();
+        let mut rr_rebuilt = RoundRobin::new();
+        let mut rr_cursor = 0usize;
+        let mut aff_incremental = SessionAffinity::new();
+        let mut aff_rebuilt = SessionAffinity::new();
         for round in 0..rounds {
             let request = req(&mut rng);
-            let plain = RoutingView::new(&telemetry, &routable, round as f64);
-            let indexed = plain.with_index(&idx);
+            let rebuilt_idx = FleetRoutingIndex::new(&telemetry, &routable);
+            let incremental = RoutingView::new(&telemetry, &idx, round as f64);
+            let rebuilt = RoutingView::new(&telemetry, &rebuilt_idx, round as f64);
             prop_assert_eq!(
-                JoinShortestQueue.route(&request, &plain),
-                JoinShortestQueue.route(&request, &indexed),
-                "jsq diverged at round {}", round
+                incremental.routable().collect::<Vec<_>>(),
+                (0..n).filter(|&i| routable[i]).collect::<Vec<_>>()
             );
             prop_assert_eq!(
-                LeastKvLoad.route(&request, &plain),
-                LeastKvLoad.route(&request, &indexed),
-                "least-kv diverged at round {}", round
+                incremental.routable_count(),
+                routable.iter().filter(|&&r| r).count()
             );
-            let rr_a = rr_plain.route(&request, &plain);
-            let rr_b = rr_indexed.route(&request, &indexed);
-            prop_assert_eq!(rr_a, rr_b, "round-robin diverged at round {}", round);
-            prop_assert_eq!(
-                aff_plain.route(&request, &plain),
-                aff_indexed.route(&request, &indexed),
-                "affinity diverged at round {}", round
-            );
+
+            // JSQ: the shortest routable replica with KV headroom, or
+            // the shortest routable replica when none has any.
+            let need = request.reserved_tokens();
+            let fits: Vec<bool> = (0..n)
+                .map(|i| routable[i] && telemetry[i].has_kv_headroom(need))
+                .collect();
+            let jsq_oracle = scan_backlog(&telemetry, &fits)
+                .or_else(|| scan_backlog(&telemetry, &routable))
+                .expect("the anchor is routable");
+            let jsq = JoinShortestQueue.route(&request, &incremental);
+            prop_assert_eq!(jsq, jsq_oracle, "jsq left its oracle at round {}", round);
+            prop_assert_eq!(jsq, JoinShortestQueue.route(&request, &rebuilt));
+
+            let kv_oracle = scan_kv(&telemetry, &routable).expect("the anchor is routable");
+            let kv = LeastKvLoad.route(&request, &incremental);
+            prop_assert_eq!(kv, kv_oracle, "least-kv left its oracle at round {}", round);
+            prop_assert_eq!(kv, LeastKvLoad.route(&request, &rebuilt));
+
+            let rr_oracle = scan_next_routable(&routable, rr_cursor).expect("the anchor is routable");
+            rr_cursor = (rr_oracle + 1) % n;
+            let rr = rr_incremental.route(&request, &incremental);
+            prop_assert_eq!(rr, rr_oracle, "round-robin left its oracle at round {}", round);
+            prop_assert_eq!(rr, rr_rebuilt.route(&request, &rebuilt));
+
+            let aff = aff_incremental.route(&request, &incremental);
+            prop_assert!(routable[aff], "affinity picked unroutable {} at round {}", aff, round);
+            prop_assert_eq!(aff, aff_rebuilt.route(&request, &rebuilt));
+
             // Churn between decisions, exactly as a fleet run would:
             // telemetry deltas with dirty marks, lifecycle flips.
             for _ in 0..(rng.next_u64() % 4) {

@@ -12,8 +12,9 @@
 
 use rpu_serve::snapshot::MAGIC;
 use rpu_serve::{
-    churn_tape, AnalyticCostModel, Fifo, Fleet, FleetBuilder, FleetEvent, FleetRun, PriorityAging,
-    RoundRobin, Router, ServeConfig, SessionAffinity, SnapshotError, Workload,
+    churn_tape, digest_fleet_report, AnalyticCostModel, Fifo, Fleet, FleetBuilder, FleetEvent,
+    FleetRun, PriorityAging, ReportDigest, RoundRobin, Router, ServeConfig, SessionAffinity,
+    SnapshotError, Workload,
 };
 
 /// One machine under FIFO: a one-replica fleet.
@@ -263,6 +264,43 @@ fn resuming_into_a_wrong_sized_fleet_is_rejected() {
         FleetRun::resume(&wl, &smaller, router.as_mut(), &bytes),
         Err(SnapshotError::Corrupt(_))
     ));
+}
+
+/// A ROUTER section claiming an affinity ring of `u64::MAX` replicas,
+/// checksum repaired, must never size a ring from that count: the
+/// resume either finishes with the pristine resume's report digest or
+/// fails typed. A thawed run re-snapshots to the mutated bytes.
+#[test]
+fn hostile_affinity_ring_count_never_sizes_a_ring() {
+    let (wl, fleet, bytes) = fleet_snapshot_at(40);
+    let (_, start, len) = sections(&bytes)
+        .into_iter()
+        .find(|s| s.0 == 4)
+        .expect("fleet snapshots carry a router section");
+    assert_eq!(
+        len, 12,
+        "affinity state: u32 vnodes, then the u64 ring count"
+    );
+    let mut evil = bytes.clone();
+    for i in 4..12 {
+        evil = set_checksummed(&evil, start, len, i, 0xFF);
+    }
+    let finish = |bytes: &[u8]| -> Result<ReportDigest, SnapshotError> {
+        let mut router = SessionAffinity::new();
+        let mut run = FleetRun::resume(&wl, &fleet, &mut router, bytes)?;
+        assert_eq!(
+            run.snapshot(&router),
+            bytes,
+            "re-snapshot changed the bytes"
+        );
+        let mut serving = fleet3();
+        while run.step(&mut serving, &mut router) {}
+        Ok(digest_fleet_report(&run.into_report()))
+    };
+    let pristine = finish(&bytes).expect("pristine bytes thaw");
+    if let Ok(digest) = finish(&evil) {
+        assert_eq!(digest, pristine, "the hostile ring count changed routing");
+    }
 }
 
 /// Walks the section framing: returns `(id, payload_start, payload_len)`
