@@ -14,12 +14,16 @@
 //! - a plain run gates against it, failing on a >25% requests/sec
 //!   regression (ratio < 0.75) — the lifecycle machinery (the routing
 //!   index's routable bitset, telemetry refresh, control boundaries)
-//!   must stay off the serving hot path;
+//!   must stay off the serving hot path. A control boundary costs
+//!   `O(replicas + window)`: a forward-only `TtftWindow` and the
+//!   router's telemetry cache, with no allocation unless it emits
+//!   events;
 //! - the bench also asserts flatness, as `router_scale` does across
 //!   widths: µs/request at 200k requests must stay within 1.5× of the
 //!   value at 25k requests of the same tape. A control loop whose
 //!   windowed reads rescan every completed record is quadratic in run
-//!   length and fails this.
+//!   length and fails this. perfbench's `autoscale.growth` on
+//!   `autoscale_diurnal` carries the same bound in CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rpu_bench::perf::{record_or_gate, PerfSnapshot};

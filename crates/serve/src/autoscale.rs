@@ -17,12 +17,17 @@
 //! Everything is deterministic: the controller reads only simulated
 //! state, so an autoscaled run snapshots, resumes and replays exactly
 //! like any other fleet run.
+//!
+//! A control boundary costs `O(replicas + window)` and allocates only
+//! for the events it emits: the p99 comes from a forward-only
+//! [`TtftWindow`] that never revisits a record finished before an
+//! earlier window, and the occupancy from the telemetry cache the
+//! router reads ([`crate::FleetRun::telemetry_cache`]).
 
 use crate::arrivals::Workload;
-use crate::fleet::{Fleet, FleetReport};
+use crate::fleet::{Fleet, FleetReport, TtftWindow};
 use crate::lifecycle::{FleetEvent, FleetEventKind, LifecycleState};
 use crate::router::{ReplicaTelemetry, Router};
-use rpu_util::stats::Percentiles;
 
 /// Knobs of the reactive autoscaler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,8 +92,8 @@ impl Autoscaler {
     /// # Panics
     ///
     /// Panics if the interval or window is not positive, the
-    /// thresholds are not ordered (`kv_low < kv_high`), or
-    /// `min_live` is zero or exceeds `max_live`.
+    /// thresholds are not ordered (`kv_low < kv_high`), the cooldown
+    /// is NaN, or `min_live` is zero or exceeds `max_live`.
     #[must_use]
     pub fn new(config: AutoscalerConfig) -> Self {
         assert!(
@@ -102,6 +107,10 @@ impl Autoscaler {
         assert!(
             config.ttft_p99_high_s > 0.0,
             "TTFT threshold must be positive"
+        );
+        assert!(
+            !config.cooldown_s.is_nan(),
+            "autoscaler cooldown must not be NaN"
         );
         assert!(
             config.min_live >= 1 && config.min_live <= config.max_live,
@@ -140,29 +149,30 @@ impl Autoscaler {
             "states and telemetry must cover the same replicas"
         );
         let mut events = Vec::new();
-        // Housekeeping: a draining replica that has gone idle exits
-        // cleanly, regardless of hysteresis — holding an empty machine
-        // in Draining would burn machine-seconds for nothing.
+        // One pass: housekeeping leaves, plus the live replicas' count,
+        // occupancy sum and highest index.
+        let (mut live, mut top_live, mut kv_sum) = (0usize, 0usize, 0.0);
         for (i, (s, t)) in states.iter().zip(telemetry).enumerate() {
-            if *s == LifecycleState::Draining && t.queue_depth == 0 && t.active_requests == 0 {
-                events.push(FleetEvent {
-                    at_s: now_s,
-                    replica: i as u32,
-                    kind: FleetEventKind::Leave,
-                });
+            match s {
+                // A draining replica that has gone idle exits cleanly,
+                // regardless of hysteresis — holding an empty machine
+                // in Draining would burn machine-seconds for nothing.
+                LifecycleState::Draining if t.queue_depth == 0 && t.active_requests == 0 => {
+                    events.push(FleetEvent {
+                        at_s: now_s,
+                        replica: i as u32,
+                        kind: FleetEventKind::Leave,
+                    });
+                }
+                LifecycleState::Live => {
+                    live += 1;
+                    top_live = i;
+                    kv_sum += t.kv_load();
+                }
+                _ => {}
             }
         }
-        let live: Vec<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == LifecycleState::Live)
-            .map(|(i, _)| i)
-            .collect();
-        let kv = if live.is_empty() {
-            0.0
-        } else {
-            live.iter().map(|&i| telemetry[i].kv_load()).sum::<f64>() / live.len() as f64
-        };
+        let kv = if live == 0 { 0.0 } else { kv_sum / live as f64 };
         let p99 = p99_ttft_s.unwrap_or(0.0);
         let hot = p99 > self.config.ttft_p99_high_s || kv > self.config.kv_high;
         let cold = !hot && kv < self.config.kv_low && p99 < 0.5 * self.config.ttft_p99_high_s;
@@ -177,7 +187,7 @@ impl Autoscaler {
             self.cold_streak = 0;
         }
         let cooled = now_s - self.last_scale_s >= self.config.cooldown_s;
-        if self.hot_streak >= self.config.up_after && cooled && live.len() < self.config.max_live {
+        if self.hot_streak >= self.config.up_after && cooled && live < self.config.max_live {
             // Bring up the first spare slot, if the fleet has one.
             if let Some(spare) = states.iter().position(|s| *s == LifecycleState::Down) {
                 events.push(FleetEvent {
@@ -191,15 +201,14 @@ impl Autoscaler {
             }
         } else if self.cold_streak >= self.config.down_after
             && cooled
-            && live.len() > self.config.min_live
+            && live > self.config.min_live
         {
             // Retire the highest-index live replica: joins prefer low
             // indices, so the fleet contracts from the top and slot
             // indices stay stable for static groups below.
-            let victim = *live.last().expect("live.len() > min_live >= 1");
             events.push(FleetEvent {
                 at_s: now_s,
-                replica: victim as u32,
+                replica: top_live as u32,
                 kind: FleetEventKind::Drain,
             });
             self.hot_streak = 0;
@@ -217,6 +226,10 @@ impl Autoscaler {
 /// deterministic — same fleet, workload, router and config, same
 /// report.
 ///
+/// A boundary reads the p99 through one [`TtftWindow`] held for the
+/// whole run and the occupancy from the run's telemetry cache, so it
+/// costs `O(replicas + window)`, not a rescan of the run's records.
+///
 /// # Panics
 ///
 /// Panics on the same conditions as [`Fleet::serve`].
@@ -228,22 +241,13 @@ pub fn run_autoscaled(
     scaler: &mut Autoscaler,
 ) -> FleetReport {
     let mut run = fleet.start(workload);
+    let mut ttfts = TtftWindow::new(&run);
     let interval = scaler.config.interval_s;
     let window = scaler.config.window_s;
     let mut boundary = interval;
-    loop {
-        let more = run.step_until(fleet, router, boundary);
-        if !more {
-            break;
-        }
-        let ttfts = run.ttfts_completed_since((boundary - window).max(0.0));
-        let p99 = if ttfts.is_empty() {
-            None
-        } else {
-            Some(Percentiles::from_samples(&ttfts).p99)
-        };
-        let telemetry = run.telemetry(fleet);
-        for ev in scaler.control(boundary, run.states(), &telemetry, p99) {
+    while run.step_until(fleet, router, boundary) {
+        let p99 = ttfts.p99_since(&run, (boundary - window).max(0.0));
+        for ev in scaler.control(boundary, run.states(), run.telemetry_cache(), p99) {
             run.inject(ev);
         }
         boundary += interval;
@@ -302,6 +306,17 @@ mod tests {
         let _ = Autoscaler::new(AutoscalerConfig {
             kv_low: 0.9,
             kv_high: 0.5,
+            ..AutoscalerConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cooldown must not be NaN")]
+    fn nan_cooldown_is_rejected() {
+        // A NaN cooldown fails every `>=` against it, so the controller
+        // would never scale.
+        let _ = Autoscaler::new(AutoscalerConfig {
+            cooldown_s: f64::NAN,
             ..AutoscalerConfig::default()
         });
     }

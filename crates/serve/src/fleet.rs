@@ -89,6 +89,7 @@ use crate::scheduler::{Core, RunStats, ServeConfig, ServeReport};
 use crate::snapshot::{
     fnv1a, section, workload_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter, KIND_FLEET,
 };
+use rpu_util::stats::percentile_mut;
 
 /// One replica of a serving fleet: a machine (cost model), a scheduling
 /// policy and the scheduler knobs it runs under.
@@ -416,6 +417,10 @@ pub struct FleetRun {
     /// advanced exactly there (and once more at report time).
     ms_accrued: f64,
     ms_anchor_s: f64,
+    /// Slots not [`LifecycleState::Down`], kept by `apply_transition`
+    /// so an accrual is `O(1)` instead of a scan of `states`. Derived
+    /// from `states`: recounted on resume, never serialised.
+    up: usize,
     counts: LifecycleCounts,
 }
 
@@ -443,6 +448,14 @@ fn cached_telemetry(cores: &[Core], kv_caps: &[u64]) -> Vec<ReplicaTelemetry> {
         .zip(kv_caps)
         .map(|(c, &kv)| c.telemetry(kv))
         .collect()
+}
+
+/// Slots that cost machine-seconds: every one not down.
+fn count_up(states: &[LifecycleState]) -> usize {
+    states
+        .iter()
+        .filter(|s| **s != LifecycleState::Down)
+        .count()
 }
 
 /// Each replica's published KV capacity, in replica order.
@@ -505,6 +518,17 @@ impl Derived {
             index,
         }
     }
+}
+
+/// What one [`FleetRun::advance`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Advance {
+    /// Executed one event.
+    Stepped,
+    /// Executed nothing: the next event lies after the bound.
+    Paused,
+    /// Executed nothing: the run is complete.
+    Done,
 }
 
 /// When each kind of event could next run, in tie order. Re-routes and
@@ -578,6 +602,7 @@ impl FleetRun {
             log: CommandLog::default(),
             events: 0,
             fingerprint: workload_fingerprint(workload),
+            up: count_up(&states),
             states,
             pending_events: VecDeque::new(),
             displaced: VecDeque::new(),
@@ -601,34 +626,52 @@ impl FleetRun {
     /// unroutable replica, or work remains with every replica down and
     /// no lifecycle event scheduled (a wedged fleet).
     pub fn step(&mut self, fleet: &mut Fleet, router: &mut dyn Router) -> bool {
+        self.advance_fleet(fleet, router, f64::INFINITY) == Advance::Stepped
+    }
+
+    /// [`FleetRun::advance`] with each replica's scheduler step run on
+    /// `fleet`'s machine and policy for it.
+    fn advance_fleet(
+        &mut self,
+        fleet: &mut Fleet,
+        router: &mut dyn Router,
+        until_s: f64,
+    ) -> Advance {
         assert_eq!(
             self.cores.len(),
             fleet.replicas.len(),
             "fleet changed size mid-run"
         );
-        self.advance(router, |i, core, source| {
+        self.advance(until_s, router, |i, core, source| {
             let replica = &mut fleet.replicas[i];
             core.step(replica.cost.as_mut(), replica.policy.as_mut(), source);
         })
     }
 
-    /// The event loop behind [`FleetRun::step`] and
-    /// [`crate::serve_with`]: executes one global event, with
-    /// `step_core(i, core, source)` running replica `i`'s scheduler step
-    /// on the machine and policy the caller holds for it.
+    /// The event loop behind [`FleetRun::step`],
+    /// [`FleetRun::step_until`] and [`crate::serve_with`]: selects the
+    /// next global event once and executes it unless it lies after
+    /// `until_s` (by the clamped time [`FleetRun::next_time`] reports),
+    /// with `step_core(i, core, source)` running replica `i`'s
+    /// scheduler step on the machine and policy the caller holds for it.
     pub(crate) fn advance(
         &mut self,
+        until_s: f64,
         router: &mut dyn Router,
         mut step_core: impl FnMut(usize, &mut Core, &mut RequestSource),
-    ) -> bool {
+    ) -> Advance {
         let next = self.next_events();
-        if !next.earliest().is_finite() {
+        let earliest = next.earliest();
+        if !earliest.is_finite() {
             assert!(
                 !next.starved,
                 "fleet wedged: requests pending with no live replica \
                  and no scheduled lifecycle event"
             );
-            return false;
+            return Advance::Done;
+        }
+        if earliest.max(self.now_s) > until_s {
+            return Advance::Paused;
         }
         // Tie order: lifecycle transitions apply first (so a router
         // never sees a mask one event stale), then displaced re-routes,
@@ -687,7 +730,7 @@ impl FleetRun {
         self.telemetry[touched] = self.cores[touched].telemetry(self.kv_caps[touched]);
         self.index.mark_dirty(touched);
         self.events += 1;
-        true
+        Advance::Stepped
     }
 
     /// Asks the router for a live replica for `req` at the current
@@ -718,12 +761,12 @@ impl FleetRun {
             t >= self.ms_anchor_s,
             "machine-seconds accrual went backwards"
         );
-        let up = self
-            .states
-            .iter()
-            .filter(|s| !matches!(s, LifecycleState::Down))
-            .count();
-        self.ms_accrued += up as f64 * (t - self.ms_anchor_s);
+        debug_assert_eq!(
+            self.up,
+            count_up(&self.states),
+            "up-count drifted from the lifecycle states"
+        );
+        self.ms_accrued += self.up as f64 * (t - self.ms_anchor_s);
         self.ms_anchor_s = t;
     }
 
@@ -738,6 +781,7 @@ impl FleetRun {
             FleetEventKind::Join => {
                 assert_eq!(*state, LifecycleState::Down, "join of a non-down replica");
                 *state = LifecycleState::Live;
+                self.up += 1;
                 self.counts.joins += 1;
             }
             FleetEventKind::Drain => {
@@ -756,11 +800,13 @@ impl FleetRun {
                     "leave of a non-idle replica"
                 );
                 *state = LifecycleState::Down;
+                self.up -= 1;
                 self.counts.leaves += 1;
             }
             FleetEventKind::Fail => {
                 assert_ne!(*state, LifecycleState::Down, "fail of a down replica");
                 *state = LifecycleState::Down;
+                self.up -= 1;
                 self.counts.fails += 1;
                 let lost = core.fail();
                 self.counts.displaced += lost.len() as u32;
@@ -794,7 +840,9 @@ impl FleetRun {
 
     /// The sim time of the next event this run would execute, or
     /// `None` when it is complete (or wedged — [`FleetRun::step`]
-    /// distinguishes the two).
+    /// distinguishes the two). [`FleetRun::step_until`] stops on the
+    /// same time without asking for it first: each of its events
+    /// selects the next event once.
     #[must_use]
     pub fn next_time(&self) -> Option<f64> {
         let next = self.next_events().earliest();
@@ -835,22 +883,25 @@ impl FleetRun {
         }
     }
 
-    /// Steps the run until its next event lies strictly after `t` (or
-    /// it finishes). Returns `true` while events remain — the
+    /// Steps the run until its next event — the time
+    /// [`FleetRun::next_time`] reports — lies strictly after `t` (or it
+    /// finishes). Returns `true` while events remain — the
     /// autoscaler's control loop: advance to the next decision
-    /// boundary, look at the fleet, inject, repeat.
+    /// boundary, look at the fleet, inject, repeat. Each event costs
+    /// what a [`FleetRun::step`] costs: the check against `t` reuses
+    /// the step's own event selection.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same conditions as [`FleetRun::step`].
     pub fn step_until(&mut self, fleet: &mut Fleet, router: &mut dyn Router, t: f64) -> bool {
-        while let Some(next) = self.next_time() {
-            if next > t {
-                return true;
-            }
-            if !self.step(fleet, router) {
-                return false;
+        loop {
+            match self.advance_fleet(fleet, router, t) {
+                Advance::Stepped => {}
+                Advance::Paused => return true,
+                Advance::Done => return false,
             }
         }
-        // No candidate event at all: let step() decide between clean
-        // completion and a wedged-fleet panic.
-        self.step(fleet, router)
     }
 
     /// Events executed so far.
@@ -899,8 +950,10 @@ impl FleetRun {
         }
     }
 
-    /// What every replica currently publishes to the router — the
-    /// counters cap invariants are checked against.
+    /// What every replica currently publishes to the router, recomputed
+    /// from the cores and `fleet`'s cost models — the cross-check for
+    /// [`FleetRun::telemetry_cache`], and the counters cap invariants
+    /// are checked against.
     ///
     /// # Panics
     ///
@@ -917,25 +970,12 @@ impl FleetRun {
         fresh
     }
 
-    /// TTFTs of every request that completed at or after sim time `t`,
-    /// in replica order then per-replica completion order — the
-    /// autoscaler's windowed latency sample. Each replica's records are
-    /// sorted by finish time, so the window is found by binary search:
-    /// O(replicas · log records + window), not a rescan of the run.
+    /// The telemetry cache every [`RoutingView`] reads: what each
+    /// replica publishes as of the last executed event, borrowed
+    /// rather than recomputed ([`FleetRun::telemetry`] recomputes it).
     #[must_use]
-    pub fn ttfts_completed_since(&self, t: f64) -> Vec<f64> {
-        fn window(c: &Core, t: f64) -> &[RequestRecord] {
-            let recs = c.records();
-            &recs[recs.partition_point(|r| r.finish_s < t)..]
-        }
-        // Sized exactly up front: a growing collect at every control
-        // boundary measurably raised the autoscaled run's peak RSS.
-        let n = self.cores.iter().map(|c| window(c, t).len()).sum();
-        let mut ttfts = Vec::with_capacity(n);
-        for c in &self.cores {
-            ttfts.extend(window(c, t).iter().map(RequestRecord::ttft_s));
-        }
-        ttfts
+    pub fn telemetry_cache(&self) -> &[ReplicaTelemetry] {
+        &self.telemetry
     }
 
     /// Per-subsystem hot-path counters accumulated so far —
@@ -1120,6 +1160,7 @@ impl FleetRun {
             log,
             events,
             fingerprint,
+            up: count_up(&states),
             states,
             pending_events,
             displaced,
@@ -1161,6 +1202,78 @@ impl FleetRun {
             machine_seconds: self.ms_accrued,
             lifecycle: self.counts,
         }
+    }
+}
+
+/// A forward-only reader of the TTFTs a [`FleetRun`] completed in a
+/// trailing window — the autoscaler's latency signal.
+///
+/// A core appends its records in finish-time order and never removes
+/// one (a failure displaces only queued and in-flight work), so the
+/// records that finished before a window's start stay before every
+/// later window's start. The reader keeps one cursor per replica past
+/// them and one sample buffer it refills per query: a query costs
+/// `O(replicas + window)` plus the cursors' forward moves, which sum
+/// to the run's record count over the whole run. Create one per run
+/// with [`TtftWindow::new`].
+#[derive(Debug)]
+pub struct TtftWindow {
+    /// Per replica, the index of its first record not known to finish
+    /// before `since_s`.
+    cursors: Vec<usize>,
+    /// The last query's samples, NaN-free and permuted by selection.
+    samples: Vec<f64>,
+    /// The last query's window start.
+    since_s: f64,
+}
+
+impl TtftWindow {
+    /// A reader over `run`'s replicas, before any query.
+    #[must_use]
+    pub fn new(run: &FleetRun) -> Self {
+        Self {
+            cursors: vec![0; run.cores.len()],
+            samples: Vec::new(),
+            since_s: f64::NEG_INFINITY,
+        }
+    }
+
+    /// The p99 TTFT of the requests `run` completed at or after sim time
+    /// `t` (non-NaN samples only), or `None` when there are none. The
+    /// value equals [`rpu_util::stats::Percentiles::from_samples`]'s
+    /// `p99` over the same samples, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is below (or NaN after) the previous query's
+    /// start — the reader only moves forward — or `run` has a
+    /// different replica count than the run it was created for.
+    pub fn p99_since(&mut self, run: &FleetRun, t: f64) -> Option<f64> {
+        assert!(
+            t >= self.since_s,
+            "TTFT window moved backwards: queried since {t} after {}",
+            self.since_s
+        );
+        assert_eq!(
+            self.cursors.len(),
+            run.cores.len(),
+            "TTFT window read across runs of different widths"
+        );
+        self.since_s = t;
+        self.samples.clear();
+        for (cursor, core) in self.cursors.iter_mut().zip(&run.cores) {
+            let recs = core.records();
+            while recs.get(*cursor).is_some_and(|r| r.finish_s < t) {
+                *cursor += 1;
+            }
+            self.samples.extend(
+                recs[*cursor..]
+                    .iter()
+                    .map(RequestRecord::ttft_s)
+                    .filter(|x| !x.is_nan()),
+            );
+        }
+        (!self.samples.is_empty()).then(|| percentile_mut(&mut self.samples, 99.0))
     }
 }
 
@@ -1425,6 +1538,7 @@ pub(crate) mod tests {
     use crate::policy::Fifo;
     use crate::router::{JoinShortestQueue, RoundRobin, SessionAffinity};
     use rpu_models::LengthDistribution;
+    use rpu_util::stats::{percentile, Percentiles};
 
     impl FleetRun {
         /// The replicas' cores, for tests that hand-edit frozen state.
@@ -2011,45 +2125,140 @@ pub(crate) mod tests {
 
     #[test]
     fn ttft_window_matches_a_full_filter_under_churn() {
-        // The binary-searched window must return exactly what filtering
-        // every record returns, in the same order, at every probe time
-        // — including mid-run, across failures that strand a replica's
-        // records while its clock stands still.
+        // The forward-only window must hold exactly the samples a filter
+        // over every record returns, and select the same p99, at every
+        // probe time — non-decreasing across failures that strand a
+        // replica's records while its clock stands still, and across
+        // joins. Probes trail the clock by 50 ms, as the autoscaler's
+        // windows do, so each window still holds records.
         let brute = |run: &FleetRun, t: f64| -> Vec<f64> {
             run.cores
                 .iter()
                 .flat_map(|c| c.records().iter().filter(move |r| r.finish_s >= t))
                 .map(RequestRecord::ttft_s)
+                .filter(|x| !x.is_nan())
                 .collect()
         };
-        let wl = Workload::poisson(1500.0, 256, 24, 120);
+        let bits = |xs: &[f64]| -> Vec<u64> {
+            let mut xs = xs.to_vec();
+            xs.sort_by(f64::total_cmp);
+            xs.into_iter().map(f64::to_bits).collect()
+        };
+        let wl = Workload::poisson(1500.0, 256, 24, 240);
         let mut f = fleet_with_delay(0.002);
         let mut router = JoinShortestQueue;
         let mut run = f.start(&wl);
         for ev in churn_tape(2, 11, 0.04, 8) {
             run.inject(ev);
         }
-        let mut probes = 0u32;
+        let mut window = TtftWindow::new(&run);
+        let mut since = f64::NEG_INFINITY;
+        let (mut probes, mut widest) = (0u32, 0usize);
         loop {
             let more = run.step(&mut f, &mut router);
             if run.events().is_multiple_of(17) || !more {
-                let mut ts = vec![f64::NEG_INFINITY, 0.0, run.now_s(), f64::INFINITY];
+                let until = if more {
+                    run.now_s() - 0.05
+                } else {
+                    f64::INFINITY
+                };
+                let mut ts = vec![since, until, 0.0, run.now_s()];
                 for c in &run.cores {
                     for r in c.records() {
                         ts.extend([r.finish_s, r.finish_s - 1e-6, r.finish_s + 1e-6]);
                     }
                 }
+                ts.retain(|&t| t >= since && t <= until);
+                ts.sort_by(f64::total_cmp);
                 for t in ts {
-                    assert_eq!(run.ttfts_completed_since(t), brute(&run, t), "t = {t}");
+                    let p99 = window.p99_since(&run, t);
+                    let want = brute(&run, t);
+                    assert_eq!(bits(&window.samples), bits(&want), "t = {t}");
+                    let p99 = p99.map(f64::to_bits);
+                    assert_eq!(
+                        p99,
+                        (!want.is_empty()).then(|| percentile(&want, 99.0).to_bits()),
+                        "t = {t}"
+                    );
+                    assert_eq!(
+                        p99,
+                        (!want.is_empty()).then(|| Percentiles::from_samples(&want).p99.to_bits()),
+                        "t = {t}"
+                    );
+                    since = t;
                     probes += 1;
+                    widest = widest.max(want.len());
                 }
             }
             if !more {
                 break;
             }
         }
-        assert!(run.lifecycle_counts().fails > 0, "tape applied no failure");
-        assert!(probes > 1000, "too few probes: {probes}");
+        assert_eq!(window.p99_since(&run, f64::INFINITY), None);
+        let counts = run.lifecycle_counts();
+        assert!(counts.fails > 0, "tape applied no failure");
+        assert!(counts.joins > 0, "tape applied no join");
+        assert!(probes > 700, "too few probes: {probes}");
+        assert!(widest > 15, "windows stayed narrow: {widest}");
+    }
+
+    #[test]
+    #[should_panic(expected = "TTFT window moved backwards")]
+    fn ttft_window_rejects_a_backward_query() {
+        let run = fleet(2).start(&Workload::poisson(1500.0, 256, 24, 8));
+        let mut window = TtftWindow::new(&run);
+        let _ = window.p99_since(&run, 0.5);
+        let _ = window.p99_since(&run, 0.25);
+    }
+
+    #[test]
+    fn machine_seconds_match_a_brute_integral_over_churn_storms() {
+        // The maintained up-count must integrate exactly as a rescan of
+        // the lifecycle states at every logged transition does, bit for
+        // bit, through storms of joins, drains and failures.
+        for width in [64u32, 1000] {
+            let wl = Workload::poisson(f64::from(width) * 40.0, 64, 8, 2 * width);
+            let mut f = FleetBuilder::new()
+                .migration_delay_s(0.001)
+                .group(
+                    width as usize,
+                    &ServeConfig::default(),
+                    || Box::new(AnalyticCostModel::small()),
+                    || Box::new(Fifo),
+                )
+                .build();
+            let mut router = RoundRobin::new();
+            let mut run = f.start(&wl);
+            for ev in churn_tape(width, 7, 0.04, width / 2) {
+                run.inject(ev);
+            }
+            while run.step(&mut f, &mut router) {}
+            let (log, end_s) = (run.log().clone(), run.now_s());
+            let report = run.into_report();
+            assert_eq!(report.lifecycle.events(), width / 2, "width {width}");
+            let mut states = f.initial_states().to_vec();
+            let (mut brute, mut anchor) = (0.0, 0.0);
+            let mut accrue = |states: &[LifecycleState], t: f64| {
+                let up = states.iter().filter(|s| **s != LifecycleState::Down);
+                brute += up.count() as f64 * (t - anchor);
+                anchor = t;
+            };
+            for &(_, ev) in log.transitions() {
+                accrue(&states, ev.at_s);
+                states[ev.replica as usize] = match ev.kind {
+                    FleetEventKind::Join => LifecycleState::Live,
+                    FleetEventKind::Drain => LifecycleState::Draining,
+                    FleetEventKind::Leave | FleetEventKind::Fail => LifecycleState::Down,
+                };
+            }
+            accrue(&states, end_s);
+            assert_eq!(
+                report.machine_seconds.to_bits(),
+                brute.to_bits(),
+                "width {width}: {} vs {brute}",
+                report.machine_seconds
+            );
+        }
     }
 
     #[test]

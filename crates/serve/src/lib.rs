@@ -110,7 +110,7 @@ pub use digest::{
     canonical_f64_bits, digest_fleet_report, digest_serve_report, DigestWriter, ReportDigest,
 };
 pub use fleet::{
-    Fleet, FleetBuilder, FleetReplica, FleetReport, FleetRun, MergeOrder, PerfCounters,
+    Fleet, FleetBuilder, FleetReplica, FleetReport, FleetRun, MergeOrder, PerfCounters, TtftWindow,
 };
 pub use lifecycle::{churn_tape, FleetEvent, FleetEventKind, LifecycleCounts, LifecycleState};
 pub use metrics::{ClassSlo, MultiClassReport, SloReport};

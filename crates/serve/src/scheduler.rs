@@ -71,7 +71,7 @@
 
 use crate::arrivals::{RequestSource, Workload};
 use crate::cost::CostModel;
-use crate::fleet::FleetRun;
+use crate::fleet::{Advance, FleetRun};
 use crate::lifecycle::LifecycleState;
 use crate::policy::{ActiveRequest, Fifo, QueuedRequest, SchedulingPolicy};
 use crate::request::{Request, RequestRecord};
@@ -250,9 +250,10 @@ pub fn serve_with(
         0.0,
     );
     let mut router = RoundRobin::new();
-    while run.advance(&mut router, |_, core, source| {
+    while run.advance(f64::INFINITY, &mut router, |_, core, source| {
         core.step(cost, policy, source);
-    }) {}
+    }) == Advance::Stepped
+    {}
     run.into_report().replicas.swap_remove(0)
 }
 

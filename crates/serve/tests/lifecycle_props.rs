@@ -28,9 +28,8 @@ use rpu_serve::{
     churn_tape, digest_fleet_report, run_autoscaled, AnalyticCostModel, ArrivalProcess, Autoscaler,
     AutoscalerConfig, ClassSpec, Fifo, Fleet, FleetBuilder, FleetEvent, FleetEventKind, FleetRun,
     JoinShortestQueue, LeastKvLoad, LifecycleState, PriorityAging, RoundRobin, Router, ServeConfig,
-    SessionAffinity, Workload,
+    SessionAffinity, TtftWindow, Workload,
 };
-use rpu_util::stats::Percentiles;
 
 fn build_router(i: usize) -> Box<dyn Router> {
     match i {
@@ -271,7 +270,8 @@ proptest! {
 }
 
 /// [`run_autoscaled`]'s control loop, unrolled so the finished run —
-/// and its command log — stays inspectable.
+/// and its command log — stays inspectable. Each boundary also checks
+/// the telemetry cache the controller reads against a recomputation.
 fn autoscaled_run(
     wl: &Workload,
     fleet: &mut Fleet,
@@ -280,12 +280,16 @@ fn autoscaled_run(
 ) -> FleetRun {
     let mut scaler = Autoscaler::new(config);
     let mut run = fleet.start(wl);
+    let mut ttfts = TtftWindow::new(&run);
     let mut boundary = config.interval_s;
     while run.step_until(fleet, router, boundary) {
-        let ttfts = run.ttfts_completed_since((boundary - config.window_s).max(0.0));
-        let p99 = (!ttfts.is_empty()).then(|| Percentiles::from_samples(&ttfts).p99);
-        let telemetry = run.telemetry(fleet);
-        for ev in scaler.control(boundary, run.states(), &telemetry, p99) {
+        let p99 = ttfts.p99_since(&run, (boundary - config.window_s).max(0.0));
+        assert_eq!(
+            run.telemetry_cache(),
+            run.telemetry(fleet),
+            "telemetry cache drifted at boundary {boundary}"
+        );
+        for ev in scaler.control(boundary, run.states(), run.telemetry_cache(), p99) {
             run.inject(ev);
         }
         boundary += config.interval_s;
