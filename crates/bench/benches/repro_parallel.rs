@@ -66,12 +66,11 @@ fn bench(c: &mut Criterion) {
     // ratio < 0.75 regression fails the bench-trajectory CI leg. The
     // jobs-8 speedup stays informational — it depends on the runner's
     // core count — and moves via deliberate BENCH_BLESS re-blesses.
-    let t = Instant::now();
-    black_box(fleet_sweep::run_with(&Engine::new(1)));
-    let seq_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    black_box(fleet_sweep::run_with(&Engine::new(8)));
-    let par_s = t.elapsed().as_secs_f64();
+    // Each rate is the fastest of `PASSES` sweeps: one ~44 ms pass
+    // reads host noise, and the sweep is deterministic, so the minimum
+    // is the least-interference time.
+    let seq_s = fastest_of(|| fleet_sweep::run_with(&Engine::new(1)));
+    let par_s = fastest_of(|| fleet_sweep::run_with(&Engine::new(8)));
     let mut snap = PerfSnapshot::new();
     snap.put("fleet_sweep_per_sec", (1.0 / seq_s * 1e3).round() / 1e3);
     snap.put("fleet_sweep_jobs1_ms", (seq_s * 1e3).round());
@@ -82,6 +81,20 @@ fn bench(c: &mut Criterion) {
     );
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_repro_parallel.json");
     record_or_gate(&path, &snap, "fleet_sweep_per_sec", 0.75);
+}
+
+/// Timed passes per recorded sweep rate.
+const PASSES: u32 = 5;
+
+/// The fastest of [`PASSES`] timed calls of `f`, in seconds.
+fn fastest_of<T>(mut f: impl FnMut() -> T) -> f64 {
+    (0..PASSES)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 criterion_group!(benches, bench);

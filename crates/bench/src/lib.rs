@@ -29,8 +29,9 @@ pub mod checks {
 
 /// Measured performance snapshots: the `BENCH_*.json` trajectory.
 ///
-/// Bench targets record their headline numbers (events/sec, ns/event,
-/// peak batch, …) as a [`perf::PerfSnapshot`] and pass it
+/// The `router_scale`, `snapshot` and `repro_parallel` bench targets
+/// record their headline numbers (ns/event per router and width,
+/// freezes/sec, sweeps/sec, …) as a [`perf::PerfSnapshot`] and pass it
 /// through [`perf::record_or_gate`], which follows the repo's
 /// golden-drift pattern:
 ///
@@ -39,6 +40,11 @@ pub mod checks {
 /// - a plain bench run *gates* instead: it parses the committed
 ///   baseline and fails if the gate metric regressed below the allowed
 ///   ratio (CI uses 0.75, i.e. >25% throughput regression fails).
+///
+/// The serving simulator's whole-run shapes are not gated here but by
+/// `scripts/perf_ab.py`, which times `perfbench` at a base revision and
+/// at the working tree on the same machine; an absolute baseline drifts
+/// with the host it was recorded on.
 ///
 /// The JSON is hand-rolled (no serde in this tree): a flat
 /// `{"schema": …, "metrics": {name: number, …}}` object, one metric

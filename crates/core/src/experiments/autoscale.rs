@@ -166,8 +166,7 @@ impl Condition {
         }
     }
 
-    /// Builds this condition's fleet — shared with the `autoscale`
-    /// bench so the timed run exercises exactly the registry shape.
+    /// Builds this condition's fleet.
     #[must_use]
     pub fn fleet(self) -> rpu_serve::Fleet {
         let cfg = scale_config();
@@ -210,7 +209,8 @@ pub fn slo_violation_seconds(report: &FleetReport) -> f64 {
 }
 
 /// Runs one condition to completion and scores it. Deterministic per
-/// condition; the `autoscale` bench wraps the same function in a timer.
+/// condition. perfbench's `autoscale_diurnal` workload times the
+/// autoscaled condition's shape.
 #[must_use]
 pub fn run_point(condition: Condition) -> AutoscalePoint {
     let wl = diurnal_workload();

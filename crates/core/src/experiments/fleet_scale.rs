@@ -11,10 +11,11 @@
 //!
 //! The registry run keeps the request count small (a fixed number of
 //! requests *per replica*) so the sweep stays cheap enough for the
-//! golden/differential gates that execute every registry target; the
-//! `fleet_scale` bench in `rpu-bench` reuses [`scale_workload`] and
-//! [`run_point`] at 10M requests to time the full-scale run and record
-//! `BENCH_fleet_scale.json`.
+//! golden/differential gates that execute every registry target. The
+//! full-scale run is timed by perfbench's `wide_rr` workload, which
+//! copies this sweep's 1000-wide shape (CI runs it at 10M requests),
+//! and the `router_scale` bench reuses [`scale_workload`] and
+//! [`scale_config`] across widths.
 //!
 //! The digest column is the determinism pin: the golden snapshot holds
 //! the exact [`rpu_serve::ReportDigest`] of every width, so any change
@@ -66,8 +67,8 @@ pub fn scale_workload(replicas: u32, num_requests: u32) -> Workload {
 }
 
 /// The serving config every swept replica runs — shared with the
-/// `fleet_scale` bench so the timed 10M-request run exercises exactly
-/// the registry sweep's machine shape.
+/// `router_scale` bench so its timed runs exercise exactly the registry
+/// sweep's machine shape.
 #[must_use]
 pub fn scale_config() -> ServeConfig {
     ServeConfig {
@@ -98,8 +99,7 @@ pub struct ScalePoint {
 }
 
 /// Runs one width to completion through the fleet event driver and
-/// summarises it. Deterministic per `(replicas, workload)`; the bench
-/// wraps this same function in a timer at 10M requests.
+/// summarises it. Deterministic per `(replicas, workload)`.
 #[must_use]
 pub fn run_point(replicas: u32, wl: &Workload) -> ScalePoint {
     let mut fleet = FleetBuilder::new()

@@ -1087,8 +1087,15 @@ impl FleetRun {
         let now_s = r.get_f64()?;
         let ms_accrued = r.get_f64()?;
         let ms_anchor_s = r.get_f64()?;
-        if now_s.is_nan() || ms_accrued.is_nan() || ms_anchor_s.is_nan() {
-            return Err(SnapshotError::Corrupt("lifecycle clock state is NaN"));
+        // A run's clock is finite, its accrual anchor sits between 0 and
+        // the clock, and what it accrued is finite and non-negative: the
+        // anchor only ever moves forward to an applied event's time.
+        let clocks_ok = now_s.is_finite()
+            && (0.0..=now_s).contains(&ms_anchor_s)
+            && ms_accrued.is_finite()
+            && ms_accrued >= 0.0;
+        if !clocks_ok {
+            return Err(SnapshotError::Corrupt("lifecycle clocks out of order"));
         }
         let migration_delay_s = r.get_f64()?;
         if migration_delay_s != fleet.migration_delay_s {
@@ -1102,12 +1109,15 @@ impl FleetRun {
             displaced: r.get_u32()?,
         };
         let num_pending = r.get_count(13)?;
+        // `inject` keeps pending events sorted and none before the clock.
         let mut pending_events = VecDeque::with_capacity(num_pending);
+        let mut earliest = now_s;
         for _ in 0..num_pending {
             let ev = FleetEvent::load(&mut r)?;
-            if !ev.at_s.is_finite() || (ev.replica as usize) >= n {
+            if !ev.at_s.is_finite() || ev.at_s < earliest || (ev.replica as usize) >= n {
                 return Err(SnapshotError::Corrupt("bad pending lifecycle event"));
             }
+            earliest = ev.at_s;
             pending_events.push_back(ev);
         }
         let num_displaced = r.get_count(16)?;

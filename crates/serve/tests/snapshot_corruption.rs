@@ -447,3 +447,70 @@ fn checksummed_fleet_log_mutations_are_rejected_or_thaw_steppable() {
     assert!(rejected > 0, "no log mutation was rejected");
     assert!(thawed > 0, "no log mutation thawed: sweep too weak?");
 }
+
+/// Checksum-valid flips of the LIFECYCLE section's clocks — `now_s`,
+/// the machine-seconds accrual and its anchor, and every pending
+/// lifecycle event's time — must fail typed or thaw into a run that
+/// steps to a report whose `machine_seconds` is finite and
+/// non-negative. A resumed run accrues machine-seconds forward from its
+/// anchor to each event it applies, so an anchor past the clock, or a
+/// pending event before the clock or before the event ahead of it,
+/// would run the accrual backwards. The kind and replica bytes are left
+/// out: they reach the transition legality checks, not the clocks.
+#[test]
+fn checksummed_lifecycle_clock_mutations_are_rejected_or_accrue_forward() {
+    let churn = churn_tape(3, 0xC4, 0.02, 4);
+    let (wl, fleet, bytes) = churned_fleet_snapshot_at(20, &churn);
+    let (_, start, len) = sections(&bytes)
+        .into_iter()
+        .find(|s| s.0 == 6)
+        .expect("fleet snapshots carry a lifecycle section");
+    let payload = &bytes[start..start + len];
+    let f64_at = |at: usize| f64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+    // Layout: replica count (8 bytes), one state byte per replica, then
+    // now_s, ms_accrued, ms_anchor_s and the migration delay (8 each),
+    // five u32 counts, the pending-event count (8) and each pending
+    // event as at_s (8), replica (4), kind (1).
+    let clocks = 8 + 3;
+    let pending_at = clocks + 4 * 8 + 5 * 4;
+    {
+        let mut router: Box<dyn Router> = Box::new(SessionAffinity::new());
+        let run = FleetRun::resume(&wl, &fleet, router.as_mut(), &bytes).expect("pristine bytes");
+        assert_eq!(
+            f64_at(clocks).to_bits(),
+            run.now_s().to_bits(),
+            "now_s offset"
+        );
+    }
+    let pending = u64::from_le_bytes(
+        payload[pending_at..pending_at + 8]
+            .try_into()
+            .expect("8 bytes"),
+    ) as usize;
+    assert!(pending > 0, "the snapshot must still hold pending events");
+    let mut targets: Vec<usize> = (clocks..clocks + 3 * 8).collect();
+    for k in 0..pending {
+        let at_s = pending_at + 8 + 13 * k;
+        targets.extend(at_s..at_s + 8);
+    }
+    let (mut rejected, mut thawed) = (0u32, 0u32);
+    for i in targets {
+        let evil = mutate_checksummed(&bytes, start, len, i);
+        let mut router: Box<dyn Router> = Box::new(SessionAffinity::new());
+        match FleetRun::resume(&wl, &fleet, router.as_mut(), &evil) {
+            Err(_) => rejected += 1,
+            Ok(mut run) => {
+                thawed += 1;
+                let mut serving = fleet3();
+                while run.step(&mut serving, router.as_mut()) {}
+                let machine_s = run.into_report().machine_seconds;
+                assert!(
+                    machine_s.is_finite() && machine_s >= 0.0,
+                    "flipping lifecycle byte {i} accrued {machine_s:e} machine-seconds"
+                );
+            }
+        }
+    }
+    assert!(rejected > 0, "no clock mutation was rejected");
+    assert!(thawed > 0, "no clock mutation thawed: sweep too weak?");
+}
