@@ -308,6 +308,29 @@ mod tests {
             );
         }
 
+        /// The SLO summaries of random replicas — classes in and out of
+        /// the spec, one class empty, NaN latencies — equal the owned
+        /// aggregate's bit for bit: the merge folds the same moments in
+        /// the same order as [`MultiClassReport::new`] does.
+        #[test]
+        fn view_multi_class_equals_the_owned_aggregate_multi_class(
+            seed in 0u64..1 << 48,
+            width in proptest::sample::select(vec![1usize, 3, 64, 1000]),
+        ) {
+            let report = crate::fleet::tests::report_of(
+                crate::fleet::tests::random_replicas(seed, width),
+            );
+            let classes = [
+                ClassSpec::interactive(),
+                ClassSpec::batch(),
+                ClassSpec { name: "empty", ..ClassSpec::batch() },
+            ];
+            proptest::prop_assert_eq!(
+                format!("{:?}", report.multi_class(&classes)),
+                format!("{:?}", MultiClassReport::new(&owned_aggregate(&report), &classes))
+            );
+        }
+
         /// The same on simulated fleets under churn, with half the
         /// replicas too small for the longest prompts rejecting them.
         /// The SLO summaries read through the view (means in completion

@@ -78,7 +78,7 @@ use crate::class::ClassSpec;
 use crate::cost::CostModel;
 use crate::digest::ReportDigest;
 use crate::lifecycle::{FleetEvent, FleetEventKind, LifecycleCounts, LifecycleState};
-use crate::metrics::MultiClassReport;
+use crate::metrics::{ClassMoments, MultiClassReport};
 use crate::min_tree::MinTree;
 use crate::policy::{QueuedRequest, SchedulingPolicy};
 use crate::replay::{CommandLog, LoggedPicks};
@@ -1292,27 +1292,20 @@ impl TtftWindow {
 ///
 /// Counts, busy times and iterations are sums over replicas (in replica
 /// order, so the fold is deterministic); the makespan spans the
-/// earliest arrival to the latest completion anywhere in the fleet;
+/// earliest arrival to the latest completion anywhere in the fleet,
+/// folded in completion order while [`MergeOrder::of`] emits it;
 /// `peak_batch`/`peak_reserved_tokens` are the largest any single
 /// replica saw (per-replica peaks do not add across machines). Note
 /// [`ServeReport::utilization`] on the merged report is therefore
 /// *machine-seconds per wall-second* — up to N for an N-replica fleet;
 /// [`FleetReport::fleet_utilization`] normalises it.
 pub(crate) fn merge(replicas: &[ServeReport]) -> ServeReport<MergeOrder> {
-    let table = record_table(replicas);
-    let records = MergeOrder::of(&table);
+    let (records, first_arrival, last_finish) = MergeOrder::of(&record_table(replicas));
     let mut rejected_requests: Vec<_> = replicas
         .iter()
         .flat_map(|r| r.rejected_requests.iter().copied())
         .collect();
     rejected_requests.sort_by_key(|r| r.id);
-    // Both folds run in completion order, as they did over the owned
-    // aggregate, so a signed-zero tie resolves to the same bits.
-    let (mut first_arrival, mut last_finish) = (f64::INFINITY, f64::NEG_INFINITY);
-    for r in records.gather(table) {
-        first_arrival = first_arrival.min(r.arrival_s);
-        last_finish = last_finish.max(r.finish_s);
-    }
     let first_arrival = rejected_requests
         .iter()
         .map(|r| r.arrival_s)
@@ -1345,6 +1338,10 @@ fn record_table(replicas: &[ServeReport]) -> Vec<&[RequestRecord]> {
     replicas.iter().map(|r| r.records.as_slice()).collect()
 }
 
+/// About how many records one window of [`MergeOrder::of`] sorts: a
+/// buffer of this many 24-byte entries stays in L2.
+const WINDOW: usize = 4096;
+
 /// A fleet's completion order: one `(replica, index)` pair per
 /// completed request, naming `replicas[replica].records[index]`.
 ///
@@ -1352,63 +1349,95 @@ fn record_table(replicas: &[ServeReport]) -> Vec<&[RequestRecord]> {
 /// record — 8 bytes per request against a 56-byte [`RequestRecord`] —
 /// and [`FleetReport::records`] reads the replicas' records through it.
 /// The order is `finish_s` under `f64::total_cmp`, ids breaking exact
-/// ties.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeOrder(Vec<(u32, u32)>);
+/// ties. Beside it are the latency moments [`FleetReport::multi_class`]
+/// reads, folded in that order as the merge emitted it.
+#[derive(Debug, Clone)]
+pub struct MergeOrder {
+    order: Vec<(u32, u32)>,
+    moments: ClassMoments,
+}
+
+/// Orders are equal when they name the same records in the same
+/// order: the moments beside them are folded from those records.
+impl PartialEq for MergeOrder {
+    fn eq(&self, other: &Self) -> bool {
+        self.order == other.order
+    }
+}
+
+impl Eq for MergeOrder {}
 
 impl MergeOrder {
     /// Completed requests in the order.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.order.len()
     }
 
     /// Whether no request completed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.order.is_empty()
     }
 
-    /// Merges the replicas' records, one slice per replica in `table`.
+    /// Merges the replicas' records, one slice per replica in `table`,
+    /// and returns the order with the first arrival and last finish
+    /// among them (`+inf`/`-inf` when there are none).
     ///
     /// A core records completions in clock order, so each replica's
-    /// records are already sorted by `finish_s`. A winner tree over the
-    /// replicas' next records, keyed like the wake calendar, merges
-    /// them straight into an order of exact capacity, lower replica
-    /// first on ties. A run of equal finish times can still be out of
-    /// id order — across replicas, and within one, whose
-    /// same-iteration completions are pushed in batch order — so each
-    /// such run is sorted by the full comparator last. Runs are grouped
-    /// by `==`, not by bits, so a replica's `0.0, -0.0` (in order under
-    /// `<=`, not under `total_cmp`) is put right as well.
-    fn of(table: &[&[RequestRecord]]) -> Self {
-        let head = |r: usize, at: u32| {
-            table[r]
-                .get(at as usize)
-                .map_or(u64::MAX, |rec| wake_key(rec.finish_s))
-        };
+    /// records are sorted by `finish_s` under IEEE `<=`. The merge
+    /// emits them a window at a time. With `stride = WINDOW / n` over
+    /// the `n` replicas that have records left, the window ends at the
+    /// smallest `finish_s` any of them has `stride` records ahead; every
+    /// replica's records up to that end (IEEE `<=`) join the window,
+    /// which is sorted by `(total_cmp finish_s, id)` and appended.
+    /// Every record left behind finishes strictly later, so windows
+    /// never interleave, and the replica that set the end advances by
+    /// more than `stride`. The sort puts tied runs in id order and a
+    /// replica's `0.0, -0.0` (in order under `<=`, not under
+    /// `total_cmp`) right, since the IEEE boundary never splits them.
+    ///
+    /// The replicas' reads are independent loads, and each window's
+    /// records are folded into the makespan ends and the latency
+    /// moments while they are still in cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `finish_s` is NaN.
+    fn of(table: &[&[RequestRecord]]) -> (Self, f64, f64) {
         let total = table.iter().map(|recs| recs.len()).sum();
         let mut order = Vec::with_capacity(total);
-        let mut next = vec![0u32; table.len()];
-        let mut heads = MinTree::new((0..table.len()).map(|r| head(r, 0)).collect(), u64::MAX);
-        for _ in 0..total {
-            // A drained replica's `u64::MAX` never beats a record: the
-            // largest key a non-NaN finish time folds to is `+inf`'s.
-            let (r, _) = heads.min();
-            order.push((r as u32, next[r]));
-            next[r] += 1;
-            heads.set(r, head(r, next[r]));
-        }
-        let rec = |&(r, i): &(u32, u32)| &table[r as usize][i as usize];
-        for run in order.chunk_by_mut(|a, b| rec(a).finish_s == rec(b).finish_s) {
-            if run.len() > 1 {
-                run.sort_by(|a, b| {
-                    let (a, b) = (rec(a), rec(b));
-                    a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id))
-                });
+        let mut moments = ClassMoments::default();
+        let (mut first_arrival, mut last_finish) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut next = vec![0usize; table.len()];
+        let mut live: Vec<usize> = (0..table.len()).filter(|&r| !table[r].is_empty()).collect();
+        let mut window: Vec<(u64, u32, u32, u32)> = Vec::new();
+        while !live.is_empty() {
+            let stride = (WINDOW / live.len()).max(1);
+            let end = live
+                .iter()
+                .filter_map(|&r| table[r].get(next[r] + stride))
+                .fold(f64::INFINITY, |end, rec| end.min(rec.finish_s));
+            for &r in &live {
+                let at = &mut next[r];
+                while let Some(rec) = table[r].get(*at).filter(|rec| rec.finish_s <= end) {
+                    window.push((wake_key(rec.finish_s), rec.id, r as u32, *at as u32));
+                    *at += 1;
+                }
             }
+            assert!(!window.is_empty(), "completion times must be comparable");
+            live.retain(|&r| next[r] < table[r].len());
+            window.sort_unstable();
+            for &(_, _, r, i) in &window {
+                let rec = &table[r as usize][i as usize];
+                first_arrival = first_arrival.min(rec.arrival_s);
+                last_finish = last_finish.max(rec.finish_s);
+                moments.push(rec);
+                order.push((r, i));
+            }
+            window.clear();
         }
-        Self(order)
+        (Self { order, moments }, first_arrival, last_finish)
     }
 
     /// The records the order names, read through `table`.
@@ -1416,7 +1445,7 @@ impl MergeOrder {
         &'a self,
         table: Vec<&'a [RequestRecord]>,
     ) -> impl ExactSizeIterator<Item = &'a RequestRecord> + Clone + 'a {
-        self.0
+        self.order
             .iter()
             .map(move |&(r, i)| &table[r as usize][i as usize])
     }
@@ -1532,10 +1561,19 @@ impl FleetReport {
     /// report. Rates are fleet-wide (over the fleet makespan); the
     /// `utilization` field inside is the merged machine-seconds ratio —
     /// see [`FleetReport::fleet_utilization`] for the normalised one.
+    ///
+    /// The means and maxima come from the aggregate's [`MergeOrder`],
+    /// which folded them in completion order as it merged; the counts
+    /// and quantiles are read from the replicas' records in place.
     #[must_use]
     pub fn multi_class(&self, classes: &[ClassSpec]) -> MultiClassReport {
         let stored = self.replicas.iter().flat_map(|r| r.records.iter());
-        MultiClassReport::over(self.records(), stored, &self.aggregate, classes)
+        MultiClassReport::over(
+            stored,
+            &self.aggregate.records.moments,
+            &self.aggregate,
+            classes,
+        )
     }
 }
 
@@ -1728,6 +1766,9 @@ pub(crate) mod tests {
     /// a small grid (signed zeros included) so ties are common within
     /// and across replicas, ids are shuffled so tied runs arrive out of
     /// id order, and about a quarter of the replicas are empty.
+    /// Latencies vary on a grid too, a few TTFTs and TPOTs are NaN, and
+    /// classes are drawn from `0`, `1` and `3`: class 2 stays empty and
+    /// class 3 is outside a three-class spec.
     pub(crate) fn random_replicas(seed: u64, width: usize) -> Vec<ServeReport> {
         let mut rng = crate::rng::ServeRng::new(seed);
         let lens: Vec<usize> = (0..width)
@@ -1743,44 +1784,110 @@ pub(crate) mod tests {
         let mut ids = ids.into_iter();
         lens.iter()
             .map(|&len| {
-                let mut records: Vec<RequestRecord> = (0..len)
+                let records = (0..len)
                     .map(|_| {
                         let finish_s = match rng.next_u64() % 16 {
                             0 => -0.0,
                             1 => 0.0,
                             k => (k % 6) as f64 / 4.0,
                         };
+                        let e2e = (rng.next_u64() % 8) as f64 / 8.0;
+                        let first_token_s = match rng.next_u64() % 32 {
+                            0 => f64::NAN,
+                            k => finish_s - e2e * (k % 4) as f64 / 4.0,
+                        };
                         RequestRecord {
                             id: ids.next().expect("one id per record"),
-                            arrival_s: 0.0,
+                            arrival_s: finish_s - e2e,
                             admit_s: 0.0,
-                            first_token_s: 0.0,
+                            first_token_s,
                             finish_s,
                             prompt_len: 1,
-                            output_len: 1,
+                            output_len: 1 + (rng.next_u64() % 4) as u32,
                             tenant: 0,
-                            class: 0,
+                            class: [0, 1, 3][(rng.next_u64() % 3) as usize],
                             preemptions: 0,
                         }
                     })
                     .collect();
-                // Core order: non-decreasing by `<=`, so signed zeros
-                // stay in whatever order they were drawn.
-                records.sort_by(|a, b| a.finish_s.partial_cmp(&b.finish_s).expect("no NaN"));
-                ServeReport {
-                    records,
-                    rejected: 0,
-                    rejected_requests: vec![],
-                    preemptions: 0,
-                    makespan_s: 0.0,
-                    decode_busy_s: 0.0,
-                    prefill_busy_s: 0.0,
-                    decode_iterations: 0,
-                    peak_batch: 0,
-                    peak_reserved_tokens: 0,
-                }
+                replica_of(records)
             })
             .collect()
+    }
+
+    /// A replica report holding `records`, put in core order:
+    /// non-decreasing by `<=`, so signed zeros stay in whatever order
+    /// they were drawn.
+    fn replica_of(mut records: Vec<RequestRecord>) -> ServeReport {
+        records.sort_by(|a, b| a.finish_s.partial_cmp(&b.finish_s).expect("no NaN"));
+        ServeReport {
+            records,
+            rejected: 0,
+            rejected_requests: vec![],
+            preemptions: 0,
+            makespan_s: 0.0,
+            decode_busy_s: 0.0,
+            prefill_busy_s: 0.0,
+            decode_iterations: 0,
+            peak_batch: 0,
+            peak_reserved_tokens: 0,
+        }
+    }
+
+    /// Reshapes random replicas into one of [`MergeOrder::of`]'s edge
+    /// cases, with fresh ids:
+    ///
+    /// 1. replica 0 holds an equal-`finish_s` run of three windows'
+    ///    strides, so a window end falls inside it;
+    /// 2. replica 0 holds a stride of `-0.25` records, then signed
+    ///    zeros in both orders, so the first window ends on a zero and
+    ///    every replica's zeros straddle it under `total_cmp`;
+    /// 3. every replica but the last is empty;
+    /// 4. every replica is empty.
+    ///
+    /// Any other `shape` leaves the replicas as drawn.
+    fn reshape(mut replicas: Vec<ServeReport>, shape: u8) -> Vec<ServeReport> {
+        let mut next_id = replicas.iter().map(|r| r.records.len()).sum::<usize>() as u32;
+        let mut fresh = |finish_s: f64| {
+            next_id += 1;
+            RequestRecord {
+                id: next_id,
+                arrival_s: finish_s - 1.0,
+                admit_s: 0.0,
+                first_token_s: finish_s - 0.5,
+                finish_s,
+                prompt_len: 1,
+                output_len: 2,
+                tenant: 0,
+                class: 1,
+                preemptions: 0,
+            }
+        };
+        // The stride once replica 0 holds records.
+        let live = 1 + replicas[1..]
+            .iter()
+            .filter(|r| !r.records.is_empty())
+            .count();
+        let stride = (WINDOW / live).max(1);
+        match shape {
+            1 => {
+                replicas[0] = replica_of((0..3 * stride + 2).map(|_| fresh(0.5)).collect());
+            }
+            2 => {
+                let mut records: Vec<RequestRecord> = (0..stride).map(|_| fresh(-0.25)).collect();
+                records.extend([-0.0, 0.0, 0.0, -0.0, -0.0, 0.0].map(&mut fresh));
+                replicas[0] = replica_of(records);
+            }
+            3 => {
+                let last = replicas.len() - 1;
+                for r in &mut replicas[..last] {
+                    r.records.clear();
+                }
+            }
+            4 => replicas.iter_mut().for_each(|r| r.records.clear()),
+            _ => {}
+        }
+        replicas
     }
 
     /// A fleet report over `replicas`, merged as `into_report` merges.
@@ -1800,13 +1907,16 @@ pub(crate) mod tests {
         /// The completion-order view equals the collect-and-sort the
         /// owned aggregate was once built by, record for record and bit
         /// for bit, and the order costs one exact-capacity pair per
-        /// record.
+        /// record. Widths run past `WINDOW`, where the stride is one,
+        /// and [`reshape`] adds ties longer than a stride, signed zeros
+        /// across a window end and empty fleets.
         #[test]
         fn merge_equals_the_sort_it_replaced(
             seed in 0u64..1 << 48,
-            width in proptest::sample::select(vec![1usize, 3, 64, 1000]),
+            width in proptest::sample::select(vec![1usize, 3, 64, 1000, 6000]),
+            shape in 0u8..6,
         ) {
-            let report = report_of(random_replicas(seed, width));
+            let report = report_of(reshape(random_replicas(seed, width), shape));
             let mut expected: Vec<RequestRecord> = report
                 .replicas
                 .iter()
@@ -1818,7 +1928,7 @@ pub(crate) mod tests {
             };
             let viewed: Vec<RequestRecord> = report.records().copied().collect();
             proptest::prop_assert_eq!(bits(&viewed), bits(&expected));
-            let order = &report.aggregate.records.0;
+            let order = &report.aggregate.records.order;
             proptest::prop_assert_eq!(order.capacity(), expected.len());
             proptest::prop_assert_eq!(std::mem::size_of_val(order.as_slice()), 8 * expected.len());
         }

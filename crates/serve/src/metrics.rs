@@ -46,13 +46,16 @@ impl SloReport {
     /// Summarises a serve run against one set of SLO targets.
     #[must_use]
     pub fn new(report: &ServeReport, slo: &SloTargets) -> Self {
-        let mut tally = Tally::default();
+        let mut counts = Counts::default();
+        let mut moments = Latencies::default();
         for r in &report.records {
-            tally.push(r, *slo);
+            counts.push(r, *slo);
+            moments.push(r);
         }
         let mut scratch = Vec::with_capacity(report.records.len());
         summarise(
-            &tally,
+            &counts,
+            &moments,
             report.records.iter(),
             report.rejected,
             report,
@@ -61,42 +64,79 @@ impl SloReport {
     }
 }
 
-/// The order-dependent half of one [`SloReport`]: counts, and the
-/// latency means and maxima accumulated in the order the records are
-/// pushed (completion order, so the means keep their bits).
+/// The order-free half of one [`SloReport`]: completions, those that
+/// met their targets, and output tokens.
 #[derive(Debug, Clone, Copy, Default)]
-struct Tally {
+struct Counts {
     completed: usize,
     good: usize,
     tokens: u64,
+}
+
+impl Counts {
+    /// Counts `r`, judged against `slo`.
+    fn push(&mut self, r: &RequestRecord, slo: SloTargets) {
+        self.completed += 1;
+        self.good += usize::from(r.ttft_s() <= slo.ttft_s && r.tpot_s() <= slo.tpot_s);
+        self.tokens += u64::from(r.output_len);
+    }
+}
+
+/// The order-dependent half of one [`SloReport`]: the latency means
+/// and maxima accumulated in the order the records are pushed
+/// (completion order, so the means keep their bits).
+#[derive(Debug, Clone, Copy, Default)]
+struct Latencies {
     ttft: Moments,
     tpot: Moments,
     e2e: Moments,
 }
 
-impl Tally {
-    /// Counts `r`, judged against `slo`, and accumulates its latencies.
-    fn push(&mut self, r: &RequestRecord, slo: SloTargets) {
-        let (ttft, tpot) = (r.ttft_s(), r.tpot_s());
-        self.completed += 1;
-        self.good += usize::from(ttft <= slo.ttft_s && tpot <= slo.tpot_s);
-        self.tokens += u64::from(r.output_len);
-        self.ttft.push(ttft);
-        self.tpot.push(tpot);
+impl Latencies {
+    fn push(&mut self, r: &RequestRecord) {
+        self.ttft.push(r.ttft_s());
+        self.tpot.push(r.tpot_s());
         self.e2e.push(r.e2e_s());
     }
 }
 
-/// Builds one [`SloReport`] from its `tally` and its records, `stored`
-/// in any order — whichever is cheapest to read. Rates share the run's
-/// makespan, so per-class rates sum to the aggregate's.
+/// The order-dependent half of a [`MultiClassReport`]: the latency
+/// moments of every record and of each class index's records, pushed
+/// in completion order. A fleet folds them while it merges its
+/// completion order ([`crate::MergeOrder`]); a single machine pushes
+/// its own records.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ClassMoments {
+    all: Latencies,
+    /// Indexed by [`RequestRecord::class`], whether or not a
+    /// [`ClassSpec`] names the class.
+    by_class: Vec<Latencies>,
+}
+
+impl ClassMoments {
+    /// Accumulates `r` into the aggregate and into its class.
+    pub(crate) fn push(&mut self, r: &RequestRecord) {
+        self.all.push(r);
+        let class = usize::from(r.class);
+        if class >= self.by_class.len() {
+            self.by_class.resize(class + 1, Latencies::default());
+        }
+        self.by_class[class].push(r);
+    }
+}
+
+/// Builds one [`SloReport`] from its `counts` and `moments` and its
+/// records, `stored` in any order — whichever is cheapest to read.
+/// Rates share the run's makespan, so per-class rates sum to the
+/// aggregate's.
 ///
 /// `stored` is walked once per latency summary, to fill the quantile
 /// samples: one caller-owned scratch buffer serves every summary,
 /// filled, summarised by selection (no sort, no per-metric
 /// allocation), refilled.
 fn summarise<'a, R>(
-    tally: &Tally,
+    counts: &Counts,
+    moments: &Latencies,
     stored: impl Iterator<Item = &'a RequestRecord> + Clone,
     rejected: u32,
     run: &ServeReport<R>,
@@ -107,10 +147,10 @@ fn summarise<'a, R>(
         scratch.extend(stored.clone().map(sample));
         Percentiles::from_parts(scratch, moments)
     };
-    let ttft = summary(RequestRecord::ttft_s, tally.ttft);
-    let tpot = summary(RequestRecord::tpot_s, tally.tpot);
-    let e2e = summary(RequestRecord::e2e_s, tally.e2e);
-    let (completed, good) = (tally.completed, tally.good);
+    let ttft = summary(RequestRecord::ttft_s, moments.ttft);
+    let tpot = summary(RequestRecord::tpot_s, moments.tpot);
+    let e2e = summary(RequestRecord::e2e_s, moments.e2e);
+    let (completed, good) = (counts.completed, counts.good);
     let span = run.makespan_s.max(f64::MIN_POSITIVE);
     SloReport {
         ttft,
@@ -119,7 +159,7 @@ fn summarise<'a, R>(
         completed: completed as u32,
         rejected,
         throughput_rps: completed as f64 / span,
-        throughput_tok_s: tally.tokens as f64 / span,
+        throughput_tok_s: counts.tokens as f64 / span,
         goodput_rps: good as f64 / span,
         slo_attainment: if completed > 0 {
             good as f64 / completed as f64
@@ -176,27 +216,27 @@ impl MultiClassReport {
     /// in the aggregate and dropped from per-class slices.
     #[must_use]
     pub fn new(report: &ServeReport, classes: &[ClassSpec]) -> Self {
-        let records = report.records.iter();
-        Self::over(records.clone(), records, report, classes)
+        let mut moments = ClassMoments::default();
+        for r in &report.records {
+            moments.push(r);
+        }
+        Self::over(report.records.iter(), &moments, report, classes)
     }
 
     /// [`MultiClassReport::new`] over records held outside `report`: a
-    /// fleet's, `ordered` read in completion order through its
-    /// aggregate's [`crate::MergeOrder`] and `stored` replica by
-    /// replica. Only the means need completion order, so `ordered` is
-    /// walked once, tallying every summary together; each summary's
-    /// quantile samples are filled from `stored`.
+    /// fleet's, `stored` replica by replica, whose latency `moments`
+    /// its [`crate::MergeOrder`] folded in completion order. Only the
+    /// means need that order; the counts and each summary's quantile
+    /// samples are read from `stored`.
     pub(crate) fn over<'a, R>(
-        ordered: impl ExactSizeIterator<Item = &'a RequestRecord>,
         stored: impl Iterator<Item = &'a RequestRecord> + Clone,
+        moments: &ClassMoments,
         report: &ServeReport<R>,
         classes: &[ClassSpec],
     ) -> Self {
-        // Every class's sample fits the aggregate's buffer.
-        let mut scratch = Vec::with_capacity(ordered.len());
-        let mut aggregate = Tally::default();
-        let mut per_class = vec![Tally::default(); classes.len()];
-        for r in ordered {
+        let mut aggregate = Counts::default();
+        let mut per_class = vec![Counts::default(); classes.len()];
+        for r in stored.clone() {
             match classes.get(usize::from(r.class)) {
                 Some(spec) => {
                     aggregate.push(r, spec.slo);
@@ -205,8 +245,11 @@ impl MultiClassReport {
                 None => aggregate.push(r, SloTargets::interactive()),
             }
         }
+        // Every class's sample fits the aggregate's buffer.
+        let mut scratch = Vec::with_capacity(aggregate.completed);
         let aggregate = summarise(
             &aggregate,
+            &moments.all,
             stored.clone(),
             report.rejected,
             report,
@@ -216,7 +259,7 @@ impl MultiClassReport {
             .iter()
             .zip(&per_class)
             .enumerate()
-            .map(|(i, (spec, tally))| {
+            .map(|(i, (spec, counts))| {
                 let rejected = report
                     .rejected_requests
                     .iter()
@@ -226,7 +269,8 @@ impl MultiClassReport {
                     name: spec.name,
                     slo: spec.slo,
                     report: summarise(
-                        tally,
+                        counts,
+                        &moments.by_class.get(i).copied().unwrap_or_default(),
                         stored.clone().filter(|r| usize::from(r.class) == i),
                         rejected,
                         report,

@@ -67,9 +67,10 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 ///
 /// The slice must already be NaN-free ([`percentile`] filters; here
 /// the caller owns that step, so one scratch buffer can serve many
-/// quantiles). The slice is permuted, not sorted: repeated calls at
-/// different `p` on the same scratch stay correct, since selection is
-/// order-independent.
+/// quantiles). The slice may be permuted, not sorted: repeated calls
+/// at different `p` on the same scratch stay correct, since selection
+/// is order-independent. When the low rank of `p` is one of the top
+/// two (p99 over at most 101 samples), one scan finds them instead.
 ///
 /// # Panics
 ///
@@ -85,7 +86,39 @@ pub fn percentile_mut(xs: &mut [f64], p: f64) -> f64 {
     if p.is_nan() || xs.is_empty() {
         return f64::NAN;
     }
-    select_percentile(xs, 0, p).0
+    let (lo, hi, frac) = ranks(xs.len(), p);
+    if lo + 2 < xs.len() {
+        return select_percentile(xs, 0, p).0;
+    }
+    // The largest and second-largest samples under `total_cmp`, ties
+    // counted: the sorted copy's last two.
+    let mut top = xs[0];
+    let mut second = None;
+    for &x in &xs[1..] {
+        if x.total_cmp(&top).is_gt() {
+            second = Some(top);
+            top = x;
+        } else if second.is_none_or(|s| x.total_cmp(&s).is_gt()) {
+            second = Some(x);
+        }
+    }
+    let at = |rank: usize| {
+        if rank + 1 == xs.len() {
+            top
+        } else {
+            second.expect("a rank below the top needs two samples")
+        }
+    };
+    let (lo_v, hi_v) = (at(lo), at(hi));
+    lo_v + frac * (hi_v - lo_v)
+}
+
+/// The low and high ranks of `p` among `len` samples, and how far
+/// between them the percentile lies.
+fn ranks(len: usize, p: f64) -> (usize, usize, f64) {
+    let rank = (p.clamp(0.0, 100.0) / 100.0) * (len - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
 }
 
 /// [`percentile_mut`]'s selection over the non-empty, NaN-free `xs`,
@@ -94,10 +127,7 @@ pub fn percentile_mut(xs: &mut [f64], p: f64) -> f64 {
 /// low rank of `p`. Returns the percentile and that low rank, which
 /// partitions `xs` the same way for a later call at a higher `p`.
 fn select_percentile(xs: &mut [f64], from: usize, p: f64) -> (f64, usize) {
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (xs.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
+    let (lo, hi, frac) = ranks(xs.len(), p);
     let (_, &mut lo_v, right) = xs[from..].select_nth_unstable_by(lo - from, f64::total_cmp);
     let hi_v = if hi == lo {
         lo_v
@@ -509,6 +539,38 @@ mod tests {
                 })
                 .collect();
             assert_summary_matches_the_sort(&xs);
+        }
+    }
+
+    /// Single quantiles whose low rank is one of the top two (p99 up
+    /// to 101 samples, p100 always), which one scan answers, and those
+    /// just below, which selection answers, against the sort.
+    #[test]
+    fn top_two_scan_matches_the_sort() {
+        let values = [0.0, -0.0, 1.0, -1.5, 2.0, f64::INFINITY, f64::NEG_INFINITY];
+        let mut s = 7u64;
+        for len in 1..=130usize {
+            for _ in 0..8 {
+                let xs: Vec<f64> = (0..len)
+                    .map(|_| {
+                        s = s
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        if (s >> 60) < 8 {
+                            (s >> 56) as f64 / 4.0
+                        } else {
+                            values[(s >> 33) as usize % values.len()]
+                        }
+                    })
+                    .collect();
+                for p in [95.0, 98.0, 99.0, 99.5, 100.0] {
+                    assert_eq!(
+                        percentile_mut(&mut xs.clone(), p).to_bits(),
+                        percentile_by_sort(&xs, p).to_bits(),
+                        "p{p} diverged on xs={xs:?}"
+                    );
+                }
+            }
         }
     }
 
