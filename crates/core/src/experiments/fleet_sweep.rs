@@ -17,7 +17,7 @@
 //! worth real machines.
 
 use crate::engine::{grid, Engine};
-use crate::serving::{sweep_cost_model, SharedRpuCostModel};
+use crate::serving::{sweep_cost_model, RpuCostModel};
 use rpu_models::{LengthDistribution, ModelConfig};
 use rpu_serve::{
     ArrivalProcess, ClassSpec, Fifo, FleetBuilder, FleetReport, JoinShortestQueue, LeastKvLoad,
@@ -181,7 +181,7 @@ pub struct FleetSweep {
 /// shared memoised cost model) under one router.
 fn run_fleet(
     n: u32,
-    cost: &SharedRpuCostModel,
+    cost: &RpuCostModel,
     config: &ServeConfig,
     wl: &Workload,
     router: RouterKind,

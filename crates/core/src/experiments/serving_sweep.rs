@@ -103,12 +103,12 @@ pub fn bursty_workload() -> Workload {
     }
 }
 
-/// Runs one rung: the workload against a handle of the shared memoised
+/// Runs one rung: the workload against a clone of the shared memoised
 /// cost model.
 fn run_point(
     rate_rps: f64,
     wl: &Workload,
-    cost: &crate::serving::SharedRpuCostModel,
+    cost: &crate::serving::RpuCostModel,
     config: &ServeConfig,
 ) -> LoadPoint {
     let mut cost = cost.clone();

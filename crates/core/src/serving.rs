@@ -2,11 +2,14 @@
 //!
 //! `rpu-serve`'s continuous-batching scheduler is machine-agnostic: it
 //! asks a [`CostModel`] for decode-iteration and prefill latencies and
-//! for KV-capacity admission. [`RpuCostModel`] answers those questions
-//! with the real stack — each distinct (batch, bucketed-context) decode
-//! iteration is compiled and run through the event-driven simulator
-//! once via [`RpuSystem::token_latency`] and memoised, and admission
-//! uses [`RpuSystem::fits`] on the conservative KV reservation.
+//! for the KV capacity it admits against. [`RpuCostModel`] answers
+//! those questions with the real stack — each distinct (batch,
+//! bucketed-context) decode iteration is compiled and run through the
+//! event-driven simulator once via [`RpuSystem::token_latency`] and
+//! memoised, and the capacity is the largest KV residency
+//! [`RpuSystem::fits`] accepts, found once at construction. A replica
+//! admits a conservative reservation `reserved` exactly when
+//! `reserved <= kv_capacity_tokens()`.
 //!
 //! Prefill follows the paper's Splitwise/Dynamo assumption (prefill on
 //! GPUs, decode on the RPU) by default: [`PrefillBackend::Gpu`] prices
@@ -22,6 +25,7 @@ use rpu_gpu::{GpuSpec, GpuSystem};
 use rpu_models::{ModelConfig, Precision, PrefillWorkload};
 use rpu_serve::{CostModel, ServeConfig};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 /// Where prefill runs and how it is priced.
@@ -34,23 +38,46 @@ pub enum PrefillBackend {
 }
 
 /// [`RpuSystem`] as a serving cost model, with memoised simulator runs.
+///
+/// A cheap `Send + Sync` handle: clones share the immutable machine
+/// and one memo. A homogeneous `rpu_serve::Fleet` wants N cost models
+/// for N replicas, but each distinct (batch, bucketed-context) decode
+/// step prices identically on identical machines — simulating it once
+/// per replica would multiply the slowest part of a fleet sweep by N
+/// for bit-equal results. Handing every replica, and every worker
+/// thread of a parallel sweep, a clone of one model simulates each step
+/// once. The memo only ever stores deterministic simulator outputs, so
+/// sharing changes nothing but wall-clock time — no matter which clone
+/// or thread fills an entry first, it holds the same value.
 #[derive(Debug, Clone)]
-pub struct RpuCostModel {
+pub struct RpuCostModel(Arc<Machine>);
+
+/// The state every clone of one [`RpuCostModel`] shares.
+#[derive(Debug)]
+struct Machine {
     sys: RpuSystem,
     model: ModelConfig,
     prefill: PrefillBackend,
-    /// Precision used to price GPU-side prefill.
-    gpu_precision: Precision,
-    /// Largest KV residency `sys.fits` accepts, precomputed once for
-    /// fleet telemetry.
+    /// Largest KV residency `sys.fits` accepts.
     kv_capacity_tokens: u64,
-    decode_cache: HashMap<(u32, u32), f64>,
-    prefill_cache: HashMap<u32, f64>,
+    memo: Mutex<Memo>,
+}
+
+/// Priced decode steps by (batch, bucketed context) and prefills by
+/// prompt length.
+#[derive(Debug, Default)]
+struct Memo {
+    decode: HashMap<(u32, u32), f64>,
+    prefill: HashMap<u32, f64>,
 }
 
 impl RpuCostModel {
     /// Builds the paper-default cost model: decode on `sys`, prefill on
     /// one H100.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model`'s weights alone do not fit `sys`'s memory.
     #[must_use]
     pub fn new(sys: RpuSystem, model: ModelConfig) -> Self {
         Self::with_prefill(
@@ -61,196 +88,118 @@ impl RpuCostModel {
     }
 
     /// Builds a cost model with an explicit prefill backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model`'s weights alone do not fit `sys`'s memory: such
+    /// a machine could admit nothing, not even an empty reservation.
     #[must_use]
     pub fn with_prefill(sys: RpuSystem, model: ModelConfig, prefill: PrefillBackend) -> Self {
+        assert!(
+            sys.fits(&model, 1, 0),
+            "{} weights do not fit {sys}",
+            model.name
+        );
         // Binary search the capacity boundary once: `fits` is monotone
         // in tokens (KV bytes only grow), so the largest accepted
-        // residency is well-defined. Published in fleet telemetry.
-        let kv_capacity_tokens = if sys.fits(&model, 1, 0) {
-            let (mut lo, mut hi) = (0u32, u32::MAX);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2 + (hi - lo) % 2;
-                if sys.fits(&model, 1, mid) {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
+        // residency is well-defined.
+        let (mut lo, mut hi) = (0u32, u32::MAX);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2 + (hi - lo) % 2;
+            if sys.fits(&model, 1, mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
             }
-            u64::from(lo)
-        } else {
-            0
-        };
-        Self {
+        }
+        Self(Arc::new(Machine {
             sys,
             model,
             prefill,
-            gpu_precision: Precision::gpu_w4a16(),
-            kv_capacity_tokens,
-            decode_cache: HashMap::new(),
-            prefill_cache: HashMap::new(),
-        }
+            kv_capacity_tokens: u64::from(lo),
+            memo: Mutex::default(),
+        }))
     }
 
-    /// Number of distinct decode-step simulations performed so far —
-    /// the scheduler's context bucketing keeps this small.
+    /// Number of distinct decode-step simulations performed so far by
+    /// this model and every clone of it — the scheduler's context
+    /// bucketing keeps this small.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a thread panicked while holding the memo lock.
     #[must_use]
     pub fn distinct_decode_sims(&self) -> usize {
-        self.decode_cache.len()
+        self.memo().decode.len()
     }
-}
 
-/// Simulates one decode iteration — the expensive, deterministic call
-/// both the exclusive and the shared cost model memoise.
-fn simulate_decode(sys: &RpuSystem, model: &ModelConfig, batch: u32, max_context: u32) -> f64 {
-    sys.token_latency(model, batch, max_context)
-        .expect("decode step simulates")
-}
+    fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.0.memo.lock().expect("cost-model memo poisoned")
+    }
 
-/// Prices one prompt's prefill on the configured backend.
-fn price_prefill(
-    sys: &RpuSystem,
-    model: &ModelConfig,
-    gpu_precision: Precision,
-    prefill: &PrefillBackend,
-    prompt_len: u32,
-) -> f64 {
-    match prefill {
-        PrefillBackend::Gpu(gpus) => {
-            let wl = PrefillWorkload::new(model, gpu_precision, 1, prompt_len);
-            gpus.prefill_latency(&wl)
+    /// Double-checked memoisation: the lock is held only for the
+    /// lookup and the insert, never across `price` — so a miss on one
+    /// thread never blocks the other threads' hits. Two threads racing
+    /// on the same miss both price it, but pricing is deterministic,
+    /// so whichever insert lands first holds the identical value.
+    fn memoised<K: Eq + Hash>(
+        &self,
+        table: fn(&mut Memo) -> &mut HashMap<K, f64>,
+        key: K,
+        price: impl FnOnce(&Machine) -> f64,
+    ) -> f64 {
+        if let Some(&v) = table(&mut self.memo()).get(&key) {
+            return v;
         }
-        PrefillBackend::OnRpu => {
-            // Deployment precision on the RPU's own roofline.
-            let wl = PrefillWorkload::new(model, sys.precision, 1, prompt_len);
-            (wl.bytes() / sys.arch.mem_bandwidth()).max(wl.flops() / sys.arch.peak_flops())
-        }
+        let v = price(&self.0);
+        *table(&mut self.memo()).entry(key).or_insert(v)
     }
 }
 
 impl CostModel for RpuCostModel {
     fn decode_step_s(&mut self, batch: u32, max_context: u32) -> f64 {
-        if let Some(v) = self.decode_cache.get(&(batch, max_context)) {
-            return *v;
-        }
-        let v = simulate_decode(&self.sys, &self.model, batch, max_context);
-        self.decode_cache.insert((batch, max_context), v);
-        v
+        self.memoised(
+            |m| &mut m.decode,
+            (batch, max_context),
+            |m| {
+                m.sys
+                    .token_latency(&m.model, batch, max_context)
+                    .expect("decode step simulates")
+            },
+        )
     }
 
     fn prefill_s(&mut self, prompt_len: u32) -> f64 {
-        if let Some(v) = self.prefill_cache.get(&prompt_len) {
-            return *v;
-        }
-        let v = price_prefill(
-            &self.sys,
-            &self.model,
-            self.gpu_precision,
-            &self.prefill,
+        self.memoised(
+            |m| &mut m.prefill,
             prompt_len,
-        );
-        self.prefill_cache.insert(prompt_len, v);
-        v
-    }
-
-    fn fits(&self, context_tokens: u64) -> bool {
-        // Weights + `context_tokens` resident KV tokens: exactly the
-        // (batch = 1, seq = tokens) footprint.
-        let tokens = u32::try_from(context_tokens).unwrap_or(u32::MAX);
-        self.sys.fits(&self.model, 1, tokens)
-    }
-
-    fn kv_capacity_tokens(&self) -> u64 {
-        self.kv_capacity_tokens
-    }
-}
-
-/// One memoised [`RpuCostModel`] shared by every replica of a fleet
-/// SKU — and, because it is `Send + Sync`, by every worker thread of a
-/// parallel sweep.
-///
-/// A homogeneous `rpu_serve::Fleet` wants N cost models for N replicas,
-/// but each distinct (batch, bucketed-context) decode step prices
-/// identically on identical machines — simulating it once per replica
-/// would multiply the slowest part of a fleet sweep by N for bit-equal
-/// results. Handles clone cheaply and share one mutex-guarded cache;
-/// the cache only ever stores deterministic simulator outputs, so
-/// sharing changes nothing but wall-clock time — no matter which
-/// thread populates an entry first, it holds the same value.
-#[derive(Debug, Clone)]
-pub struct SharedRpuCostModel(Arc<Mutex<RpuCostModel>>);
-
-impl SharedRpuCostModel {
-    /// Wraps a cost model for sharing.
-    #[must_use]
-    pub fn new(inner: RpuCostModel) -> Self {
-        Self(Arc::new(Mutex::new(inner)))
-    }
-
-    /// Number of distinct decode-step simulations across *all* handles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sweep worker panicked while holding the memo lock.
-    #[must_use]
-    pub fn distinct_decode_sims(&self) -> usize {
-        self.lock().distinct_decode_sims()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RpuCostModel> {
-        self.0.lock().expect("cost-model cache poisoned")
-    }
-}
-
-impl CostModel for SharedRpuCostModel {
-    /// Double-checked memoisation: the lock is held only for the cache
-    /// lookup and the insert, never across the event-driven simulation
-    /// — so a cache miss on one worker never blocks the other workers'
-    /// cache hits. Two workers racing on the same miss both simulate,
-    /// but the simulator is deterministic, so whichever insert lands
-    /// first holds the identical value.
-    fn decode_step_s(&mut self, batch: u32, max_context: u32) -> f64 {
-        let (sys, model) = {
-            let guard = self.lock();
-            if let Some(v) = guard.decode_cache.get(&(batch, max_context)) {
-                return *v;
-            }
-            (guard.sys, guard.model)
-        };
-        let v = simulate_decode(&sys, &model, batch, max_context);
-        *self
-            .lock()
-            .decode_cache
-            .entry((batch, max_context))
-            .or_insert(v)
-    }
-
-    fn prefill_s(&mut self, prompt_len: u32) -> f64 {
-        let (sys, model, gpu_precision, prefill) = {
-            let guard = self.lock();
-            if let Some(v) = guard.prefill_cache.get(&prompt_len) {
-                return *v;
-            }
-            (guard.sys, guard.model, guard.gpu_precision, guard.prefill)
-        };
-        let v = price_prefill(&sys, &model, gpu_precision, &prefill, prompt_len);
-        *self.lock().prefill_cache.entry(prompt_len).or_insert(v)
-    }
-
-    fn fits(&self, context_tokens: u64) -> bool {
-        self.lock().fits(context_tokens)
+            |m| match m.prefill {
+                PrefillBackend::Gpu(gpus) => {
+                    // The GPU tier's own W4A16 deployment precision.
+                    let wl = PrefillWorkload::new(&m.model, Precision::gpu_w4a16(), 1, prompt_len);
+                    gpus.prefill_latency(&wl)
+                }
+                PrefillBackend::OnRpu => {
+                    // Deployment precision on the RPU's own roofline.
+                    let wl = PrefillWorkload::new(&m.model, m.sys.precision, 1, prompt_len);
+                    (wl.bytes() / m.sys.arch.mem_bandwidth())
+                        .max(wl.flops() / m.sys.arch.peak_flops())
+                }
+            },
+        )
     }
 
     fn kv_capacity_tokens(&self) -> u64 {
-        self.lock().kv_capacity_tokens()
+        self.0.kv_capacity_tokens
     }
 }
 
 /// Builds the shared serving test-bed every request-level sweep starts
 /// from: Llama3-8B decode at MXFP4 on `num_cus` CUs with a GPU prefill
 /// tier, provisioned for `longest_context` (prompt + output tokens of
-/// the longest class, bucketed), and one memoised [`SharedRpuCostModel`]
-/// that all runs — across policies, routers, fleet sizes and sweep
-/// worker threads — price decode steps through.
+/// the longest class, bucketed), and one memoised [`RpuCostModel`]
+/// whose clones all runs — across policies, routers, fleet sizes and
+/// sweep worker threads — price decode steps through and admit against.
 ///
 /// Returns the [`ServeConfig`] (batch capped at `max_batch`) alongside
 /// the cost model so callers sweep the exact machine the model prices.
@@ -264,7 +213,7 @@ pub fn sweep_cost_model(
     num_cus: u32,
     max_batch: u32,
     longest_context: u32,
-) -> (ServeConfig, SharedRpuCostModel) {
+) -> (ServeConfig, RpuCostModel) {
     let model = ModelConfig::llama3_8b();
     let prec = Precision::mxfp4_inference();
     let config = ServeConfig {
@@ -277,8 +226,7 @@ pub fn sweep_cost_model(
     let max_context = config.bucket(longest_context);
     let sys = RpuSystem::with_optimal_memory(&model, prec, max_batch, max_context, num_cus)
         .expect("Llama3-8B deploys at every sweep scale");
-    let cost = SharedRpuCostModel::new(RpuCostModel::new(sys, model));
-    (config, cost)
+    (config, RpuCostModel::new(sys, model))
 }
 
 #[cfg(test)]
@@ -330,30 +278,55 @@ mod tests {
 
     #[test]
     fn fits_tracks_kv_residency() {
+        // One replica admits a reservation equal to the published
+        // capacity and rejects one token more.
         let (sys, model) = system();
         let cm = RpuCostModel::new(sys, model);
-        assert!(cm.fits(8 * 4096));
-        assert!(!cm.fits(u64::from(u32::MAX)));
+        let cap = u32::try_from(cm.kv_capacity_tokens()).unwrap();
+        assert!(cap >= 8 * 4096, "provisioned for batch 8 x 4096: {cap}");
+        let served = |prompt_len: u32| {
+            let wl = Workload::poisson(10.0, prompt_len, 1, 1);
+            let r = serve(&wl, &mut cm.clone(), &ServeConfig::default());
+            (r.records.len(), r.rejected)
+        };
+        assert_eq!(served(cap - 1), (1, 0));
+        assert_eq!(served(cap), (0, 1));
     }
 
     #[test]
     fn published_capacity_is_the_fits_boundary() {
-        let (sys, model) = system();
-        let cm = RpuCostModel::new(sys, model);
-        let cap = cm.kv_capacity_tokens();
-        assert!(cap >= 8 * 4096, "provisioned for batch 8 x 4096: {cap}");
-        assert!(cm.fits(cap));
-        assert!(!cm.fits(cap + 1));
+        // The capacity is the machine's own rule's boundary, across
+        // models and CU counts.
+        let prec = Precision::mxfp4_inference();
+        for (model, cus) in [
+            (ModelConfig::llama3_8b(), 16),
+            (ModelConfig::llama3_8b(), 64),
+            (ModelConfig::llama3_70b(), 64),
+            (ModelConfig::llama3_405b(), 128),
+        ] {
+            let sys = RpuSystem::with_optimal_memory(&model, prec, 4, 8192, cus).unwrap();
+            let cap = RpuCostModel::new(sys, model).kv_capacity_tokens();
+            let cap = u32::try_from(cap).unwrap();
+            assert!(sys.fits(&model, 1, cap), "{} on {cus} CUs", model.name);
+            assert!(!sys.fits(&model, 1, cap + 1), "{} on {cus} CUs", model.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weights do not fit")]
+    fn a_machine_that_cannot_hold_the_weights_is_rejected() {
+        let (sys, _) = system();
+        let _ = RpuCostModel::new(sys, ModelConfig::llama3_405b());
     }
 
     #[test]
     fn shared_cost_model_crosses_threads() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedRpuCostModel>();
-        // Concurrent lookups through clones of one handle agree and
-        // share the memo cache.
+        assert_send_sync::<RpuCostModel>();
+        // Concurrent lookups through clones of one model agree and
+        // share the memo.
         let (sys, model) = system();
-        let shared = SharedRpuCostModel::new(RpuCostModel::new(sys, model));
+        let shared = RpuCostModel::new(sys, model);
         let priced: Vec<f64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -384,15 +357,15 @@ mod tests {
     #[test]
     fn shared_handles_share_one_memo_cache() {
         let (sys, model) = system();
-        let shared = SharedRpuCostModel::new(RpuCostModel::new(sys, model));
+        let shared = RpuCostModel::new(sys, model);
         let mut a = shared.clone();
         let mut b = shared.clone();
         let x = a.decode_step_s(2, 1024);
         let y = b.decode_step_s(2, 1024);
         assert_eq!(x, y);
         assert_eq!(shared.distinct_decode_sims(), 1);
+        assert_eq!(a.prefill_s(512), b.prefill_s(512));
         assert_eq!(a.kv_capacity_tokens(), b.kv_capacity_tokens());
-        assert!(a.fits(1024) && b.fits(1024));
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //!
 //! `rpu-serve` sits below `rpu-core` in the workspace layering, so it
 //! cannot name `RpuSystem` directly. Instead the scheduler drives this
-//! trait; `rpu-core` implements it on top of
-//! `RpuSystem::token_latency`/`RpuSystem::fits` (with memoised simulator
-//! calls), and the in-crate [`AnalyticCostModel`] provides a closed-form
-//! memory-bandwidth machine for unit and property tests.
+//! trait; `rpu-core` implements it on top of `RpuSystem::token_latency`
+//! (with memoised simulator calls), and the in-crate
+//! [`AnalyticCostModel`] provides a closed-form memory-bandwidth
+//! machine for unit and property tests.
+//!
+//! Capacity is stated once: a replica admits a conservative KV
+//! reservation `reserved` exactly when
+//! `reserved <= kv_capacity_tokens()`, and publishes the same number in
+//! its fleet telemetry. The scheduler reads it once per replica, when a
+//! run starts or resumes.
 
 /// Machine costs as seen by the continuous-batching scheduler.
 pub trait CostModel {
@@ -17,15 +23,22 @@ pub trait CostModel {
     /// Latency to prefill one request's `prompt_len` tokens, seconds.
     fn prefill_s(&mut self, prompt_len: u32) -> f64;
 
-    /// `true` when a residency of `context_tokens` KV tokens (summed
-    /// over all admitted requests, at their conservative maximum) fits
-    /// the machine's memory alongside the weights.
-    fn fits(&self, context_tokens: u64) -> bool;
+    /// `true` when a residency of `context_tokens` KV tokens fits:
+    /// `context_tokens <= self.kv_capacity_tokens()`, the one admission
+    /// rule. The scheduler never calls it.
+    #[deprecated(note = "admission is `reserved <= kv_capacity_tokens()`")]
+    fn fits(&self, context_tokens: u64) -> bool {
+        context_tokens <= self.kv_capacity_tokens()
+    }
 
-    /// The largest KV residency (tokens) that [`CostModel::fits`]
-    /// accepts — the capacity a replica publishes in its fleet
-    /// telemetry so routers can reason about relative KV headroom
-    /// across heterogeneous machines.
+    /// The largest KV residency (tokens, summed over all admitted
+    /// requests at their conservative maximum) that fits the machine's
+    /// memory alongside the weights. A replica admits a reservation
+    /// `reserved` exactly when `reserved <= kv_capacity_tokens()`, and
+    /// publishes this capacity in its fleet telemetry so routers can
+    /// reason about relative KV headroom across heterogeneous machines.
+    /// Read once per replica when a run starts or resumes, so it must
+    /// not change over the model's life.
     fn kv_capacity_tokens(&self) -> u64;
 }
 
@@ -68,10 +81,6 @@ impl CostModel for AnalyticCostModel {
         self.prefill_token_s * f64::from(prompt_len)
     }
 
-    fn fits(&self, context_tokens: u64) -> bool {
-        context_tokens <= self.kv_capacity_tokens
-    }
-
     fn kv_capacity_tokens(&self) -> u64 {
         self.kv_capacity_tokens
     }
@@ -80,6 +89,7 @@ impl CostModel for AnalyticCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{serve, ServeConfig, Workload};
 
     #[test]
     fn decode_cost_grows_with_batch_and_context() {
@@ -91,13 +101,26 @@ mod tests {
 
     #[test]
     fn capacity_gate() {
-        let m = AnalyticCostModel::small();
-        assert!(m.fits(4096));
-        assert!(!m.fits(4097));
+        // One replica admits a reservation equal to its published
+        // capacity and rejects one token more.
+        let cap = u32::try_from(AnalyticCostModel::small().kv_capacity_tokens()).unwrap();
+        let served = |prompt_len: u32| {
+            let wl = Workload::poisson(10.0, prompt_len, 32, 3);
+            let r = serve(
+                &wl,
+                &mut AnalyticCostModel::small(),
+                &ServeConfig::default(),
+            );
+            (r.records.len(), r.rejected)
+        };
+        assert_eq!(served(cap - 32), (3, 0));
+        assert_eq!(served(cap - 31), (0, 3));
     }
 
     #[test]
+    #[allow(deprecated)]
     fn published_capacity_is_the_fits_boundary() {
+        // The provided `fits` body is the admission rule.
         let m = AnalyticCostModel::small();
         assert!(m.fits(m.kv_capacity_tokens()));
         assert!(!m.fits(m.kv_capacity_tokens() + 1));

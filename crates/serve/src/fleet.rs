@@ -309,8 +309,9 @@ impl Fleet {
     pub fn start(&self, workload: &Workload) -> FleetRun {
         FleetRun::new(
             workload,
-            self.replicas.iter().map(|r| r.config),
-            kv_caps(&self.replicas),
+            self.replicas
+                .iter()
+                .map(|r| (r.config, r.cost.kv_capacity_tokens())),
             self.initial_states.clone(),
             self.migration_delay_s,
         )
@@ -389,10 +390,6 @@ pub struct FleetRun {
     /// per lifecycle transition keep it in sync; like the telemetry
     /// cache it is derived state, rebuilt on resume, never serialised.
     index: FleetRoutingIndex,
-    /// Each replica's published KV capacity, cached once at run start:
-    /// capacities are fixed per cost model, so the per-event telemetry
-    /// refresh skips the virtual call.
-    kv_caps: Vec<u64>,
     /// The router's picks and the applied transitions — the decisions
     /// [`Fleet::replay`] needs, and the source of the report's
     /// per-replica assignment counts.
@@ -439,15 +436,10 @@ pub struct PerfCounters {
     pub index_marks: u64,
 }
 
-/// The telemetry every replica currently publishes, given each one's
-/// KV capacity — the cache the router reads, rebuilt wholesale only at
-/// run start and resume.
-fn cached_telemetry(cores: &[Core], kv_caps: &[u64]) -> Vec<ReplicaTelemetry> {
-    cores
-        .iter()
-        .zip(kv_caps)
-        .map(|(c, &kv)| c.telemetry(kv))
-        .collect()
+/// The telemetry every replica currently publishes — the cache the
+/// router reads, rebuilt wholesale only at run start and resume.
+fn cached_telemetry(cores: &[Core]) -> Vec<ReplicaTelemetry> {
+    cores.iter().map(Core::telemetry).collect()
 }
 
 /// Slots that cost machine-seconds: every one not down.
@@ -456,14 +448,6 @@ fn count_up(states: &[LifecycleState]) -> usize {
         .iter()
         .filter(|s| **s != LifecycleState::Down)
         .count()
-}
-
-/// Each replica's published KV capacity, in replica order.
-fn kv_caps(replicas: &[FleetReplica]) -> Vec<u64> {
-    replicas
-        .iter()
-        .map(|r| r.cost.kv_capacity_tokens())
-        .collect()
 }
 
 /// The wake calendar's key for a tick: the sign-fold of its IEEE-754
@@ -491,8 +475,8 @@ fn wake_tick(key: u64) -> f64 {
     }
 }
 
-/// The state a [`FleetRun`] derives from its cores, KV capacities and
-/// lifecycle states instead of serialising: the wake-up tree, the
+/// The state a [`FleetRun`] derives from its cores and lifecycle
+/// states instead of serialising: the wake-up tree, the
 /// telemetry cache and the routing index with its routable bitset.
 struct Derived {
     wake: MinTree<u64>,
@@ -506,10 +490,10 @@ impl Derived {
     /// `(tick, replica)` keys reproduce a frozen run's step order
     /// exactly, and identical counters reproduce its routing. Fresh
     /// cores are idle (next event at infinity) until the first arrival.
-    fn build(kv_caps: &[u64], cores: &[Core], states: &[LifecycleState]) -> Self {
+    fn build(cores: &[Core], states: &[LifecycleState]) -> Self {
         let keys = cores.iter().map(|c| wake_key(c.next_event_s())).collect();
         let wake = MinTree::new(keys, wake_key(f64::INFINITY));
-        let telemetry = cached_telemetry(cores, kv_caps);
+        let telemetry = cached_telemetry(cores);
         let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
         let index = FleetRoutingIndex::new(&telemetry, &routable);
         Self {
@@ -570,9 +554,10 @@ impl std::fmt::Debug for FleetRun {
 
 impl FleetRun {
     /// A fresh run over `workload`, no events executed yet: one idle
-    /// core per config, with the given KV capacities, initial lifecycle
-    /// states and failure migration delay. [`Fleet::start`] passes its
-    /// replicas'; [`crate::serve_with`] passes one live machine's.
+    /// core per `(config, KV capacity)` machine, with the given initial
+    /// lifecycle states and failure migration delay. [`Fleet::start`]
+    /// passes its replicas'; [`crate::serve_with`] passes one live
+    /// machine's.
     ///
     /// # Panics
     ///
@@ -580,25 +565,26 @@ impl FleetRun {
     /// [`crate::RequestSource::new`]) or a config's `max_batch` is zero.
     pub(crate) fn new(
         workload: &Workload,
-        configs: impl IntoIterator<Item = ServeConfig>,
-        kv_caps: Vec<u64>,
+        machines: impl IntoIterator<Item = (ServeConfig, u64)>,
         states: Vec<LifecycleState>,
         migration_delay_s: f64,
     ) -> Self {
         let source = RequestSource::new(workload);
-        let cores: Vec<Core> = configs.into_iter().map(Core::new).collect();
+        let cores: Vec<Core> = machines
+            .into_iter()
+            .map(|(config, kv_capacity_tokens)| Core::new(config, kv_capacity_tokens))
+            .collect();
         let Derived {
             wake,
             telemetry,
             index,
-        } = Derived::build(&kv_caps, &cores, &states);
+        } = Derived::build(&cores, &states);
         Self {
             source,
             cores,
             wake,
             telemetry,
             index,
-            kv_caps,
             log: CommandLog::default(),
             events: 0,
             fingerprint: workload_fingerprint(workload),
@@ -688,10 +674,10 @@ impl FleetRun {
             self.now_s = self.now_s.max(ev.at_s);
             let i = self.apply_transition(&ev);
             self.index.set_routable(i, self.states[i].is_routable());
-            self.telemetry[i] = self.cores[i].telemetry(self.kv_caps[i]);
+            self.telemetry[i] = self.cores[i].telemetry();
             debug_assert_eq!(
                 self.telemetry,
-                cached_telemetry(&self.cores, &self.kv_caps),
+                cached_telemetry(&self.cores),
                 "telemetry cache drifted after lifecycle event"
             );
             self.log.push_transition(self.events, ev);
@@ -727,7 +713,7 @@ impl FleetRun {
         // re-read above every step).
         self.wake
             .set(touched, wake_key(self.cores[touched].next_event_s()));
-        self.telemetry[touched] = self.cores[touched].telemetry(self.kv_caps[touched]);
+        self.telemetry[touched] = self.cores[touched].telemetry();
         self.index.mark_dirty(touched);
         self.events += 1;
         Advance::Stepped
@@ -738,7 +724,7 @@ impl FleetRun {
     fn route(&mut self, router: &mut dyn Router, req: &Request) -> usize {
         debug_assert_eq!(
             self.telemetry,
-            cached_telemetry(&self.cores, &self.kv_caps),
+            cached_telemetry(&self.cores),
             "telemetry cache drifted from the cores"
         );
         let pick = router.route(
@@ -951,21 +937,12 @@ impl FleetRun {
     }
 
     /// What every replica currently publishes to the router, recomputed
-    /// from the cores and `fleet`'s cost models — the cross-check for
+    /// from the cores — the cross-check for
     /// [`FleetRun::telemetry_cache`], and the counters cap invariants
     /// are checked against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fleet` is not the fleet this run was started on.
     #[must_use]
-    pub fn telemetry(&self, fleet: &Fleet) -> Vec<ReplicaTelemetry> {
-        assert_eq!(
-            self.cores.len(),
-            fleet.replicas.len(),
-            "fleet changed size mid-run"
-        );
-        let fresh = cached_telemetry(&self.cores, &kv_caps(&fleet.replicas));
+    pub fn telemetry(&self) -> Vec<ReplicaTelemetry> {
+        let fresh = cached_telemetry(&self.cores);
         debug_assert_eq!(self.telemetry, fresh, "telemetry cache drifted");
         fresh
     }
@@ -1136,7 +1113,7 @@ impl FleetRun {
         let mut cores = Vec::with_capacity(n);
         for replica in &fleet.replicas {
             r.begin_section(section::CORE)?;
-            let core = Core::restore(&mut r)?;
+            let core = Core::restore(&mut r, replica.cost.kv_capacity_tokens())?;
             if core.config() != replica.config {
                 return Err(SnapshotError::Corrupt("replica config differs"));
             }
@@ -1154,19 +1131,17 @@ impl FleetRun {
         r.begin_section(section::LOG)?;
         let log = CommandLog::load(&mut r, n, events)?;
         r.end_section()?;
-        let kv_caps = kv_caps(&fleet.replicas);
         let Derived {
             wake,
             telemetry,
             index,
-        } = Derived::build(&kv_caps, &cores, &states);
+        } = Derived::build(&cores, &states);
         Ok(Self {
             source,
             cores,
             wake,
             telemetry,
             index,
-            kv_caps,
             log,
             events,
             fingerprint,

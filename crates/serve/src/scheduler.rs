@@ -18,8 +18,9 @@
 //!
 //! 1. **Admit** — ask the [`SchedulingPolicy`] which queued request to
 //!    admit next, while the batch has a free slot and the *conservative
-//!    KV reservation* (prompt + full output for every admitted request,
-//!    via [`CostModel::fits`]) still fits. When the gates refuse, a
+//!    KV reservation* (prompt + full output for every admitted request)
+//!    is still at most the replica's published
+//!    [`CostModel::kv_capacity_tokens`]. When the gates refuse, a
 //!    preemptive policy may evict a resident request instead: the
 //!    victim returns to the queue keeping its generated tokens and
 //!    resumes later with a fresh prefill of prompt + generated tokens
@@ -244,8 +245,7 @@ pub fn serve_with(
 ) -> ServeReport {
     let mut run = FleetRun::new(
         workload,
-        [*config],
-        vec![cost.kv_capacity_tokens()],
+        [(*config, cost.kv_capacity_tokens())],
         vec![LifecycleState::Live],
         0.0,
     );
@@ -315,6 +315,10 @@ impl RunStats {
 /// scanning it, which the decode iteration does anyway.
 pub(crate) struct Core {
     config: ServeConfig,
+    /// The machine's KV capacity, tokens: admission's one gate and the
+    /// number the core publishes in its telemetry. Read from the cost
+    /// model when the run starts or resumes; not serialised.
+    kv_capacity_tokens: u64,
     queue: Vec<QueuedRequest>,
     /// The serving batch, in admission order — the order policy
     /// indices address.
@@ -348,16 +352,18 @@ fn in_flight_tokens(q: &QueuedRequest) -> u64 {
 }
 
 impl Core {
-    /// A fresh, idle core at clock zero. Allocates nothing until the
+    /// A fresh, idle core at clock zero on a machine holding
+    /// `kv_capacity_tokens` KV tokens. Allocates nothing until the
     /// first request arrives.
     ///
     /// # Panics
     ///
     /// Panics if `config.max_batch` is zero.
-    pub(crate) fn new(config: ServeConfig) -> Self {
+    pub(crate) fn new(config: ServeConfig, kv_capacity_tokens: u64) -> Self {
         assert!(config.max_batch >= 1, "max_batch must admit at least one");
         Self {
             config,
+            kv_capacity_tokens,
             queue: Vec::new(),
             active: Vec::new(),
             active_reserved: 0,
@@ -477,18 +483,18 @@ impl Core {
     /// occupancy and outstanding work — never the sampled lengths of
     /// individual requests or the machine's internals. O(1) from the
     /// incrementally maintained counters.
-    pub(crate) fn telemetry(&self, kv_capacity_tokens: u64) -> ReplicaTelemetry {
+    pub(crate) fn telemetry(&self) -> ReplicaTelemetry {
         let t = ReplicaTelemetry {
             queue_depth: self.queue.len() as u32,
             active_requests: self.active.len() as u32,
             reserved_tokens: self.active_reserved,
             queued_tokens: self.queued_reserved,
-            kv_capacity_tokens,
+            kv_capacity_tokens: self.kv_capacity_tokens,
             in_flight_tokens: self.active_in_flight + self.queued_in_flight,
         };
         debug_assert_eq!(
             t,
-            self.telemetry_scan(kv_capacity_tokens),
+            self.telemetry_scan(),
             "incremental telemetry disagrees with scan"
         );
         t
@@ -497,14 +503,14 @@ impl Core {
     /// The telemetry recomputed by scanning the queue and the batch —
     /// the debug cross-check for the incremental counters (the queue
     /// can be long, so the hot path never scans it).
-    pub(crate) fn telemetry_scan(&self, kv_capacity_tokens: u64) -> ReplicaTelemetry {
+    pub(crate) fn telemetry_scan(&self) -> ReplicaTelemetry {
         let requests = || self.active.iter().map(|s| &s.q).chain(&self.queue);
         ReplicaTelemetry {
             queue_depth: self.queue.len() as u32,
             active_requests: self.active.len() as u32,
             reserved_tokens: self.active.iter().map(|s| s.q.req.reserved_tokens()).sum(),
             queued_tokens: self.queue.iter().map(|q| q.req.reserved_tokens()).sum(),
-            kv_capacity_tokens,
+            kv_capacity_tokens: self.kv_capacity_tokens,
             in_flight_tokens: requests().map(in_flight_tokens).sum(),
         }
     }
@@ -537,7 +543,7 @@ impl Core {
             };
             assert!(pick < self.queue.len(), "policy selected out of range");
             let cand = self.queue[pick];
-            if !cost.fits(cand.req.reserved_tokens()) {
+            if cand.req.reserved_tokens() > self.kv_capacity_tokens {
                 // Too large even alone: drop it or the queue wedges.
                 self.queue.remove(pick);
                 self.queued_reserved -= cand.req.reserved_tokens();
@@ -555,7 +561,7 @@ impl Core {
             // Make room, preempting if the policy allows.
             loop {
                 if self.active.len() < self.config.max_batch as usize
-                    && cost.fits(self.active_reserved + cand.req.reserved_tokens())
+                    && self.active_reserved + cand.req.reserved_tokens() <= self.kv_capacity_tokens
                 {
                     break;
                 }
@@ -773,8 +779,12 @@ impl Core {
         w.put_u64(self.report.peak_reserved_tokens);
     }
 
-    /// Rebuilds a core from a section written by [`Core::save`].
-    pub(crate) fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    /// Rebuilds a core from a section written by [`Core::save`], on a
+    /// machine holding `kv_capacity_tokens` KV tokens.
+    pub(crate) fn restore(
+        r: &mut SnapshotReader<'_>,
+        kv_capacity_tokens: u64,
+    ) -> Result<Self, SnapshotError> {
         let config = ServeConfig {
             max_batch: r.get_u32()?,
             seq_bucket: r.get_u32()?,
@@ -848,6 +858,7 @@ impl Core {
         let queued_in_flight = queue.iter().map(in_flight_tokens).sum();
         Ok(Self {
             config,
+            kv_capacity_tokens,
             queue,
             active,
             active_reserved,

@@ -59,19 +59,14 @@ fn build_fleet(cfg: &ServeConfig, wl: &Workload, policy_idx: usize) -> Fleet {
         .build()
 }
 
-fn assert_checkpoint_invariants(
-    run: &FleetRun,
-    fleet: &Fleet,
-    cfg: &ServeConfig,
-    ctx: &str,
-) -> RunStats {
+fn assert_checkpoint_invariants(run: &FleetRun, cfg: &ServeConfig, ctx: &str) -> RunStats {
     let stats = run.stats();
     assert!(
         stats.conserved(),
         "{ctx}: lifecycle leak at event {}: {stats:?}",
         run.events()
     );
-    for (i, t) in run.telemetry(fleet).iter().enumerate() {
+    for (i, t) in run.telemetry().iter().enumerate() {
         assert!(
             t.active_requests <= cfg.max_batch,
             "{ctx}: replica {i} batch {} exceeds max_batch {} at event {}",
@@ -114,7 +109,7 @@ fn battery_every_family_policy_router() {
                 let mut checkpoints = 0u32;
                 while run.step(&mut fleet, router.as_mut()) {
                     if run.events().is_multiple_of(64) {
-                        assert_checkpoint_invariants(&run, &fleet, &cfg, &ctx);
+                        assert_checkpoint_invariants(&run, &cfg, &ctx);
                         // Snapshot closure: thaw into a fresh router,
                         // re-freeze, bytes must match.
                         let bytes = run.snapshot(router.as_ref());
@@ -131,7 +126,7 @@ fn battery_every_family_policy_router() {
                     }
                 }
                 assert!(checkpoints > 0, "{ctx}: battery never checkpointed");
-                let final_stats = assert_checkpoint_invariants(&run, &fleet, &cfg, &ctx);
+                let final_stats = assert_checkpoint_invariants(&run, &cfg, &ctx);
                 assert_eq!(
                     final_stats.pending_arrivals, 0,
                     "{ctx}: arrivals left pending at completion"
@@ -205,7 +200,7 @@ fn churn_battery_lifecycle_storms() {
             }
             while run.step(&mut fleet, router.as_mut()) {
                 if run.events().is_multiple_of(64) {
-                    assert_checkpoint_invariants(&run, &fleet, &cfg, &ctx);
+                    assert_checkpoint_invariants(&run, &cfg, &ctx);
                     let bytes = run.snapshot(router.as_ref());
                     let mut router2 = build_router(router_idx);
                     let thawed = FleetRun::resume(&wl, &fleet, router2.as_mut(), &bytes)
@@ -218,7 +213,7 @@ fn churn_battery_lifecycle_storms() {
                     );
                 }
             }
-            let final_stats = assert_checkpoint_invariants(&run, &fleet, &cfg, &ctx);
+            let final_stats = assert_checkpoint_invariants(&run, &cfg, &ctx);
             assert_eq!(
                 u64::from(final_stats.completed) + u64::from(final_stats.rejected),
                 u64::from(wl.num_requests),

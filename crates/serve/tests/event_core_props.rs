@@ -101,14 +101,14 @@ fn thawed_batch_turnover_does_not_resurrect_stale_telemetry() {
     let mut router_b = RoundRobin::new();
     let mut resumed = FleetRun::resume(&wl, &fleet_b, &mut router_b, &bytes).expect("thaws");
     assert_eq!(
-        resumed.telemetry(&fleet_b)[0],
-        original.telemetry(&fleet_a)[0],
+        resumed.telemetry()[0],
+        original.telemetry()[0],
         "thawed telemetry differs at the freeze point"
     );
     loop {
         assert_eq!(
-            resumed.telemetry(&fleet_b)[0],
-            original.telemetry(&fleet_a)[0],
+            resumed.telemetry()[0],
+            original.telemetry()[0],
             "telemetry drifts after event {}",
             original.events()
         );

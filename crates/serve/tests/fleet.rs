@@ -292,9 +292,9 @@ fn assignments_account_for_every_request() {
     }
 }
 
-/// Heterogeneous replicas publish their own capacities; the cost-model
-/// boundary (`kv_capacity_tokens`) is exactly the `fits` boundary the
-/// schedulers gate on.
+/// Heterogeneous replicas publish their own capacities, and each
+/// scheduler admits against exactly the capacity its replica publishes
+/// (`kv_capacity_tokens`).
 #[test]
 fn heterogeneous_fleet_serves_oversized_requests_on_the_big_replica() {
     // One client in a closed loop: at most one request in flight, so

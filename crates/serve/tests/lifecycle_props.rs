@@ -286,7 +286,7 @@ fn autoscaled_run(
         let p99 = ttfts.p99_since(&run, (boundary - config.window_s).max(0.0));
         assert_eq!(
             run.telemetry_cache(),
-            run.telemetry(fleet),
+            run.telemetry(),
             "telemetry cache drifted at boundary {boundary}"
         );
         for ev in scaler.control(boundary, run.states(), run.telemetry_cache(), p99) {

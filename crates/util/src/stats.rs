@@ -230,7 +230,9 @@ impl Percentiles {
 /// The order-dependent half of a [`Percentiles`] summary: the count,
 /// sum and maximum of a sample stream, NaNs skipped. The sum folds
 /// left to right from the seed [`Iterator::sum`] uses, so `sum / n` is
-/// [`mean`] of the NaN-free samples, bit for bit.
+/// [`mean`] of the NaN-free samples, bit for bit. The maximum is taken
+/// under [`f64::total_cmp`], so `+0.0` beats `-0.0` in every build
+/// (`f64::max` leaves the sign of a zero tie unspecified).
 #[derive(Debug, Clone, Copy)]
 pub struct Moments {
     n: usize,
@@ -260,7 +262,9 @@ impl Moments {
         if !x.is_nan() {
             self.n += 1;
             self.sum += x;
-            self.max = self.max.max(x);
+            if x.total_cmp(&self.max).is_gt() {
+                self.max = x;
+            }
         }
     }
 }
@@ -488,7 +492,8 @@ mod tests {
 
     /// The nested-selection summary against the sort-based reference,
     /// one quantile at a time, and its mean and maximum against an
-    /// in-order fold of the NaN-free samples.
+    /// in-order fold of the NaN-free samples (the maximum under
+    /// `total_cmp`, [`Moments`]' rule for a zero tie).
     fn assert_summary_matches_the_sort(xs: &[f64]) {
         let s = Percentiles::from_scratch(&mut xs.to_vec());
         let got = [s.p50, s.p95, s.p99].map(f64::to_bits);
@@ -498,7 +503,7 @@ mod tests {
         let (mean, max) = if clean.is_empty() {
             (f64::NAN, f64::NAN)
         } else {
-            let max = clean.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let max = clean.iter().copied().max_by(f64::total_cmp).unwrap();
             (super::mean(&clean), max)
         };
         assert_eq!(

@@ -13,7 +13,7 @@
 //! ```
 
 use rpu::core::experiments::fleet_sweep::{self, RouterKind};
-use rpu::core::serving::{RpuCostModel, SharedRpuCostModel};
+use rpu::core::serving::RpuCostModel;
 use rpu::serve::{Fifo, FleetBuilder, FleetReplica, JoinShortestQueue, ServeConfig};
 use rpu::{ModelConfig, Precision, RpuSystem};
 
@@ -38,8 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Heterogeneous aside: one 64-CU replica and two 16-CU ones behind
     // join-shortest-queue. The router only sees published telemetry —
-    // queue depths and each replica's own KV capacity — yet keeps the
-    // big box busiest.
+    // queue depths and each replica's own KV capacity, the same
+    // capacity that replica admits against — yet sends the big box the
+    // most requests. The two small replicas are clones of one cost
+    // model, so they simulate each decode step once between them.
     let model = ModelConfig::llama3_8b();
     let precision = Precision::mxfp4_inference();
     let config = ServeConfig {
@@ -47,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ServeConfig::default()
     };
     let max_context = config.bucket(1536 + 384);
-    let replica = |cus: u32| -> Result<FleetReplica, Box<dyn std::error::Error>> {
+    let machine = |cus: u32| -> Result<RpuCostModel, Box<dyn std::error::Error>> {
         let sys = RpuSystem::with_optimal_memory(
             &model,
             precision,
@@ -55,16 +57,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_context,
             cus,
         )?;
-        Ok(FleetReplica {
-            cost: Box::new(SharedRpuCostModel::new(RpuCostModel::new(sys, model))),
-            policy: Box::new(Fifo),
-            config,
-        })
+        Ok(RpuCostModel::new(sys, model))
     };
+    let replica = |cost: &RpuCostModel| FleetReplica {
+        cost: Box::new(cost.clone()),
+        policy: Box::new(Fifo),
+        config,
+    };
+    let (big, small) = (machine(64)?, machine(16)?);
     let mut fleet = FleetBuilder::new()
-        .replica(replica(64)?)
-        .replica(replica(16)?)
-        .replica(replica(16)?)
+        .replica(replica(&big))
+        .replica(replica(&small))
+        .replica(replica(&small))
         .build();
     let report = fleet.serve(&fleet_sweep::workload(top), &mut JoinShortestQueue);
     let slo = report.multi_class(&fleet_sweep::classes());

@@ -12,8 +12,9 @@ of host time. Every end-to-end metric's median over the change's
 invocations is gated against the base's median on that metric's
 BENCHMARK.json bound and direction.
 
-Prints each workload's metrics as median [q1, q3] per side with a
-verdict, and exits 1 when a gate fails (a metric past its bound, an
+Prints each workload's metrics as median [q1, q3] per side, how many
+of the PAIRS pairs the change won in the metric's better direction (a
+tie counts for neither side), and a verdict. Exits 1 when a gate fails (a metric past its bound, an
 invocation that is not correct or lost requests, a build that fails),
 0 otherwise. Leaves nothing in the repository.
 """
@@ -105,18 +106,22 @@ def main(argv):
                 failed = True
                 continue
             print(f"  {'metric':<16}{'base median [q1, q3]':>34}"
-                  f"{'change median [q1, q3]':>34}{'change':>9}{'bound':>7}  verdict")
+                  f"{'change median [q1, q3]':>34}{'change':>9}{'bound':>7}{'wins':>7}  verdict")
             for m in spec["end_to_end"]:
                 name = m["name"]
-                base = quartiles([r["metrics"][name]["value"] for r in results["base"]])
-                change = quartiles([r["metrics"][name]["value"] for r in results["change"]])
+                values = {side: [r["metrics"][name]["value"] for r in runs]
+                          for side, runs in results.items()}
+                base = quartiles(values["base"])
+                change = quartiles(values["change"])
+                sign = 1 if m["better"] == "lower" else -1
+                wins = sum(sign * (b - c) > 0 for b, c in zip(values["base"], values["change"]))
                 rel = (change[0] - base[0]) / base[0]
                 worse = rel if m["better"] == "lower" else -rel
                 verdict = "ok" if worse <= m["bound"] else "FAIL"
                 failed |= verdict == "FAIL"
                 cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*q) for q in (base, change)]
                 print(f"  {name:<16}{cells[0]:>34}{cells[1]:>34}"
-                      f"{rel:>+9.1%}{m['bound']:>7.0%}  {verdict}")
+                      f"{rel:>+9.1%}{m['bound']:>7.0%}{f'{wins}/{PAIRS}':>7}  {verdict}")
     verdict = "FAIL" if failed else "ok"
     print(f"\nperf A/B vs {base_rev[:12]}: {verdict} ({time.monotonic() - started:.0f} s)")
     return 1 if failed else 0
