@@ -6,9 +6,8 @@
 //! digest is a pure function of the *values*, not their encodings.
 //! Two runs agree on their digest exactly when they produced the same
 //! report — which makes digests the currency of the differential
-//! machinery: snapshot/resume equivalence, command-log replay checks
-//! and [`crate::bisect`] all compare digests instead of lugging whole
-//! reports around.
+//! machinery: snapshot/resume equivalence and command-log replay
+//! checks compare digests instead of lugging whole reports around.
 
 use crate::fleet::FleetReport;
 use crate::request::{Request, RequestRecord};
@@ -27,14 +26,8 @@ impl fmt::Display for ReportDigest {
 
 /// Streaming FNV-1a 64 hasher feeding a [`ReportDigest`].
 #[derive(Debug, Clone)]
-pub struct DigestWriter {
+pub(crate) struct DigestWriter {
     h: u64,
-}
-
-impl Default for DigestWriter {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DigestWriter {
@@ -85,7 +78,7 @@ impl DigestWriter {
 
 /// The canonical bit pattern digests hash an `f64` as.
 #[must_use]
-pub fn canonical_f64_bits(v: f64) -> u64 {
+pub(crate) fn canonical_f64_bits(v: f64) -> u64 {
     if v.is_nan() {
         0x7FF8_0000_0000_0000
     } else if v == 0.0 {

@@ -375,20 +375,16 @@ pub struct FleetRun {
     /// pull-up, instead of a scan of every replica per event. Not
     /// serialised: rebuilt deterministically from the cores on resume.
     wake: MinTree<u64>,
-    /// Cached per-replica telemetry, index-aligned with `cores`. A
-    /// replica's published counters can only change when an event
-    /// touches it (a lifecycle transition included), so the driver
-    /// refreshes exactly one entry per event instead of recollecting
-    /// the whole fleet on every arrival — the difference between
-    /// `O(1)` and `O(n)` routing at 1000 replicas. Not serialised:
+    /// The routers' telemetry cache, its ordered indexes and the
+    /// routable bitset derived from `states` — everything a
+    /// [`RoutingView`] reads. A replica's published counters can only
+    /// change when an event touches it (a lifecycle transition
+    /// included), so the driver refreshes exactly one entry per event
+    /// instead of recollecting the whole fleet on every arrival — the
+    /// difference between `O(1)` and `O(n)` routing at 1000 replicas —
+    /// and flips one bit per lifecycle transition. Not serialised:
     /// rebuilt deterministically from the cores on resume, like the
     /// wake-up calendar.
-    telemetry: Vec<ReplicaTelemetry>,
-    /// Ordered indexes over `telemetry`, plus the routable bitset
-    /// derived from `states` — the mask and `O(log R)` lookups every
-    /// [`RoutingView`] reads. One dirty mark per event and one bit flip
-    /// per lifecycle transition keep it in sync; like the telemetry
-    /// cache it is derived state, rebuilt on resume, never serialised.
     index: FleetRoutingIndex,
     /// The router's picks and the applied transitions — the decisions
     /// [`Fleet::replay`] needs, and the source of the report's
@@ -476,11 +472,10 @@ fn wake_tick(key: u64) -> f64 {
 }
 
 /// The state a [`FleetRun`] derives from its cores and lifecycle
-/// states instead of serialising: the wake-up tree, the
-/// telemetry cache and the routing index with its routable bitset.
+/// states instead of serialising: the wake-up tree and the routing
+/// index with its telemetry cache and routable bitset.
 struct Derived {
     wake: MinTree<u64>,
-    telemetry: Vec<ReplicaTelemetry>,
     index: FleetRoutingIndex,
 }
 
@@ -493,14 +488,9 @@ impl Derived {
     fn build(cores: &[Core], states: &[LifecycleState]) -> Self {
         let keys = cores.iter().map(|c| wake_key(c.next_event_s())).collect();
         let wake = MinTree::new(keys, wake_key(f64::INFINITY));
-        let telemetry = cached_telemetry(cores);
         let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
-        let index = FleetRoutingIndex::new(&telemetry, &routable);
-        Self {
-            wake,
-            telemetry,
-            index,
-        }
+        let index = FleetRoutingIndex::new(cached_telemetry(cores), &routable);
+        Self { wake, index }
     }
 }
 
@@ -515,28 +505,19 @@ pub(crate) enum Advance {
     Done,
 }
 
-/// When each kind of event could next run, in tie order. Re-routes and
-/// arrivals need a live replica: with none they wait for a join
-/// (draining replicas may still step their in-flight work meanwhile),
-/// so they read as never.
-struct NextEvents {
-    lifecycle: f64,
-    reroute: f64,
-    arrival: f64,
-    wake: f64,
-    /// Re-routes or arrivals are pending with no live replica to route
-    /// them to.
-    starved: bool,
-}
-
-impl NextEvents {
-    /// The earliest candidate time (infinite when nothing can run).
-    fn earliest(&self) -> f64 {
-        self.lifecycle
-            .min(self.reroute)
-            .min(self.arrival)
-            .min(self.wake)
-    }
+/// Where a [`FleetRun`]'s next event comes from, declared in tie
+/// order. At equal ticks lifecycle transitions apply first (so a
+/// router never sees a mask one event stale), then displaced
+/// re-routes, then arrivals, then scheduler steps — a request is
+/// routed at its arrival time, before any replica runs a scheduling
+/// event at or after it, so every replica's telemetry is current as of
+/// the arrival.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Lifecycle,
+    Reroute,
+    Arrival,
+    Wake,
 }
 
 impl std::fmt::Debug for FleetRun {
@@ -574,16 +555,11 @@ impl FleetRun {
             .into_iter()
             .map(|(config, kv_capacity_tokens)| Core::new(config, kv_capacity_tokens))
             .collect();
-        let Derived {
-            wake,
-            telemetry,
-            index,
-        } = Derived::build(&cores, &states);
+        let Derived { wake, index } = Derived::build(&cores, &states);
         Self {
             source,
             cores,
             wake,
-            telemetry,
             index,
             log: CommandLog::default(),
             events: 0,
@@ -646,91 +622,84 @@ impl FleetRun {
         router: &mut dyn Router,
         mut step_core: impl FnMut(usize, &mut Core, &mut RequestSource),
     ) -> Advance {
-        let next = self.next_events();
-        let earliest = next.earliest();
-        if !earliest.is_finite() {
+        let Some((tick, source)) = self.next_event() else {
+            // Nothing can run. Routable work with a finite time left
+            // means it waits for a live replica that no scheduled event
+            // brings back.
             assert!(
-                !next.starved,
+                !self.displaced.front().is_some_and(|d| d.0.is_finite())
+                    && !self.source.next_arrival_s().is_some_and(f64::is_finite),
                 "fleet wedged: requests pending with no live replica \
                  and no scheduled lifecycle event"
             );
             return Advance::Done;
-        }
-        if earliest.max(self.now_s) > until_s {
+        };
+        if tick.max(self.now_s) > until_s {
             return Advance::Paused;
         }
-        // Tie order: lifecycle transitions apply first (so a router
-        // never sees a mask one event stale), then displaced re-routes,
-        // then arrivals, then scheduler steps — a request is routed at
-        // its arrival time, before any replica runs a scheduling event
-        // at or after it, so every replica's telemetry is current as of
-        // the arrival.
-        let touched = if next.lifecycle <= next.reroute
-            && next.lifecycle <= next.arrival
-            && next.lifecycle <= next.wake
-        {
-            let ev = self.pending_events.pop_front().expect("lifecycle is due");
-            self.accrue_machine_seconds(ev.at_s);
-            self.now_s = self.now_s.max(ev.at_s);
-            let i = self.apply_transition(&ev);
-            self.index.set_routable(i, self.states[i].is_routable());
-            self.telemetry[i] = self.cores[i].telemetry();
-            debug_assert_eq!(
-                self.telemetry,
-                cached_telemetry(&self.cores),
-                "telemetry cache drifted after lifecycle event"
-            );
-            self.log.push_transition(self.events, ev);
-            router.on_fleet_event(
-                &ev,
-                &RoutingView::new(&self.telemetry, &self.index, ev.at_s),
-            );
-            i
-        } else if next.reroute <= next.arrival && next.reroute <= next.wake {
-            let (due, q) = self.displaced.pop_front().expect("re-route is due");
-            // A re-route can come due while later events were already
-            // executing (zero delay, or the clock ran ahead); it fires
-            // at the current clock, never in the past.
-            let t = due.max(self.now_s);
-            self.now_s = t;
-            let pick = self.route(router, &q.req);
-            self.cores[pick].enqueue_displaced(q, t);
-            pick
-        } else if next.arrival <= next.wake {
-            let req = self.source.pop_ready(next.arrival).expect("arrival is due");
-            self.now_s = self.now_s.max(next.arrival);
-            let pick = self.route(router, &req);
-            self.cores[pick].enqueue(req);
-            pick
-        } else {
-            let (which, _) = self.wake.min();
-            self.now_s = self.now_s.max(next.wake);
-            step_core(which, &mut self.cores[which], &mut self.source);
-            which
+        let (touched, fired) = match source {
+            Source::Lifecycle => {
+                let ev = self.pending_events.pop_front().expect("lifecycle is due");
+                self.accrue_machine_seconds(ev.at_s);
+                self.now_s = self.now_s.max(ev.at_s);
+                let i = self.apply_transition(&ev);
+                self.index.set_routable(i, self.states[i].is_routable());
+                self.log.push_transition(self.events, ev);
+                (i, Some(ev))
+            }
+            Source::Reroute => {
+                let (due, q) = self.displaced.pop_front().expect("re-route is due");
+                // A re-route can come due while later events were
+                // already executing (zero delay, or the clock ran
+                // ahead); it fires at the current clock, never in the
+                // past.
+                let t = due.max(self.now_s);
+                self.now_s = t;
+                let pick = self.route(router, &q.req);
+                self.cores[pick].enqueue_displaced(q, t);
+                (pick, None)
+            }
+            Source::Arrival => {
+                let req = self.source.pop_ready(tick).expect("arrival is due");
+                self.now_s = self.now_s.max(tick);
+                let pick = self.route(router, &req);
+                self.cores[pick].enqueue(req);
+                (pick, None)
+            }
+            Source::Wake => {
+                let (which, _) = self.wake.min();
+                self.now_s = self.now_s.max(tick);
+                step_core(which, &mut self.cores[which], &mut self.source);
+                (which, None)
+            }
         };
         // Only the touched replica's next event and telemetry can have
         // moved (cores share nothing but the arrival source, which is
         // re-read above every step).
         self.wake
             .set(touched, wake_key(self.cores[touched].next_event_s()));
-        self.telemetry[touched] = self.cores[touched].telemetry();
-        self.index.mark_dirty(touched);
+        self.index.update(touched, self.cores[touched].telemetry());
+        if let Some(ev) = fired {
+            router.on_fleet_event(&ev, &self.view(ev.at_s));
+        }
         self.events += 1;
         Advance::Stepped
+    }
+
+    /// The view every router call reads: the routing index at `now_s`.
+    fn view(&self, now_s: f64) -> RoutingView<'_> {
+        debug_assert_eq!(
+            self.index.telemetry(),
+            cached_telemetry(&self.cores),
+            "telemetry cache drifted from the cores"
+        );
+        RoutingView::new(&self.index, now_s)
     }
 
     /// Asks the router for a live replica for `req` at the current
     /// clock and logs the pick.
     fn route(&mut self, router: &mut dyn Router, req: &Request) -> usize {
-        debug_assert_eq!(
-            self.telemetry,
-            cached_telemetry(&self.cores),
-            "telemetry cache drifted from the cores"
-        );
-        let pick = router.route(
-            req,
-            &RoutingView::new(&self.telemetry, &self.index, self.now_s),
-        );
+        let pick = router.route(req, &self.view(self.now_s));
         assert!(pick < self.cores.len(), "router picked out of range");
         assert!(
             self.states[pick].is_routable(),
@@ -831,16 +800,16 @@ impl FleetRun {
     /// selects the next event once.
     #[must_use]
     pub fn next_time(&self) -> Option<f64> {
-        let next = self.next_events().earliest();
         // Events never run in the past: one that came due while the
         // clock ran ahead (a re-route or arrival held back by an
         // all-down fleet) fires at the current clock.
-        next.is_finite().then(|| next.max(self.now_s))
+        self.next_event().map(|(tick, _)| tick.max(self.now_s))
     }
 
-    /// The candidate times [`FleetRun::step`] and [`FleetRun::next_time`]
-    /// both choose from.
-    fn next_events(&self) -> NextEvents {
+    /// The next event's `(tick, source)` key — the one selection rule
+    /// behind [`FleetRun::step`] and [`FleetRun::next_time`] — or
+    /// `None` when nothing can run.
+    fn next_event(&self) -> Option<(f64, Source)> {
         // The index maintains the live count incrementally, so this is
         // O(1) instead of a mask scan per event.
         let any_live = self.index.live_count() > 0;
@@ -849,24 +818,36 @@ impl FleetRun {
             self.states.iter().any(|s| s.is_routable()),
             "index live count drifted from the lifecycle states"
         );
-        let reroute = self
-            .displaced
-            .front()
-            .map_or(f64::INFINITY, |&(due, _)| due);
-        let arrival = self.source.next_arrival_s().unwrap_or(f64::INFINITY);
-        let routable = |t: f64| if any_live { t } else { f64::INFINITY };
-        NextEvents {
-            lifecycle: self
-                .pending_events
-                .front()
-                .map_or(f64::INFINITY, |e| e.at_s),
-            reroute: routable(reroute),
-            arrival: routable(arrival),
+        // Re-routes and arrivals need a live replica: with none they
+        // wait for a join (draining replicas may still step their
+        // in-flight work meanwhile), so they read as never.
+        let routable = |t: Option<f64>| t.filter(|_| any_live).unwrap_or(f64::INFINITY);
+        let candidates = [
+            (
+                self.pending_events
+                    .front()
+                    .map_or(f64::INFINITY, |e| e.at_s),
+                Source::Lifecycle,
+            ),
+            (
+                routable(self.displaced.front().map(|d| d.0)),
+                Source::Reroute,
+            ),
+            (routable(self.source.next_arrival_s()), Source::Arrival),
             // The tree's root is the earliest replica event; ties on
             // the tick go to the lowest replica index.
-            wake: wake_tick(self.wake.min().1),
-            starved: !any_live && (reroute.is_finite() || arrival.is_finite()),
+            (wake_tick(self.wake.min().1), Source::Wake),
+        ];
+        // The first minimum in rank order: a later source wins only
+        // when strictly earlier under IEEE `<`, so equal ticks (`-0.0`
+        // against `+0.0` included) go to the source ranked first.
+        let mut next = candidates[0];
+        for c in candidates {
+            if c.0 < next.0 {
+                next = c;
+            }
         }
+        next.0.is_finite().then_some(next)
     }
 
     /// Steps the run until its next event — the time
@@ -943,7 +924,7 @@ impl FleetRun {
     #[must_use]
     pub fn telemetry(&self) -> Vec<ReplicaTelemetry> {
         let fresh = cached_telemetry(&self.cores);
-        debug_assert_eq!(self.telemetry, fresh, "telemetry cache drifted");
+        debug_assert_eq!(self.index.telemetry(), fresh, "telemetry cache drifted");
         fresh
     }
 
@@ -952,7 +933,7 @@ impl FleetRun {
     /// rather than recomputed ([`FleetRun::telemetry`] recomputes it).
     #[must_use]
     pub fn telemetry_cache(&self) -> &[ReplicaTelemetry] {
-        &self.telemetry
+        self.index.telemetry()
     }
 
     /// Per-subsystem hot-path counters accumulated so far —
@@ -1131,16 +1112,11 @@ impl FleetRun {
         r.begin_section(section::LOG)?;
         let log = CommandLog::load(&mut r, n, events)?;
         r.end_section()?;
-        let Derived {
-            wake,
-            telemetry,
-            index,
-        } = Derived::build(&cores, &states);
+        let Derived { wake, index } = Derived::build(&cores, &states);
         Ok(Self {
             source,
             cores,
             wake,
-            telemetry,
             index,
             log,
             events,
@@ -2420,5 +2396,91 @@ pub(crate) mod tests {
         let r = run.into_report();
         assert_eq!(r.lifecycle.joins, 1);
         assert!(r.assigned[1] > 0, "joined replica took no traffic");
+    }
+
+    /// Routes each request to the routable replica with the shortest
+    /// queue, ties going by a fixed per-request preference order — so
+    /// the pick log shows which request was routed when, and what the
+    /// queues held at that moment.
+    struct Preferences(&'static [&'static [usize]]);
+
+    impl Router for Preferences {
+        fn name(&self) -> &'static str {
+            "preferences"
+        }
+
+        fn route(&mut self, req: &Request, view: &RoutingView<'_>) -> usize {
+            self.0[req.id as usize]
+                .iter()
+                .copied()
+                .filter(|&i| view.is_routable(i))
+                .min_by_key(|&i| view.replica(i).queue_depth)
+                .expect("a preferred replica is routable")
+        }
+    }
+
+    #[test]
+    fn one_tick_runs_lifecycle_then_reroute_then_arrival_then_wake() {
+        // Request 0 arrives at 0 and is still decoding on replica 0 at
+        // t = 1, when request 1 arrives. Also at t = 1: replica 0 fails
+        // (re-routing request 0 with no delay) and down replica 3 joins.
+        // Each tie shows in the log:
+        // * lifecycle before re-route: the join is the very next event
+        //   after the failure;
+        // * re-route before arrival: request 0 is routed first, to its
+        //   first choice 1, so request 1 cannot take 1 too;
+        // * arrival before wake: request 1 is routed before replica 1's
+        //   wake at t = 1 admits request 0, so replica 1's queue is
+        //   still full and request 1 goes to its second choice, 3.
+        let wl = Workload {
+            arrivals: ArrivalProcess::Trace {
+                arrivals_s: vec![0.0, 1.0],
+            },
+            ..Workload::poisson(1.0, 64, 2000, 2)
+        };
+        let mut f = FleetBuilder::new()
+            .group(
+                3,
+                &ServeConfig::default(),
+                || Box::new(AnalyticCostModel::small()),
+                || Box::new(Fifo),
+            )
+            .group_with_state(
+                LifecycleState::Down,
+                1,
+                &ServeConfig::default(),
+                || Box::new(AnalyticCostModel::small()),
+                || Box::new(Fifo),
+            )
+            .build();
+        let mut router = Preferences(&[&[0, 1, 2, 3], &[1, 3, 2, 0]]);
+        let mut run = f.start(&wl);
+        for (replica, kind) in [(0, FleetEventKind::Fail), (3, FleetEventKind::Join)] {
+            run.inject(FleetEvent {
+                at_s: 1.0,
+                replica,
+                kind,
+            });
+        }
+        while run.next_time() < Some(1.0) {
+            assert!(run.step(&mut f, &mut router));
+        }
+        let first = run.events();
+        while run.step(&mut f, &mut router) {}
+        let transitions: Vec<_> = run
+            .log()
+            .transitions()
+            .iter()
+            .map(|&(event, ev)| (event, ev.replica, ev.kind))
+            .collect();
+        assert_eq!(
+            transitions,
+            [
+                (first, 0, FleetEventKind::Fail),
+                (first + 1, 3, FleetEventKind::Join)
+            ]
+        );
+        assert_eq!(run.log().picks(), [0, 1, 3]);
+        assert_eq!(run.into_report().aggregate.records.len(), 2);
     }
 }

@@ -51,9 +51,7 @@
 //! bit-identically; every run records a [`CommandLog`] of its router
 //! picks and lifecycle transitions, which [`Fleet::replay`] feeds back
 //! through the same driver to a report that digests
-//! ([`digest_fleet_report`]) identically to the recording; and when two
-//! builds disagree, [`bisect`] binary-searches the first event where
-//! their state digests diverge.
+//! ([`digest_fleet_report`]) identically to the recording.
 //! [`fuzz_tape`] generates adversarial workloads (flash bursts,
 //! zero-length prompts, KV-filling monster contexts, deadline
 //! inversions, session churn) to stress all of it.
@@ -84,7 +82,6 @@
 
 mod arrivals;
 mod autoscale;
-pub mod bisect;
 mod class;
 mod cost;
 mod digest;
@@ -103,12 +100,9 @@ pub mod snapshot;
 
 pub use arrivals::{fuzz_tape, ArrivalProcess, FuzzFamily, RequestSource, Workload};
 pub use autoscale::{run_autoscaled, Autoscaler, AutoscalerConfig};
-pub use bisect::{bisect_divergence, BisectOutcome};
 pub use class::{ClassSpec, SloTargets};
 pub use cost::{AnalyticCostModel, CostModel};
-pub use digest::{
-    canonical_f64_bits, digest_fleet_report, digest_serve_report, DigestWriter, ReportDigest,
-};
+pub use digest::{digest_fleet_report, digest_serve_report, ReportDigest};
 pub use fleet::{
     Fleet, FleetBuilder, FleetReplica, FleetReport, FleetRun, MergeOrder, PerfCounters, TtftWindow,
 };

@@ -78,11 +78,11 @@ impl ReplicaTelemetry {
     }
 }
 
-/// Everything a router may see when placing one request: the
-/// index-aligned telemetry of every provisioned replica slot, the
-/// fleet's [`FleetRoutingIndex`] over it (whose routable bitset is
-/// `true` only for live replicas — draining and down slots must not
-/// receive new work), and the sim clock.
+/// Everything a router may see when placing one request: the fleet's
+/// [`FleetRoutingIndex`] — which owns the index-aligned telemetry of
+/// every provisioned replica slot and whose routable bitset is `true`
+/// only for live replicas (draining and down slots must not receive
+/// new work) — and the sim clock.
 ///
 /// New routing inputs land here as fields instead of breaking every
 /// downstream [`Router`] `impl` with a signature change.
@@ -139,46 +139,28 @@ impl ReplicaTelemetry {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct RoutingView<'a> {
-    telemetry: &'a [ReplicaTelemetry],
     index: &'a FleetRoutingIndex,
     now_s: f64,
 }
 
 impl<'a> RoutingView<'a> {
-    /// Bundles one routing decision's inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the telemetry and the index disagree on the
-    /// provisioned replica count.
+    /// Bundles one routing decision's inputs: the fleet's index (with
+    /// the telemetry it owns) and the sim clock.
     #[must_use]
-    pub fn new(
-        telemetry: &'a [ReplicaTelemetry],
-        index: &'a FleetRoutingIndex,
-        now_s: f64,
-    ) -> Self {
-        assert_eq!(
-            telemetry.len(),
-            index.len(),
-            "telemetry and routing index must cover the same replicas"
-        );
-        Self {
-            telemetry,
-            index,
-            now_s,
-        }
+    pub fn new(index: &'a FleetRoutingIndex, now_s: f64) -> Self {
+        Self { index, now_s }
     }
 
     /// Provisioned replica slots (routable or not).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.telemetry.len()
+        self.telemetry().len()
     }
 
     /// `true` when the fleet has no provisioned slots at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.telemetry.is_empty()
+        self.telemetry().is_empty()
     }
 
     /// The sim clock at the moment of this routing decision, seconds.
@@ -190,13 +172,13 @@ impl<'a> RoutingView<'a> {
     /// Index-aligned telemetry for every provisioned slot.
     #[must_use]
     pub fn telemetry(&self) -> &'a [ReplicaTelemetry] {
-        self.telemetry
+        self.index.telemetry()
     }
 
     /// Telemetry of one replica slot.
     #[must_use]
     pub fn replica(&self, i: usize) -> &'a ReplicaTelemetry {
-        &self.telemetry[i]
+        &self.telemetry()[i]
     }
 
     /// Whether slot `i` may receive new work (live, not draining/down).
@@ -222,7 +204,7 @@ impl<'a> RoutingView<'a> {
     /// `O(log R)`.
     #[must_use]
     pub fn min_backlog_replica(&self) -> Option<usize> {
-        self.index.min_backlog_replica(self.telemetry)
+        self.index.min_backlog_replica()
     }
 
     /// The routable replica with the lowest committed-KV fraction,
@@ -231,7 +213,7 @@ impl<'a> RoutingView<'a> {
     /// when nothing is routable. `O(log R)`.
     #[must_use]
     pub fn min_kv_load_replica(&self) -> Option<usize> {
-        self.index.min_kv_load_replica(self.telemetry)
+        self.index.min_kv_load_replica()
     }
 
     /// The first routable replica in the wrapping slot order `start,
@@ -596,8 +578,8 @@ mod tests {
         fleet: &[ReplicaTelemetry],
         mask: &[bool],
     ) -> usize {
-        let index = FleetRoutingIndex::new(fleet, mask);
-        r.route(rq, &RoutingView::new(fleet, &index, 0.0))
+        let index = FleetRoutingIndex::new(fleet.to_vec(), mask);
+        r.route(rq, &RoutingView::new(&index, 0.0))
     }
 
     /// Routes over an all-routable view — the static-fleet case every
@@ -609,8 +591,8 @@ mod tests {
     #[test]
     fn view_exposes_mask_clock_and_counts() {
         let fleet = vec![idle(4096); 3];
-        let index = FleetRoutingIndex::new(&fleet, &[true, false, true]);
-        let view = RoutingView::new(&fleet, &index, 1.25);
+        let index = FleetRoutingIndex::new(fleet.clone(), &[true, false, true]);
+        let view = RoutingView::new(&index, 1.25);
         assert_eq!(view.len(), 3);
         assert!(!view.is_empty());
         assert_eq!(view.now_s(), 1.25);
@@ -619,14 +601,6 @@ mod tests {
         assert!(view.is_routable(0) && !view.is_routable(1));
         assert_eq!(view.replica(2), &fleet[2]);
         assert_eq!(view.telemetry().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "same replicas")]
-    fn view_rejects_mismatched_index() {
-        let fleet = vec![idle(4096); 3];
-        let index = FleetRoutingIndex::new(&fleet[..2], &[true; 2]);
-        let _ = RoutingView::new(&fleet, &index, 0.0);
     }
 
     #[test]
@@ -895,9 +869,8 @@ mod tests {
     #[test]
     fn default_fleet_event_hook_is_a_no_op() {
         use crate::lifecycle::{FleetEvent, FleetEventKind};
-        let fleet = vec![idle(4096); 2];
-        let index = FleetRoutingIndex::new(&fleet, &[true, false]);
-        let view = RoutingView::new(&fleet, &index, 3.0);
+        let index = FleetRoutingIndex::new(vec![idle(4096); 2], &[true, false]);
+        let view = RoutingView::new(&index, 3.0);
         let ev = FleetEvent {
             at_s: 3.0,
             replica: 1,

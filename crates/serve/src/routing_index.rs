@@ -3,8 +3,8 @@
 //!
 //! The fleet driver refreshes exactly one replica's telemetry per
 //! event, so a full `O(R)` scan per routing decision re-reads `R - 1`
-//! entries that cannot have changed. [`FleetRoutingIndex`] turns that
-//! scan into an indexed lookup:
+//! entries that cannot have changed. [`FleetRoutingIndex`] owns the
+//! fleet's telemetry and turns that scan into an indexed lookup:
 //!
 //! * two **winner trees** (`MinTree`) hold every *routable* replica
 //!   keyed exactly as the built-in routers compare them — backlog for
@@ -17,11 +17,13 @@
 //!   mask: every [`crate::RoutingView`] reads it.
 //!
 //! Updates are split in two so runs that never query a tree never pay
-//! for it: the driver **marks** a replica dirty in `O(1)` after each
-//! event, and the first query **flushes** the accumulated dirty set
-//! (each replica at most once) before reading the root. Lifecycle
-//! transitions update the bitset eagerly — it is the cheap index and
-//! the one `RoundRobin` needs fresh.
+//! for it: [`FleetRoutingIndex::update`] stores a replica's new
+//! telemetry and **marks** it dirty in `O(1)`, and the first query
+//! **flushes** the accumulated dirty set (each replica at most once)
+//! before reading the root. Lifecycle transitions update the bitset
+//! eagerly — it is the cheap index and the one `RoundRobin` needs
+//! fresh. The telemetry and the trees have one owner, so the keys a
+//! flush reads are always the entries the marks were issued for.
 //!
 //! The trees preserve the routers' exact comparison order. Both
 //! routers break their last tie on the lowest replica index, and a
@@ -32,12 +34,12 @@
 //! backlog for the tie-break. Unroutable replicas hold all-ones keys,
 //! which no backlog (a `u32`) or load reaches, so they never win.
 //!
-//! The index is *derived* state: it is rebuilt from telemetry and
-//! lifecycle states on run start and resume and is never serialised, so
-//! snapshot wire formats are untouched. Routers reach it through
-//! [`crate::RoutingView::min_backlog_replica`] and friends; custom
-//! routers get the same `O(log R)` answers by calling those methods
-//! instead of scanning.
+//! The index is *derived* state: it is rebuilt from the cores'
+//! telemetry and the lifecycle states on run start and resume and is
+//! never serialised, so snapshot wire formats are untouched. Routers
+//! reach it through [`crate::RoutingView::min_backlog_replica`] and
+//! friends; custom routers get the same `O(log R)` answers by calling
+//! those methods instead of scanning.
 
 use std::cell::RefCell;
 
@@ -91,11 +93,6 @@ impl Trees {
     /// Recomputes every dirty leaf of both trees from the current
     /// telemetry and routable bitset.
     fn flush(&mut self, telemetry: &[ReplicaTelemetry], live: &[u64]) {
-        debug_assert_eq!(
-            telemetry.len(),
-            self.dirty_mask.len(),
-            "index and telemetry disagree"
-        );
         while let Some(i) = self.dirty.pop() {
             let i = i as usize;
             self.dirty_mask[i] = false;
@@ -109,18 +106,19 @@ impl Trees {
     }
 }
 
-/// Incrementally maintained routing indexes over one fleet's replica
-/// telemetry — see the module docs for the design.
+/// One fleet's replica telemetry and the routing indexes over it —
+/// see the module docs for the design.
 ///
-/// Owned by [`crate::FleetRun`], which marks one replica dirty per
-/// event and flips bitset bits on lifecycle transitions; queries come
-/// from routers via [`crate::RoutingView`]. The bitset reads are plain
-/// loads; only the trees' lazy flush needs interior mutability, so a
-/// `RoutingView` can carry a shared reference.
+/// Owned by [`crate::FleetRun`], which [`FleetRoutingIndex::update`]s
+/// one replica per event and flips bitset bits on lifecycle
+/// transitions; queries come from routers via [`crate::RoutingView`],
+/// which reads the telemetry from here too. The telemetry and bitset
+/// reads are plain loads; only the trees' lazy flush needs interior
+/// mutability, so a `RoutingView` can carry a shared reference.
 #[derive(Debug)]
 pub struct FleetRoutingIndex {
-    /// Provisioned replica slots.
-    n: usize,
+    /// Each provisioned slot's published telemetry, index-aligned.
+    telemetry: Vec<ReplicaTelemetry>,
     /// Routable bitset, one bit per slot, maintained eagerly.
     live: Vec<u64>,
     /// Number of set bits in `live`.
@@ -132,13 +130,13 @@ pub struct FleetRoutingIndex {
 
 impl FleetRoutingIndex {
     /// Builds the index over a fleet's current telemetry and routable
-    /// mask (index-aligned).
+    /// mask (index-aligned), taking ownership of the telemetry.
     ///
     /// # Panics
     ///
-    /// Panics when the slices disagree on the replica count.
+    /// Panics when the two disagree on the replica count.
     #[must_use]
-    pub fn new(telemetry: &[ReplicaTelemetry], routable: &[bool]) -> Self {
+    pub fn new(telemetry: Vec<ReplicaTelemetry>, routable: &[bool]) -> Self {
         assert_eq!(
             telemetry.len(),
             routable.len(),
@@ -159,7 +157,7 @@ impl FleetRoutingIndex {
             .map(|(t, &r)| keys(t, r))
             .unzip();
         Self {
-            n,
+            telemetry,
             live,
             live_count,
             marks: 0,
@@ -173,15 +171,22 @@ impl FleetRoutingIndex {
         }
     }
 
-    /// Provisioned replica slots (routable or not).
-    pub(crate) fn len(&self) -> usize {
-        self.n
+    /// Every provisioned slot's telemetry, index-aligned.
+    pub(crate) fn telemetry(&self) -> &[ReplicaTelemetry] {
+        &self.telemetry
     }
 
-    /// Records that replica `i`'s telemetry may have changed: `O(1)`,
-    /// deduplicated. The stale leaf is recomputed lazily on the next
-    /// tree query.
-    pub fn mark_dirty(&mut self, i: usize) {
+    /// Stores replica `i`'s current telemetry and marks its tree leaves
+    /// dirty: `O(1)`. The stale leaves are recomputed lazily on the
+    /// next tree query.
+    pub fn update(&mut self, i: usize, telemetry: ReplicaTelemetry) {
+        self.telemetry[i] = telemetry;
+        self.mark_dirty(i);
+    }
+
+    /// Records that replica `i`'s keys may have changed: `O(1)`,
+    /// deduplicated.
+    fn mark_dirty(&mut self, i: usize) {
         self.marks += 1;
         let trees = self.trees.get_mut();
         if !trees.dirty_mask[i] {
@@ -211,7 +216,7 @@ impl FleetRoutingIndex {
 
     /// Indices of the routable replicas, ascending.
     pub(crate) fn routable(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(|&i| self.is_routable(i))
+        (0..self.telemetry.len()).filter(|&i| self.is_routable(i))
     }
 
     /// How many replicas are currently routable.
@@ -222,13 +227,11 @@ impl FleetRoutingIndex {
 
     /// The routable replica minimising `(backlog, index)` — the
     /// argmin [`crate::JoinShortestQueue`] ranks by — or `None` when
-    /// nothing is routable. Flushes pending dirty marks against
-    /// `telemetry`, which must be the same per-replica slice the marks
-    /// were issued for.
+    /// nothing is routable. Flushes pending dirty marks first.
     #[must_use]
-    pub fn min_backlog_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
+    pub fn min_backlog_replica(&self) -> Option<usize> {
         let mut trees = self.trees.borrow_mut();
-        trees.flush(telemetry, &self.live);
+        trees.flush(&self.telemetry, &self.live);
         let (i, key) = trees.backlog.min();
         (key != NO_KEY).then_some(i)
     }
@@ -237,9 +240,9 @@ impl FleetRoutingIndex {
     /// under `f64::total_cmp` — [`crate::LeastKvLoad`]'s exact order —
     /// or `None` when nothing is routable.
     #[must_use]
-    pub fn min_kv_load_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
+    pub fn min_kv_load_replica(&self) -> Option<usize> {
         let mut trees = self.trees.borrow_mut();
-        trees.flush(telemetry, &self.live);
+        trees.flush(&self.telemetry, &self.live);
         let (i, key) = trees.kv.min();
         (key != NO_KV_KEY).then_some(i)
     }
@@ -252,7 +255,7 @@ impl FleetRoutingIndex {
         if self.live_count == 0 {
             return None;
         }
-        debug_assert!(start < self.n);
+        debug_assert!(start < self.telemetry.len());
         let nw = self.live.len();
         let w0 = start / 64;
         let head = self.live[w0] & (!0u64 << (start % 64));
@@ -320,33 +323,36 @@ mod tests {
 
     #[test]
     fn argmins_match_scans_after_incremental_updates() {
-        let mut telemetry: Vec<ReplicaTelemetry> = (0..13)
-            .map(|i| tel(i % 3, 0, u64::from(i) * 100, 4096))
-            .collect();
         let routable = vec![true; 13];
-        let mut idx = FleetRoutingIndex::new(&telemetry, &routable);
-        assert_eq!(
-            idx.min_backlog_replica(&telemetry),
-            scan_backlog(&telemetry, &routable)
+        let mut idx = FleetRoutingIndex::new(
+            (0..13)
+                .map(|i| tel(i % 3, 0, u64::from(i) * 100, 4096))
+                .collect(),
+            &routable,
         );
         assert_eq!(
-            idx.min_kv_load_replica(&telemetry),
-            scan_kv(&telemetry, &routable)
+            idx.min_backlog_replica(),
+            scan_backlog(idx.telemetry(), &routable)
+        );
+        assert_eq!(
+            idx.min_kv_load_replica(),
+            scan_kv(idx.telemetry(), &routable)
         );
         // A deterministic little churn: bump one replica at a time.
         for step in 0..200usize {
             let i = (step * 7) % 13;
-            telemetry[i].queue_depth = (step % 5) as u32;
-            telemetry[i].reserved_tokens = (step as u64 * 37) % 5000;
-            idx.mark_dirty(i);
+            let mut t = idx.telemetry()[i];
+            t.queue_depth = (step % 5) as u32;
+            t.reserved_tokens = (step as u64 * 37) % 5000;
+            idx.update(i, t);
             assert_eq!(
-                idx.min_backlog_replica(&telemetry),
-                scan_backlog(&telemetry, &routable),
+                idx.min_backlog_replica(),
+                scan_backlog(idx.telemetry(), &routable),
                 "backlog argmin diverged at step {step}"
             );
             assert_eq!(
-                idx.min_kv_load_replica(&telemetry),
-                scan_kv(&telemetry, &routable),
+                idx.min_kv_load_replica(),
+                scan_kv(idx.telemetry(), &routable),
                 "kv argmin diverged at step {step}"
             );
         }
@@ -354,30 +360,29 @@ mod tests {
 
     #[test]
     fn unroutable_replicas_never_win() {
-        let telemetry: Vec<ReplicaTelemetry> = (0..5).map(|i| tel(i, 0, 0, 4096)).collect();
         let mut routable = vec![true; 5];
-        let mut idx = FleetRoutingIndex::new(&telemetry, &routable);
-        assert_eq!(idx.min_backlog_replica(&telemetry), Some(0));
+        let mut idx =
+            FleetRoutingIndex::new((0..5).map(|i| tel(i, 0, 0, 4096)).collect(), &routable);
+        assert_eq!(idx.min_backlog_replica(), Some(0));
         idx.set_routable(0, false);
         routable[0] = false;
-        assert_eq!(idx.min_backlog_replica(&telemetry), Some(1));
+        assert_eq!(idx.min_backlog_replica(), Some(1));
         assert_eq!(
-            idx.min_kv_load_replica(&telemetry),
-            scan_kv(&telemetry, &routable)
+            idx.min_kv_load_replica(),
+            scan_kv(idx.telemetry(), &routable)
         );
         idx.set_routable(0, true);
-        assert_eq!(idx.min_backlog_replica(&telemetry), Some(0));
+        assert_eq!(idx.min_backlog_replica(), Some(0));
     }
 
     #[test]
     fn empty_and_all_down_fleets_answer_none() {
-        let idx = FleetRoutingIndex::new(&[], &[]);
-        assert_eq!(idx.min_backlog_replica(&[]), None);
+        let idx = FleetRoutingIndex::new(Vec::new(), &[]);
+        assert_eq!(idx.min_backlog_replica(), None);
         assert_eq!(idx.live_count(), 0);
-        let telemetry = vec![tel(0, 0, 0, 1024); 3];
-        let idx = FleetRoutingIndex::new(&telemetry, &[false; 3]);
-        assert_eq!(idx.min_backlog_replica(&telemetry), None);
-        assert_eq!(idx.min_kv_load_replica(&telemetry), None);
+        let idx = FleetRoutingIndex::new(vec![tel(0, 0, 0, 1024); 3], &[false; 3]);
+        assert_eq!(idx.min_backlog_replica(), None);
+        assert_eq!(idx.min_kv_load_replica(), None);
         assert_eq!(idx.next_routable_from(1), None);
     }
 
@@ -385,12 +390,11 @@ mod tests {
     fn next_routable_wraps_like_the_round_robin_probe() {
         // 130 slots spans three bitset words; punch a sparse pattern.
         let n = 130;
-        let telemetry = vec![tel(0, 0, 0, 1024); n];
         let mut routable = vec![false; n];
         for &i in &[3usize, 64, 65, 127, 129] {
             routable[i] = true;
         }
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let idx = FleetRoutingIndex::new(vec![tel(0, 0, 0, 1024); n], &routable);
         let reference = |start: usize| (0..n).map(|k| (start + k) % n).find(|&i| routable[i]);
         for start in 0..n {
             assert_eq!(
@@ -403,13 +407,11 @@ mod tests {
 
     #[test]
     fn dirty_marks_deduplicate_and_flush_once() {
-        let mut telemetry = vec![tel(1, 0, 0, 1024); 4];
-        let mut idx = FleetRoutingIndex::new(&telemetry, &[true; 4]);
-        telemetry[2].queue_depth = 0;
+        let mut idx = FleetRoutingIndex::new(vec![tel(1, 0, 0, 1024); 4], &[true; 4]);
         for _ in 0..10 {
-            idx.mark_dirty(2);
+            idx.update(2, tel(0, 0, 0, 1024));
         }
-        assert_eq!(idx.min_backlog_replica(&telemetry), Some(2));
+        assert_eq!(idx.min_backlog_replica(), Some(2));
         let (updates, marks) = idx.update_counts();
         assert_eq!(marks, 10);
         assert_eq!(
@@ -417,8 +419,8 @@ mod tests {
             "dedup must collapse repeated marks into one refresh"
         );
         // An unchanged leaf costs no pull-up on the next flush.
-        idx.mark_dirty(2);
-        let _ = idx.min_backlog_replica(&telemetry);
+        idx.update(2, tel(0, 0, 0, 1024));
+        let _ = idx.min_backlog_replica();
         assert_eq!(idx.update_counts().0, 1);
     }
 }

@@ -110,10 +110,12 @@ impl ServeConfig {
     /// should be provisioned for `bucket(prompt + output)` — the
     /// scheduler prices decode iterations at bucketed contexts, so the
     /// bucketed maximum is what the cost model actually simulates.
+    /// Saturates at `u32::MAX` for a context within one bucket of it,
+    /// so the result is never below `context`.
     #[must_use]
     pub fn bucket(&self, context: u32) -> u32 {
         let b = self.seq_bucket.max(1);
-        context.div_ceil(b) * b
+        context.div_ceil(b).saturating_mul(b)
     }
 }
 
@@ -1170,6 +1172,38 @@ mod tests {
         assert_eq!(cfg.bucket(1), 256);
         assert_eq!(cfg.bucket(256), 256);
         assert_eq!(cfg.bucket(257), 512);
+    }
+
+    #[test]
+    fn seq_bucket_saturates_at_the_top_of_the_range() {
+        let cfg = ServeConfig::default();
+        assert_eq!(cfg.bucket(u32::MAX - 255), u32::MAX - 255);
+        assert_eq!(cfg.bucket(u32::MAX - 254), u32::MAX);
+        assert_eq!(cfg.bucket(u32::MAX), u32::MAX);
+    }
+
+    #[test]
+    fn a_context_near_u32_max_is_priced_at_its_bucket() {
+        // Every decode context lies within one bucket of `u32::MAX`,
+        // where rounding up used to overflow: a debug build panicked
+        // and a release build priced each step at context 0.
+        let wl = Workload {
+            arrivals: ArrivalProcess::Trace {
+                arrivals_s: vec![0.0],
+            },
+            prompt_lens: LengthDistribution::Fixed(u32::MAX - 8),
+            output_lens: LengthDistribution::Fixed(4),
+            ..Workload::poisson(1.0, 1, 1, 1)
+        };
+        let mut cost = AnalyticCostModel {
+            kv_capacity_tokens: u64::MAX,
+            ..AnalyticCostModel::small()
+        };
+        let r = serve(&wl, &mut cost, &ServeConfig::default());
+        assert_eq!(r.records.len(), 1);
+        let step = cost.decode_step_s(1, u32::MAX);
+        let priced = (0..r.decode_iterations).fold(0.0, |busy, _| busy + step);
+        assert_eq!(r.decode_busy_s, priced);
     }
 
     /// A two-class workload with a long-job batch class, for the

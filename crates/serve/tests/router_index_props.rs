@@ -6,9 +6,10 @@
 //! Two layers:
 //!
 //! * **index vs rescan** — a [`FleetRoutingIndex`] driven by the same
-//!   `O(1)` dirty marks and routable flips the fleet driver issues is
-//!   compared against scans with the routers' exact comparison order,
-//!   query by query, through hundreds of random mutations;
+//!   `O(1)` telemetry updates and routable flips the fleet driver
+//!   issues is compared against scans of a model copy of the telemetry
+//!   with the routers' exact comparison order, query by query, through
+//!   hundreds of random mutations;
 //! * **router vs oracle** — each stock router routes the same request
 //!   over the same telemetry twice, once on a view over the
 //!   incrementally maintained index and once on a view over an index
@@ -99,15 +100,15 @@ proptest! {
         let mut rng = ServeRng::new(seed);
         let mut telemetry: Vec<ReplicaTelemetry> = (0..n).map(|_| tel(&mut rng)).collect();
         let mut routable: Vec<bool> = (0..n).map(|_| !rng.next_u64().is_multiple_of(4)).collect();
-        let mut idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let mut idx = FleetRoutingIndex::new(telemetry.clone(), &routable);
         for step in 0..ops {
             let i = (rng.next_u64() % n as u64) as usize;
             match rng.next_u64() % 6 {
                 // The driver's per-event path: one replica's telemetry
-                // moves, one O(1) dirty mark.
+                // moves, one O(1) update.
                 0 | 1 => {
                     telemetry[i] = tel(&mut rng);
-                    idx.mark_dirty(i);
+                    idx.update(i, telemetry[i]);
                 }
                 // Lifecycle storm: drain/fail/join at random.
                 2 => {
@@ -116,14 +117,14 @@ proptest! {
                 }
                 3 => {
                     prop_assert_eq!(
-                        idx.min_backlog_replica(&telemetry),
+                        idx.min_backlog_replica(),
                         scan_backlog(&telemetry, &routable),
                         "backlog argmin diverged at step {}", step
                     );
                 }
                 4 => {
                     prop_assert_eq!(
-                        idx.min_kv_load_replica(&telemetry),
+                        idx.min_kv_load_replica(),
                         scan_kv(&telemetry, &routable),
                         "kv argmin diverged at step {}", step
                     );
@@ -143,8 +144,8 @@ proptest! {
             );
         }
         // Closing sweep: all three lookups, every wrap start.
-        prop_assert_eq!(idx.min_backlog_replica(&telemetry), scan_backlog(&telemetry, &routable));
-        prop_assert_eq!(idx.min_kv_load_replica(&telemetry), scan_kv(&telemetry, &routable));
+        prop_assert_eq!(idx.min_backlog_replica(), scan_backlog(&telemetry, &routable));
+        prop_assert_eq!(idx.min_kv_load_replica(), scan_kv(&telemetry, &routable));
         for start in 0..n {
             prop_assert_eq!(idx.next_routable_from(start), scan_next_routable(&routable, start));
         }
@@ -167,7 +168,7 @@ proptest! {
         // Routers panic with nothing routable; pin one replica live.
         let anchor = (rng.next_u64() % n as u64) as usize;
         routable[anchor] = true;
-        let mut idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let mut idx = FleetRoutingIndex::new(telemetry.clone(), &routable);
         // Stateful routers advance in lockstep on both sides, and the
         // round-robin oracle keeps its own cursor.
         let mut rr_incremental = RoundRobin::new();
@@ -177,9 +178,9 @@ proptest! {
         let mut aff_rebuilt = SessionAffinity::new();
         for round in 0..rounds {
             let request = req(&mut rng);
-            let rebuilt_idx = FleetRoutingIndex::new(&telemetry, &routable);
-            let incremental = RoutingView::new(&telemetry, &idx, round as f64);
-            let rebuilt = RoutingView::new(&telemetry, &rebuilt_idx, round as f64);
+            let rebuilt_idx = FleetRoutingIndex::new(telemetry.clone(), &routable);
+            let incremental = RoutingView::new(&idx, round as f64);
+            let rebuilt = RoutingView::new(&rebuilt_idx, round as f64);
             prop_assert_eq!(
                 incremental.routable().collect::<Vec<_>>(),
                 (0..n).filter(|&i| routable[i]).collect::<Vec<_>>()
@@ -218,11 +219,11 @@ proptest! {
             prop_assert_eq!(aff, aff_rebuilt.route(&request, &rebuilt));
 
             // Churn between decisions, exactly as a fleet run would:
-            // telemetry deltas with dirty marks, lifecycle flips.
+            // telemetry updates, lifecycle flips.
             for _ in 0..(rng.next_u64() % 4) {
                 let i = (rng.next_u64() % n as u64) as usize;
                 telemetry[i] = tel(&mut rng);
-                idx.mark_dirty(i);
+                idx.update(i, telemetry[i]);
             }
             if rng.next_u64().is_multiple_of(3) {
                 let i = (rng.next_u64() % n as u64) as usize;
