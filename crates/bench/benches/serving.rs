@@ -61,7 +61,7 @@ fn bench(c: &mut Criterion) {
         .expect("8B deploys");
         let wl = serving_sweep::workload(240.0);
         b.iter(|| {
-            let mut cost = RpuCostModel::new(sys, model);
+            let mut cost = RpuCostModel::new(sys, model, &cfg);
             black_box(serve(&wl, &mut cost, &cfg))
         });
     });

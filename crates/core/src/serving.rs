@@ -5,11 +5,18 @@
 //! for the KV capacity it admits against. [`RpuCostModel`] answers
 //! those questions with the real stack — each distinct (batch,
 //! bucketed-context) decode iteration is compiled and run through the
-//! event-driven simulator once via [`RpuSystem::token_latency`] and
-//! memoised, and the capacity is the largest KV residency
-//! [`RpuSystem::fits`] accepts, found once at construction. A replica
-//! admits a conservative reservation `reserved` exactly when
+//! event-driven simulator once via [`RpuSystem::token_latency`], and
+//! the capacity is the largest KV residency [`RpuSystem::fits`]
+//! accepts, found once at construction. A replica admits a
+//! conservative reservation `reserved` exactly when
 //! `reserved <= kv_capacity_tokens()`.
+//!
+//! Prices live in dense tables shaped by the [`ServeConfig`] the model
+//! is built for: one slot per decode step `(batch, context bucket)` the
+//! scheduler can ask for, and one per prompt length up to the capacity.
+//! A slot is filled on first use and never changes, so a repeated step
+//! costs two atomic loads and no lock. A key outside that shape is
+//! priced directly each time it is asked for and not stored.
 //!
 //! Prefill follows the paper's Splitwise/Dynamo assumption (prefill on
 //! GPUs, decode on the RPU) by default: [`PrefillBackend::Gpu`] prices
@@ -24,9 +31,8 @@ use crate::RpuSystem;
 use rpu_gpu::{GpuSpec, GpuSystem};
 use rpu_models::{ModelConfig, Precision, PrefillWorkload};
 use rpu_serve::{CostModel, ServeConfig};
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Where prefill runs and how it is priced.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,18 +43,29 @@ pub enum PrefillBackend {
     OnRpu,
 }
 
-/// [`RpuSystem`] as a serving cost model, with memoised simulator runs.
+/// [`RpuSystem`] as a serving cost model, with each price computed once.
 ///
 /// A cheap `Send + Sync` handle: clones share the immutable machine
-/// and one memo. A homogeneous `rpu_serve::Fleet` wants N cost models
-/// for N replicas, but each distinct (batch, bucketed-context) decode
-/// step prices identically on identical machines — simulating it once
-/// per replica would multiply the slowest part of a fleet sweep by N
-/// for bit-equal results. Handing every replica, and every worker
+/// and its price tables. A homogeneous `rpu_serve::Fleet` wants N cost
+/// models for N replicas, but each distinct (batch, bucketed-context)
+/// decode step prices identically on identical machines — simulating it
+/// once per replica would multiply the slowest part of a fleet sweep by
+/// N for bit-equal results. Handing every replica, and every worker
 /// thread of a parallel sweep, a clone of one model simulates each step
-/// once. The memo only ever stores deterministic simulator outputs, so
-/// sharing changes nothing but wall-clock time — no matter which clone
-/// or thread fills an entry first, it holds the same value.
+/// once.
+///
+/// The tables are shaped by the [`ServeConfig`] passed at construction:
+/// decode slots cover `1 <= batch <= max_batch` at every multiple of
+/// `seq_bucket` up to the bucketed capacity, and prefill slots cover
+/// every prompt length up to the capacity. That is every key the
+/// scheduler asks for under that config, since admission caps a
+/// reservation at the capacity. Each in-shape key is priced exactly
+/// once across all clones and threads: a thread that asks for a key
+/// another thread is pricing waits for that price. A hit takes no
+/// lock. A key outside the shape (a larger batch, an unbucketed or
+/// longer context, a longer prompt), or past a table's 2^20 slots, is
+/// priced directly on every call and not stored. Memory grows with the
+/// 1024-slot chunks touched, not with the capacity.
 #[derive(Debug, Clone)]
 pub struct RpuCostModel(Arc<Machine>);
 
@@ -60,41 +77,92 @@ struct Machine {
     prefill: PrefillBackend,
     /// Largest KV residency `sys.fits` accepts.
     kv_capacity_tokens: u64,
-    memo: Mutex<Memo>,
+    max_batch: u32,
+    /// The config's `seq_bucket`, at least 1.
+    seq_bucket: u32,
+    /// Context buckets `0..=bucket(capacity) / seq_bucket`.
+    buckets: u32,
+    /// Decode prices at slot `bucket * max_batch + batch - 1`.
+    decode_table: PriceTable,
+    /// Prefill prices at slot `prompt_len`.
+    prefill_table: PriceTable,
+    /// Decode-step simulations run.
+    decode_sims: AtomicUsize,
 }
 
-/// Priced decode steps by (batch, bucketed context) and prefills by
-/// prompt length.
-#[derive(Debug, Default)]
-struct Memo {
-    decode: HashMap<(u32, u32), f64>,
-    prefill: HashMap<u32, f64>,
+/// Slots per lazily allocated chunk of a [`PriceTable`].
+const CHUNK: usize = 1024;
+
+/// Most slots one [`PriceTable`] holds; keys past it are priced
+/// directly. It bounds the chunk directory, allocated up front at 24
+/// bytes a chunk: with `seq_bucket` 1, a wide batch and a capacity of
+/// millions of tokens, the decode key space runs to billions of slots.
+const MAX_SLOTS: usize = 1 << 20;
+
+/// Prices at slots `0..len`, each filled once on first use: a fixed
+/// directory of chunks, each allocated on first touch.
+#[derive(Debug)]
+struct PriceTable {
+    len: usize,
+    chunks: Box<[OnceLock<Chunk>]>,
+}
+
+/// `CHUNK` price slots, allocated together on the first touch of any.
+type Chunk = Box<[OnceLock<f64>]>;
+
+impl PriceTable {
+    fn new(len: usize) -> Self {
+        let len = len.min(MAX_SLOTS);
+        Self {
+            len,
+            chunks: (0..len.div_ceil(CHUNK)).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The price stored at `slot`, running `price` to fill it on first
+    /// use; `price`'s value itself when `slot` is `None` or past the
+    /// table.
+    fn get_or_price(&self, slot: Option<usize>, price: impl FnOnce() -> f64) -> f64 {
+        match slot.filter(|&s| s < self.len) {
+            Some(s) => *self.chunks[s / CHUNK]
+                .get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect())[s % CHUNK]
+                .get_or_init(price),
+            None => price(),
+        }
+    }
 }
 
 impl RpuCostModel {
     /// Builds the paper-default cost model: decode on `sys`, prefill on
-    /// one H100.
+    /// one H100, with price tables shaped for `config`.
     ///
     /// # Panics
     ///
     /// Panics if `model`'s weights alone do not fit `sys`'s memory.
     #[must_use]
-    pub fn new(sys: RpuSystem, model: ModelConfig) -> Self {
+    pub fn new(sys: RpuSystem, model: ModelConfig, config: &ServeConfig) -> Self {
         Self::with_prefill(
             sys,
             model,
+            config,
             PrefillBackend::Gpu(GpuSystem::new(GpuSpec::h100_sxm(), 1)),
         )
     }
 
-    /// Builds a cost model with an explicit prefill backend.
+    /// Builds a cost model with an explicit prefill backend, with price
+    /// tables shaped for `config`.
     ///
     /// # Panics
     ///
     /// Panics if `model`'s weights alone do not fit `sys`'s memory: such
     /// a machine could admit nothing, not even an empty reservation.
     #[must_use]
-    pub fn with_prefill(sys: RpuSystem, model: ModelConfig, prefill: PrefillBackend) -> Self {
+    pub fn with_prefill(
+        sys: RpuSystem,
+        model: ModelConfig,
+        config: &ServeConfig,
+        prefill: PrefillBackend,
+    ) -> Self {
         assert!(
             sys.fits(&model, 1, 0),
             "{} weights do not fit {sys}",
@@ -112,68 +180,59 @@ impl RpuCostModel {
                 hi = mid - 1;
             }
         }
+        let seq_bucket = config.seq_bucket.max(1);
+        let buckets = config.bucket(lo) / seq_bucket + 1;
+        let decode_slots = (buckets as usize).saturating_mul(config.max_batch as usize);
         Self(Arc::new(Machine {
             sys,
             model,
             prefill,
             kv_capacity_tokens: u64::from(lo),
-            memo: Mutex::default(),
+            max_batch: config.max_batch,
+            seq_bucket,
+            buckets,
+            decode_table: PriceTable::new(decode_slots),
+            prefill_table: PriceTable::new(lo as usize + 1),
+            decode_sims: AtomicUsize::new(0),
         }))
     }
 
-    /// Number of distinct decode-step simulations performed so far by
-    /// this model and every clone of it — the scheduler's context
-    /// bucketing keeps this small.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a thread panicked while holding the memo lock.
+    /// Number of decode-step simulations run so far by this model and
+    /// every clone of it. Each in-shape (batch, bucketed-context) key
+    /// runs once, and the scheduler's context bucketing keeps those few.
     #[must_use]
     pub fn distinct_decode_sims(&self) -> usize {
-        self.memo().decode.len()
+        self.0.decode_sims.load(Ordering::Relaxed)
     }
+}
 
-    fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
-        self.0.memo.lock().expect("cost-model memo poisoned")
-    }
-
-    /// Double-checked memoisation: the lock is held only for the
-    /// lookup and the insert, never across `price` — so a miss on one
-    /// thread never blocks the other threads' hits. Two threads racing
-    /// on the same miss both price it, but pricing is deterministic,
-    /// so whichever insert lands first holds the identical value.
-    fn memoised<K: Eq + Hash>(
-        &self,
-        table: fn(&mut Memo) -> &mut HashMap<K, f64>,
-        key: K,
-        price: impl FnOnce(&Machine) -> f64,
-    ) -> f64 {
-        if let Some(&v) = table(&mut self.memo()).get(&key) {
-            return v;
-        }
-        let v = price(&self.0);
-        *table(&mut self.memo()).entry(key).or_insert(v)
+impl Machine {
+    /// The decode table's slot for a step, or `None` outside its shape.
+    fn decode_slot(&self, batch: u32, context: u32) -> Option<usize> {
+        let bucket = context / self.seq_bucket;
+        let in_shape = (1..=self.max_batch).contains(&batch)
+            && context.is_multiple_of(self.seq_bucket)
+            && bucket < self.buckets;
+        in_shape.then(|| bucket as usize * self.max_batch as usize + (batch - 1) as usize)
     }
 }
 
 impl CostModel for RpuCostModel {
     fn decode_step_s(&mut self, batch: u32, max_context: u32) -> f64 {
-        self.memoised(
-            |m| &mut m.decode,
-            (batch, max_context),
-            |m| {
+        let m = &*self.0;
+        m.decode_table
+            .get_or_price(m.decode_slot(batch, max_context), || {
+                m.decode_sims.fetch_add(1, Ordering::Relaxed);
                 m.sys
                     .token_latency(&m.model, batch, max_context)
                     .expect("decode step simulates")
-            },
-        )
+            })
     }
 
     fn prefill_s(&mut self, prompt_len: u32) -> f64 {
-        self.memoised(
-            |m| &mut m.prefill,
-            prompt_len,
-            |m| match m.prefill {
+        let m = &*self.0;
+        m.prefill_table
+            .get_or_price(Some(prompt_len as usize), || match m.prefill {
                 PrefillBackend::Gpu(gpus) => {
                     // The GPU tier's own W4A16 deployment precision.
                     let wl = PrefillWorkload::new(&m.model, Precision::gpu_w4a16(), 1, prompt_len);
@@ -185,8 +244,7 @@ impl CostModel for RpuCostModel {
                     (wl.bytes() / m.sys.arch.mem_bandwidth())
                         .max(wl.flops() / m.sys.arch.peak_flops())
                 }
-            },
-        )
+            })
     }
 
     fn kv_capacity_tokens(&self) -> u64 {
@@ -197,8 +255,8 @@ impl CostModel for RpuCostModel {
 /// Builds the shared serving test-bed every request-level sweep starts
 /// from: Llama3-8B decode at MXFP4 on `num_cus` CUs with a GPU prefill
 /// tier, provisioned for `longest_context` (prompt + output tokens of
-/// the longest class, bucketed), and one memoised [`RpuCostModel`]
-/// whose clones all runs — across policies, routers, fleet sizes and
+/// the longest class, bucketed), and one [`RpuCostModel`] priced for
+/// that config, whose clones all runs — across policies, routers, fleet sizes and
 /// sweep worker threads — price decode steps through and admit against.
 ///
 /// Returns the [`ServeConfig`] (batch capped at `max_batch`) alongside
@@ -226,7 +284,8 @@ pub fn sweep_cost_model(
     let max_context = config.bucket(longest_context);
     let sys = RpuSystem::with_optimal_memory(&model, prec, max_batch, max_context, num_cus)
         .expect("Llama3-8B deploys at every sweep scale");
-    (config, RpuCostModel::new(sys, model))
+    let cost = RpuCostModel::new(sys, model, &config);
+    (config, cost)
 }
 
 #[cfg(test)]
@@ -242,9 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn decode_costs_are_memoised_and_positive() {
+    fn decode_costs_are_priced_once_and_positive() {
         let (sys, model) = system();
-        let mut cm = RpuCostModel::new(sys, model);
+        let mut cm = RpuCostModel::new(sys, model, &ServeConfig::default());
         let a = cm.decode_step_s(1, 1024);
         let b = cm.decode_step_s(1, 1024);
         assert_eq!(a, b);
@@ -258,14 +317,15 @@ mod tests {
     #[test]
     fn prefill_backends_price_prompts_sensibly() {
         let (sys, model) = system();
-        let mut gpu = RpuCostModel::new(sys, model);
-        let mut rpu = RpuCostModel::with_prefill(sys, model, PrefillBackend::OnRpu);
+        let mut gpu = RpuCostModel::new(sys, model, &ServeConfig::default());
+        let mut rpu =
+            RpuCostModel::with_prefill(sys, model, &ServeConfig::default(), PrefillBackend::OnRpu);
         for cm in [&mut gpu, &mut rpu] {
             let short = cm.prefill_s(256);
             let long = cm.prefill_s(4096);
             assert!(short > 0.0);
             assert!(long > short, "prefill must grow with prompt length");
-            // Memoised: identical draw, no drift.
+            // Stored: identical draw, no drift.
             assert_eq!(cm.prefill_s(256), short);
         }
         // The backends are genuinely different machines.
@@ -281,7 +341,7 @@ mod tests {
         // One replica admits a reservation equal to the published
         // capacity and rejects one token more.
         let (sys, model) = system();
-        let cm = RpuCostModel::new(sys, model);
+        let cm = RpuCostModel::new(sys, model, &ServeConfig::default());
         let cap = u32::try_from(cm.kv_capacity_tokens()).unwrap();
         assert!(cap >= 8 * 4096, "provisioned for batch 8 x 4096: {cap}");
         let served = |prompt_len: u32| {
@@ -305,7 +365,7 @@ mod tests {
             (ModelConfig::llama3_405b(), 128),
         ] {
             let sys = RpuSystem::with_optimal_memory(&model, prec, 4, 8192, cus).unwrap();
-            let cap = RpuCostModel::new(sys, model).kv_capacity_tokens();
+            let cap = RpuCostModel::new(sys, model, &ServeConfig::default()).kv_capacity_tokens();
             let cap = u32::try_from(cap).unwrap();
             assert!(sys.fits(&model, 1, cap), "{} on {cus} CUs", model.name);
             assert!(!sys.fits(&model, 1, cap + 1), "{} on {cus} CUs", model.name);
@@ -316,7 +376,7 @@ mod tests {
     #[should_panic(expected = "weights do not fit")]
     fn a_machine_that_cannot_hold_the_weights_is_rejected() {
         let (sys, _) = system();
-        let _ = RpuCostModel::new(sys, ModelConfig::llama3_405b());
+        let _ = RpuCostModel::new(sys, ModelConfig::llama3_405b(), &ServeConfig::default());
     }
 
     #[test]
@@ -324,9 +384,9 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<RpuCostModel>();
         // Concurrent lookups through clones of one model agree and
-        // share the memo.
+        // share one table.
         let (sys, model) = system();
-        let shared = RpuCostModel::new(sys, model);
+        let shared = RpuCostModel::new(sys, model, &ServeConfig::default());
         let priced: Vec<f64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -348,7 +408,7 @@ mod tests {
         let prec = Precision::mxfp4_inference();
         let sys = RpuSystem::with_optimal_memory(&model, prec, 8, config.bucket(1024 + 128), 64)
             .expect("8B deploys on 64 CUs");
-        let mut by_hand = RpuCostModel::new(sys, model);
+        let mut by_hand = RpuCostModel::new(sys, model, &config);
         assert_eq!(cost.decode_step_s(4, 1024), by_hand.decode_step_s(4, 1024));
         assert_eq!(cost.prefill_s(1024), by_hand.prefill_s(1024));
         assert_eq!(cost.kv_capacity_tokens(), by_hand.kv_capacity_tokens());
@@ -357,7 +417,7 @@ mod tests {
     #[test]
     fn shared_handles_share_one_memo_cache() {
         let (sys, model) = system();
-        let shared = RpuCostModel::new(sys, model);
+        let shared = RpuCostModel::new(sys, model, &ServeConfig::default());
         let mut a = shared.clone();
         let mut b = shared.clone();
         let x = a.decode_step_s(2, 1024);
@@ -371,7 +431,7 @@ mod tests {
     #[test]
     fn end_to_end_serve_with_the_real_stack() {
         let (sys, model) = system();
-        let mut cm = RpuCostModel::new(sys, model);
+        let mut cm = RpuCostModel::new(sys, model, &ServeConfig::default());
         let wl = Workload::poisson(100.0, 512, 16, 12);
         let cfg = ServeConfig {
             max_batch: 4,
@@ -382,5 +442,80 @@ mod tests {
         assert!(r.peak_batch <= 4);
         // Bucketing bounds the distinct simulator calls.
         assert!(cm.distinct_decode_sims() <= 4 * 4);
+    }
+
+    /// The GPU tier's prefill price, computed the way the model does.
+    fn gpu_prefill_s(model: &ModelConfig, prompt_len: u32) -> f64 {
+        let wl = PrefillWorkload::new(model, Precision::gpu_w4a16(), 1, prompt_len);
+        GpuSystem::new(GpuSpec::h100_sxm(), 1).prefill_latency(&wl)
+    }
+
+    #[test]
+    fn clones_on_four_threads_price_each_key_once_and_bit_equal() {
+        let (sys, model) = system();
+        let cfg = ServeConfig::default();
+        let keys: Vec<(u32, u32)> = (0..=2048 / cfg.seq_bucket)
+            .flat_map(|b| (1..=cfg.max_batch).map(move |batch| (batch, b * cfg.seq_bucket)))
+            .collect();
+        let prompts: Vec<u32> = (0..64).map(|i| 1 + i * 997).collect();
+        let shared = RpuCostModel::new(sys, model, &cfg);
+        let start = std::sync::Barrier::new(4);
+        let priced: Vec<(Vec<f64>, Vec<f64>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let mut cm = shared.clone();
+                    let (keys, prompts, start) = (&keys, &prompts, &start);
+                    s.spawn(move || {
+                        // The threads start together, each at its own
+                        // offset into the keys, and so race on the first
+                        // prices.
+                        start.wait();
+                        let n = keys.len();
+                        let mut decode = vec![0.0; n];
+                        for k in 0..n {
+                            let j = (k + t * n / 4) % n;
+                            decode[j] = cm.decode_step_s(keys[j].0, keys[j].1);
+                        }
+                        let prefill = prompts.iter().map(|&p| cm.prefill_s(p)).collect();
+                        (decode, prefill)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(shared.distinct_decode_sims(), keys.len());
+        let mut fresh = RpuCostModel::new(sys, model, &cfg);
+        let decode: Vec<u64> = keys
+            .iter()
+            .map(|&(b, c)| fresh.decode_step_s(b, c).to_bits())
+            .collect();
+        let prefill: Vec<u64> = prompts
+            .iter()
+            .map(|&p| fresh.prefill_s(p).to_bits())
+            .collect();
+        for (d, p) in &priced {
+            assert_eq!(d.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), decode);
+            assert_eq!(p.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), prefill);
+        }
+    }
+
+    #[test]
+    fn keys_outside_the_table_are_priced_directly_and_not_stored() {
+        let (sys, model) = system();
+        let cfg = ServeConfig::default();
+        let mut cm = RpuCostModel::new(sys, model, &cfg);
+        let cap = u32::try_from(cm.kv_capacity_tokens()).unwrap();
+        let past_last_bucket = cfg.bucket(cap) + cfg.seq_bucket;
+        for (batch, context) in [(cfg.max_batch + 1, 1024), (2, 1000), (1, past_last_bucket)] {
+            let sims = cm.distinct_decode_sims();
+            let direct = sys.token_latency(&model, batch, context).unwrap();
+            assert_eq!(cm.decode_step_s(batch, context).to_bits(), direct.to_bits());
+            assert_eq!(cm.decode_step_s(batch, context).to_bits(), direct.to_bits());
+            assert_eq!(cm.distinct_decode_sims(), sims + 2, "({batch}, {context})");
+        }
+        for prompt in [cap, cap + 1, u32::MAX] {
+            let direct = gpu_prefill_s(&model, prompt);
+            assert_eq!(cm.prefill_s(prompt).to_bits(), direct.to_bits(), "{prompt}");
+        }
     }
 }

@@ -78,6 +78,31 @@ impl fmt::Display for KernelKind {
     }
 }
 
+impl KernelKind {
+    /// Every kind in declaration order, so `ALL[kind as usize] == kind`:
+    /// per-kind tallies can live in a plain array.
+    pub const ALL: [KernelKind; 18] = [
+        KernelKind::InputNorm,
+        KernelKind::QkvProj,
+        KernelKind::Rope,
+        KernelKind::KvAppend,
+        KernelKind::AttnScore,
+        KernelKind::Softmax,
+        KernelKind::AttnContext,
+        KernelKind::OutProj,
+        KernelKind::PostNorm,
+        KernelKind::GateUp,
+        KernelKind::Activation,
+        KernelKind::Down,
+        KernelKind::Router,
+        KernelKind::MoeGateUp,
+        KernelKind::MoeDown,
+        KernelKind::SharedGateUp,
+        KernelKind::SharedDown,
+        KernelKind::LmHead,
+    ];
+}
+
 /// Broad execution class of a kernel (selects pipeline behaviour).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
@@ -384,6 +409,13 @@ mod tests {
 
     fn dense_setup() -> (ModelConfig, Precision) {
         (ModelConfig::llama3_70b(), Precision::mxfp4_inference())
+    }
+
+    #[test]
+    fn all_kinds_are_indexed_by_their_discriminant() {
+        for (i, k) in KernelKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i, "{k}");
+        }
     }
 
     #[test]

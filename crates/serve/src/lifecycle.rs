@@ -181,6 +181,11 @@ impl LifecycleCounts {
 /// legality depends on runtime queue state, which a pre-run tape
 /// cannot see; clean exits are the autoscaler's job.
 ///
+/// Each event draws one move uniformly from the legal moves listed in
+/// slot order: `Join` for a down slot, `Drain` then `Fail` for a live
+/// one, `Fail` for a draining one. Two Fenwick trees find the drawn move
+/// in O(log slots) without listing them.
+///
 /// # Panics
 ///
 /// Panics when `provisioned` is zero or the horizon is not positive.
@@ -190,59 +195,197 @@ pub fn churn_tape(provisioned: u32, seed: u64, horizon_s: f64, events: u32) -> V
     assert!(horizon_s > 0.0, "churn horizon must be positive");
     let mut rng = ServeRng::new(seed ^ 0x5AFE_C0DE_D00D_F00D);
     let mut states = vec![LifecycleState::Live; provisioned as usize];
+    let mut index = MoveIndex::all_live(provisioned as usize);
     let mut live = provisioned;
     let mut t = 0.0;
     let mut out = Vec::new();
     while (out.len() as u32) < events {
         t += rng.next_exp(horizon_s / f64::from(events.max(1)));
-        let mut moves: Vec<(FleetEventKind, u32)> = Vec::new();
-        for (i, &s) in states.iter().enumerate() {
-            let i = i as u32;
-            match s {
-                LifecycleState::Down => moves.push((FleetEventKind::Join, i)),
-                LifecycleState::Live if live > 1 => {
-                    moves.push((FleetEventKind::Drain, i));
-                    moves.push((FleetEventKind::Fail, i));
-                }
-                LifecycleState::Live => {}
-                LifecycleState::Draining => moves.push((FleetEventKind::Fail, i)),
-            }
-        }
-        let Some(&(kind, replica)) = moves
-            .get((rng.next_u64() % moves.len().max(1) as u64) as usize)
-            .filter(|_| !moves.is_empty())
-        else {
+        // A live slot offers two moves while another stays live; every
+        // down or draining slot offers one.
+        let live_moves = if live > 1 { 2 } else { 0 };
+        let total = live_moves * u64::from(live) + u64::from(provisioned - live);
+        let r = rng.next_u64() % total.max(1);
+        if total == 0 {
             break; // one slot, permanently live: nothing legal to emit
+        }
+        let (slot, offset) = index.find(live_moves, r);
+        let kind = match states[slot] {
+            LifecycleState::Down => FleetEventKind::Join,
+            LifecycleState::Live if offset == 0 => FleetEventKind::Drain,
+            LifecycleState::Live | LifecycleState::Draining => FleetEventKind::Fail,
         };
         match kind {
             FleetEventKind::Join => {
-                states[replica as usize] = LifecycleState::Live;
+                states[slot] = LifecycleState::Live;
+                index.set_live(slot, true);
                 live += 1;
             }
             FleetEventKind::Drain => {
-                states[replica as usize] = LifecycleState::Draining;
+                states[slot] = LifecycleState::Draining;
+                index.set_live(slot, false);
                 live -= 1;
             }
             FleetEventKind::Fail => {
-                if states[replica as usize] == LifecycleState::Live {
+                if states[slot] == LifecycleState::Live {
+                    index.set_live(slot, false);
                     live -= 1;
                 }
-                states[replica as usize] = LifecycleState::Down;
+                states[slot] = LifecycleState::Down;
             }
             FleetEventKind::Leave => unreachable!("churn tapes never emit leave"),
         }
         out.push(FleetEvent {
             at_s: t,
-            replica,
+            replica: slot as u32,
             kind,
         });
     }
     out
 }
 
+/// Two Fenwick trees over the slots of a [`churn_tape`]: one counts
+/// live slots, the other down-or-draining slots. Slot `i` weighs
+/// `live_moves` if live and 1 otherwise, and [`MoveIndex::find`] walks
+/// both trees at once to the slot holding a given unit of weight.
+struct MoveIndex {
+    /// 1-based: `live[i]` sums live slots `i - lowbit(i)..i`.
+    live: Vec<u32>,
+    /// 1-based, like `live`, over down-or-draining slots.
+    not_live: Vec<u32>,
+}
+
+impl MoveIndex {
+    fn all_live(slots: usize) -> Self {
+        // A tree over all-ones counts `lowbit(i)` at node `i`.
+        Self {
+            live: (0..=slots).map(|i| (i & i.wrapping_neg()) as u32).collect(),
+            not_live: vec![0; slots + 1],
+        }
+    }
+
+    /// Moves `slot` into (`true`) or out of (`false`) the live tree.
+    fn set_live(&mut self, slot: usize, live: bool) {
+        let (add, sub) = if live {
+            (&mut self.live, &mut self.not_live)
+        } else {
+            (&mut self.not_live, &mut self.live)
+        };
+        let mut i = slot + 1;
+        while i < add.len() {
+            add[i] += 1;
+            sub[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The slot holding unit `r` of the total weight, and `r`'s offset
+    /// within that slot's weight. `r` must be below the total.
+    fn find(&self, live_moves: u64, mut r: u64) -> (usize, u64) {
+        let n = self.live.len() - 1;
+        let mut pos = 0;
+        let mut step = n.next_power_of_two();
+        while step > 0 {
+            let next = pos + step;
+            if next <= n {
+                let w = live_moves * u64::from(self.live[next]) + u64::from(self.not_live[next]);
+                if w <= r {
+                    pos = next;
+                    r -= w;
+                }
+            }
+            step >>= 1;
+        }
+        (pos, r)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The move list [`churn_tape`] draws from, built in full for each
+    /// event: the O(events × slots) reference the fast tape must match.
+    fn churn_tape_reference(
+        provisioned: u32,
+        seed: u64,
+        horizon_s: f64,
+        events: u32,
+    ) -> Vec<FleetEvent> {
+        assert!(provisioned >= 1, "a churn tape needs at least one slot");
+        assert!(horizon_s > 0.0, "churn horizon must be positive");
+        let mut rng = ServeRng::new(seed ^ 0x5AFE_C0DE_D00D_F00D);
+        let mut states = vec![LifecycleState::Live; provisioned as usize];
+        let mut live = provisioned;
+        let mut t = 0.0;
+        let mut out = Vec::new();
+        while (out.len() as u32) < events {
+            t += rng.next_exp(horizon_s / f64::from(events.max(1)));
+            let mut moves: Vec<(FleetEventKind, u32)> = Vec::new();
+            for (i, &s) in states.iter().enumerate() {
+                let i = i as u32;
+                match s {
+                    LifecycleState::Down => moves.push((FleetEventKind::Join, i)),
+                    LifecycleState::Live if live > 1 => {
+                        moves.push((FleetEventKind::Drain, i));
+                        moves.push((FleetEventKind::Fail, i));
+                    }
+                    LifecycleState::Live => {}
+                    LifecycleState::Draining => moves.push((FleetEventKind::Fail, i)),
+                }
+            }
+            let Some(&(kind, replica)) = moves
+                .get((rng.next_u64() % moves.len().max(1) as u64) as usize)
+                .filter(|_| !moves.is_empty())
+            else {
+                break; // one slot, permanently live: nothing legal to emit
+            };
+            match kind {
+                FleetEventKind::Join => {
+                    states[replica as usize] = LifecycleState::Live;
+                    live += 1;
+                }
+                FleetEventKind::Drain => {
+                    states[replica as usize] = LifecycleState::Draining;
+                    live -= 1;
+                }
+                FleetEventKind::Fail => {
+                    if states[replica as usize] == LifecycleState::Live {
+                        live -= 1;
+                    }
+                    states[replica as usize] = LifecycleState::Down;
+                }
+                FleetEventKind::Leave => unreachable!("churn tapes never emit leave"),
+            }
+            out.push(FleetEvent {
+                at_s: t,
+                replica,
+                kind,
+            });
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn churn_tape_matches_the_full_move_list(
+            width in prop::sample::select(vec![1u32, 2, 3, 64, 1000]),
+            seed in 0u64..u64::MAX,
+            events in prop_oneof![Just(0u32), 1u32..400],
+            horizon_s in 0.01f64..10.0,
+        ) {
+            let fast = churn_tape(width, seed, horizon_s, events);
+            let reference = churn_tape_reference(width, seed, horizon_s, events);
+            prop_assert_eq!(fast.len(), reference.len());
+            for (a, b) in fast.iter().zip(&reference) {
+                prop_assert_eq!(a.at_s.to_bits(), b.at_s.to_bits());
+                prop_assert_eq!((a.replica, a.kind), (b.replica, b.kind));
+            }
+        }
+    }
 
     #[test]
     fn states_route_and_name_consistently() {

@@ -691,7 +691,9 @@ impl Core {
                 self.active_in_flight -= 1;
             }
             s.q.generated += 1;
-            s.context += 1;
+            // Saturate like admission does: a context at `u32::MAX`
+            // stays there rather than wrapping to bucket 0.
+            s.context = s.context.saturating_add(1);
             s.q.first_token_s.get_or_insert(self.clock);
             if s.q.generated >= s.q.req.output_len {
                 let done = self.active.swap_remove(i).q;
@@ -1186,24 +1188,28 @@ mod tests {
     fn a_context_near_u32_max_is_priced_at_its_bucket() {
         // Every decode context lies within one bucket of `u32::MAX`,
         // where rounding up used to overflow: a debug build panicked
-        // and a release build priced each step at context 0.
-        let wl = Workload {
-            arrivals: ArrivalProcess::Trace {
-                arrivals_s: vec![0.0],
-            },
-            prompt_lens: LengthDistribution::Fixed(u32::MAX - 8),
-            output_lens: LengthDistribution::Fixed(4),
-            ..Workload::poisson(1.0, 1, 1, 1)
-        };
-        let mut cost = AnalyticCostModel {
-            kv_capacity_tokens: u64::MAX,
-            ..AnalyticCostModel::small()
-        };
-        let r = serve(&wl, &mut cost, &ServeConfig::default());
-        assert_eq!(r.records.len(), 1);
-        let step = cost.decode_step_s(1, u32::MAX);
-        let priced = (0..r.decode_iterations).fold(0.0, |busy, _| busy + step);
-        assert_eq!(r.decode_busy_s, priced);
+        // and a release build priced each step at context 0. The second
+        // request's decoding carries its context past `u32::MAX`, where
+        // the increment used to overflow the same way.
+        for (prompt, output) in [(u32::MAX - 8, 4), (u32::MAX - 2, 8)] {
+            let wl = Workload {
+                arrivals: ArrivalProcess::Trace {
+                    arrivals_s: vec![0.0],
+                },
+                prompt_lens: LengthDistribution::Fixed(prompt),
+                output_lens: LengthDistribution::Fixed(output),
+                ..Workload::poisson(1.0, 1, 1, 1)
+            };
+            let mut cost = AnalyticCostModel {
+                kv_capacity_tokens: u64::MAX,
+                ..AnalyticCostModel::small()
+            };
+            let r = serve(&wl, &mut cost, &ServeConfig::default());
+            assert_eq!(r.records.len(), 1);
+            let step = cost.decode_step_s(1, u32::MAX);
+            let priced = (0..r.decode_iterations).fold(0.0, |busy, _| busy + step);
+            assert_eq!(r.decode_busy_s, priced, "prompt {prompt}");
+        }
     }
 
     /// A two-class workload with a long-job batch class, for the

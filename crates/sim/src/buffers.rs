@@ -1,9 +1,9 @@
 //! SRAM buffer and tag-table state with pipeline-arbiter semantics.
 
 use rpu_isa::Tag;
-use std::collections::HashMap;
 
-/// Which per-core SRAM buffer a tag lives in.
+/// Which per-core SRAM buffer a tag lives in; its discriminant indexes
+/// [`DataflowState`]'s buffer array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufferId {
     /// Memory buffer (fed by the memory DMA).
@@ -74,54 +74,81 @@ impl BufferState {
 
 /// The arbiter-guarded dataflow state of one core: three buffers plus the
 /// tag table.
+///
+/// Both are addressed by index, never hashed: the buffers by
+/// [`BufferId`], and the tags by their number, since the compiler
+/// allocates tags densely from 0. [`DataflowState::declare`] grows the
+/// tag table to cover the tag it declares. A tag that was never
+/// declared reads as empty: nothing published, never fully published,
+/// and it cannot be published to.
 #[derive(Debug, Clone)]
 pub struct DataflowState {
-    buffers: HashMap<BufferId, BufferState>,
-    tags: HashMap<Tag, TagState>,
+    buffers: [BufferState; 3],
+    tags: Vec<TagState>,
 }
 
 impl DataflowState {
     /// Creates the per-core state with the given buffer capacities.
     #[must_use]
     pub fn new(mem_cap: u64, net_cap: u64, act_cap: u64) -> Self {
-        let mut buffers = HashMap::new();
         // Only the memory buffer exerts hard backpressure: it bounds how
         // far the memory DMA can prefetch ahead of compute (the Fig. 8
         // lookahead window). Network and activation buffers are elastic:
         // on hardware, gathered activations stream through stripe-
         // granular consumption (§V) rather than being held whole, so the
         // symbolic whole-tensor tags must not head-of-line block.
-        buffers.insert(BufferId::Mem, BufferState::new(mem_cap));
-        buffers.insert(BufferId::Net, BufferState::new_elastic(net_cap));
-        buffers.insert(BufferId::Act, BufferState::new_elastic(act_cap));
         Self {
-            buffers,
-            tags: HashMap::new(),
+            buffers: [
+                BufferState::new(mem_cap),
+                BufferState::new_elastic(net_cap),
+                BufferState::new_elastic(act_cap),
+            ],
+            tags: Vec::new(),
         }
     }
 
     /// Declares a tag before any publish: total size, valid count and
     /// home buffer.
     pub fn declare(&mut self, tag: Tag, total: u64, valid_count: u8, buffer: BufferId) {
-        let e = self.tags.entry(tag).or_default();
+        let i = tag as usize;
+        if i >= self.tags.len() {
+            self.tags.resize(i + 1, TagState::default());
+        }
+        let e = &mut self.tags[i];
         e.total = total;
         e.valid_count = valid_count;
         e.buffer = Some(buffer);
     }
 
+    /// A tag's state; `None` past the table. A gap in the table holds
+    /// the default state, which answers every query like a tag never
+    /// declared: nothing published and no home buffer.
+    fn tag(&self, tag: Tag) -> Option<&TagState> {
+        self.tags.get(tag as usize)
+    }
+
+    /// A declared tag's state and its home buffer, for a mutation.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `what` if the tag was never declared.
+    fn tag_mut(&mut self, tag: Tag, what: &str) -> (&mut TagState, &mut BufferState) {
+        let b = self.tag(tag).and_then(|t| t.buffer).expect(what);
+        (&mut self.tags[tag as usize], &mut self.buffers[b as usize])
+    }
+
     /// Buffer state accessor.
     #[must_use]
     pub fn buffer(&self, id: BufferId) -> &BufferState {
-        &self.buffers[&id]
+        &self.buffers[id as usize]
     }
 
     /// `true` if the tag's home buffer can accept another publication.
     #[must_use]
     pub fn can_publish(&self, tag: Tag) -> bool {
-        match self.tags.get(&tag).and_then(|t| t.buffer) {
-            Some(b) => self.buffers[&b].can_accept(),
-            None => false,
-        }
+        self.tag(tag)
+            .and_then(|t| t.buffer)
+            .is_some_and(|b| self.buffers[b as usize].can_accept())
     }
 
     /// Publishes `bytes` under `tag`, occupying buffer space.
@@ -130,31 +157,28 @@ impl DataflowState {
     ///
     /// Panics if the tag was never declared.
     pub fn publish(&mut self, tag: Tag, bytes: u64) {
-        let t = self.tags.get_mut(&tag).expect("publish to undeclared tag");
+        let (t, buf) = self.tag_mut(tag, "publish to undeclared tag");
         t.published += bytes;
-        let b = t.buffer.expect("declared tag has a buffer");
-        self.buffers.get_mut(&b).expect("buffer exists").occupied += bytes;
+        buf.occupied += bytes;
     }
 
     /// Bytes published under a tag so far.
     #[must_use]
     pub fn published(&self, tag: Tag) -> u64 {
-        self.tags.get(&tag).map_or(0, |t| t.published)
+        self.tag(tag).map_or(0, |t| t.published)
     }
 
     /// `true` once the producer has published the tag's full size.
     #[must_use]
     pub fn fully_published(&self, tag: Tag) -> bool {
-        self.tags
-            .get(&tag)
+        self.tag(tag)
             .is_some_and(|t| t.total > 0 && t.published >= t.total)
     }
 
     /// Bytes available to the streaming consumer (published − drained).
     #[must_use]
     pub fn stream_available(&self, tag: Tag) -> u64 {
-        self.tags
-            .get(&tag)
+        self.tag(tag)
             .map_or(0, |t| t.published.saturating_sub(t.drained))
     }
 
@@ -163,16 +187,15 @@ impl DataflowState {
     ///
     /// # Panics
     ///
-    /// Panics if more bytes are drained than were published.
+    /// Panics if the tag was never declared or if more bytes are drained
+    /// than were published.
     pub fn drain(&mut self, tag: Tag, bytes: u64) {
-        let t = self.tags.get_mut(&tag).expect("drain of undeclared tag");
+        let (t, buf) = self.tag_mut(tag, "drain of undeclared tag");
         assert!(
             t.drained + bytes <= t.published,
             "drained past published bytes on tag {tag}"
         );
         t.drained += bytes;
-        let b = t.buffer.expect("declared tag has a buffer");
-        let buf = self.buffers.get_mut(&b).expect("buffer exists");
         buf.occupied = buf.occupied.saturating_sub(bytes);
     }
 
@@ -182,10 +205,10 @@ impl DataflowState {
     ///
     /// # Panics
     ///
-    /// Panics on arbiter underflow (more consumptions than the declared
-    /// valid count).
+    /// Panics if the tag was never declared, and on arbiter underflow
+    /// (more consumptions than the declared valid count).
     pub fn consume(&mut self, tag: Tag) {
-        let t = self.tags.get_mut(&tag).expect("consume of undeclared tag");
+        let (t, buf) = self.tag_mut(tag, "consume of undeclared tag");
         assert!(
             t.consumed_count < t.valid_count,
             "valid-counter underflow on tag {tag}"
@@ -194,8 +217,6 @@ impl DataflowState {
         if t.consumed_count == t.valid_count {
             let remaining = t.published.saturating_sub(t.drained);
             t.drained = t.published;
-            let b = t.buffer.expect("declared tag has a buffer");
-            let buf = self.buffers.get_mut(&b).expect("buffer exists");
             buf.occupied = buf.occupied.saturating_sub(remaining);
         }
     }
@@ -203,19 +224,22 @@ impl DataflowState {
     /// Total bytes currently occupying all buffers.
     #[must_use]
     pub fn total_occupied(&self) -> u64 {
-        self.buffers.values().map(|b| b.occupied).sum()
+        self.buffers.iter().map(|b| b.occupied).sum()
     }
 
     /// Occupied bytes of one buffer.
     #[must_use]
     pub fn occupied(&self, id: BufferId) -> u64 {
-        self.buffers[&id].occupied
+        self.buffers[id as usize].occupied
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use std::collections::HashMap;
 
     fn state() -> DataflowState {
         DataflowState::new(512 * 1024, 256 * 1024, 64 * 1024)
@@ -310,5 +334,112 @@ mod tests {
         s.publish(2, 500);
         assert!(s.can_publish(1), "net buffer must stay elastic");
         assert!(s.can_publish(2), "act buffer must stay elastic");
+    }
+
+    /// The tag table as a hash map, the way the state kept it before
+    /// tags were addressed by index: the reference the property below
+    /// checks every query against.
+    #[derive(Default)]
+    struct Reference {
+        tags: HashMap<Tag, TagState>,
+        occupied: [u64; 3],
+    }
+
+    impl Reference {
+        fn declare(&mut self, tag: Tag, total: u64, valid_count: u8, buffer: BufferId) {
+            let e = self.tags.entry(tag).or_default();
+            e.total = total;
+            e.valid_count = valid_count;
+            e.buffer = Some(buffer);
+        }
+
+        fn occupy(&mut self, tag: Tag) -> &mut u64 {
+            let b = self.tags[&tag].buffer.unwrap();
+            &mut self.occupied[b as usize]
+        }
+    }
+
+    const BUFFERS: [BufferId; 3] = [BufferId::Mem, BufferId::Net, BufferId::Act];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn index_addressed_state_answers_like_a_hash_map(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let caps = [rng.below(4096), rng.below(4096), rng.below(4096)];
+            let mut s = DataflowState::new(caps[0], caps[1], caps[2]);
+            let mut r = Reference::default();
+            for _ in 0..rng.below(200) {
+                // Tags past the declared range stay undeclared, and a
+                // sparse draw leaves gaps inside it.
+                let tag = rng.below(24) as Tag;
+                let declared = r.tags.contains_key(&tag);
+                match rng.below(4) {
+                    0 => {
+                        let total = rng.below(3000);
+                        let valid = 1 + rng.below(3) as u8;
+                        let buffer = BUFFERS[rng.below(3) as usize];
+                        s.declare(tag, total, valid, buffer);
+                        r.declare(tag, total, valid, buffer);
+                    }
+                    1 if declared => {
+                        let bytes = rng.below(1000);
+                        s.publish(tag, bytes);
+                        r.tags.get_mut(&tag).unwrap().published += bytes;
+                        *r.occupy(tag) += bytes;
+                    }
+                    2 if declared => {
+                        let t = r.tags[&tag];
+                        let bytes = rng.below(t.published - t.drained + 1);
+                        s.drain(tag, bytes);
+                        r.tags.get_mut(&tag).unwrap().drained += bytes;
+                        let o = r.occupy(tag);
+                        *o = o.saturating_sub(bytes);
+                    }
+                    3 if declared && r.tags[&tag].consumed_count < r.tags[&tag].valid_count => {
+                        s.consume(tag);
+                        let t = r.tags.get_mut(&tag).unwrap();
+                        t.consumed_count += 1;
+                        if t.consumed_count == t.valid_count {
+                            let remaining = t.published.saturating_sub(t.drained);
+                            t.drained = t.published;
+                            let o = r.occupy(tag);
+                            *o = o.saturating_sub(remaining);
+                        }
+                    }
+                    _ => {}
+                }
+                for q in 0..32 {
+                    let t = r.tags.get(&q);
+                    prop_assert_eq!(s.published(q), t.map_or(0, |t| t.published));
+                    prop_assert_eq!(
+                        s.fully_published(q),
+                        t.is_some_and(|t| t.total > 0 && t.published >= t.total)
+                    );
+                    prop_assert_eq!(
+                        s.stream_available(q),
+                        t.map_or(0, |t| t.published.saturating_sub(t.drained))
+                    );
+                    let accepts = |b: BufferId| {
+                        let i = b as usize;
+                        i > 0 || r.occupied[i] < caps[i]
+                    };
+                    prop_assert_eq!(s.can_publish(q), t.and_then(|t| t.buffer).is_some_and(accepts));
+                }
+                for b in BUFFERS {
+                    prop_assert_eq!(s.occupied(b), r.occupied[b as usize]);
+                }
+                prop_assert_eq!(s.total_occupied(), r.occupied.iter().sum::<u64>());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "publish to undeclared tag")]
+    fn publish_to_a_gap_in_the_tag_table_panics() {
+        let mut s = state();
+        s.declare(5, 10, 1, BufferId::Mem);
+        s.publish(2, 1);
     }
 }

@@ -11,7 +11,7 @@ use rpu_isa::{CollectiveKind, CoreProgram, Instr, Op, Production, ShardPlan, Tag
 use rpu_models::{KernelKind, Precision};
 use rpu_util::stats::Binner;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 const PS: f64 = 1e12;
@@ -198,13 +198,14 @@ struct Engine<'a> {
     /// execution resource (§V), so VOps do not hold the compute pipe —
     /// the TMAC feed continues streaming weights underneath them.
     vops_inflight: Vec<(u64, Pending)>,
-    /// tag -> index of the compute instruction that consumes it (for the
-    /// coupled-pipeline prefetch fence).
-    comp_consumer: HashMap<Tag, usize>,
+    /// Indexed by tag: the first compute instruction that consumes it,
+    /// if any (for the coupled-pipeline prefetch fence).
+    comp_consumer: Vec<Option<usize>>,
     // accounting
     busy_ps: [u64; 3],
     end_ps: u64,
-    kernels: HashMap<KernelKind, KernelStat>,
+    /// Indexed by `KernelKind as usize`; `Some` once the kernel ran.
+    kernels: [Option<KernelStat>; KernelKind::ALL.len()],
     energy: EnergyBuckets,
     streamed: u64,
     stored: u64,
@@ -232,10 +233,14 @@ impl<'a> Engine<'a> {
                 state.declare(p.tag, p.bytes, p.valid_count, buffer);
             }
         }
-        let mut comp_consumer = HashMap::new();
+        let mut comp_consumer = Vec::new();
         for (idx, i) in program.comp.iter().enumerate() {
             for t in i.consumptions() {
-                comp_consumer.entry(t).or_insert(idx);
+                let t = t as usize;
+                if t >= comp_consumer.len() {
+                    comp_consumer.resize(t + 1, None);
+                }
+                comp_consumer[t].get_or_insert(idx);
             }
         }
         let mut heap = BinaryHeap::new();
@@ -277,7 +282,7 @@ impl<'a> Engine<'a> {
             comp_consumer,
             busy_ps: [0; 3],
             end_ps: 0,
-            kernels: HashMap::new(),
+            kernels: [None; KernelKind::ALL.len()],
             energy: EnergyBuckets::default(),
             streamed: 0,
             stored: 0,
@@ -301,7 +306,7 @@ impl<'a> Engine<'a> {
         let dur = end - start;
         self.busy_ps[pipe as usize] += dur;
         self.end_ps = self.end_ps.max(end);
-        let ks = self.kernels.entry(kernel).or_default();
+        let ks = self.kernels[kernel as usize].get_or_insert_with(KernelStat::default);
         let secs = dur as f64 / PS;
         match pipe {
             0 => ks.mem_busy_s += secs,
@@ -393,7 +398,7 @@ impl<'a> Engine<'a> {
                 // (global_sync) implies the same fence: no pipeline may
                 // run ahead of the synchronisation point.
                 if cfg.coupled_pipelines || cfg.global_sync {
-                    if let Some(&ci) = self.comp_consumer.get(out) {
+                    if let Some(&Some(ci)) = self.comp_consumer.get(*out as usize) {
                         if ci > self.pipes[1].pc {
                             return false;
                         }
@@ -767,7 +772,11 @@ impl<'a> Engine<'a> {
             flops: self.flops,
             peak_buffer_bytes: self.peak_buffer,
             energy: self.energy,
-            kernels: self.kernels,
+            kernels: KernelKind::ALL
+                .into_iter()
+                .zip(self.kernels)
+                .filter_map(|(k, s)| Some((k, s?)))
+                .collect(),
             trace,
             plan: self.sim.plan,
             core_mem_bandwidth: self.sim.core.mem_bandwidth,
@@ -796,6 +805,21 @@ mod tests {
         Simulator::new(HbmCoConfig::candidate(), prec, plan, config)
             .run(&prog)
             .expect("simulation completes")
+    }
+
+    #[test]
+    fn kernel_breakdown_lists_exactly_the_kernels_that_ran() {
+        let prec = Precision::mxfp4_inference();
+        let plan = ShardPlan::new(16, 16);
+        let prog = compile_decode_step(&ModelConfig::llama3_8b(), prec, 2, 1024, &plan);
+        let r = Simulator::new(HbmCoConfig::candidate(), prec, plan, SimConfig::default())
+            .run(&prog)
+            .expect("simulation completes");
+        let ran: std::collections::HashSet<KernelKind> = prog.all().map(|i| i.kernel).collect();
+        let keys: std::collections::HashSet<KernelKind> = r.kernels.keys().copied().collect();
+        assert_eq!(keys, ran);
+        let comp: f64 = r.kernels.values().map(|k| k.comp_busy_s).sum();
+        assert_approx(comp, r.comp_busy_s, 1e-9, "per-kernel compute busy time");
     }
 
     #[test]

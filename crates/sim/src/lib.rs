@@ -15,6 +15,12 @@
 //! system energy is the per-core energy scaled by the core count. This
 //! is the same single-CU view the paper's Fig. 8 presents.
 //!
+//! Per-event state is addressed by index, never hashed: the three
+//! buffers by [`BufferId`], tags by their number (the compiler
+//! allocates them densely from 0), and per-kernel busy time by
+//! `KernelKind`'s discriminant. The serving cost model runs one
+//! simulation per distinct decode step, so this is its miss cost.
+//!
 //! Ablation switches reproduce §IX: `coupled_pipelines` inserts a
 //! barrier between kernels (no prefetch-ahead), `global_sync` makes
 //! every network collective a global barrier.

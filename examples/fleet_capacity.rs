@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_context,
             cus,
         )?;
-        Ok(RpuCostModel::new(sys, model))
+        Ok(RpuCostModel::new(sys, model, &config))
     };
     let replica = |cost: &RpuCostModel| FleetReplica {
         cost: Box::new(cost.clone()),

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rate = 400.0;
     let wl = policy_sweep::workload(rate);
     let classes = policy_sweep::classes();
-    let mut cost = RpuCostModel::new(sys, model);
+    let mut cost = RpuCostModel::new(sys, model, &config);
     for kind in PolicyKind::ALL {
         let mut policy = kind.build(&wl);
         let report = serve_with(&wl, &mut cost, &config, policy.as_mut());

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 7,
             ..Workload::default()
         };
-        let mut cost = RpuCostModel::new(sys, model);
+        let mut cost = RpuCostModel::new(sys, model, &config);
         let report = serve(&wl, &mut cost, &config);
         let summary = SloReport::new(&report, &slo);
         println!();
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 7,
         ..Workload::default()
     };
-    let mut cost = RpuCostModel::new(sys, model);
+    let mut cost = RpuCostModel::new(sys, model, &config);
     let report = serve(&wl, &mut cost, &config);
     println!();
     println!(
