@@ -1,6 +1,5 @@
 //! Snapshot layer overhead: what freezing, thawing and digesting a
-//! mid-flight serving run costs, so `--checkpoint-every` cadences can
-//! be chosen against real numbers.
+//! mid-flight serving run costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rpu_bench::perf::{record_or_gate, PerfSnapshot};

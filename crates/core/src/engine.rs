@@ -116,40 +116,6 @@ impl Engine {
         stamped.sort_unstable_by_key(|&(i, _)| i);
         stamped.into_iter().map(|(_, r)| r).collect()
     }
-
-    /// [`Engine::par_map`] with a head start: `partial[i] = Some(r)`
-    /// marks point `i` as already computed (from a checkpoint of an
-    /// interrupted sweep), and only the `None` points run. The result
-    /// is identical to a full `par_map` for a deterministic `f` — the
-    /// resumable sweep entry point the checkpoint layer builds on.
-    ///
-    /// `partial` may be shorter than `items` (missing tail entries are
-    /// treated as not yet computed); entries past `items.len()` are
-    /// ignored.
-    pub fn par_map_resume<T, R, F>(&self, items: &[T], mut partial: Vec<Option<R>>, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let n = items.len();
-        partial.truncate(n);
-        partial.resize_with(n, || None);
-        let missing: Vec<usize> = partial
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let fresh = self.par_map(&missing, |_, &i| (i, f(i, &items[i])));
-        for (i, r) in fresh {
-            partial[i] = Some(r);
-        }
-        partial
-            .into_iter()
-            .map(|r| r.expect("every point computed or resumed"))
-            .collect()
-    }
 }
 
 /// The row-major cross product of two sweep axes: `grid(&xs, &ys)`
@@ -233,59 +199,6 @@ mod tests {
             x + 1
         });
         assert_eq!(got, vec![6]);
-    }
-
-    #[test]
-    fn par_map_resume_equals_par_map_for_any_head_start() {
-        let items: Vec<u64> = (0..41).collect();
-        let expect = Engine::sequential().par_map(&items, |_, &x| x * 3 + 1);
-        for done in [0usize, 1, 20, 40, 41] {
-            let partial: Vec<Option<u64>> = items
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (i < done).then(|| x * 3 + 1))
-                .collect();
-            let got = Engine::new(4).par_map_resume(&items, partial, |_, &x| x * 3 + 1);
-            assert_eq!(got, expect, "done = {done}");
-        }
-    }
-
-    #[test]
-    fn par_map_resume_only_computes_the_missing_points() {
-        let calls = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..30).collect();
-        // Every third point is already done (and marked, so a recompute
-        // would be visible in the output).
-        let partial: Vec<Option<u32>> = items
-            .iter()
-            .map(|&x| (x % 3 == 0).then_some(x + 1000))
-            .collect();
-        let got = Engine::new(3).par_map_resume(&items, partial, |_, &x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 20);
-        for (i, &r) in got.iter().enumerate() {
-            let expect = if i % 3 == 0 {
-                i as u32 + 1000
-            } else {
-                i as u32
-            };
-            assert_eq!(r, expect);
-        }
-    }
-
-    #[test]
-    fn par_map_resume_tolerates_short_and_long_partials() {
-        let items: Vec<u32> = (0..5).collect();
-        let short = Engine::new(2).par_map_resume(&items, vec![Some(9)], |_, &x| x);
-        assert_eq!(short, vec![9, 1, 2, 3, 4]);
-        let long = Engine::new(2).par_map_resume(
-            &items,
-            (0..9).map(|i| Some(i * 10)).collect(),
-            |_, &x| x,
-        );
-        assert_eq!(long, vec![0, 10, 20, 30, 40]);
     }
 
     #[test]

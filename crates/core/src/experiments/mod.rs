@@ -16,7 +16,6 @@
 
 pub mod ablations;
 pub mod autoscale;
-pub mod checkpoint;
 pub mod design_points;
 pub mod ext_scaleout;
 pub mod fig01_roofline;

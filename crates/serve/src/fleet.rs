@@ -1112,6 +1112,9 @@ impl FleetRun {
         r.begin_section(section::LOG)?;
         let log = CommandLog::load(&mut r, n, events)?;
         r.end_section()?;
+        if !r.is_exhausted() {
+            return Err(SnapshotError::Corrupt("trailing bytes after snapshot"));
+        }
         let Derived { wake, index } = Derived::build(&cores, &states);
         Ok(Self {
             source,

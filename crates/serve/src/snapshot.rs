@@ -32,6 +32,7 @@
 //! and checked exactly, because snapshot equivalence is only
 //! guaranteed between identical builds.
 
+use crate::digest::DigestWriter;
 use std::error::Error;
 use std::fmt;
 
@@ -147,17 +148,14 @@ impl fmt::Display for SnapshotError {
 impl Error for SnapshotError {}
 
 /// FNV-1a 64-bit hash — the checksum and digest primitive used
-/// throughout the snapshot layer. Not cryptographic; it detects the
-/// accidental corruption (bit rot, truncation, partial writes) that
-/// threatens checkpoint files.
+/// throughout the snapshot layer: a one-shot `DigestWriter`. Not
+/// cryptographic; it detects the accidental corruption (bit rot,
+/// truncation, partial writes) that threatens snapshot files.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let mut w = DigestWriter::new();
+    w.bytes(bytes);
+    w.finish().0
 }
 
 /// Builds a snapshot byte stream: header first, then checksummed
@@ -280,17 +278,6 @@ impl SnapshotWriter {
             }
             None => self.put_u8(0),
         }
-    }
-
-    /// Writes a length-prefixed byte string.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_usize(bytes.len());
-        self.payload().extend_from_slice(bytes);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
     }
 }
 
@@ -467,21 +454,6 @@ impl<'a> SnapshotReader<'a> {
             Ok(None)
         }
     }
-
-    /// Reads a length-prefixed byte string. The length is collateral
-    /// checked like [`SnapshotReader::get_count`].
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let n = self.get_count(1)?;
-        let out = self.bytes[self.pos..self.pos + n].to_vec();
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, SnapshotError> {
-        String::from_utf8(self.get_bytes()?)
-            .map_err(|_| SnapshotError::Corrupt("string is not UTF-8"))
-    }
 }
 
 #[cfg(test)]
@@ -629,54 +601,6 @@ mod tests {
         assert_eq!(
             r.get_count(4).unwrap_err(),
             SnapshotError::Corrupt("count exceeds section payload")
-        );
-    }
-
-    #[test]
-    fn strings_and_bytes_round_trip() {
-        let mut w = SnapshotWriter::new();
-        w.begin_section(3);
-        w.put_str("==== fig4 — mémoire\n");
-        w.put_bytes(&[0, 255, 7]);
-        w.put_str("");
-        w.end_section();
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        r.begin_section(3).unwrap();
-        assert_eq!(r.get_str().unwrap(), "==== fig4 — mémoire\n");
-        assert_eq!(r.get_bytes().unwrap(), vec![0, 255, 7]);
-        assert_eq!(r.get_str().unwrap(), "");
-        r.end_section().unwrap();
-        assert!(r.is_exhausted());
-    }
-
-    #[test]
-    fn hostile_string_length_is_rejected() {
-        let mut w = SnapshotWriter::new();
-        w.begin_section(3);
-        w.put_usize(1 << 40); // length prefix with no bytes behind it
-        w.end_section();
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        r.begin_section(3).unwrap();
-        assert_eq!(
-            r.get_str().unwrap_err(),
-            SnapshotError::Corrupt("count exceeds section payload")
-        );
-    }
-
-    #[test]
-    fn non_utf8_string_is_rejected() {
-        let mut w = SnapshotWriter::new();
-        w.begin_section(3);
-        w.put_bytes(&[0xFF, 0xFE]);
-        w.end_section();
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        r.begin_section(3).unwrap();
-        assert_eq!(
-            r.get_str().unwrap_err(),
-            SnapshotError::Corrupt("string is not UTF-8")
         );
     }
 

@@ -7,8 +7,8 @@
 //! fleet), then exhaustively flips every byte and cuts every prefix of
 //! the one-machine snapshot, asserting each mutation is rejected.
 //! Targeted cases pin the typed variant: bad magic, format-version
-//! skew, per-section checksum mismatch, truncation, a retired snapshot
-//! kind and cross-workload confusion.
+//! skew, per-section checksum mismatch, truncation, trailing bytes, a
+//! retired snapshot kind and cross-workload confusion.
 
 use rpu_serve::snapshot::MAGIC;
 use rpu_serve::{
@@ -114,6 +114,25 @@ fn every_proper_prefix_truncation_is_rejected() {
             );
         }
     }
+}
+
+/// A snapshot ends with its LOG section: one byte past it, on the
+/// one-machine and on the fleet snapshot, is corruption, not a resume.
+#[test]
+fn trailing_bytes_after_the_last_section_are_rejected() {
+    let (wl, mut bytes) = serve_snapshot_at(40);
+    bytes.push(0);
+    assert!(matches!(
+        resume_serve(&wl, &bytes),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    let (wl, fleet, mut bytes) = fleet_snapshot_at(64);
+    bytes.push(0);
+    let mut router: Box<dyn Router> = Box::new(SessionAffinity::new());
+    assert!(matches!(
+        FleetRun::resume(&wl, &fleet, router.as_mut(), &bytes),
+        Err(SnapshotError::Corrupt(_))
+    ));
 }
 
 #[test]
