@@ -3,10 +3,11 @@
 //! Before the routing index, an informed router (join-shortest-queue,
 //! least-KV-load) paid an `O(replicas)` telemetry scan on every route
 //! call — at 1000 replicas that scan dominated the event loop, and
-//! per-event cost grew with fleet width. With the tournament-tree
-//! index the route decision is an `O(1)` root read after `O(log R)`
-//! lazy leaf repairs, so informed routing at width 1000 must cost
-//! about what blind round-robin costs, not a multiple of it.
+//! per-event cost grew with fleet width. With the 4-ary winner-tree
+//! index the route decision is an `O(1)` root read after lazy leaf
+//! repairs of `log₄ R` levels each (five at width 1000), so informed
+//! routing at width 1000 must cost about what blind round-robin costs,
+//! not a multiple of it.
 //!
 //! This bench times the three stock routers through the fleet-scale
 //! workload at the sweep's bottom and top rungs (8 and 1000 replicas,

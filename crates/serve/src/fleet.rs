@@ -366,14 +366,16 @@ impl Fleet {
 pub struct FleetRun {
     source: RequestSource,
     cores: Vec<Core>,
-    /// The global wake-up calendar: a winner tree whose leaf `i` holds
-    /// [`wake_key`] of replica `i`'s next scheduling event (`+∞` for an
-    /// idle replica), so the root is the earliest `(tick, replica)`. A
-    /// replica's leaf is overwritten after every event that touches it
-    /// — nothing else can move its next event — so picking the next
-    /// step is a root read and keeping it current one `O(log R)`
-    /// pull-up, instead of a scan of every replica per event. Not
-    /// serialised: rebuilt deterministically from the cores on resume.
+    /// The global wake-up calendar: a 4-ary winner tree whose leaf `i`
+    /// holds [`wake_key`] of replica `i`'s next scheduling event (`+∞`
+    /// for an idle replica), so the root is the earliest `(tick,
+    /// replica)`. A replica's leaf is overwritten after every event that
+    /// touches it — nothing else can move its next event — so picking
+    /// the next step is a root read and keeping it current one pull-up
+    /// of `log₄ R` levels (five at 1000 replicas), each a four-way
+    /// minimum over one contiguous sibling group, instead of a scan of
+    /// every replica per event. Not serialised: rebuilt
+    /// deterministically from the cores on resume.
     wake: MinTree<u64>,
     /// The routers' telemetry cache, its ordered indexes and the
     /// routable bitset derived from `states` — everything a
@@ -424,8 +426,8 @@ pub struct FleetRun {
 /// writes one leaf per event, so its work is [`FleetRun::events`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
-    /// Routing-index leaf refreshes applied (each an `O(log R)`
-    /// winner-tree pull-up per tree).
+    /// Routing-index leaf refreshes applied (each one pull-up of
+    /// `log₄ R` four-way levels per winner tree).
     pub index_leaf_updates: u64,
     /// Routing-index dirty marks observed (one per event that touched
     /// a replica's telemetry or lifecycle state).

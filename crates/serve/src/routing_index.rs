@@ -6,11 +6,13 @@
 //! entries that cannot have changed. [`FleetRoutingIndex`] owns the
 //! fleet's telemetry and turns that scan into an indexed lookup:
 //!
-//! * two **winner trees** (`MinTree`) hold every *routable* replica
-//!   keyed exactly as the built-in routers compare them — backlog for
-//!   [`crate::JoinShortestQueue`] and `(kv-load bits, backlog)`, packed
-//!   into one `u128`, for [`crate::LeastKvLoad`]. The argmin is a root
-//!   read and a leaf refresh is one `O(log R)` pull-up;
+//! * two 4-ary **winner trees** (`MinTree`) hold every *routable*
+//!   replica keyed exactly as the built-in routers compare them —
+//!   backlog for [`crate::JoinShortestQueue`] and `(kv-load bits,
+//!   backlog)`, packed into one `u128`, for [`crate::LeastKvLoad`]. The
+//!   argmin is a root read and a leaf refresh is one pull-up of
+//!   `log₄ R` levels (five at 1000 replicas), each a four-way minimum
+//!   over one contiguous group of siblings;
 //! * a **routable bitset** answers "first routable replica at or after
 //!   slot `i`, wrapping" — [`crate::RoundRobin`]'s probe — by word
 //!   scan instead of a per-slot loop. It is the fleet's one routable
@@ -27,8 +29,9 @@
 //!
 //! The trees preserve the routers' exact comparison order. Both
 //! routers break their last tie on the lowest replica index, and a
-//! winner tree breaks ties on tree position — the lowest leaf wins —
-//! so the index never enters a key. KV load is
+//! winner tree breaks ties on tree position — the first minimum among
+//! a node's four children, so the lowest leaf wins — so the index
+//! never enters a key. KV load is
 //! `ReplicaTelemetry::kv_load()` — a non-negative `f64`, whose IEEE bit
 //! pattern orders identically to `f64::total_cmp` — paired with the
 //! backlog for the tie-break. Unroutable replicas hold all-ones keys,
@@ -85,7 +88,8 @@ struct Trees {
     dirty: Vec<u32>,
     /// `dirty` membership, indexed by replica.
     dirty_mask: Vec<bool>,
-    /// Leaf refreshes applied (each an `O(log R)` pull-up).
+    /// Leaf refreshes applied (each one `log₄ R`-level pull-up per
+    /// tree).
     leaf_updates: u64,
 }
 

@@ -610,7 +610,12 @@ impl Core {
             // Resumed requests rebuild their KV with a fresh prefill of
             // everything they had (prompt + generated), vLLM
             // recompute-style.
-            let prefill = cost.prefill_s(q.req.prompt_len.saturating_add(q.generated));
+            let context = q.req.prompt_len.saturating_add(q.generated);
+            let prefill = cost.prefill_s(context);
+            assert!(
+                prefill.is_finite() && prefill >= 0.0,
+                "prefill must be finite and non-negative: cost model said {prefill} s for context {context}"
+            );
             self.report.prefill_busy_s += prefill;
             let ready_at = if self.config.collocated_prefill {
                 self.clock += prefill;
@@ -626,7 +631,7 @@ impl Core {
             self.active.push(Slot {
                 q,
                 ready_at,
-                context: q.req.prompt_len.saturating_add(q.generated),
+                context,
             });
             self.report.peak_reserved_tokens =
                 self.report.peak_reserved_tokens.max(self.active_reserved);
@@ -670,8 +675,12 @@ impl Core {
         }
 
         // One decode iteration: one token for every ready request.
-        let dt = cost.decode_step_s(batch, self.config.bucket(max_context));
-        debug_assert!(dt > 0.0, "decode iterations must take time");
+        let context = self.config.bucket(max_context);
+        let dt = cost.decode_step_s(batch, context);
+        assert!(
+            dt.is_finite() && dt > 0.0,
+            "decode step must be finite and positive: cost model said {dt} s for batch {batch} at context {context}"
+        );
         let iter_start = self.clock;
         self.clock += dt;
         self.report.decode_busy_s += dt;

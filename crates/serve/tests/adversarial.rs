@@ -19,11 +19,18 @@
 //! And per run, the three-way digest equality the whole subsystem
 //! promises: run-to-completion == snapshot-at-midpoint-then-resume ==
 //! command-log replay.
+//!
+//! Hostile cost models are rejected where the scheduler reads them: a
+//! decode step that is not finite and positive, or a prefill that is
+//! not finite and non-negative, panics with the value, the batch and the
+//! context instead of running the clock backwards (a negative TTFT),
+//! failing later elsewhere (NaN) or stalling the run silently (`+∞`).
 
 use rpu_serve::{
-    churn_tape, digest_fleet_report, fuzz_tape, AnalyticCostModel, DeadlineEdf, Fifo, Fleet,
-    FleetBuilder, FleetRun, FuzzFamily, JoinShortestQueue, LeastKvLoad, PriorityAging, RoundRobin,
-    Router, RunStats, SchedulingPolicy, ServeConfig, SessionAffinity, ShortestJobFirst, Workload,
+    churn_tape, digest_fleet_report, fuzz_tape, AnalyticCostModel, CostModel, DeadlineEdf, Fifo,
+    Fleet, FleetBuilder, FleetRun, FuzzFamily, JoinShortestQueue, LeastKvLoad, PriorityAging,
+    RoundRobin, Router, RunStats, SchedulingPolicy, ServeConfig, SessionAffinity, ShortestJobFirst,
+    Workload,
 };
 
 const REPLICAS: usize = 3;
@@ -328,4 +335,96 @@ fn fuzz_tapes_are_actually_hostile() {
         sorted.windows(2).any(|w| w[0] == w[1]),
         "flash-burst tape has no simultaneous arrivals"
     );
+}
+
+/// [`AnalyticCostModel::small`] with every third decode step, or every
+/// third prefill, priced at `bad` seconds instead.
+struct Mispriced {
+    bad: f64,
+    decode: bool,
+    calls: u32,
+}
+
+impl Mispriced {
+    fn price(&mut self, good: f64, this_call: bool) -> f64 {
+        self.calls += u32::from(this_call);
+        if this_call && self.calls.is_multiple_of(3) {
+            self.bad
+        } else {
+            good
+        }
+    }
+
+    /// Serves 400 Poisson requests on one replica.
+    fn serve(bad: f64, decode: bool) {
+        let wl = Workload::poisson(50.0, 64, 16, 400);
+        let mut cost = Self {
+            bad,
+            decode,
+            calls: 0,
+        };
+        let _ = rpu_serve::serve(&wl, &mut cost, &ServeConfig::default());
+    }
+}
+
+impl CostModel for Mispriced {
+    fn decode_step_s(&mut self, batch: u32, max_context: u32) -> f64 {
+        let good = AnalyticCostModel::small().decode_step_s(batch, max_context);
+        self.price(good, self.decode)
+    }
+
+    fn prefill_s(&mut self, prompt_len: u32) -> f64 {
+        let good = AnalyticCostModel::small().prefill_s(prompt_len);
+        self.price(good, !self.decode)
+    }
+
+    fn kv_capacity_tokens(&self) -> u64 {
+        AnalyticCostModel::small().kv_capacity_tokens()
+    }
+}
+
+#[test]
+#[should_panic(
+    expected = "decode step must be finite and positive: cost model said NaN s for batch"
+)]
+fn nan_decode_step_is_rejected() {
+    Mispriced::serve(f64::NAN, true);
+}
+
+#[test]
+#[should_panic(
+    expected = "decode step must be finite and positive: cost model said -0.002 s for batch"
+)]
+fn negative_decode_step_is_rejected() {
+    Mispriced::serve(-2e-3, true);
+}
+
+#[test]
+#[should_panic(expected = "decode step must be finite and positive: cost model said 0 s for batch")]
+fn zero_decode_step_is_rejected() {
+    Mispriced::serve(0.0, true);
+}
+
+#[test]
+#[should_panic(
+    expected = "decode step must be finite and positive: cost model said inf s for batch"
+)]
+fn infinite_decode_step_is_rejected() {
+    Mispriced::serve(f64::INFINITY, true);
+}
+
+#[test]
+#[should_panic(
+    expected = "prefill must be finite and non-negative: cost model said NaN s for context"
+)]
+fn nan_prefill_is_rejected() {
+    Mispriced::serve(f64::NAN, false);
+}
+
+#[test]
+#[should_panic(
+    expected = "prefill must be finite and non-negative: cost model said -0.002 s for context"
+)]
+fn negative_prefill_is_rejected() {
+    Mispriced::serve(-2e-3, false);
 }

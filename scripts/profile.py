@@ -16,7 +16,10 @@ addresses with `addr2line -f -i -C` and prints:
 - the top functions by self samples (the innermost inlined frame at
   the PC), each with its most common caller chains;
 - the top functions by inclusive samples (anywhere in a sample's
-  inlined PC frames or its three callers).
+  inlined PC frames or its three callers);
+- the top source lines by self samples (the `file:line` of the
+  innermost inlined frame at the PC), which splits a function's total
+  between the inlined code it is made of.
 
 Needs `cargo`, `cc` and `addr2line` on x86-64 Linux. Leaves nothing in
 the repository. `seconds` (default 2) is passed to `--seconds`.
@@ -195,14 +198,26 @@ def short(name):
     return "".join(out)
 
 
+def source_line(loc):
+    """`file:line` relative to the repository, or to the toolchain's
+    `library/` for the standard library; drops a discriminator."""
+    loc = loc.split(" (discriminator")[0]
+    root = f"{ROOT}/"
+    if loc.startswith(root):
+        return loc[len(root):]
+    at = loc.find("/library/")
+    return loc[at + 1:] if at >= 0 else loc
+
+
 def resolve(exe, addrs):
-    """Maps each address to its inlined frames, innermost first."""
+    """Maps each address to its inlined frames, innermost first, and to
+    the innermost frame's source line."""
     addrs = sorted(addrs)
     out = subprocess.run(
         ["addr2line", "-a", "-f", "-i", "-C", "-e", str(exe)],
         input="\n".join(hex(a) for a in addrs), check=True, capture_output=True, text=True,
     ).stdout.splitlines()
-    frames, cur = {}, None
+    frames, lines, cur = {}, {}, None
     i = 0
     while i < len(out):
         if out[i].startswith("0x"):
@@ -211,11 +226,13 @@ def resolve(exe, addrs):
             i += 1
             continue
         frames[cur].append(short(out[i]))
-        i += 2  # skip the file:line that follows each name
-    return frames
+        if i + 1 < len(out):
+            lines.setdefault(cur, source_line(out[i + 1]))
+        i += 2  # a name, then its file:line
+    return frames, lines
 
 
-def report(samples, frames):
+def report(samples, frames, lines):
     total = len(samples)
     if total == 0:
         print("no samples recorded")
@@ -224,10 +241,12 @@ def report(samples, frames):
     self_count = collections.Counter()
     chains = collections.defaultdict(collections.Counter)
     inclusive = collections.Counter()
+    by_line = collections.Counter()
     for s in samples:
         pc_frames = frames.get(s[0], ["?"]) if s[0] is not None else ["(outside perfbench)"]
         leaf = pc_frames[0]
         self_count[leaf] += 1
+        by_line[lines.get(s[0], "?") if s[0] is not None else "(outside perfbench)"] += 1
         callers = pc_frames[1:] + [name(a) for a in s[1:] if a is not None]
         chains[leaf][" <- ".join(callers[:4]) or "(no callers)"] += 1
         seen = set(pc_frames)
@@ -244,6 +263,9 @@ def report(samples, frames):
     print(f"\ntop {TOP} functions by inclusive samples (PC frames + 3 callers):")
     for fn, c in inclusive.most_common(TOP):
         print(f"{100 * c / total:6.2f}%  {fn}")
+    print(f"\ntop {TOP} source lines by self samples (innermost inlined frame at the PC):")
+    for line, c in by_line.most_common(TOP):
+        print(f"{100 * c / total:6.2f}%  {line}")
 
 
 def main(argv):
@@ -266,7 +288,7 @@ def main(argv):
             return 1
         samples = list(read_profiles(prof_dir, exe))
         addrs = {a for s in samples for a in s if a is not None}
-        report(samples, resolve(exe, addrs) if addrs else {})
+        report(samples, *(resolve(exe, addrs) if addrs else ({}, {})))
     return 0
 
 
