@@ -29,11 +29,11 @@ pub mod checks {
 
 /// Measured performance snapshots: the `BENCH_*.json` trajectory.
 ///
-/// The `router_scale`, `snapshot` and `repro_parallel` bench targets
-/// record their headline numbers (ns/event per router and width,
-/// freezes/sec, sweeps/sec, …) as a [`perf::PerfSnapshot`] and pass it
-/// through [`perf::record_or_gate`], which follows the repo's
-/// golden-drift pattern:
+/// The `router_scale` and `repro_parallel` bench targets record their
+/// headline numbers (ns/event per router and width, sweeps/sec, …) as
+/// a [`perf::PerfSnapshot`] and pass it through
+/// [`perf::record_or_gate`], which follows the repo's golden-drift
+/// pattern:
 ///
 /// - `BENCH_BLESS=1 cargo bench …` (re)writes the committed JSON — the
 ///   deliberate act that moves the trajectory;

@@ -17,7 +17,6 @@
 use crate::class::{ClassSpec, SloTargets};
 use crate::request::Request;
 use crate::rng::ServeRng;
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use rpu_models::LengthDistribution;
 use std::collections::VecDeque;
 
@@ -173,6 +172,21 @@ impl Workload {
     }
 }
 
+/// The mean gap `1 / rate` of an open-loop process at `rate_rps`.
+///
+/// # Panics
+///
+/// Panics if the gap is not finite: a rate so small (`5e-324`, say)
+/// that every arrival would land at infinity, and be lost.
+fn finite_gap(rate_rps: f64) -> f64 {
+    let gap = 1.0 / rate_rps;
+    assert!(
+        gap.is_finite(),
+        "arrival rate {rate_rps} req/s has no finite mean gap"
+    );
+    gap
+}
+
 /// The generator state of a lazily drawn open-loop process: the time
 /// of the last candidate arrival, the ON time left in the current burst
 /// and the process parameters. The mean gap `1 / rate` is computed once;
@@ -268,8 +282,8 @@ pub struct RequestSource {
     pending: VecDeque<Request>,
     rng: ServeRng,
     /// The open-loop generator still drawing, if any. `None` for trace
-    /// replay, closed loops and sources restored from a snapshot (whose
-    /// remaining tape is already materialised in `pending`).
+    /// replay (whose tape is issued up front) and closed loops (which
+    /// issue on completions).
     clock: Option<Clock>,
     prompt_lens: LengthDistribution,
     output_lens: LengthDistribution,
@@ -288,7 +302,10 @@ impl RequestSource {
     /// # Panics
     ///
     /// Panics if the workload has no classes, none with positive share,
-    /// a non-positive Poisson rate, or a clientless closed loop.
+    /// an open-loop rate that is not positive or whose mean gap
+    /// `1 / rate` is not finite, a trace time or think time that is not
+    /// finite and non-negative, or a clientless closed loop. A lazy
+    /// draw panics later if the arrival time it produces is not finite.
     #[must_use]
     pub fn new(workload: &Workload) -> Self {
         let mut src = Self::bare(workload);
@@ -297,7 +314,7 @@ impl RequestSource {
                 assert!(*rate_rps > 0.0, "Poisson rate must be positive");
                 src.clock = Some(Clock::Poisson {
                     t: 0.0,
-                    gap_mean: 1.0 / rate_rps,
+                    gap_mean: finite_gap(*rate_rps),
                 });
             }
             ArrivalProcess::OnOff {
@@ -313,7 +330,7 @@ impl RequestSource {
                 src.clock = Some(Clock::OnOff {
                     t: 0.0,
                     on_left: src.rng.next_exp(*mean_on_s),
-                    gap_mean: 1.0 / rate_rps,
+                    gap_mean: finite_gap(*rate_rps),
                     mean_on_s: *mean_on_s,
                     mean_off_s: *mean_off_s,
                     envelope: None,
@@ -349,7 +366,7 @@ impl RequestSource {
                 src.clock = Some(Clock::OnOff {
                     t: 0.0,
                     on_left: src.rng.next_exp(*mean_on_s),
-                    gap_mean: 1.0 / (rate_rps * flash_mult),
+                    gap_mean: finite_gap(rate_rps * flash_mult),
                     mean_on_s: *mean_on_s,
                     mean_off_s: *mean_off_s,
                     envelope: Some(Envelope {
@@ -367,6 +384,10 @@ impl RequestSource {
                     .copied()
                     .take(workload.num_requests as usize)
                     .collect();
+                assert!(
+                    tape.iter().all(|t| t.is_finite() && *t >= 0.0),
+                    "trace arrival times must be finite and non-negative"
+                );
                 tape.sort_by(f64::total_cmp);
                 for t in tape {
                     src.issue(t);
@@ -375,6 +396,10 @@ impl RequestSource {
             }
             ArrivalProcess::ClosedLoop { clients, think_s } => {
                 assert!(*clients > 0, "closed loop needs at least one client");
+                assert!(
+                    think_s.is_finite() && *think_s >= 0.0,
+                    "closed-loop think time must be finite and non-negative"
+                );
                 src.think_s = Some(*think_s);
                 for _ in 0..(*clients).min(workload.num_requests) {
                     src.issue(0.0);
@@ -420,6 +445,11 @@ impl RequestSource {
         if self.issued < self.budget {
             if let Some(clock) = &mut self.clock {
                 let t = clock.next(&mut self.rng);
+                assert!(
+                    t.is_finite(),
+                    "open-loop arrival time must be finite: request {} drew {t} s",
+                    self.issued
+                );
                 self.issue(t);
             }
         }
@@ -526,81 +556,12 @@ impl RequestSource {
     }
 
     /// Requests generated but not yet handed to a scheduler: at most
-    /// one for a fresh Poisson, on/off or diurnal source, the whole
-    /// materialised remainder for one restored from a snapshot.
+    /// one for a Poisson, on/off or diurnal source, the rest of the
+    /// tape for a trace, and the clients' next requests for a closed
+    /// loop.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Serialises the source's *dynamic* state: RNG word, issue
-    /// counters and the pending tape. The distributions and class specs
-    /// are rebuilt from the workload at restore time (they may hold
-    /// `&'static str` names a byte stream cannot carry), which is why
-    /// snapshots fingerprint the workload instead of embedding it.
-    ///
-    /// A lazy source writes the state an eagerly generated tape would
-    /// hold: a clone draws the rest of the tape and is written instead,
-    /// so the bytes do not depend on how far generation had got.
-    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
-        if self.clock.is_some() {
-            let mut tape = self.clone();
-            while tape.issued < tape.budget {
-                tape.draw();
-            }
-            tape.clock = None;
-            return tape.save(w);
-        }
-        w.put_u64(self.rng.state());
-        w.put_u32(self.issued);
-        w.put_u32(self.budget);
-        w.put_usize(self.class_issued.len());
-        for &n in &self.class_issued {
-            w.put_u32(n);
-        }
-        w.put_usize(self.pending.len());
-        for req in &self.pending {
-            req.save(w);
-        }
-    }
-
-    /// Rebuilds a source from `workload` (static configuration) plus a
-    /// saved dynamic state.
-    pub(crate) fn restore(
-        workload: &Workload,
-        r: &mut SnapshotReader<'_>,
-    ) -> Result<Self, SnapshotError> {
-        let rng = ServeRng::new(r.get_u64()?);
-        let issued = r.get_u32()?;
-        let budget = r.get_u32()?;
-        let classes = r.get_count(4)?;
-        if classes != workload.classes.len() {
-            return Err(SnapshotError::Corrupt("class count differs from workload"));
-        }
-        let mut class_issued = Vec::with_capacity(classes);
-        for _ in 0..classes {
-            class_issued.push(r.get_u32()?);
-        }
-        let n_pending = r.get_count(8)?;
-        let mut pending = VecDeque::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending.push_back(Request::load(r)?);
-        }
-        Ok(Self {
-            pending,
-            rng,
-            clock: None,
-            prompt_lens: workload.prompt_lens.clone(),
-            output_lens: workload.output_lens.clone(),
-            classes: workload.classes.clone(),
-            class_issued,
-            issued,
-            budget,
-            think_s: match workload.arrivals {
-                ArrivalProcess::ClosedLoop { think_s, .. } => Some(think_s),
-                _ => None,
-            },
-        })
     }
 }
 
@@ -787,7 +748,6 @@ pub fn fuzz_tape(family: FuzzFamily, seed: u64) -> Workload {
 mod tests {
     use super::*;
     use crate::class::SloTargets;
-    use crate::snapshot::SnapshotWriter;
     use proptest::{prop_assert, prop_assert_eq};
 
     fn drain(src: &mut RequestSource) -> Vec<Request> {
@@ -871,13 +831,17 @@ mod tests {
         src
     }
 
-    /// The source's SOURCE-section payload, as a snapshot writes it.
-    fn saved(src: &RequestSource) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.begin_section(1);
-        src.save(&mut w);
-        w.end_section();
-        w.finish()
+    /// The source's tape as it stands: how many requests it has handed
+    /// out (issued minus pending), then every request a clone of it
+    /// still hands out, drawn to the end, with arrival and deadline
+    /// bits.
+    fn tape(src: &RequestSource) -> (u32, Vec<(Request, u64, u64)>) {
+        let handed_out = src.issued() - src.pending() as u32;
+        let rest = drain(&mut src.clone())
+            .into_iter()
+            .map(|r| (r, r.arrival_s.to_bits(), r.deadline_s.to_bits()))
+            .collect();
+        (handed_out, rest)
     }
 
     fn same_request(a: &Request, b: &Request) -> bool {
@@ -891,8 +855,8 @@ mod tests {
 
         /// A lazily drawn Poisson, on/off or diurnal source hands out
         /// exactly the eager tape (arrival times compared by bits),
-        /// never holds more than one request ahead, and snapshots to
-        /// the eager source's bytes at the start and after `k` pops.
+        /// never holds more than one request ahead, and leaves the eager
+        /// source's tape, by bits, at the start and after `k` pops.
         #[test]
         fn lazy_tape_is_the_eager_tape(
             seed in 0u64..1 << 48,
@@ -940,12 +904,12 @@ mod tests {
             };
             let mut lazy = RequestSource::new(&w);
             let mut reference = eager(&w);
-            prop_assert!(saved(&lazy) == saved(&reference), "fresh snapshot bytes differ");
+            prop_assert!(tape(&lazy) == tape(&reference), "fresh tapes differ");
             let k = (f64::from(num_requests) * pop_frac) as u32;
             for i in 0..=num_requests {
                 prop_assert!(lazy.pending() <= 1, "{} requests pending", lazy.pending());
                 if i == k {
-                    prop_assert!(saved(&lazy) == saved(&reference), "bytes differ after {k} pops");
+                    prop_assert!(tape(&lazy) == tape(&reference), "tapes differ after {k} pops");
                 }
                 match (lazy.pop_ready(f64::INFINITY), reference.pop_ready(f64::INFINITY)) {
                     (Some(a), Some(b)) => prop_assert!(same_request(&a, &b), "{a:?} != {b:?}"),

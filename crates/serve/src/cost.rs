@@ -11,7 +11,7 @@
 //! reservation `reserved` exactly when
 //! `reserved <= kv_capacity_tokens()`, and publishes the same number in
 //! its fleet telemetry. The scheduler reads it once per replica, when a
-//! run starts or resumes.
+//! run starts.
 
 /// Machine costs as seen by the continuous-batching scheduler.
 pub trait CostModel {
@@ -37,8 +37,8 @@ pub trait CostModel {
     /// `reserved` exactly when `reserved <= kv_capacity_tokens()`, and
     /// publishes this capacity in its fleet telemetry so routers can
     /// reason about relative KV headroom across heterogeneous machines.
-    /// Read once per replica when a run starts or resumes, so it must
-    /// not change over the model's life.
+    /// Read once per replica when a run starts, so it must not change
+    /// over the model's life.
     fn kv_capacity_tokens(&self) -> u64;
 }
 

@@ -1,4 +1,4 @@
-//! Stable digests of serving reports and run states.
+//! Stable digests of serving reports.
 //!
 //! A [`ReportDigest`] is a 64-bit FNV-1a hash over every field of a
 //! [`ServeReport`] or [`FleetReport`], with floats canonicalised
@@ -6,15 +6,15 @@
 //! digest is a pure function of the *values*, not their encodings.
 //! Two runs agree on their digest exactly when they produced the same
 //! report — which makes digests the currency of the differential
-//! machinery: snapshot/resume equivalence and command-log replay
-//! checks compare digests instead of lugging whole reports around.
+//! machinery: re-run and command-log replay checks compare digests
+//! instead of lugging whole reports around.
 
 use crate::fleet::FleetReport;
 use crate::request::{Request, RequestRecord};
 use crate::scheduler::ServeReport;
 use std::fmt;
 
-/// A stable 64-bit digest of a report or run state.
+/// A stable 64-bit digest of a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReportDigest(pub u64);
 
@@ -394,5 +394,18 @@ mod tests {
     #[test]
     fn digest_renders_as_sixteen_hex_digits() {
         assert_eq!(format!("{}", ReportDigest(0xAB)), "00000000000000ab");
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        let fnv = |bytes: &[u8]| {
+            let mut w = DigestWriter::new();
+            w.bytes(bytes);
+            w.finish().0
+        };
+        assert_eq!(fnv(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv(b"foobar"), 0x85944171F73967E8);
     }
 }

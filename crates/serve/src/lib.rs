@@ -44,14 +44,16 @@
 //! seed reproduces the schedule bit-for-bit, for every policy, router
 //! and fleet size.
 //!
-//! Determinism is load-bearing, so it has its own tooling layer:
-//! [`FleetRun`] unrolls the one serving loop — [`serve_with`] is a
-//! one-replica run of it — into a resumable run that can be frozen to
-//! versioned, checksummed bytes ([`snapshot`]) and thawed to continue
-//! bit-identically; every run records a [`CommandLog`] of its router
-//! picks and lifecycle transitions, which [`Fleet::replay`] feeds back
-//! through the same driver to a report that digests
-//! ([`digest_fleet_report`]) identically to the recording.
+//! Determinism is load-bearing, so it has its own tooling layer. The
+//! seed is the checkpoint: re-running a workload reproduces its run bit
+//! for bit. [`FleetRun`] unrolls the one serving loop — [`serve_with`]
+//! is a one-replica run of it — into a run that can be stepped and
+//! [audited](FleetRun::audit) between steps, in release builds too,
+//! against a rebuild of its derived state. Every run records a
+//! [`CommandLog`] of its router picks and lifecycle transitions, which
+//! [`Fleet::replay`] feeds back through the same driver to a report
+//! that digests ([`digest_fleet_report`]) identically to the
+//! recording.
 //! [`fuzz_tape`] generates adversarial workloads (flash bursts,
 //! zero-length prompts, KV-filling monster contexts, deadline
 //! inversions, session churn) to stress all of it.

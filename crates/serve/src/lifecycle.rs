@@ -12,14 +12,14 @@
 //! | `Leave` | `Draining -> Down` | clean exit, only legal once idle |
 //! | `Fail` | `Live\|Draining -> Down` | crash: in-flight requests are lost and re-enqueued through the router after a migration delay, paying a full re-prefill |
 //!
-//! Events enter the run's command log, ride through `RPUSNAP1`
-//! snapshots, and replay bit-identically — a churned fleet satisfies
-//! the same three-way digest equality (straight == midpoint-resume ==
-//! log replay) as a static one. [`churn_tape`] generates adversarial
-//! but always-legal event storms for the fuzz battery.
+//! Events enter the run's command log and replay bit-identically — a
+//! churned fleet's straight run and its log replay digest the same, as
+//! a static one's do — and `FleetRun::audit` checks the state each
+//! transition derives (routable mask, up-count, wake tree) against a
+//! rebuild at every boundary. [`churn_tape`] generates adversarial but
+//! always-legal event storms for the fuzz battery.
 
 use crate::rng::ServeRng;
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// The lifecycle state of one provisioned replica slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,23 +47,6 @@ impl LifecycleState {
             Self::Live => "live",
             Self::Draining => "draining",
             Self::Down => "down",
-        }
-    }
-
-    pub(crate) fn save(self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            Self::Live => 0,
-            Self::Draining => 1,
-            Self::Down => 2,
-        });
-    }
-
-    pub(crate) fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(Self::Live),
-            1 => Ok(Self::Draining),
-            2 => Ok(Self::Down),
-            _ => Err(SnapshotError::Corrupt("bad lifecycle state tag")),
         }
     }
 }
@@ -96,25 +79,6 @@ impl FleetEventKind {
             Self::Fail => "fail",
         }
     }
-
-    pub(crate) fn save(self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            Self::Join => 0,
-            Self::Drain => 1,
-            Self::Leave => 2,
-            Self::Fail => 3,
-        });
-    }
-
-    pub(crate) fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(Self::Join),
-            1 => Ok(Self::Drain),
-            2 => Ok(Self::Leave),
-            3 => Ok(Self::Fail),
-            _ => Err(SnapshotError::Corrupt("bad fleet event kind tag")),
-        }
-    }
 }
 
 /// One replica lifecycle event, applied at a deterministic sim time.
@@ -126,22 +90,6 @@ pub struct FleetEvent {
     pub replica: u32,
     /// The transition.
     pub kind: FleetEventKind,
-}
-
-impl FleetEvent {
-    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.at_s);
-        w.put_u32(self.replica);
-        self.kind.save(w);
-    }
-
-    pub(crate) fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            at_s: r.get_f64()?,
-            replica: r.get_u32()?,
-            kind: FleetEventKind::load(r)?,
-        })
-    }
 }
 
 /// Counts of lifecycle transitions a fleet run applied, plus the

@@ -48,26 +48,6 @@ impl QueuedRequest {
             first_token_s: None,
         }
     }
-
-    pub(crate) fn save(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        self.req.save(w);
-        w.put_u32(self.generated);
-        w.put_u32(self.preemptions);
-        w.put_opt_f64(self.first_admit_s);
-        w.put_opt_f64(self.first_token_s);
-    }
-
-    pub(crate) fn load(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        Ok(Self {
-            req: Request::load(r)?,
-            generated: r.get_u32()?,
-            preemptions: r.get_u32()?,
-            first_admit_s: r.get_opt_f64()?,
-            first_token_s: r.get_opt_f64()?,
-        })
-    }
 }
 
 /// A resident (admitted) request as seen by a policy when it considers

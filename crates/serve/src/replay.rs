@@ -17,7 +17,6 @@
 use crate::lifecycle::FleetEvent;
 use crate::request::Request;
 use crate::router::{Router, RoutingView};
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// The outside decisions of one fleet run, in the order it made them.
 ///
@@ -91,52 +90,6 @@ impl CommandLog {
     pub(crate) fn push_transition(&mut self, event: u64, ev: FleetEvent) {
         self.transitions.push((event, ev));
     }
-
-    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.picks.len());
-        for &pick in &self.picks {
-            w.put_u32(pick);
-        }
-        w.put_usize(self.transitions.len());
-        for (event, ev) in &self.transitions {
-            w.put_u64(*event);
-            ev.save(w);
-        }
-    }
-
-    /// Reads a log frozen by a run over `replicas` slots after `events`
-    /// events, rejecting any decision that run could not have made.
-    pub(crate) fn load(
-        r: &mut SnapshotReader<'_>,
-        replicas: usize,
-        events: u64,
-    ) -> Result<Self, SnapshotError> {
-        let n = r.get_count(4)?;
-        let mut picks = Vec::with_capacity(n);
-        for _ in 0..n {
-            let pick = r.get_u32()?;
-            if pick as usize >= replicas {
-                return Err(SnapshotError::Corrupt("logged pick out of range"));
-            }
-            picks.push(pick);
-        }
-        let n = r.get_count(21)?;
-        let mut transitions: Vec<(u64, FleetEvent)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let event = r.get_u64()?;
-            let ev = FleetEvent::load(r)?;
-            if ev.replica as usize >= replicas {
-                return Err(SnapshotError::Corrupt("logged transition out of range"));
-            }
-            if event >= events || transitions.last().is_some_and(|&(prev, _)| event <= prev) {
-                return Err(SnapshotError::Corrupt(
-                    "logged transition index out of order",
-                ));
-            }
-            transitions.push((event, ev));
-        }
-        Ok(Self { picks, transitions })
-    }
 }
 
 /// A router that hands out a recorded log's picks in order — the only
@@ -176,73 +129,22 @@ mod tests {
             .build()
     }
 
-    /// A churned fleet run's log, with the run's event count.
-    fn recorded(wl: &Workload) -> (CommandLog, u64) {
+    /// A churned fleet run's log.
+    fn recorded(wl: &Workload) -> CommandLog {
         let mut f = fleet();
         let mut run = f.start(wl);
         for ev in churn_tape(3, 5, 0.02, 4) {
             run.inject(ev);
         }
         while run.step(&mut f, &mut JoinShortestQueue) {}
-        (run.log().clone(), run.events())
-    }
-
-    fn frozen(log: &CommandLog) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.begin_section(9);
-        log.save(&mut w);
-        w.end_section();
-        w.finish()
-    }
-
-    fn thawed(bytes: &[u8], replicas: usize, events: u64) -> Result<CommandLog, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes).unwrap();
-        r.begin_section(9).unwrap();
-        let log = CommandLog::load(&mut r, replicas, events)?;
-        r.end_section().unwrap();
-        Ok(log)
-    }
-
-    #[test]
-    fn log_round_trips_through_snapshot_bytes() {
-        let wl = Workload::poisson(1500.0, 64, 8, 32);
-        let (log, events) = recorded(&wl);
-        assert!(log.picks().len() >= 32);
-        assert_eq!(log.transitions().len(), 4);
-        assert_eq!(thawed(&frozen(&log), 3, events), Ok(log));
-    }
-
-    #[test]
-    fn load_rejects_decisions_the_run_could_not_have_made() {
-        let wl = Workload::poisson(1500.0, 64, 8, 32);
-        let (log, events) = recorded(&wl);
-        let bytes = frozen(&log);
-        // Fewer slots than the picks and transitions name.
-        assert!(matches!(
-            thawed(&bytes, 1, events),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // A transition applied at or past the run's event count.
-        let last = log.transitions().last().unwrap().0;
-        assert!(matches!(
-            thawed(&bytes, 3, last),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // Transition indices that do not strictly increase.
-        let mut repeated = log.clone();
-        let first = repeated.transitions[0];
-        repeated.transitions.insert(1, first);
-        assert!(matches!(
-            thawed(&frozen(&repeated), 3, events),
-            Err(SnapshotError::Corrupt(_))
-        ));
+        run.log().clone()
     }
 
     #[test]
     #[should_panic(expected = "log ran out of picks")]
     fn replay_of_a_log_with_too_few_picks_panics() {
         let wl = Workload::poisson(1500.0, 64, 8, 32);
-        let (mut log, _) = recorded(&wl);
+        let mut log = recorded(&wl);
         log.picks.pop();
         let _ = fleet().replay(&wl, &log);
     }
@@ -251,7 +153,7 @@ mod tests {
     #[should_panic(expected = "decisions left over")]
     fn replay_of_a_log_with_too_many_picks_panics() {
         let wl = Workload::poisson(1500.0, 64, 8, 32);
-        let (mut log, _) = recorded(&wl);
+        let mut log = recorded(&wl);
         log.picks.push(0);
         let _ = fleet().replay(&wl, &log);
     }

@@ -1,7 +1,5 @@
 //! Requests and per-request completion records.
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-
 /// One inference request: a prompt to prefill and a number of output
 /// tokens to decode, stamped with its tenant and SLO class.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,32 +35,6 @@ impl Request {
     #[must_use]
     pub fn reserved_tokens(&self) -> u64 {
         u64::from(self.prompt_len) + u64::from(self.output_len)
-    }
-
-    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.id);
-        w.put_f64(self.arrival_s);
-        w.put_u32(self.prompt_len);
-        w.put_u32(self.output_len);
-        w.put_u32(self.tenant);
-        w.put_u64(self.session);
-        w.put_u8(self.class);
-        w.put_u8(self.priority);
-        w.put_f64(self.deadline_s);
-    }
-
-    pub(crate) fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            id: r.get_u32()?,
-            arrival_s: r.get_f64()?,
-            prompt_len: r.get_u32()?,
-            output_len: r.get_u32()?,
-            tenant: r.get_u32()?,
-            session: r.get_u64()?,
-            class: r.get_u8()?,
-            priority: r.get_u8()?,
-            deadline_s: r.get_f64()?,
-        })
     }
 }
 
@@ -114,34 +86,6 @@ impl RequestRecord {
     #[must_use]
     pub fn e2e_s(&self) -> f64 {
         self.finish_s - self.arrival_s
-    }
-
-    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.id);
-        w.put_f64(self.arrival_s);
-        w.put_f64(self.admit_s);
-        w.put_f64(self.first_token_s);
-        w.put_f64(self.finish_s);
-        w.put_u32(self.prompt_len);
-        w.put_u32(self.output_len);
-        w.put_u32(self.tenant);
-        w.put_u8(self.class);
-        w.put_u32(self.preemptions);
-    }
-
-    pub(crate) fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            id: r.get_u32()?,
-            arrival_s: r.get_f64()?,
-            admit_s: r.get_f64()?,
-            first_token_s: r.get_f64()?,
-            finish_s: r.get_f64()?,
-            prompt_len: r.get_u32()?,
-            output_len: r.get_u32()?,
-            tenant: r.get_u32()?,
-            class: r.get_u8()?,
-            preemptions: r.get_u32()?,
-        })
     }
 }
 

@@ -26,23 +26,6 @@ impl ServeRng {
         Self(seed)
     }
 
-    /// The generator's internal state word. Feeding it back to
-    /// [`ServeRng::new`] resumes the stream exactly where it left off —
-    /// the hook snapshots use to freeze and restore replica RNGs.
-    ///
-    /// ```
-    /// use rpu_serve::ServeRng;
-    ///
-    /// let mut a = ServeRng::new(7);
-    /// a.next_f64();
-    /// let mut b = ServeRng::new(a.state());
-    /// assert_eq!(a.next_u64(), b.next_u64());
-    /// ```
-    #[must_use]
-    pub fn state(&self) -> u64 {
-        self.0
-    }
-
     /// Returns the next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);

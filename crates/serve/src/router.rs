@@ -301,20 +301,19 @@ pub trait Router {
         let _ = (event, view);
     }
 
-    /// Serialises the router's run state into an open snapshot section,
-    /// so a resumed fleet routes exactly as the frozen one would have.
-    /// The default writes nothing — correct for stateless routers.
+    /// Does nothing, and can never be called: no [`SnapshotWriter`]
+    /// exists (see [`crate::snapshot`]). Kept so that routers which
+    /// forward it still compile.
     fn save_state(&self, w: &mut SnapshotWriter) {
         let _ = w;
     }
 
-    /// Restores run state written by [`Router::save_state`]. Must read
-    /// exactly what `save_state` wrote. The default reads nothing.
+    /// Does nothing, and can never be called: no [`SnapshotReader`]
+    /// exists. Kept so that routers which forward it still compile.
     ///
     /// # Errors
     ///
-    /// A [`SnapshotError`] when the saved state cannot apply to this
-    /// router.
+    /// None: [`SnapshotError`] has no values.
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let _ = r;
         Ok(())
@@ -351,15 +350,6 @@ impl Router for RoundRobin {
         };
         self.next = (i + 1) % n;
         i
-    }
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.next);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.next = r.get_usize()?;
-        Ok(())
     }
 }
 
@@ -438,8 +428,7 @@ impl Router for LeastKvLoad {
 pub struct SessionAffinity {
     vnodes: u32,
     /// Ring for the last-seen fleet size: (point hash, replica),
-    /// sorted by hash. Empty until the first route after construction
-    /// or a state load.
+    /// sorted by hash. Empty until the first route.
     ring: Vec<(u64, usize)>,
     ring_replicas: usize,
 }
@@ -510,26 +499,6 @@ impl Router for SessionAffinity {
             }
         }
         panic!("no routable replica on the affinity ring");
-    }
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        // The ring itself is a pure function of (vnodes, replica
-        // count): save the inputs.
-        w.put_u32(self.vnodes);
-        w.put_usize(self.ring_replicas);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let vnodes = r.get_u32()?;
-        if vnodes != self.vnodes {
-            return Err(SnapshotError::Corrupt("affinity vnode count differs"));
-        }
-        // The saved count is kept only so a re-snapshot writes the same
-        // bytes; it is never trusted to size a ring. The next route
-        // rebuilds the empty ring for the fleet it actually sees.
-        self.ring_replicas = r.get_usize()?;
-        self.ring.clear();
-        Ok(())
     }
 }
 
@@ -825,45 +794,6 @@ mod tests {
         assert_eq!(route_all_live(&mut JoinShortestQueue, &req(0), &fleet), 0);
         fleet[1].active_requests = 1; // backlog 1 — strict winner
         assert_eq!(route_all_live(&mut JoinShortestQueue, &req(0), &fleet), 1);
-    }
-
-    #[test]
-    fn round_robin_cursor_round_trips_through_state() {
-        let fleet = vec![idle(4096); 3];
-        let mut rr = RoundRobin::new();
-        let _ = route_all_live(&mut rr, &req(0), &fleet);
-        let _ = route_all_live(&mut rr, &req(0), &fleet);
-        let mut w = SnapshotWriter::new();
-        w.begin_section(1);
-        rr.save_state(&mut w);
-        w.end_section();
-        let bytes = w.finish();
-        let mut restored = RoundRobin::new();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        r.begin_section(1).unwrap();
-        restored.load_state(&mut r).unwrap();
-        r.end_section().unwrap();
-        assert_eq!(
-            route_all_live(&mut restored, &req(0), &fleet),
-            route_all_live(&mut rr, &req(0), &fleet)
-        );
-    }
-
-    #[test]
-    fn affinity_state_rejects_mismatched_vnodes() {
-        let aff = SessionAffinity::with_vnodes(8);
-        let mut w = SnapshotWriter::new();
-        w.begin_section(1);
-        aff.save_state(&mut w);
-        w.end_section();
-        let bytes = w.finish();
-        let mut other = SessionAffinity::with_vnodes(16);
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        r.begin_section(1).unwrap();
-        assert_eq!(
-            other.load_state(&mut r).unwrap_err(),
-            SnapshotError::Corrupt("affinity vnode count differs")
-        );
     }
 
     #[test]

@@ -37,9 +37,10 @@
 //! backlog for the tie-break. Unroutable replicas hold all-ones keys,
 //! which no backlog (a `u32`) or load reaches, so they never win.
 //!
-//! The index is *derived* state: it is rebuilt from the cores'
-//! telemetry and the lifecycle states on run start and resume and is
-//! never serialised, so snapshot wire formats are untouched. Routers
+//! The index is *derived* state: it is built from the cores'
+//! telemetry and the lifecycle states at run start, maintained one
+//! replica per event after that, and checked against a fresh build by
+//! [`crate::FleetRun::audit`]. Routers
 //! reach it through [`crate::RoutingView::min_backlog_replica`] and
 //! friends; custom routers get the same `O(log R)` answers by calling
 //! those methods instead of scanning.
@@ -78,7 +79,7 @@ fn bit(live: &[u64], i: usize) -> bool {
 
 /// The lazily flushed half of the index: both winner trees and the
 /// dirty set awaiting their next query.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Trees {
     /// Winner tree over backlogs.
     backlog: MinTree<u64>,
@@ -280,6 +281,35 @@ impl FleetRoutingIndex {
             }
         }
         None
+    }
+
+    /// Names the first part of this index that differs from `fresh`,
+    /// an index built from the same fleet's current telemetry and
+    /// routable mask: a replica's telemetry, the routable mask, the
+    /// live count, or one of the two argmins. The argmins are read from
+    /// flushed copies of the trees, so checking moves no counter and
+    /// leaves every later query as it was.
+    pub(crate) fn drift_from(&self, fresh: &Self) -> Option<String> {
+        let mut pairs = self.telemetry.iter().zip(&fresh.telemetry);
+        if let Some(i) = pairs.position(|(a, b)| a != b) {
+            return Some(format!("telemetry of replica {i}"));
+        }
+        if self.live != fresh.live {
+            return Some("routable mask".into());
+        }
+        if self.live_count != fresh.live_count {
+            return Some("live count".into());
+        }
+        let argmins = |index: &Self| {
+            let mut trees = index.trees.borrow().clone();
+            trees.flush(&index.telemetry, &index.live);
+            (trees.backlog.min(), trees.kv.min())
+        };
+        let (mine, theirs) = (argmins(self), argmins(fresh));
+        if mine.0 != theirs.0 {
+            return Some("backlog argmin".into());
+        }
+        (mine.1 != theirs.1).then(|| "KV-load argmin".into())
     }
 
     /// `(leaf updates applied, dirty marks observed)` since

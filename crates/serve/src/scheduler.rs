@@ -77,7 +77,6 @@ use crate::lifecycle::LifecycleState;
 use crate::policy::{ActiveRequest, Fifo, QueuedRequest, SchedulingPolicy};
 use crate::request::{Request, RequestRecord};
 use crate::router::{ReplicaTelemetry, RoundRobin};
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Scheduler knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -226,7 +225,7 @@ pub fn serve(workload: &Workload, cost: &mut dyn CostModel, config: &ServeConfig
 ///
 /// The run is a one-replica [`crate::FleetRun`] under
 /// [`crate::RoundRobin`], driven by the same event loop as every fleet,
-/// and the result is its one replica's report. To step, snapshot or
+/// and the result is its one replica's report. To step, audit or
 /// replay a single machine, build that fleet with
 /// [`crate::FleetBuilder`].
 ///
@@ -259,17 +258,16 @@ pub fn serve_with(
     run.into_report().replicas.swap_remove(0)
 }
 
-/// Point-in-time counters of a run, for invariant checks at snapshot
-/// points: every issued request must be exactly one of pending, queued,
-/// active, completed or rejected.
+/// Point-in-time counters of a run, for invariant checks mid-run (see
+/// [`crate::FleetRun::audit`]): every issued request must be exactly
+/// one of pending, queued, active, completed, rejected or displaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunStats {
     /// Requests issued by the arrival source so far.
     pub issued: u32,
-    /// Issued but not yet handed to any scheduler. A fresh Poisson,
-    /// on/off or diurnal run holds at most one (its source draws one
-    /// request ahead); a run restored from a snapshot holds the
-    /// materialised remainder of its tape.
+    /// Issued but not yet handed to any scheduler. A Poisson, on/off
+    /// or diurnal run holds at most one (its source draws one request
+    /// ahead); a trace holds the rest of its tape.
     pub pending_arrivals: usize,
     /// Waiting in scheduler queues (all replicas).
     pub queued: u32,
@@ -298,7 +296,7 @@ impl RunStats {
     }
 }
 
-/// One replica's resumable scheduler state machine, stepped by the one
+/// One replica's scheduler state machine, stepped by the one
 /// event loop ([`crate::FleetRun`]) behind both [`serve_with`] and the
 /// fleet layer ([`crate::Fleet`]).
 ///
@@ -319,7 +317,7 @@ pub(crate) struct Core {
     config: ServeConfig,
     /// The machine's KV capacity, tokens: admission's one gate and the
     /// number the core publishes in its telemetry. Read from the cost
-    /// model when the run starts or resumes; not serialised.
+    /// model when the run starts.
     kv_capacity_tokens: u64,
     queue: Vec<QueuedRequest>,
     /// The serving batch, in admission order — the order policy
@@ -503,8 +501,9 @@ impl Core {
     }
 
     /// The telemetry recomputed by scanning the queue and the batch —
-    /// the debug cross-check for the incremental counters (the queue
-    /// can be long, so the hot path never scans it).
+    /// the debug cross-check for the incremental counters, and what
+    /// `FleetRun::audit` rebuilds from (the queue can be long, so the
+    /// hot path never scans it).
     pub(crate) fn telemetry_scan(&self) -> ReplicaTelemetry {
         let requests = || self.active.iter().map(|s| &s.q).chain(&self.queue);
         ReplicaTelemetry {
@@ -750,154 +749,6 @@ impl Core {
         self.report.rejected
     }
 
-    pub(crate) fn config(&self) -> ServeConfig {
-        self.config
-    }
-
-    /// Serialises the core's full state into an open snapshot section:
-    /// the queue, then the resident slots densely in admission order.
-    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.config.max_batch);
-        w.put_u32(self.config.seq_bucket);
-        w.put_bool(self.config.collocated_prefill);
-        w.put_usize(self.queue.len());
-        for q in &self.queue {
-            q.save(w);
-        }
-        w.put_usize(self.active.len());
-        for s in &self.active {
-            s.q.save(w);
-            w.put_f64(s.ready_at);
-            w.put_u32(s.context);
-        }
-        w.put_f64(self.clock);
-        w.put_f64(self.first_arrival_s);
-        w.put_f64(self.last_finish_s);
-        w.put_bool(self.stalled);
-        w.put_usize(self.report.records.len());
-        for rec in &self.report.records {
-            rec.save(w);
-        }
-        w.put_u32(self.report.rejected);
-        w.put_usize(self.report.rejected_requests.len());
-        for req in &self.report.rejected_requests {
-            req.save(w);
-        }
-        w.put_u32(self.report.preemptions);
-        w.put_f64(self.report.makespan_s);
-        w.put_f64(self.report.decode_busy_s);
-        w.put_f64(self.report.prefill_busy_s);
-        w.put_u64(self.report.decode_iterations);
-        w.put_u32(self.report.peak_batch);
-        w.put_u64(self.report.peak_reserved_tokens);
-    }
-
-    /// Rebuilds a core from a section written by [`Core::save`], on a
-    /// machine holding `kv_capacity_tokens` KV tokens.
-    pub(crate) fn restore(
-        r: &mut SnapshotReader<'_>,
-        kv_capacity_tokens: u64,
-    ) -> Result<Self, SnapshotError> {
-        let config = ServeConfig {
-            max_batch: r.get_u32()?,
-            seq_bucket: r.get_u32()?,
-            collocated_prefill: r.get_bool()?,
-        };
-        if config.max_batch == 0 {
-            return Err(SnapshotError::Corrupt("max_batch is zero"));
-        }
-        let n_queue = r.get_count(8)?;
-        let mut queue = Vec::with_capacity(n_queue);
-        for _ in 0..n_queue {
-            queue.push(QueuedRequest::load(r)?);
-        }
-        let n_active = r.get_count(8)?;
-        let mut active = Vec::with_capacity(n_active);
-        for _ in 0..n_active {
-            let s = Slot {
-                q: QueuedRequest::load(r)?,
-                ready_at: r.get_f64()?,
-                context: r.get_u32()?,
-            };
-            if s.ready_at.is_nan() {
-                return Err(SnapshotError::Corrupt("slot ready_at is NaN"));
-            }
-            // A resident slot was admitted by definition; completing
-            // one without an admission stamp would panic the record
-            // writer, so hostile bytes must fail here instead.
-            if s.q.first_admit_s.is_none() {
-                return Err(SnapshotError::Corrupt("active slot missing admission time"));
-            }
-            active.push(s);
-        }
-        let clock = r.get_f64()?;
-        let first_arrival_s = r.get_f64()?;
-        let last_finish_s = r.get_f64()?;
-        // NaN wall-clock state would poison every comparison downstream
-        // — including the fleet wake calendar's key, which (rightly)
-        // panics on incomparable ticks. Hostile bytes must fail typed instead.
-        if clock.is_nan() || first_arrival_s.is_nan() || last_finish_s.is_nan() {
-            return Err(SnapshotError::Corrupt("clock state is NaN"));
-        }
-        let stalled = r.get_bool()?;
-        let n_records = r.get_count(8)?;
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(n_records);
-        for _ in 0..n_records {
-            let rec = RequestRecord::load(r)?;
-            // Windowed reads binary-search the records by finish time.
-            if rec.finish_s.is_nan() || records.last().is_some_and(|p| p.finish_s > rec.finish_s) {
-                return Err(SnapshotError::Corrupt("records out of finish order"));
-            }
-            records.push(rec);
-        }
-        // The clock never goes back, so no completion lies ahead of it.
-        if records.last().is_some_and(|p| p.finish_s > clock) {
-            return Err(SnapshotError::Corrupt("record finishes after the clock"));
-        }
-        let rejected = r.get_u32()?;
-        let n_rejected = r.get_count(8)?;
-        let mut rejected_requests = Vec::with_capacity(n_rejected);
-        for _ in 0..n_rejected {
-            rejected_requests.push(Request::load(r)?);
-        }
-        // The incremental counters are rebuilt from the slots rather
-        // than serialised: they are a pure function of them, and
-        // rebuilding keeps the format free of redundant fields that
-        // could disagree.
-        let requests = || active.iter().map(|s: &Slot| &s.q);
-        let active_reserved = requests().map(|q| q.req.reserved_tokens()).sum();
-        let active_in_flight = requests().map(in_flight_tokens).sum();
-        let queued_reserved = queue.iter().map(|q| q.req.reserved_tokens()).sum();
-        let queued_in_flight = queue.iter().map(in_flight_tokens).sum();
-        Ok(Self {
-            config,
-            kv_capacity_tokens,
-            queue,
-            active,
-            active_reserved,
-            queued_reserved,
-            active_in_flight,
-            queued_in_flight,
-            views: Vec::new(),
-            clock,
-            first_arrival_s,
-            last_finish_s,
-            stalled,
-            report: ServeReport {
-                records,
-                rejected,
-                rejected_requests,
-                preemptions: r.get_u32()?,
-                makespan_s: r.get_f64()?,
-                decode_busy_s: r.get_f64()?,
-                prefill_busy_s: r.get_f64()?,
-                decode_iterations: r.get_u64()?,
-                peak_batch: r.get_u32()?,
-                peak_reserved_tokens: r.get_u64()?,
-            },
-        })
-    }
-
     /// Finalises the run: computes the makespan and yields the report.
     pub(crate) fn into_report(mut self) -> ServeReport {
         debug_assert!(
@@ -947,44 +798,6 @@ mod tests {
         let mut run = fleet.start(&wl);
         while run.step(&mut fleet, &mut router) {}
         assert_eq!(direct, run.into_report().replicas[0]);
-    }
-
-    #[test]
-    fn restore_rejects_records_out_of_finish_order() {
-        // Windowed reads binary-search each core's records by finish
-        // time, so a snapshot must not smuggle in an unsorted pile.
-        let wl = Workload::poisson(800.0, 128, 16, 32);
-        let mut fleet = machine(&ServeConfig::default());
-        let mut router = RoundRobin::new();
-        let mut run = fleet.start(&wl);
-        while run.stats().completed < 2 {
-            assert!(run.step(&mut fleet, &mut router));
-        }
-        let thaw = |edit: &dyn Fn(&mut [RequestRecord], f64)| {
-            let mut thawed_router = RoundRobin::new();
-            let mut bad = FleetRun::resume(&wl, &fleet, &mut thawed_router, &run.snapshot(&router))
-                .expect("pristine thaws");
-            let core = &mut bad.cores_mut()[0];
-            edit(&mut core.report.records, core.clock);
-            FleetRun::resume(
-                &wl,
-                &fleet,
-                &mut RoundRobin::new(),
-                &bad.snapshot(&thawed_router),
-            )
-            .map(|_| ())
-        };
-        assert_eq!(thaw(&|_, _| {}), Ok(()));
-        let out_of_order = Err(SnapshotError::Corrupt("records out of finish order"));
-        assert_eq!(
-            thaw(&|recs, _| recs[1].finish_s = recs[0].finish_s - 1.0),
-            out_of_order
-        );
-        assert_eq!(thaw(&|recs, _| recs[0].finish_s = f64::NAN), out_of_order);
-        assert_eq!(
-            thaw(&|recs, clock| recs[recs.len() - 1].finish_s = clock + 1.0),
-            Err(SnapshotError::Corrupt("record finishes after the clock"))
-        );
     }
 
     #[test]

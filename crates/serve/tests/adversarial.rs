@@ -6,19 +6,24 @@
 //! arrival storms — is swept across **all four scheduling policies ×
 //! all four routers** on a small heterogeneity-free fleet. The
 //! replica-churn family additionally re-runs with a [`churn_tape`]
-//! lifecycle storm injected, so failures displace live work mid-tape. At periodic checkpoints mid-run the
-//! battery asserts:
+//! lifecycle storm injected, so failures displace live work mid-tape.
+//! At periodic checkpoints mid-run the battery asserts:
 //!
-//! 1. **Conservation** — every issued request is pending, queued,
-//!    active, completed or rejected, exactly once ([`RunStats`]).
+//! 1. **Audit** — [`FleetRun::audit`]: the wake tree, the routing
+//!    index and the up-count equal a rebuild from the cores, and every
+//!    issued request is pending, queued, active, completed, rejected or
+//!    displaced, exactly once ([`RunStats`]).
 //! 2. **Caps** — no replica's batch exceeds `max_batch` and no
 //!    replica's resident KV reservation exceeds its capacity.
-//! 3. **Snapshot closure** — freezing the run and thawing it into a
-//!    fresh fleet+router re-freezes to the *same bytes*.
 //!
-//! And per run, the three-way digest equality the whole subsystem
-//! promises: run-to-completion == snapshot-at-midpoint-then-resume ==
-//! command-log replay.
+//! And per run, the digest equality the whole subsystem promises:
+//! run-to-completion == command-log replay. Auditing after every event
+//! changes no digest, command log or counter.
+//!
+//! Hostile arrival processes fail loudly rather than losing requests:
+//! a rate whose mean gap is not finite, or a trace or think time that
+//! is not finite and non-negative, panics when the source is built, and
+//! a lazy draw that produces a non-finite time panics at that draw.
 //!
 //! Hostile cost models are rejected where the scheduler reads them: a
 //! decode step that is not finite and positive, or a prefill that is
@@ -26,11 +31,13 @@
 //! context instead of running the clock backwards (a negative TTFT),
 //! failing later elsewhere (NaN) or stalling the run silently (`+∞`).
 
+use std::panic::{self, AssertUnwindSafe};
+
 use rpu_serve::{
-    churn_tape, digest_fleet_report, fuzz_tape, AnalyticCostModel, CostModel, DeadlineEdf, Fifo,
-    Fleet, FleetBuilder, FleetRun, FuzzFamily, JoinShortestQueue, LeastKvLoad, PriorityAging,
-    RoundRobin, Router, RunStats, SchedulingPolicy, ServeConfig, SessionAffinity, ShortestJobFirst,
-    Workload,
+    churn_tape, digest_fleet_report, fuzz_tape, AnalyticCostModel, ArrivalProcess, CommandLog,
+    CostModel, DeadlineEdf, Fifo, Fleet, FleetBuilder, FleetEvent, FleetRun, FuzzFamily,
+    JoinShortestQueue, LeastKvLoad, PerfCounters, PriorityAging, ReportDigest, RoundRobin, Router,
+    RunStats, SchedulingPolicy, ServeConfig, SessionAffinity, ShortestJobFirst, Workload,
 };
 
 const REPLICAS: usize = 3;
@@ -66,13 +73,11 @@ fn build_fleet(cfg: &ServeConfig, wl: &Workload, policy_idx: usize) -> Fleet {
         .build()
 }
 
+/// Audits `run`, then checks every replica's caps. An audit failure
+/// is re-raised with `ctx`, after the audit's own message.
 fn assert_checkpoint_invariants(run: &FleetRun, cfg: &ServeConfig, ctx: &str) -> RunStats {
-    let stats = run.stats();
-    assert!(
-        stats.conserved(),
-        "{ctx}: lifecycle leak at event {}: {stats:?}",
-        run.events()
-    );
+    let stats = panic::catch_unwind(AssertUnwindSafe(|| run.audit()))
+        .unwrap_or_else(|_| panic!("{ctx}: audit failed at event {}", run.events()));
     for (i, t) in run.telemetry().iter().enumerate() {
         assert!(
             t.active_requests <= cfg.max_batch,
@@ -93,8 +98,8 @@ fn assert_checkpoint_invariants(run: &FleetRun, cfg: &ServeConfig, ctx: &str) ->
 }
 
 /// The full battery: 6 families × 4 policies × 4 routers. Each cell
-/// checks conservation/cap/snapshot invariants at every checkpoint and
-/// the three-way digest equality at the end.
+/// audits and checks caps at every checkpoint, and checks that the
+/// command-log replay digests as the run did.
 #[test]
 fn battery_every_family_policy_router() {
     let cfg = ServeConfig::default();
@@ -117,18 +122,6 @@ fn battery_every_family_policy_router() {
                 while run.step(&mut fleet, router.as_mut()) {
                     if run.events().is_multiple_of(64) {
                         assert_checkpoint_invariants(&run, &cfg, &ctx);
-                        // Snapshot closure: thaw into a fresh router,
-                        // re-freeze, bytes must match.
-                        let bytes = run.snapshot(router.as_ref());
-                        let mut router2 = build_router(router_idx);
-                        let thawed = FleetRun::resume(&wl, &fleet, router2.as_mut(), &bytes)
-                            .unwrap_or_else(|e| panic!("{ctx}: resume failed: {e}"));
-                        assert_eq!(
-                            thawed.snapshot(router2.as_ref()),
-                            bytes,
-                            "{ctx}: thaw/re-freeze changed bytes at event {}",
-                            run.events()
-                        );
                         checkpoints += 1;
                     }
                 }
@@ -143,29 +136,8 @@ fn battery_every_family_policy_router() {
                     u64::from(wl.num_requests),
                     "{ctx}: not every request reached a terminal state"
                 );
-                let total_events = run.events();
                 let log = run.log().clone();
                 let reference = digest_fleet_report(&run.into_report());
-
-                // Midpoint snapshot → resume in a fresh fleet+router →
-                // identical final digest.
-                let mut fleet_a = build_fleet(&cfg, &wl, policy_idx);
-                let mut router_a = build_router(router_idx);
-                let mut first_half = fleet_a.start(&wl);
-                for _ in 0..total_events / 2 {
-                    assert!(first_half.step(&mut fleet_a, router_a.as_mut()));
-                }
-                let frozen = first_half.snapshot(router_a.as_ref());
-                let mut fleet_b = build_fleet(&cfg, &wl, policy_idx);
-                let mut router_b = build_router(router_idx);
-                let mut second_half = FleetRun::resume(&wl, &fleet_b, router_b.as_mut(), &frozen)
-                    .unwrap_or_else(|e| panic!("{ctx}: midpoint resume failed: {e}"));
-                while second_half.step(&mut fleet_b, router_b.as_mut()) {}
-                assert_eq!(
-                    digest_fleet_report(&second_half.into_report()),
-                    reference,
-                    "{ctx}: snapshot-at-midpoint-then-resume diverged"
-                );
 
                 // Command-log replay → identical final digest.
                 let mut fleet_c = build_fleet(&cfg, &wl, policy_idx);
@@ -181,8 +153,8 @@ fn battery_every_family_policy_router() {
 
 /// The replica-churn leg: the hostile ReplicaChurn arrival tape paired
 /// with an injected [`churn_tape`] lifecycle storm, across every policy
-/// × router. Same checkpoint invariants as the main battery, plus the
-/// three-way digest equality with lifecycle commands riding the log.
+/// × router. Same checkpoint audit as the main battery, plus the
+/// replay digest equality with lifecycle commands riding the log.
 #[test]
 fn churn_battery_lifecycle_storms() {
     let cfg = ServeConfig::default();
@@ -197,8 +169,8 @@ fn churn_battery_lifecycle_storms() {
                 router_idx
             );
 
-            // Reference run with the storm injected up front; pending
-            // events ride the snapshot and the command log.
+            // Reference run with the storm injected up front; applied
+            // events ride the command log.
             let mut fleet = build_fleet(&cfg, &wl, policy_idx);
             let mut router = build_router(router_idx);
             let mut run = fleet.start(&wl);
@@ -208,16 +180,6 @@ fn churn_battery_lifecycle_storms() {
             while run.step(&mut fleet, router.as_mut()) {
                 if run.events().is_multiple_of(64) {
                     assert_checkpoint_invariants(&run, &cfg, &ctx);
-                    let bytes = run.snapshot(router.as_ref());
-                    let mut router2 = build_router(router_idx);
-                    let thawed = FleetRun::resume(&wl, &fleet, router2.as_mut(), &bytes)
-                        .unwrap_or_else(|e| panic!("{ctx}: resume failed: {e}"));
-                    assert_eq!(
-                        thawed.snapshot(router2.as_ref()),
-                        bytes,
-                        "{ctx}: thaw/re-freeze changed bytes at event {}",
-                        run.events()
-                    );
                 }
             }
             let final_stats = assert_checkpoint_invariants(&run, &cfg, &ctx);
@@ -226,7 +188,6 @@ fn churn_battery_lifecycle_storms() {
                 u64::from(wl.num_requests),
                 "{ctx}: not every request reached a terminal state"
             );
-            let total_events = run.events();
             let log = run.log().clone();
             let report = run.into_report();
             assert_eq!(
@@ -235,30 +196,6 @@ fn churn_battery_lifecycle_storms() {
                 "{ctx}: not every lifecycle event was applied"
             );
             let reference = digest_fleet_report(&report);
-
-            // Midpoint snapshot → resume → identical digest. Events
-            // applied before the midpoint live in the restored states;
-            // the rest ride the snapshot's pending list.
-            let mut fleet_a = build_fleet(&cfg, &wl, policy_idx);
-            let mut router_a = build_router(router_idx);
-            let mut first_half = fleet_a.start(&wl);
-            for ev in &storm {
-                first_half.inject(*ev);
-            }
-            for _ in 0..total_events / 2 {
-                assert!(first_half.step(&mut fleet_a, router_a.as_mut()));
-            }
-            let frozen = first_half.snapshot(router_a.as_ref());
-            let mut fleet_b = build_fleet(&cfg, &wl, policy_idx);
-            let mut router_b = build_router(router_idx);
-            let mut second_half = FleetRun::resume(&wl, &fleet_b, router_b.as_mut(), &frozen)
-                .unwrap_or_else(|e| panic!("{ctx}: midpoint resume failed: {e}"));
-            while second_half.step(&mut fleet_b, router_b.as_mut()) {}
-            assert_eq!(
-                digest_fleet_report(&second_half.into_report()),
-                reference,
-                "{ctx}: churned snapshot-resume diverged"
-            );
 
             // Command-log replay carries the lifecycle commands.
             let mut fleet_c = build_fleet(&cfg, &wl, policy_idx);
@@ -269,6 +206,135 @@ fn churn_battery_lifecycle_storms() {
             );
         }
     }
+}
+
+/// Runs `wl` (with `storm` injected) to completion, auditing after
+/// every event when `audit` is set. Returns the report digest, the
+/// command log and the routing-index counters.
+fn run_audited(
+    wl: &Workload,
+    storm: &[FleetEvent],
+    policy_idx: usize,
+    router_idx: usize,
+    audit: bool,
+) -> (ReportDigest, CommandLog, PerfCounters) {
+    let mut fleet = build_fleet(&ServeConfig::default(), wl, policy_idx);
+    let mut router = build_router(router_idx);
+    let mut run = fleet.start(wl);
+    for ev in storm {
+        run.inject(*ev);
+    }
+    while run.step(&mut fleet, router.as_mut()) {
+        if audit {
+            run.audit();
+        }
+    }
+    let (log, counters) = (run.log().clone(), run.perf_counters());
+    (digest_fleet_report(&run.into_report()), log, counters)
+}
+
+/// An audit changes nothing: every family under every router (the
+/// policy rotating with the family), and the replica-churn tape under a
+/// lifecycle storm, audited after every event, digests identically to
+/// the same run never audited, with the same command log and the same
+/// routing-index counters.
+#[test]
+fn auditing_every_event_changes_no_digest() {
+    for (f, family) in FuzzFamily::ALL.into_iter().enumerate() {
+        let policy_idx = f % POLICIES;
+        let wl = fuzz_tape(family, 0xA0D1 ^ f as u64);
+        let storm = if family == FuzzFamily::ReplicaChurn {
+            churn_tape(REPLICAS as u32, 0xA0D1, 0.08, 8)
+        } else {
+            Vec::new()
+        };
+        for router_idx in 0..ROUTERS {
+            assert_eq!(
+                run_audited(&wl, &storm, policy_idx, router_idx, true),
+                run_audited(&wl, &storm, policy_idx, router_idx, false),
+                "{}/{router_idx}: auditing changed the run",
+                family.name()
+            );
+        }
+    }
+}
+
+/// Serves `wl` on one machine; the hostile-arrival cases below must
+/// panic before or during this, never report a short run.
+fn serve_hostile(arrivals: ArrivalProcess, num_requests: u32) {
+    let wl = Workload {
+        arrivals,
+        num_requests,
+        ..Workload::poisson(1.0, 64, 8, num_requests)
+    };
+    let _ = rpu_serve::serve(
+        &wl,
+        &mut AnalyticCostModel::small(),
+        &ServeConfig::default(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "open-loop arrival time must be finite")]
+fn min_positive_poisson_rate_panics_at_the_draw_that_overflows() {
+    serve_hostile(
+        ArrivalProcess::Poisson {
+            rate_rps: f64::MIN_POSITIVE,
+        },
+        20,
+    );
+}
+
+#[test]
+#[should_panic(expected = "has no finite mean gap")]
+fn subnormal_poisson_rate_is_rejected() {
+    serve_hostile(ArrivalProcess::Poisson { rate_rps: 5e-324 }, 20);
+}
+
+#[test]
+#[should_panic(expected = "think time must be finite and non-negative")]
+fn nan_think_time_is_rejected() {
+    serve_hostile(
+        ArrivalProcess::ClosedLoop {
+            clients: 2,
+            think_s: f64::NAN,
+        },
+        10,
+    );
+}
+
+#[test]
+#[should_panic(expected = "think time must be finite and non-negative")]
+fn infinite_think_time_is_rejected() {
+    serve_hostile(
+        ArrivalProcess::ClosedLoop {
+            clients: 2,
+            think_s: f64::INFINITY,
+        },
+        10,
+    );
+}
+
+#[test]
+#[should_panic(expected = "trace arrival times must be finite and non-negative")]
+fn nan_trace_time_is_rejected() {
+    serve_hostile(
+        ArrivalProcess::Trace {
+            arrivals_s: vec![0.0, f64::NAN, 1.0],
+        },
+        3,
+    );
+}
+
+#[test]
+#[should_panic(expected = "trace arrival times must be finite and non-negative")]
+fn infinite_trace_time_is_rejected() {
+    serve_hostile(
+        ArrivalProcess::Trace {
+            arrivals_s: vec![0.0, f64::INFINITY, 1.0],
+        },
+        3,
+    );
 }
 
 /// The tapes themselves are deterministic in (family, seed) and differ

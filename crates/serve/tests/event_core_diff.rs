@@ -3,19 +3,19 @@
 //! There is one event loop, `FleetRun`; `serve_with` is a
 //! one-replica run of it. What must hold is that the loop is **closed
 //! under its own mechanisms**: for every workload, an uninterrupted
-//! run, a run snapshotted mid-flight and resumed, and a replay of its
-//! command log all produce byte-identical reports and digests. This
-//! suite drives a family of 112 seeded workloads (open loop, closed
-//! loop, traced; single- and multi-class; with preemption pressure)
-//! through that triangle:
+//! run, a re-run audited mid-flight, and a replay of its command log
+//! all produce byte-identical reports and digests. This suite drives a
+//! family of 112 seeded workloads (open loop, closed loop, traced;
+//! single- and multi-class; with preemption pressure) through that
+//! triangle:
 //!
 //! - one machine (a one-replica fleet under round-robin), under every
 //!   scheduling policy (Fifo, SJF, PriorityAging, DeadlineEdf):
-//!   uninterrupted == snapshot/resume at the run's midpoint ==
-//!   `Fleet::replay` of the recorded log;
+//!   uninterrupted == a re-run with `FleetRun::audit` at the run's
+//!   midpoint == `Fleet::replay` of the recorded log;
 //! - a three-replica fleet, under every router (RoundRobin,
 //!   JoinShortestQueue, LeastKvLoad, SessionAffinity), policies
-//!   rotating per workload: same triangle, router state frozen too;
+//!   rotating per workload: same triangle;
 //! - `serve_with` against `serve_with_digests.txt`: the 448 report
 //!   digests the stand-alone single-machine loop produced for this
 //!   battery before it was deleted, so the one-replica driver must
@@ -32,9 +32,9 @@
 use rpu_models::LengthDistribution;
 use rpu_serve::{
     digest_fleet_report, digest_serve_report, serve_with, AnalyticCostModel, ArrivalProcess,
-    ClassSpec, CostModel, DeadlineEdf, Fifo, Fleet, FleetBuilder, FleetRun, JoinShortestQueue,
-    LeastKvLoad, PriorityAging, RoundRobin, Router, SchedulingPolicy, ServeConfig, ServeRng,
-    SessionAffinity, ShortestJobFirst, SloTargets, Workload,
+    ClassSpec, CostModel, DeadlineEdf, Fifo, Fleet, FleetBuilder, JoinShortestQueue, LeastKvLoad,
+    PriorityAging, RoundRobin, Router, SchedulingPolicy, ServeConfig, ServeRng, SessionAffinity,
+    ShortestJobFirst, SloTargets, Workload,
 };
 
 const NUM_WORKLOADS: u64 = 112;
@@ -150,7 +150,7 @@ fn single_machine(config: &ServeConfig, name: &str, wl: &Workload) -> Fleet {
 }
 
 #[test]
-fn serve_closes_under_snapshot_and_replay_under_every_policy() {
+fn serve_closes_under_audit_and_replay_under_every_policy() {
     for i in 0..NUM_WORKLOADS {
         let (wl, config) = workload(i);
         for name in POLICIES {
@@ -163,28 +163,24 @@ fn serve_closes_under_snapshot_and_replay_under_every_policy() {
             let log = full.log().clone();
             let uninterrupted = full.into_report();
 
-            // Leg 2: snapshot at the midpoint, thaw, finish.
+            // Leg 2: re-run, audit at the midpoint, finish.
             let mut fleet_a = single_machine(&config, name, &wl);
             let mut router_a = RoundRobin::new();
-            let mut head = fleet_a.start(&wl);
+            let mut rerun = fleet_a.start(&wl);
             for _ in 0..total / 2 {
-                assert!(head.step(&mut fleet_a, &mut router_a));
+                assert!(rerun.step(&mut fleet_a, &mut router_a));
             }
-            let bytes = head.snapshot(&router_a);
-            let mut fleet_b = single_machine(&config, name, &wl);
-            let mut router_b = RoundRobin::new();
-            let mut tail = FleetRun::resume(&wl, &fleet_b, &mut router_b, &bytes)
-                .unwrap_or_else(|e| panic!("workload {i} policy {name}: thaw failed: {e:?}"));
-            while tail.step(&mut fleet_b, &mut router_b) {}
-            let resumed = tail.into_report();
+            rerun.audit();
+            while rerun.step(&mut fleet_a, &mut router_a) {}
+            let audited = rerun.into_report();
             assert_eq!(
-                digest_serve_report(&resumed.replicas[0]),
+                digest_serve_report(&audited.replicas[0]),
                 digest_serve_report(&uninterrupted.replicas[0]),
-                "workload {i} policy {name}: resume digest diverges"
+                "workload {i} policy {name}: audited re-run digest diverges"
             );
             assert_eq!(
-                resumed, uninterrupted,
-                "workload {i} policy {name}: resumed report diverges"
+                audited, uninterrupted,
+                "workload {i} policy {name}: audited re-run report diverges"
             );
 
             // Leg 3: replay the recorded picks.
@@ -237,7 +233,7 @@ fn serve_with_reproduces_the_pinned_digest_table() {
 }
 
 #[test]
-fn fleet_closes_under_snapshot_and_replay_under_every_router() {
+fn fleet_closes_under_audit_and_replay_under_every_router() {
     for i in 0..NUM_WORKLOADS {
         let (wl, config) = workload(i);
         // Rotate the replica policy across workloads so every
@@ -268,29 +264,25 @@ fn fleet_closes_under_snapshot_and_replay_under_every_router() {
             let log = full.log().clone();
             let uninterrupted = full.into_report();
 
-            // Leg 2: midpoint snapshot (router state included), thaw,
+            // Leg 2: re-run with a fresh router, audit at the midpoint,
             // finish.
             let mut fleet_a = mk_fleet();
             let mut router_a = router(name);
-            let mut head = fleet_a.start(&wl);
+            let mut rerun = fleet_a.start(&wl);
             for _ in 0..total / 2 {
-                assert!(head.step(&mut fleet_a, router_a.as_mut()));
+                assert!(rerun.step(&mut fleet_a, router_a.as_mut()));
             }
-            let bytes = head.snapshot(router_a.as_ref());
-            let mut fleet_b = mk_fleet();
-            let mut router_b = router(name);
-            let mut tail = FleetRun::resume(&wl, &fleet_b, router_b.as_mut(), &bytes)
-                .unwrap_or_else(|e| panic!("workload {i} router {name}: thaw failed: {e:?}"));
-            while tail.step(&mut fleet_b, router_b.as_mut()) {}
-            let resumed = tail.into_report();
+            rerun.audit();
+            while rerun.step(&mut fleet_a, router_a.as_mut()) {}
+            let audited = rerun.into_report();
             assert_eq!(
-                digest_fleet_report(&resumed),
+                digest_fleet_report(&audited),
                 digest_fleet_report(&uninterrupted),
-                "workload {i} router {name}: resume digest diverges"
+                "workload {i} router {name}: audited re-run digest diverges"
             );
             assert_eq!(
-                resumed, uninterrupted,
-                "workload {i} router {name}: resumed report diverges"
+                audited, uninterrupted,
+                "workload {i} router {name}: audited re-run report diverges"
             );
 
             // Leg 3: replay the recorded picks and transitions.

@@ -1,15 +1,16 @@
-//! Snapshot closure over the event core's layout: mid-run snapshots
-//! of a batch that has turned over must thaw to identical bytes,
-//! identical telemetry and a bit-identical finish, and a thawed fleet
-//! must rebuild its wake calendar losslessly. The wake calendar's
-//! winner tree itself is pinned against a naive argmin by the
-//! `min_tree` unit property, and against a naive calendar of wake-up
-//! ticks by the fleet's `wake_tree_agrees_with_the_naive_model` unit
-//! properties.
+//! Audits over the event core's layout: a batch that has turned over
+//! (completions behind it, several requests still resident) must audit
+//! clean at every later event, publishing no stale telemetry, and an
+//! audited run must finish bit-identically to one never audited. A
+//! mid-run fleet audit rebuilds the wake calendar from the cores and
+//! must find the maintained one equal. The wake calendar's winner tree
+//! itself is pinned against a naive argmin by the `min_tree` unit
+//! property, and against a naive calendar of wake-up ticks by the
+//! fleet's `wake_tree_agrees_with_the_naive_model` unit properties.
 
 use rpu_serve::{
-    AnalyticCostModel, Fifo, Fleet, FleetBuilder, FleetRun, PriorityAging, RoundRobin, ServeConfig,
-    SessionAffinity, Workload,
+    AnalyticCostModel, Fifo, Fleet, FleetBuilder, FleetReport, FleetRun, PriorityAging, RoundRobin,
+    ServeConfig, SessionAffinity, Workload,
 };
 
 /// One machine under priority aging: a one-replica fleet.
@@ -39,13 +40,10 @@ fn turnover_workload() -> (Workload, ServeConfig) {
 }
 
 /// Steps a one-machine run until its batch has turned over — at least
-/// one request completed while at least two stay resident — then
-/// freezes it. Returns the machine, its router, the live run and the
-/// bytes. Panics if the workload never reaches that shape.
-fn freeze_after_turnover(
-    wl: &Workload,
-    cfg: &ServeConfig,
-) -> (Fleet, RoundRobin, FleetRun, Vec<u8>) {
+/// one request completed while at least two stay resident. Returns the
+/// machine, its router and the live run. Panics if the workload never
+/// reaches that shape.
+fn run_to_turnover(wl: &Workload, cfg: &ServeConfig) -> (Fleet, RoundRobin, FleetRun) {
     let mut fleet = machine(cfg);
     let mut router = RoundRobin::new();
     let mut run = fleet.start(wl);
@@ -56,78 +54,55 @@ fn freeze_after_turnover(
         );
         let stats = run.stats();
         if stats.completed >= 1 && stats.active >= 2 {
-            let bytes = run.snapshot(&router);
-            return (fleet, router, run, bytes);
+            return (fleet, router, run);
         }
     }
 }
 
-/// Mid-run freeze of a batch that has turned over (completions behind
-/// it, several requests resident): the thawed run must re-freeze to
-/// the same bytes and finish bit-identically to the uninterrupted
-/// original.
-#[test]
-fn fragmented_mid_run_snapshot_resumes_bit_identically() {
-    let (wl, cfg) = turnover_workload();
-    let (mut fleet_a, mut router_a, mut original, bytes) = freeze_after_turnover(&wl, &cfg);
-    let mut fleet_b = machine(&cfg);
-    let mut router_b = RoundRobin::new();
-    let mut resumed = FleetRun::resume(&wl, &fleet_b, &mut router_b, &bytes).expect("thaws");
-    // Closure: freezing the thawed state reproduces the bytes exactly
-    // — the batch and the rebuilt counters lose nothing in the round
-    // trip.
-    assert_eq!(
-        resumed.snapshot(&router_b),
-        bytes,
-        "re-freeze must be bit-identical"
-    );
-    while original.step(&mut fleet_a, &mut router_a) {}
-    while resumed.step(&mut fleet_b, &mut router_b) {}
-    assert_eq!(original.into_report(), resumed.into_report());
+/// The same workload on the same machine, never audited.
+fn straight(wl: &Workload, cfg: &ServeConfig) -> FleetReport {
+    machine(cfg).serve(wl, &mut RoundRobin::new())
 }
 
-/// Restoring a run whose batch has turned over must not resurrect
-/// stale telemetry: the thawed core's published counters (in-flight
-/// tokens, committed KV) must equal the frozen original's exactly — a
-/// completed request's tokens leaking back in would misroute
-/// every subsequent arrival. The continuation runs under debug
-/// cross-checks (incremental counters vs recomputation by scan), so
-/// drift introduced later in the run is caught too.
+/// A mid-run audit of a batch that has turned over passes, and the run
+/// then finishes bit-identically to one never audited.
 #[test]
-fn thawed_batch_turnover_does_not_resurrect_stale_telemetry() {
+fn turned_over_batch_audits_clean_and_finishes_bit_identically() {
     let (wl, cfg) = turnover_workload();
-    let (mut fleet_a, mut router_a, mut original, bytes) = freeze_after_turnover(&wl, &cfg);
-    let mut fleet_b = machine(&cfg);
-    let mut router_b = RoundRobin::new();
-    let mut resumed = FleetRun::resume(&wl, &fleet_b, &mut router_b, &bytes).expect("thaws");
-    assert_eq!(
-        resumed.telemetry()[0],
-        original.telemetry()[0],
-        "thawed telemetry differs at the freeze point"
-    );
+    let (mut fleet, mut router, mut run) = run_to_turnover(&wl, &cfg);
+    let stats = run.audit();
+    assert!(stats.completed >= 1 && stats.active >= 2, "{stats:?}");
+    while run.step(&mut fleet, &mut router) {}
+    assert_eq!(run.into_report(), straight(&wl, &cfg));
+}
+
+/// Once the batch has turned over, the telemetry the router reads must
+/// never hold a completed request's tokens: at every event to the end,
+/// the audit rebuilds it by scanning the core's queue and batch and
+/// finds the published counters (in-flight tokens, committed KV) equal —
+/// in release builds too, where the core's own scan check is off.
+#[test]
+fn turned_over_batch_never_publishes_stale_telemetry() {
+    let (wl, cfg) = turnover_workload();
+    let (mut fleet, mut router, mut run) = run_to_turnover(&wl, &cfg);
+    let mut audits = 0;
     loop {
-        assert_eq!(
-            resumed.telemetry()[0],
-            original.telemetry()[0],
-            "telemetry drifts after event {}",
-            original.events()
-        );
-        let more = original.step(&mut fleet_a, &mut router_a);
-        if !resumed.step(&mut fleet_b, &mut router_b) {
-            assert!(!more, "runs finish at different event counts");
+        run.audit();
+        audits += 1;
+        if !run.step(&mut fleet, &mut router) {
             break;
         }
-        assert!(more, "runs finish at different event counts");
     }
-    assert_eq!(original.into_report(), resumed.into_report());
+    assert!(audits > 10, "too few audits: {audits}");
+    assert_eq!(run.into_report(), straight(&wl, &cfg));
 }
 
-/// The fleet variant: freeze with replicas mid-prefill, thaw into a
-/// fresh fleet + router, and demand byte-identical re-freeze plus a
-/// bit-identical finish. The fleet's wake tree is *not* serialized —
-/// this is the test that rebuilding it on resume is lossless.
+/// The fleet variant: audit three replicas mid-prefill under session
+/// affinity. The audit rebuilds the wake tree and the routing index
+/// from the cores and must find the maintained ones equal, and the run
+/// then finishes bit-identically to one never audited.
 #[test]
-fn fleet_mid_run_snapshot_resumes_bit_identically() {
+fn fleet_mid_run_audit_finds_the_wake_calendar_intact() {
     let wl = Workload::poisson(4000.0, 384, 24, 96);
     let cfg = ServeConfig {
         max_batch: 4,
@@ -143,23 +118,17 @@ fn fleet_mid_run_snapshot_resumes_bit_identically() {
             )
             .build()
     };
-    let mut fleet_a = mk_fleet();
-    let mut router_a = SessionAffinity::new();
-    let mut run_a = fleet_a.start(&wl);
+    let mut fleet = mk_fleet();
+    let mut router = SessionAffinity::new();
+    let mut run = fleet.start(&wl);
     for _ in 0..150 {
-        assert!(run_a.step(&mut fleet_a, &mut router_a));
+        assert!(run.step(&mut fleet, &mut router));
     }
-    let bytes = run_a.snapshot(&router_a);
-    let fleet_b = mk_fleet();
-    let mut router_b = SessionAffinity::new();
-    let mut run_b = FleetRun::resume(&wl, &fleet_b, &mut router_b, &bytes).expect("thaws");
+    let stats = run.audit();
+    assert!(stats.active > 0, "no replica mid-flight: {stats:?}");
+    while run.step(&mut fleet, &mut router) {}
     assert_eq!(
-        run_b.snapshot(&router_b),
-        bytes,
-        "fleet re-freeze must be bit-identical"
+        run.into_report(),
+        mk_fleet().serve(&wl, &mut SessionAffinity::new())
     );
-    let mut fleet_b = fleet_b;
-    while run_a.step(&mut fleet_a, &mut router_a) {}
-    while run_b.step(&mut fleet_b, &mut router_b) {}
-    assert_eq!(run_a.into_report(), run_b.into_report());
 }

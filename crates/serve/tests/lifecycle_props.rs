@@ -11,10 +11,10 @@
 //!    ids), even when failures displace in-flight work through the
 //!    router, and the log holds one pick per arrival *and* per
 //!    re-route, which the assignment counters sum to.
-//! 3. **Churned runs digest identically three ways** — straight run ==
-//!    snapshot-at-every-lifecycle-boundary-then-resume == command-log
-//!    replay, down to full-report equality (including machine-seconds
-//!    and lifecycle counters).
+//! 3. **Churned runs digest identically three ways** — a straight run
+//!    audited at every lifecycle boundary ([`FleetRun::audit`]) == an
+//!    unaudited re-run == command-log replay, down to full-report
+//!    equality (including machine-seconds and lifecycle counters).
 //!
 //! A fourth property pins the fleet's next-event rule: `next_time`
 //! predicts every `step` under churn and under a full blackout, with
@@ -160,47 +160,39 @@ proptest! {
         prop_assert_eq!(report.lifecycle.events(), events.len() as u32);
     }
 
-    /// Churn-heavy runs freeze/thaw and replay identically: the digest
-    /// (and the full report, machine-seconds and lifecycle counters
-    /// included) matches at every lifecycle event boundary.
+    /// Churn-heavy runs audit clean at every lifecycle event boundary
+    /// — the routable mask, up-count, wake tree and routing index each
+    /// transition derives equal a rebuild — and the audited run's
+    /// digest (and full report, machine-seconds and lifecycle counters
+    /// included) matches an unaudited re-run and the log replay.
     #[test]
     fn churned_runs_digest_identically_three_ways(case in arb_case()) {
         let (wl, n, router_idx, events) = case;
         let cfg = ServeConfig::default();
         let mut fleet = build_fleet(n, &cfg);
         let mut router = build_router(router_idx);
-        let mut run = fleet.start(&wl);
-        for ev in &events {
-            run.inject(*ev);
-        }
-        // Freeze at every lifecycle boundary as the straight run passes it.
-        let mut boundary_snaps = Vec::new();
+        let mut run = churned_start(&wl, &fleet, &events);
+        // Audit at every lifecycle boundary as the straight run passes it.
+        let mut boundaries = 0;
         while run.step(&mut fleet, router.as_mut()) {
             if run.log().transitions().last().is_some_and(|t| t.0 + 1 == run.events()) {
-                boundary_snaps.push(run.snapshot(router.as_ref()));
+                run.audit();
+                boundaries += 1;
             }
         }
-        prop_assert_eq!(boundary_snaps.len(), events.len());
+        prop_assert_eq!(boundaries, events.len());
         let log = run.log().clone();
         let reference = run.into_report();
         let reference_digest = digest_fleet_report(&reference);
 
-        // Thaw each boundary into a fresh fleet + router and run out.
-        for (b, bytes) in boundary_snaps.iter().enumerate() {
-            let mut fleet2 = build_fleet(n, &cfg);
-            let mut router2 = build_router(router_idx);
-            let mut resumed = FleetRun::resume(&wl, &fleet2, router2.as_mut(), bytes)
-                .unwrap_or_else(|e| panic!("boundary {b}: resume failed: {e}"));
-            while resumed.step(&mut fleet2, router2.as_mut()) {}
-            let report = resumed.into_report();
-            prop_assert_eq!(
-                digest_fleet_report(&report),
-                reference_digest,
-                "boundary {} resume diverged",
-                b
-            );
-            prop_assert_eq!(&report, &reference, "boundary {} full report differs", b);
-        }
+        // The seed is the checkpoint: an unaudited re-run reproduces it.
+        let mut fleet2 = build_fleet(n, &cfg);
+        let mut router2 = build_router(router_idx);
+        let mut rerun = churned_start(&wl, &fleet2, &events);
+        while rerun.step(&mut fleet2, router2.as_mut()) {}
+        let report = rerun.into_report();
+        prop_assert_eq!(digest_fleet_report(&report), reference_digest);
+        prop_assert_eq!(&report, &reference, "re-run full report differs");
 
         // Command-log replay reproduces the same report.
         let mut fleet3 = build_fleet(n, &cfg);
