@@ -226,7 +226,7 @@ fn run_probe(router: &mut dyn Router) -> FleetRun {
 
 /// Per-subsystem hot-path counters behind the `repro --counters`
 /// probe: the 64-replica rung run once per built-in router, one line
-/// each with the routing decisions the command log recorded and the
+/// each with the routing decisions the run counted per replica and the
 /// [`rpu_serve::PerfCounters`] the fleet driver kept. CI checks that
 /// every router routed something.
 #[must_use]
@@ -242,12 +242,11 @@ pub fn counters_report() -> String {
     for (name, mk) in routers {
         let run = run_probe(mk().as_mut());
         let c = run.perf_counters();
+        let route_calls: u32 = run.into_report().assigned.iter().sum();
         out.push_str(&format!(
             "counters[{name}]: replicas={PROBE_REPLICAS} requests={PROBE_REQUESTS} \
-             route_calls={} index_leaf_updates={} index_marks={}\n",
-            run.log().picks().len(),
-            c.index_leaf_updates,
-            c.index_marks,
+             route_calls={route_calls} index_leaf_updates={} index_marks={}\n",
+            c.index_leaf_updates, c.index_marks,
         ));
     }
     out
@@ -376,7 +375,10 @@ mod tests {
         let mut router = ArgminCheckedJsq { routes: 0 };
         let run = run_probe(&mut router);
         assert_eq!(router.routes, PROBE_REQUESTS);
-        assert_eq!(run.log().picks().len(), PROBE_REQUESTS as usize);
+        assert_eq!(
+            run.into_report().assigned.iter().sum::<u32>(),
+            PROBE_REQUESTS
+        );
     }
 
     #[test]

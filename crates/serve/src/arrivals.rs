@@ -172,17 +172,25 @@ impl Workload {
     }
 }
 
-/// The mean gap `1 / rate` of an open-loop process at `rate_rps`.
+/// The mean gap `1 / rate` of an open-loop process at `rate_rps` that
+/// is to issue `num_requests`.
 ///
 /// # Panics
 ///
 /// Panics if the gap is not finite: a rate so small (`5e-324`, say)
-/// that every arrival would land at infinity, and be lost.
-fn finite_gap(rate_rps: f64) -> f64 {
+/// that every arrival would land at infinity, and be lost. Panics too
+/// if `num_requests` mean gaps are not finite: a rate (`f64::MIN_POSITIVE`,
+/// say) whose later arrivals would overflow, so the run would fail
+/// part-way through instead of here.
+fn finite_gap(rate_rps: f64, num_requests: u32) -> f64 {
     let gap = 1.0 / rate_rps;
     assert!(
         gap.is_finite(),
         "arrival rate {rate_rps} req/s has no finite mean gap"
+    );
+    assert!(
+        (f64::from(num_requests) * gap).is_finite(),
+        "arrival rate {rate_rps} req/s has no finite horizon for {num_requests} requests"
     );
     gap
 }
@@ -303,8 +311,9 @@ impl RequestSource {
     ///
     /// Panics if the workload has no classes, none with positive share,
     /// an open-loop rate that is not positive or whose mean gap
-    /// `1 / rate` is not finite, a trace time or think time that is not
-    /// finite and non-negative, or a clientless closed loop. A lazy
+    /// `1 / rate`, or `num_requests` of them, is not finite, a trace
+    /// time or think time that is not finite and non-negative, or a
+    /// clientless closed loop. A lazy
     /// draw panics later if the arrival time it produces is not finite.
     #[must_use]
     pub fn new(workload: &Workload) -> Self {
@@ -314,7 +323,7 @@ impl RequestSource {
                 assert!(*rate_rps > 0.0, "Poisson rate must be positive");
                 src.clock = Some(Clock::Poisson {
                     t: 0.0,
-                    gap_mean: finite_gap(*rate_rps),
+                    gap_mean: finite_gap(*rate_rps, workload.num_requests),
                 });
             }
             ArrivalProcess::OnOff {
@@ -330,7 +339,7 @@ impl RequestSource {
                 src.clock = Some(Clock::OnOff {
                     t: 0.0,
                     on_left: src.rng.next_exp(*mean_on_s),
-                    gap_mean: finite_gap(*rate_rps),
+                    gap_mean: finite_gap(*rate_rps, workload.num_requests),
                     mean_on_s: *mean_on_s,
                     mean_off_s: *mean_off_s,
                     envelope: None,
@@ -366,7 +375,7 @@ impl RequestSource {
                 src.clock = Some(Clock::OnOff {
                     t: 0.0,
                     on_left: src.rng.next_exp(*mean_on_s),
-                    gap_mean: finite_gap(rate_rps * flash_mult),
+                    gap_mean: finite_gap(rate_rps * flash_mult, workload.num_requests),
                     mean_on_s: *mean_on_s,
                     mean_off_s: *mean_off_s,
                     envelope: Some(Envelope {

@@ -15,8 +15,8 @@
 //! does not see-saw the fleet.
 //!
 //! Everything is deterministic: the controller reads only simulated
-//! state, so an autoscaled run re-runs and replays exactly like any
-//! other fleet run.
+//! state, so an autoscaled run re-runs exactly like any other fleet
+//! run.
 //!
 //! A control boundary costs `O(replicas + window)` and allocates only
 //! for the events it emits: the p99 comes from a forward-only

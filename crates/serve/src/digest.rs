@@ -6,8 +6,8 @@
 //! digest is a pure function of the *values*, not their encodings.
 //! Two runs agree on their digest exactly when they produced the same
 //! report — which makes digests the currency of the differential
-//! machinery: re-run and command-log replay checks compare digests
-//! instead of lugging whole reports around.
+//! machinery: re-run checks compare digests instead of lugging whole
+//! reports around.
 
 use crate::fleet::FleetReport;
 use crate::request::{Request, RequestRecord};

@@ -25,8 +25,8 @@
 //! admits no new work but finishes what it holds; a failed replica
 //! loses its queued and in-flight requests, which re-enter the fleet
 //! through the router after the migration delay and pay a full
-//! re-prefill. Lifecycle events ride the command log, so churned runs
-//! replay bit-identically.
+//! re-prefill. Lifecycle events fire at their injected sim times, so a
+//! churned run re-runs bit-identically from the same injections.
 //!
 //! # Simulation order
 //!
@@ -79,7 +79,6 @@ use crate::lifecycle::{FleetEvent, FleetEventKind, LifecycleCounts, LifecycleSta
 use crate::metrics::{ClassMoments, MultiClassReport};
 use crate::min_tree::MinTree;
 use crate::policy::{QueuedRequest, SchedulingPolicy};
-use crate::replay::{CommandLog, LoggedPicks};
 use crate::request::{Request, RequestRecord};
 use crate::router::{ReplicaTelemetry, Router, RoutingView};
 use crate::routing_index::FleetRoutingIndex;
@@ -311,41 +310,6 @@ impl Fleet {
             self.migration_delay_s,
         )
     }
-
-    /// Replays a recorded [`CommandLog`] against this fleet: the one
-    /// fleet driver ([`FleetRun::step`]) runs again, with the log's
-    /// picks standing in for the router and each logged lifecycle
-    /// transition injected just before the event index that applied
-    /// it. Deterministic policies reproduce their decisions, so the
-    /// replayed report digests identically to the recorded run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log does not belong to this workload/fleet: it
-    /// runs out of picks, has decisions left over, or names a replica
-    /// or transition the replayed run cannot take.
-    #[must_use]
-    pub fn replay(&mut self, workload: &Workload, log: &CommandLog) -> FleetReport {
-        let mut run = self.start(workload);
-        let mut router = LoggedPicks(log.picks().iter());
-        let mut transitions = log.transitions().iter().peekable();
-        loop {
-            // A transition must fire at its own event index, not up
-            // front: the autoscaler injects at a boundary whose
-            // equal-time events have already run.
-            if let Some(&(_, ev)) = transitions.next_if(|t| t.0 == run.events()) {
-                run.inject(ev);
-            }
-            if !run.step(self, &mut router) {
-                break;
-            }
-        }
-        assert!(
-            router.0.next().is_none() && transitions.next().is_none(),
-            "log has decisions left over"
-        );
-        run.into_report()
-    }
 }
 
 /// A fleet run: [`Fleet::serve`] unrolled into an object you can step,
@@ -355,8 +319,11 @@ impl Fleet {
 /// The fleet itself (cost models, policies, configs) and the router
 /// stay with the caller; everything dynamic lives in here: arrival
 /// source, per-replica core state, lifecycle states, pending events,
-/// displaced requests and the command log. A run is reproduced by
-/// running it again: the workload's seed fixes every schedule.
+/// displaced requests and per-replica assignment counts. Nothing in it
+/// grows with the number of requests routed beyond what the cores
+/// record. A run is reproduced by running it again: the workload's
+/// seed, the fleet, the router and the injected events fix every
+/// decision, so a re-run makes the same picks and transitions.
 pub struct FleetRun {
     source: RequestSource,
     cores: Vec<Core>,
@@ -381,10 +348,9 @@ pub struct FleetRun {
     /// and flips one bit per lifecycle transition. Derived from the
     /// cores and `states`, like the wake-up calendar.
     index: FleetRoutingIndex,
-    /// The router's picks and the applied transitions — the decisions
-    /// [`Fleet::replay`] needs, and the source of the report's
-    /// per-replica assignment counts.
-    log: CommandLog,
+    /// Requests routed to each replica so far (arrivals and displaced
+    /// re-routes), in replica order: the report's `assigned`.
+    assigned: Vec<u32>,
     events: u64,
     /// Each slot's current lifecycle state, in replica order — the
     /// source of truth the index's routable bitset is derived from.
@@ -554,10 +520,10 @@ impl FleetRun {
         let Derived { wake, index } = Derived::build(&cores, &states);
         Self {
             source,
+            assigned: vec![0; cores.len()],
             cores,
             wake,
             index,
-            log: CommandLog::default(),
             events: 0,
             up: count_up(&states),
             states,
@@ -573,8 +539,8 @@ impl FleetRun {
 
     /// Executes exactly one global event — a lifecycle transition, a
     /// displaced request re-routed, an arrival routed and enqueued, or
-    /// one replica's scheduler step — logging any transition or routing
-    /// decision it made. Returns `false` once the run is complete.
+    /// one replica's scheduler step — counting any routing decision it
+    /// made. Returns `false` once the run is complete.
     ///
     /// # Panics
     ///
@@ -639,7 +605,6 @@ impl FleetRun {
                 self.now_s = self.now_s.max(ev.at_s);
                 let i = self.apply_transition(&ev);
                 self.index.set_routable(i, self.states[i].is_routable());
-                self.log.push_transition(self.events, ev);
                 (i, Some(ev))
             }
             Source::Reroute => {
@@ -662,7 +627,12 @@ impl FleetRun {
                 (pick, None)
             }
             Source::Wake => {
-                let (which, _) = self.wake.min();
+                let (which, key) = self.wake.min();
+                debug_assert_eq!(
+                    key,
+                    wake_key(self.cores[which].next_event_s()),
+                    "stale wake key: replica {which}'s leaf is not its core's next event"
+                );
                 self.now_s = self.now_s.max(tick);
                 step_core(which, &mut self.cores[which], &mut self.source);
                 (which, None)
@@ -692,7 +662,7 @@ impl FleetRun {
     }
 
     /// Asks the router for a live replica for `req` at the current
-    /// clock and logs the pick.
+    /// clock and counts the pick against it.
     fn route(&mut self, router: &mut dyn Router, req: &Request) -> usize {
         let pick = router.route(req, &self.view(self.now_s));
         assert!(pick < self.cores.len(), "router picked out of range");
@@ -700,7 +670,7 @@ impl FleetRun {
             self.states[pick].is_routable(),
             "router picked an unroutable replica"
         );
-        self.log.push_pick(pick);
+        self.assigned[pick] += 1;
         pick
     }
 
@@ -890,13 +860,6 @@ impl FleetRun {
         self.counts
     }
 
-    /// The decisions recorded so far: router picks and applied
-    /// lifecycle transitions.
-    #[must_use]
-    pub fn log(&self) -> &CommandLog {
-        &self.log
-    }
-
     /// Point-in-time lifecycle counters summed across replicas, for
     /// conservation checks mid-run ([`FleetRun::audit`] makes one).
     #[must_use]
@@ -932,9 +895,9 @@ impl FleetRun {
     }
 
     /// Per-subsystem hot-path counters accumulated so far —
-    /// routing-index maintenance (routing decisions are
-    /// `self.log().picks().len()`). Diagnostic only: the repro driver's
-    /// `--counters` report.
+    /// routing-index maintenance (routing decisions are the report's
+    /// [`FleetReport::assigned`] total). Diagnostic only: the repro
+    /// driver's `--counters` report.
     #[must_use]
     pub fn perf_counters(&self) -> PerfCounters {
         let (index_leaf_updates, index_marks) = self.index.update_counts();
@@ -953,12 +916,14 @@ impl FleetRun {
     ///   then both routing argmins. The rebuild scans each core's queue
     ///   and batch for its telemetry, so this also checks the cores'
     ///   incremental counters;
+    /// - every core's caps, on the rebuilt telemetry: its batch holds at
+    ///   most `max_batch` requests and reserves at most its KV capacity;
     /// - the up-count machine-seconds accrue by;
     /// - request conservation ([`RunStats::conserved`]).
     ///
     /// `O(replicas + queued requests)` per call, in any build. An audit
     /// changes nothing: a run audited after every event makes the same
-    /// decisions, report, digests and command log as one never audited.
+    /// picks, transitions, report and digests as one never audited.
     ///
     /// # Panics
     ///
@@ -977,6 +942,20 @@ impl FleetRun {
         );
         if let Some(part) = self.index.drift_from(&fresh.index) {
             panic!("audit at event {at}: routing index {part} differs from a rebuild");
+        }
+        for (i, (core, t)) in self.cores.iter().zip(fresh.index.telemetry()).enumerate() {
+            assert!(
+                t.active_requests <= core.max_batch(),
+                "audit at event {at}: replica {i} batch {} exceeds max_batch {}",
+                t.active_requests,
+                core.max_batch()
+            );
+            assert!(
+                t.reserved_tokens <= t.kv_capacity_tokens,
+                "audit at event {at}: replica {i} reserves {} of {} KV tokens",
+                t.reserved_tokens,
+                t.kv_capacity_tokens
+            );
         }
         assert_eq!(
             self.up,
@@ -1016,15 +995,11 @@ impl FleetRun {
             "report taken with requests neither completed nor rejected: {stats:?}"
         );
         self.accrue_machine_seconds(self.now_s);
-        let mut assigned = vec![0u32; self.cores.len()];
-        for &pick in self.log.picks() {
-            assigned[pick as usize] += 1;
-        }
         let replicas: Vec<ServeReport> = self.cores.into_iter().map(Core::into_report).collect();
         let aggregate = merge(&replicas);
         FleetReport {
             replicas,
-            assigned,
+            assigned: self.assigned,
             aggregate,
             machine_seconds: self.ms_accrued,
             lifecycle: self.counts,
@@ -2004,19 +1979,28 @@ pub(crate) mod tests {
 
     #[test]
     fn churned_run_replays_identically() {
+        // The seed and the injected events are the whole checkpoint: a
+        // re-run on a fresh fleet makes the same picks and transitions
+        // and reports the same bits.
         let wl = Workload::poisson(1500.0, 256, 24, 80);
-        let mut f = fleet_with_delay(0.002);
-        let mut router = JoinShortestQueue;
-        let mut run = f.start(&wl);
-        for ev in churn_tape(2, 11, 0.04, 6) {
-            run.inject(ev);
-        }
-        while run.step(&mut f, &mut router) {}
-        let log = run.log().clone();
-        let recorded = run.into_report();
+        let churned = || {
+            let mut f = fleet_with_delay(0.002);
+            let mut router = Recording::new(JoinShortestQueue);
+            let mut run = f.start(&wl);
+            for ev in churn_tape(2, 11, 0.04, 6) {
+                run.inject(ev);
+            }
+            while run.step(&mut f, &mut router) {}
+            (run.into_report(), router.picks, router.transitions)
+        };
+        let (recorded, picks, transitions) = churned();
         assert!(recorded.lifecycle.events() > 0, "tape applied no events");
-        let replayed = f.replay(&wl, &log);
-        assert_eq!(recorded, replayed);
+        let mut assigned = vec![0u32; recorded.num_replicas()];
+        for &pick in &picks {
+            assigned[pick] += 1;
+        }
+        assert_eq!(recorded.assigned, assigned, "assigned miscounts the picks");
+        assert_eq!(churned(), (recorded, picks, transitions));
     }
 
     #[test]
@@ -2110,7 +2094,7 @@ pub(crate) mod tests {
     #[test]
     fn machine_seconds_match_a_brute_integral_over_churn_storms() {
         // The maintained up-count must integrate exactly as a rescan of
-        // the lifecycle states at every logged transition does, bit for
+        // the lifecycle states at every applied transition does, bit for
         // bit, through storms of joins, drains and failures.
         for width in [64u32, 1000] {
             let wl = Workload::poisson(f64::from(width) * 40.0, 64, 8, 2 * width);
@@ -2123,13 +2107,13 @@ pub(crate) mod tests {
                     || Box::new(Fifo),
                 )
                 .build();
-            let mut router = RoundRobin::new();
+            let mut router = Recording::new(RoundRobin::new());
             let mut run = f.start(&wl);
             for ev in churn_tape(width, 7, 0.04, width / 2) {
                 run.inject(ev);
             }
             while run.step(&mut f, &mut router) {}
-            let (log, end_s) = (run.log().clone(), run.now_s());
+            let end_s = run.now_s();
             let report = run.into_report();
             assert_eq!(report.lifecycle.events(), width / 2, "width {width}");
             let mut states = f.initial_states().to_vec();
@@ -2139,7 +2123,7 @@ pub(crate) mod tests {
                 brute += up.count() as f64 * (t - anchor);
                 anchor = t;
             };
-            for &(_, ev) in log.transitions() {
+            for ev in &router.transitions {
                 accrue(&states, ev.at_s);
                 states[ev.replica as usize] = match ev.kind {
                     FleetEventKind::Join => LifecycleState::Live,
@@ -2223,10 +2207,46 @@ pub(crate) mod tests {
         assert!(r.assigned[1] > 0, "joined replica took no traffic");
     }
 
+    /// Wraps a router and records the decisions a run made through it:
+    /// every pick `route` returned, and every lifecycle transition the
+    /// run applied, in order.
+    struct Recording<R> {
+        inner: R,
+        picks: Vec<usize>,
+        transitions: Vec<FleetEvent>,
+    }
+
+    impl<R> Recording<R> {
+        fn new(inner: R) -> Self {
+            Self {
+                inner,
+                picks: Vec::new(),
+                transitions: Vec::new(),
+            }
+        }
+    }
+
+    impl<R: Router> Router for Recording<R> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn route(&mut self, req: &Request, view: &RoutingView<'_>) -> usize {
+            let pick = self.inner.route(req, view);
+            self.picks.push(pick);
+            pick
+        }
+
+        fn on_fleet_event(&mut self, event: &FleetEvent, view: &RoutingView<'_>) {
+            self.inner.on_fleet_event(event, view);
+            self.transitions.push(*event);
+        }
+    }
+
     /// Routes each request to the routable replica with the shortest
     /// queue, ties going by a fixed per-request preference order — so
-    /// the pick log shows which request was routed when, and what the
-    /// queues held at that moment.
+    /// the recorded picks show which request was routed when, and what
+    /// the queues held at that moment.
     struct Preferences(&'static [&'static [usize]]);
 
     impl Router for Preferences {
@@ -2249,7 +2269,7 @@ pub(crate) mod tests {
         // Request 0 arrives at 0 and is still decoding on replica 0 at
         // t = 1, when request 1 arrives. Also at t = 1: replica 0 fails
         // (re-routing request 0 with no delay) and down replica 3 joins.
-        // Each tie shows in the log:
+        // Each tie shows in the recorded decisions:
         // * lifecycle before re-route: the join is the very next event
         //   after the failure;
         // * re-route before arrival: request 0 is routed first, to its
@@ -2278,7 +2298,7 @@ pub(crate) mod tests {
                 || Box::new(Fifo),
             )
             .build();
-        let mut router = Preferences(&[&[0, 1, 2, 3], &[1, 3, 2, 0]]);
+        let mut router = Recording::new(Preferences(&[&[0, 1, 2, 3], &[1, 3, 2, 0]]));
         let mut run = f.start(&wl);
         for (replica, kind) in [(0, FleetEventKind::Fail), (3, FleetEventKind::Join)] {
             run.inject(FleetEvent {
@@ -2291,13 +2311,15 @@ pub(crate) mod tests {
             assert!(run.step(&mut f, &mut router));
         }
         let first = run.events();
-        while run.step(&mut f, &mut router) {}
-        let transitions: Vec<_> = run
-            .log()
-            .transitions()
-            .iter()
-            .map(|&(event, ev)| (event, ev.replica, ev.kind))
-            .collect();
+        // Each transition tagged with the 0-based index of the event
+        // that applied it.
+        let mut transitions = Vec::new();
+        while run.step(&mut f, &mut router) {
+            if router.transitions.len() > transitions.len() {
+                let ev = router.transitions[transitions.len()];
+                transitions.push((run.events() - 1, ev.replica, ev.kind));
+            }
+        }
         assert_eq!(
             transitions,
             [
@@ -2305,7 +2327,19 @@ pub(crate) mod tests {
                 (first + 1, 3, FleetEventKind::Join)
             ]
         );
-        assert_eq!(run.log().picks(), [0, 1, 3]);
+        assert_eq!(router.picks, [0, 1, 3]);
         assert_eq!(run.into_report().aggregate.records.len(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale wake key")]
+    fn stale_wake_key_fails_fast() {
+        // An idle replica's leaf claims a wake-up at 0: the next event
+        // is a step of a core with nothing to do.
+        let mut f = fleet(3);
+        let mut run = f.start(&Workload::poisson(1500.0, 256, 24, 8));
+        run.wake.set(1, wake_key(0.0));
+        let _ = run.step(&mut f, &mut RoundRobin::new());
     }
 }

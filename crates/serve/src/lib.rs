@@ -49,11 +49,13 @@
 //! for bit. [`FleetRun`] unrolls the one serving loop — [`serve_with`]
 //! is a one-replica run of it — into a run that can be stepped and
 //! [audited](FleetRun::audit) between steps, in release builds too,
-//! against a rebuild of its derived state. Every run records a
-//! [`CommandLog`] of its router picks and lifecycle transitions, which
-//! [`Fleet::replay`] feeds back through the same driver to a report
-//! that digests ([`digest_fleet_report`]) identically to the
-//! recording.
+//! against a rebuild of its derived state. Every router in the crate is
+//! deterministic, so a re-run with the same seed, fleet, router and
+//! injected lifecycle events makes the same picks and transitions and
+//! ends in a report that digests ([`digest_fleet_report`]) identically.
+//! A run keeps no record of its decisions beyond a per-replica count of
+//! the requests routed to it; a test that needs the picks themselves
+//! wraps its [`Router`] and records what `route` returns.
 //! [`fuzz_tape`] generates adversarial workloads (flash bursts,
 //! zero-length prompts, KV-filling monster contexts, deadline
 //! inversions, session churn) to stress all of it.
@@ -92,7 +94,6 @@ pub mod lifecycle;
 mod metrics;
 mod min_tree;
 mod policy;
-mod replay;
 mod request;
 mod rng;
 mod router;
@@ -114,7 +115,6 @@ pub use policy::{
     ActiveRequest, DeadlineEdf, Fifo, PriorityAging, QueuedRequest, SchedulingPolicy,
     ShortestJobFirst,
 };
-pub use replay::CommandLog;
 pub use request::{Request, RequestRecord};
 pub use rng::ServeRng;
 pub use router::{

@@ -12,9 +12,9 @@
 //! | `Leave` | `Draining -> Down` | clean exit, only legal once idle |
 //! | `Fail` | `Live\|Draining -> Down` | crash: in-flight requests are lost and re-enqueued through the router after a migration delay, paying a full re-prefill |
 //!
-//! Events enter the run's command log and replay bit-identically — a
-//! churned fleet's straight run and its log replay digest the same, as
-//! a static one's do — and `FleetRun::audit` checks the state each
+//! Events fire at their injected sim times and re-run bit-identically —
+//! a churned fleet's run and its re-run with the same injections digest
+//! the same, as a static one's do — and `FleetRun::audit` checks the state each
 //! transition derives (routable mask, up-count, wake tree) against a
 //! rebuild at every boundary. [`churn_tape`] generates adversarial but
 //! always-legal event storms for the fuzz battery.

@@ -225,8 +225,8 @@ pub fn serve(workload: &Workload, cost: &mut dyn CostModel, config: &ServeConfig
 ///
 /// The run is a one-replica [`crate::FleetRun`] under
 /// [`crate::RoundRobin`], driven by the same event loop as every fleet,
-/// and the result is its one replica's report. To step, audit or
-/// replay a single machine, build that fleet with
+/// and the result is its one replica's report. To step or audit a
+/// single machine, build that fleet with
 /// [`crate::FleetBuilder`].
 ///
 /// Deterministic: the schedule depends only on the workload (seed
@@ -682,6 +682,12 @@ impl Core {
         );
         let iter_start = self.clock;
         self.clock += dt;
+        // A step too small to register at this clock would complete
+        // tokens at no elapsed time: every latency would read zero.
+        assert!(
+            self.clock > iter_start,
+            "decode step did not move the clock: {dt} s at clock {iter_start} s"
+        );
         self.report.decode_busy_s += dt;
         self.report.decode_iterations += 1;
 
@@ -731,6 +737,10 @@ impl Core {
             }
         }
         self.last_finish_s = self.last_finish_s.max(self.clock);
+    }
+
+    pub(crate) fn max_batch(&self) -> u32 {
+        self.config.max_batch
     }
 
     pub(crate) fn queue_len(&self) -> usize {

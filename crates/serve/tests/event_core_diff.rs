@@ -3,19 +3,18 @@
 //! There is one event loop, `FleetRun`; `serve_with` is a
 //! one-replica run of it. What must hold is that the loop is **closed
 //! under its own mechanisms**: for every workload, an uninterrupted
-//! run, a re-run audited mid-flight, and a replay of its command log
-//! all produce byte-identical reports and digests. This suite drives a
-//! family of 112 seeded workloads (open loop, closed loop, traced;
-//! single- and multi-class; with preemption pressure) through that
-//! triangle:
+//! run and a re-run audited mid-flight produce byte-identical reports
+//! and digests. This suite drives a family of 112 seeded workloads
+//! (open loop, closed loop, traced; single- and multi-class; with
+//! preemption pressure) through that pair:
 //!
 //! - one machine (a one-replica fleet under round-robin), under every
 //!   scheduling policy (Fifo, SJF, PriorityAging, DeadlineEdf):
 //!   uninterrupted == a re-run with `FleetRun::audit` at the run's
-//!   midpoint == `Fleet::replay` of the recorded log;
+//!   midpoint;
 //! - a three-replica fleet, under every router (RoundRobin,
 //!   JoinShortestQueue, LeastKvLoad, SessionAffinity), policies
-//!   rotating per workload: same triangle;
+//!   rotating per workload: the same pair;
 //! - `serve_with` against `serve_with_digests.txt`: the 448 report
 //!   digests the stand-alone single-machine loop produced for this
 //!   battery before it was deleted, so the one-replica driver must
@@ -109,7 +108,7 @@ fn workload(i: u64) -> (Workload, ServeConfig) {
 const POLICIES: [&str; 4] = ["fifo", "sjf", "aging", "edf"];
 const ROUTERS: [&str; 4] = ["round-robin", "jsq", "least-kv", "affinity"];
 
-/// A fresh policy instance by name — every leg of the triangle gets
+/// A fresh policy instance by name — every leg of the pair gets
 /// its own copy so stateful policies cannot leak decisions across the
 /// comparison.
 fn policy(name: &str, wl: &Workload) -> Box<dyn SchedulingPolicy> {
@@ -154,13 +153,12 @@ fn serve_closes_under_audit_and_replay_under_every_policy() {
     for i in 0..NUM_WORKLOADS {
         let (wl, config) = workload(i);
         for name in POLICIES {
-            // Leg 1: the uninterrupted run, recording its log.
+            // Leg 1: the uninterrupted run.
             let mut fleet = single_machine(&config, name, &wl);
             let mut router = RoundRobin::new();
             let mut full = fleet.start(&wl);
             while full.step(&mut fleet, &mut router) {}
             let total = full.events();
-            let log = full.log().clone();
             let uninterrupted = full.into_report();
 
             // Leg 2: re-run, audit at the midpoint, finish.
@@ -181,13 +179,6 @@ fn serve_closes_under_audit_and_replay_under_every_policy() {
             assert_eq!(
                 audited, uninterrupted,
                 "workload {i} policy {name}: audited re-run report diverges"
-            );
-
-            // Leg 3: replay the recorded picks.
-            let replayed = single_machine(&config, name, &wl).replay(&wl, &log);
-            assert_eq!(
-                replayed, uninterrupted,
-                "workload {i} policy {name}: replayed report diverges"
             );
         }
     }
@@ -261,7 +252,6 @@ fn fleet_closes_under_audit_and_replay_under_every_router() {
             let mut full = fleet.start(&wl);
             while full.step(&mut fleet, r.as_mut()) {}
             let total = full.events();
-            let log = full.log().clone();
             let uninterrupted = full.into_report();
 
             // Leg 2: re-run with a fresh router, audit at the midpoint,
@@ -283,13 +273,6 @@ fn fleet_closes_under_audit_and_replay_under_every_router() {
             assert_eq!(
                 audited, uninterrupted,
                 "workload {i} router {name}: audited re-run report diverges"
-            );
-
-            // Leg 3: replay the recorded picks and transitions.
-            let replayed = mk_fleet().replay(&wl, &log);
-            assert_eq!(
-                replayed, uninterrupted,
-                "workload {i} router {name}: replayed report diverges"
             );
         }
     }

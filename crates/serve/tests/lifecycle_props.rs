@@ -3,32 +3,32 @@
 //! Three invariant families over randomly generated workloads, fleet
 //! sizes, routers and [`churn_tape`] lifecycle storms:
 //!
-//! 1. **Draining admits nothing new** — every router pick the command
-//!    log records targets a replica that is live right after the step
-//!    that made it.
+//! 1. **Draining admits nothing new** — every router pick targets a
+//!    replica that is live right after the step that made it.
 //! 2. **Failure conserves requests** — every issued request still ends
 //!    its lifecycle exactly once (completed or rejected, no duplicate
 //!    ids), even when failures displace in-flight work through the
-//!    router, and the log holds one pick per arrival *and* per
+//!    router, and the router picks once per arrival *and* per
 //!    re-route, which the assignment counters sum to.
 //! 3. **Churned runs digest identically three ways** — a straight run
 //!    audited at every lifecycle boundary ([`FleetRun::audit`]) == an
-//!    unaudited re-run == command-log replay, down to full-report
-//!    equality (including machine-seconds and lifecycle counters).
+//!    unaudited re-run == a re-run audited after every event, down to
+//!    full-report equality (including machine-seconds and lifecycle
+//!    counters).
 //!
 //! A fourth property pins the fleet's next-event rule: `next_time`
 //! predicts every `step` under churn and under a full blackout, with
-//! and without a migration delay. A fifth replays autoscaled runs,
-//! whose controller injects transitions at boundaries that tie with
-//! arrivals.
+//! and without a migration delay. A fifth audits autoscaled runs at
+//! every control boundary, where the controller injects transitions
+//! that tie with arrivals, and re-runs them through [`run_autoscaled`].
 
 use proptest::prelude::*;
 use rpu_models::LengthDistribution;
 use rpu_serve::{
     churn_tape, digest_fleet_report, run_autoscaled, AnalyticCostModel, ArrivalProcess, Autoscaler,
     AutoscalerConfig, ClassSpec, Fifo, Fleet, FleetBuilder, FleetEvent, FleetEventKind, FleetRun,
-    JoinShortestQueue, LeastKvLoad, LifecycleState, PriorityAging, RoundRobin, Router, ServeConfig,
-    SessionAffinity, TtftWindow, Workload,
+    JoinShortestQueue, LeastKvLoad, LifecycleState, PriorityAging, Request, RoundRobin, Router,
+    RoutingView, ServeConfig, SessionAffinity, TtftWindow, Workload,
 };
 
 fn build_router(i: usize) -> Box<dyn Router> {
@@ -37,6 +37,37 @@ fn build_router(i: usize) -> Box<dyn Router> {
         1 => Box::new(JoinShortestQueue),
         2 => Box::new(LeastKvLoad),
         _ => Box::new(SessionAffinity::new()),
+    }
+}
+
+/// Wraps a router and records every pick `route` returned, in order.
+struct Recording {
+    inner: Box<dyn Router>,
+    picks: Vec<usize>,
+}
+
+impl Recording {
+    fn new(inner: Box<dyn Router>) -> Self {
+        Self {
+            inner,
+            picks: Vec::new(),
+        }
+    }
+}
+
+impl Router for Recording {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn route(&mut self, req: &Request, view: &RoutingView<'_>) -> usize {
+        let pick = self.inner.route(req, view);
+        self.picks.push(pick);
+        pick
+    }
+
+    fn on_fleet_event(&mut self, event: &FleetEvent, view: &RoutingView<'_>) {
+        self.inner.on_fleet_event(event, view);
     }
 }
 
@@ -89,22 +120,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A draining (or down) replica never receives new work: every
-    /// pick the log records — arrival or re-route — targets a replica
-    /// that is live right after the step that made it (a routing step
-    /// applies no transition, so that is its state at routing time).
+    /// pick — arrival or re-route — targets a replica that is live
+    /// right after the step that made it (a routing step applies no
+    /// transition, so that is its state at routing time).
     #[test]
     fn draining_replicas_are_never_admitted_new_work(case in arb_case()) {
         let (wl, n, router_idx, events) = case;
         let cfg = ServeConfig::default();
         let mut fleet = build_fleet(n, &cfg);
-        let mut router = build_router(router_idx);
+        let mut router = Recording::new(build_router(router_idx));
         let mut run = churned_start(&wl, &fleet, &events);
         let mut routed = 0;
-        while run.step(&mut fleet, router.as_mut()) {
-            let picks = run.log().picks();
+        while run.step(&mut fleet, &mut router) {
+            let picks = &router.picks;
             if picks.len() > routed {
                 routed = picks.len();
-                let pick = picks[routed - 1] as usize;
+                let pick = picks[routed - 1];
                 prop_assert_eq!(
                     run.states()[pick],
                     LifecycleState::Live,
@@ -119,19 +150,19 @@ proptest! {
 
     /// Failures displace in-flight work but never lose or duplicate a
     /// request: terminal states still sum to the workload, ids stay
-    /// unique, the log picks a replica for every arrival plus every
+    /// unique, the router picks a replica for every arrival plus every
     /// displaced request, and `assigned` counts every pick.
     #[test]
     fn failure_and_reenqueue_conserve_requests(case in arb_case()) {
         let (wl, n, router_idx, events) = case;
         let cfg = ServeConfig::default();
         let mut fleet = build_fleet(n, &cfg);
-        let mut router = build_router(router_idx);
+        let mut router = Recording::new(build_router(router_idx));
         let mut run = churned_start(&wl, &fleet, &events);
-        while run.step(&mut fleet, router.as_mut()) {}
+        while run.step(&mut fleet, &mut router) {}
         let stats = run.stats();
         prop_assert!(stats.conserved(), "terminal leak: {stats:?}");
-        let picks = run.log().picks().len() as u32;
+        let picks = router.picks.len() as u32;
         let report = run.into_report();
         prop_assert_eq!(
             report.aggregate.records.len() as u32 + report.aggregate.rejected,
@@ -150,7 +181,7 @@ proptest! {
         prop_assert_eq!(
             picks,
             wl.num_requests + report.lifecycle.displaced,
-            "the log misses an arrival or re-route pick"
+            "the router missed an arrival or re-route pick"
         );
         prop_assert_eq!(
             report.assigned.iter().sum::<u32>(),
@@ -164,41 +195,45 @@ proptest! {
     /// — the routable mask, up-count, wake tree and routing index each
     /// transition derives equal a rebuild — and the audited run's
     /// digest (and full report, machine-seconds and lifecycle counters
-    /// included) matches an unaudited re-run and the log replay.
+    /// included) matches an unaudited re-run and a re-run audited after
+    /// every event.
     #[test]
     fn churned_runs_digest_identically_three_ways(case in arb_case()) {
         let (wl, n, router_idx, events) = case;
         let cfg = ServeConfig::default();
-        let mut fleet = build_fleet(n, &cfg);
-        let mut router = build_router(router_idx);
-        let mut run = churned_start(&wl, &fleet, &events);
-        // Audit at every lifecycle boundary as the straight run passes it.
-        let mut boundaries = 0;
-        while run.step(&mut fleet, router.as_mut()) {
-            if run.log().transitions().last().is_some_and(|t| t.0 + 1 == run.events()) {
-                run.audit();
-                boundaries += 1;
+        // `audit_after(applied, stepped)` says whether to audit after a
+        // step, given the transitions applied before and after it.
+        let run_with = |audit_after: fn(u32, u32) -> bool| {
+            let mut fleet = build_fleet(n, &cfg);
+            let mut router = build_router(router_idx);
+            let mut run = churned_start(&wl, &fleet, &events);
+            let mut audits = 0;
+            loop {
+                let applied = run.lifecycle_counts().events();
+                if !run.step(&mut fleet, router.as_mut()) {
+                    break;
+                }
+                if audit_after(applied, run.lifecycle_counts().events()) {
+                    run.audit();
+                    audits += 1;
+                }
             }
-        }
+            (run.into_report(), audits)
+        };
+        // Audit at every lifecycle boundary as the straight run passes it.
+        let (reference, boundaries) = run_with(|before, after| after > before);
         prop_assert_eq!(boundaries, events.len());
-        let log = run.log().clone();
-        let reference = run.into_report();
         let reference_digest = digest_fleet_report(&reference);
 
         // The seed is the checkpoint: an unaudited re-run reproduces it.
-        let mut fleet2 = build_fleet(n, &cfg);
-        let mut router2 = build_router(router_idx);
-        let mut rerun = churned_start(&wl, &fleet2, &events);
-        while rerun.step(&mut fleet2, router2.as_mut()) {}
-        let report = rerun.into_report();
+        let (report, _) = run_with(|_, _| false);
         prop_assert_eq!(digest_fleet_report(&report), reference_digest);
         prop_assert_eq!(&report, &reference, "re-run full report differs");
 
-        // Command-log replay reproduces the same report.
-        let mut fleet3 = build_fleet(n, &cfg);
-        let replayed = fleet3.replay(&wl, &log);
-        prop_assert_eq!(digest_fleet_report(&replayed), reference_digest);
-        prop_assert_eq!(&replayed, &reference, "replay full report differs");
+        // So does one audited after every event.
+        let (report, _) = run_with(|_, _| true);
+        prop_assert_eq!(digest_fleet_report(&report), reference_digest);
+        prop_assert_eq!(&report, &reference, "audited re-run full report differs");
     }
 }
 
@@ -261,9 +296,10 @@ proptest! {
     }
 }
 
-/// [`run_autoscaled`]'s control loop, unrolled so the finished run —
-/// and its command log — stays inspectable. Each boundary also checks
-/// the telemetry cache the controller reads against a recomputation.
+/// [`run_autoscaled`]'s control loop, unrolled so the run can be
+/// audited ([`FleetRun::audit`]) at every control boundary, before the
+/// controller reads it. Each boundary also checks the telemetry cache
+/// the controller reads against a recomputation.
 fn autoscaled_run(
     wl: &Workload,
     fleet: &mut Fleet,
@@ -275,6 +311,7 @@ fn autoscaled_run(
     let mut ttfts = TtftWindow::new(&run);
     let mut boundary = config.interval_s;
     while run.step_until(fleet, router, boundary) {
+        run.audit();
         let p99 = ttfts.p99_since(&run, (boundary - config.window_s).max(0.0));
         assert_eq!(
             run.telemetry_cache(),
@@ -341,21 +378,17 @@ fn arb_boundary_tape() -> impl Strategy<Value = Workload> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// An autoscaled run replays identically: the controller's
-    /// transitions re-enter at the event index that applied them, so a
-    /// join injected at a boundary still lands after that boundary's
-    /// arrivals. The hand-driven loop is pinned to [`run_autoscaled`].
+    /// An autoscaled run audits clean at every control boundary — where
+    /// a join injected at the boundary lands after that boundary's
+    /// arrivals have already run — and re-runs identically: the
+    /// hand-driven, audited loop is pinned to [`run_autoscaled`], report
+    /// and digest.
     #[test]
     fn autoscaled_runs_replay_identically(wl in arb_boundary_tape()) {
         let config = AutoscalerConfig::default();
         let mut fleet = elastic_fleet();
-        let run = autoscaled_run(&wl, &mut fleet, &mut RoundRobin::new(), config);
-        let log = run.log().clone();
-        let recorded = run.into_report();
-        prop_assert_eq!(
-            log.transitions().len() as u32,
-            recorded.lifecycle.events()
-        );
+        let recorded =
+            autoscaled_run(&wl, &mut fleet, &mut RoundRobin::new(), config).into_report();
         let library = run_autoscaled(
             &mut elastic_fleet(),
             &wl,
@@ -363,8 +396,6 @@ proptest! {
             &mut Autoscaler::new(config),
         );
         prop_assert_eq!(&library, &recorded, "hand-driven loop drifted");
-        let replayed = elastic_fleet().replay(&wl, &log);
-        prop_assert_eq!(&replayed, &recorded, "autoscaled replay differs");
-        prop_assert_eq!(digest_fleet_report(&replayed), digest_fleet_report(&recorded));
+        prop_assert_eq!(digest_fleet_report(&library), digest_fleet_report(&recorded));
     }
 }
