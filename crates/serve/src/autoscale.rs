@@ -296,7 +296,6 @@ mod tests {
             reserved_tokens: 0,
             queued_tokens: 0,
             kv_capacity_tokens: 4096,
-            in_flight_tokens: 0,
         }
     }
 

@@ -18,6 +18,14 @@ pub trait CostModel {
     /// Latency of one decode iteration emitting one token for each of
     /// `batch` concurrent queries at (bucketed) context `max_context`,
     /// seconds.
+    ///
+    /// The price must be a function of its arguments alone: a replica
+    /// asks once for a stretch of iterations at one `(batch,
+    /// max_context)` and reuses the answer for all of them, including
+    /// when it replays decode iterations it ran ahead of the fleet
+    /// clock. A model that memoises its prices (as `rpu-core`'s
+    /// `RpuCostModel` does, in a table shared by every replica) relies
+    /// on the same rule.
     fn decode_step_s(&mut self, batch: u32, max_context: u32) -> f64;
 
     /// Latency to prefill one request's `prompt_len` tokens, seconds.

@@ -36,7 +36,11 @@
 //! telemetry the router sees is what real replicas would publish at
 //! that instant — not stale counters and not the future. Ties go
 //! lifecycle event, then displaced re-route, then arrival, then
-//! scheduler step. Replica completions feed the shared arrival source,
+//! scheduler step. A replica whose next iterations complete nothing
+//! runs them within one step, ahead of the global clock, and is rewound
+//! to the instant an event reaches it, so the order is the one a replica
+//! stepping one decode iteration per event would keep. Replica
+//! completions feed the shared arrival source,
 //! so closed-loop workloads work across the fleet (a client's next
 //! request may be routed to a *different* replica than its last). With
 //! one replica the driver is the single-machine scheduler:
@@ -363,6 +367,16 @@ pub struct FleetRun {
     displaced: VecDeque<(f64, QueuedRequest)>,
     /// The run's global clock: the time of the last executed event.
     now_s: f64,
+    /// How far the run has got in the order a loop stepping one decode
+    /// iteration per event keeps, as `(tick, replica)`: a replica's
+    /// iteration starting at `tick` has run once its position is at or
+    /// before this one. The latest wake-up sets it to its own position,
+    /// and a [`FleetRun::step_until`] pause at `t` to `(t, usize::MAX)`,
+    /// since every wake-up at or before `t` has run. An event at a tick
+    /// that a wake-up created (a rejection's closed-loop follow-up) or
+    /// that was injected at a pause thus follows the iterations starting
+    /// then on every replica that would have stepped them first.
+    frontier: (f64, usize),
     migration_delay_s: f64,
     /// Machine-seconds accrued up to `ms_anchor_s`: one second per
     /// non-down replica per sim second. Accrued lazily — the non-down
@@ -530,6 +544,7 @@ impl FleetRun {
             pending_events: VecDeque::new(),
             displaced: VecDeque::new(),
             now_s: 0.0,
+            frontier: (f64::NEG_INFINITY, 0),
             migration_delay_s,
             ms_accrued: 0.0,
             ms_anchor_s: 0.0,
@@ -539,8 +554,9 @@ impl FleetRun {
 
     /// Executes exactly one global event — a lifecycle transition, a
     /// displaced request re-routed, an arrival routed and enqueued, or
-    /// one replica's scheduler step — counting any routing decision it
-    /// made. Returns `false` once the run is complete.
+    /// one replica's scheduler step (which may run several decode
+    /// iterations; see [`FleetRun::events`]) — counting any routing
+    /// decision it made. Returns `false` once the run is complete.
     ///
     /// # Panics
     ///
@@ -596,6 +612,7 @@ impl FleetRun {
             return Advance::Done;
         };
         if tick.max(self.now_s) > until_s {
+            self.pass((until_s, usize::MAX));
             return Advance::Paused;
         }
         let (touched, fired) = match source {
@@ -616,6 +633,7 @@ impl FleetRun {
                 let t = due.max(self.now_s);
                 self.now_s = t;
                 let pick = self.route(router, &q.req);
+                self.rewind(pick);
                 self.cores[pick].enqueue_displaced(q, t);
                 (pick, None)
             }
@@ -623,6 +641,7 @@ impl FleetRun {
                 let req = self.source.pop_ready(tick).expect("arrival is due");
                 self.now_s = self.now_s.max(tick);
                 let pick = self.route(router, &req);
+                self.rewind(pick);
                 self.cores[pick].enqueue(req);
                 (pick, None)
             }
@@ -634,6 +653,7 @@ impl FleetRun {
                     "stale wake key: replica {which}'s leaf is not its core's next event"
                 );
                 self.now_s = self.now_s.max(tick);
+                self.pass((tick, which));
                 step_core(which, &mut self.cores[which], &mut self.source);
                 (which, None)
             }
@@ -649,6 +669,23 @@ impl FleetRun {
         }
         self.events += 1;
         Advance::Stepped
+    }
+
+    /// Moves `frontier` up to `at` if `at` lies further on.
+    fn pass(&mut self, at: (f64, usize)) {
+        if at > self.frontier {
+            self.frontier = at;
+        }
+    }
+
+    /// Rewinds replica `i` to the current clock before an event touches
+    /// it: the decode iterations it ran ahead that had not begun by now
+    /// are taken back, as if it had stepped one iteration per event.
+    /// One beginning exactly now has run only if the frontier has passed
+    /// its position; otherwise this event outranks it.
+    fn rewind(&mut self, i: usize) {
+        let begun = (self.now_s, i) <= self.frontier;
+        self.cores[i].rewind(self.now_s, begun);
     }
 
     /// The view every router call reads: the routing index at `now_s`.
@@ -696,6 +733,9 @@ impl FleetRun {
     /// the slot index.
     fn apply_transition(&mut self, ev: &FleetEvent) -> usize {
         let i = ev.replica as usize;
+        if ev.kind == FleetEventKind::Fail {
+            self.rewind(i);
+        }
         let (state, core) = (&mut self.states[i], &mut self.cores[i]);
         match ev.kind {
             FleetEventKind::Join => {
@@ -821,7 +861,10 @@ impl FleetRun {
     /// autoscaler's control loop: advance to the next decision
     /// boundary, look at the fleet, inject, repeat. Each event costs
     /// what a [`FleetRun::step`] costs: the check against `t` reuses
-    /// the step's own event selection.
+    /// the step's own event selection. An event injected afterwards at
+    /// `t` itself comes after every decode iteration that began at or
+    /// before `t`, as it would had each iteration been its own event,
+    /// even on a replica that ran them ahead within one step.
     ///
     /// # Panics
     ///
@@ -836,7 +879,12 @@ impl FleetRun {
         }
     }
 
-    /// Events executed so far.
+    /// Events the loop executed so far: lifecycle transitions, re-routes,
+    /// arrivals and replica wake-ups. A wake-up may run many decode
+    /// iterations (a replica runs the ones that complete nothing inside
+    /// one step), so an event is not a fixed amount of work: count
+    /// requests or decode iterations
+    /// ([`ServeReport::decode_iterations`]) for that.
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events
@@ -918,6 +966,11 @@ impl FleetRun {
     ///   incremental counters;
     /// - every core's caps, on the rebuilt telemetry: its batch holds at
     ///   most `max_batch` requests and reserves at most its KV capacity;
+    /// - every core's pending run-ahead (the decode iterations a core
+    ///   runs past the fleet clock while nothing outside it could see
+    ///   them): replayed from its checkpoint, it lands exactly on the
+    ///   core's clock, decode-busy time and iteration count, and the
+    ///   core could still run ahead (empty queue, batch all decoding);
     /// - the up-count machine-seconds accrue by;
     /// - request conservation ([`RunStats::conserved`]).
     ///
@@ -956,6 +1009,9 @@ impl FleetRun {
                 t.reserved_tokens,
                 t.kv_capacity_tokens
             );
+            if let Err(e) = core.check_run() {
+                panic!("audit at event {at}: replica {i}: {e}");
+            }
         }
         assert_eq!(
             self.up,

@@ -3,8 +3,8 @@
 //! A [`crate::Fleet`] fronts N independent scheduler replicas with one
 //! [`Router`]. The router is deliberately blind to everything except
 //! the [`RoutingView`] — per-replica [`ReplicaTelemetry`] (the counters
-//! a real replica would publish: queue depth, KV occupancy,
-//! outstanding tokens), the routable mask and `O(log R)` argmins of the
+//! a real replica would publish: queue depth, KV occupancy and
+//! capacity), the routable mask and `O(log R)` argmins of the
 //! fleet's [`FleetRoutingIndex`], and the sim clock — so routing
 //! policies stay honest: no peeking at another replica's policy
 //! internals or the sampled lengths of its resident requests.
@@ -44,9 +44,6 @@ pub struct ReplicaTelemetry {
     pub queued_tokens: u64,
     /// The replica's KV capacity as published by its cost model.
     pub kv_capacity_tokens: u64,
-    /// Output tokens still to be emitted across queued and resident
-    /// requests.
-    pub in_flight_tokens: u64,
 }
 
 impl ReplicaTelemetry {
@@ -245,9 +242,9 @@ impl<'a> RoutingView<'a> {
 ///
 /// # Worked example
 ///
-/// A custom router is one `impl`. Fewest-outstanding-tokens, sending
-/// each request to the routable replica with the least decode work in
-/// flight:
+/// A custom router is one `impl`. Fewest-committed-tokens, sending
+/// each request to the routable replica with the least KV committed to
+/// its batch and queue:
 ///
 /// ```
 /// use rpu_serve::{
@@ -266,7 +263,7 @@ impl<'a> RoutingView<'a> {
 ///         // down replicas never take new work. Ties broken by index
 ///         // to stay deterministic.
 ///         view.routable()
-///             .min_by_key(|&i| (view.replica(i).in_flight_tokens, i))
+///             .min_by_key(|&i| (view.replica(i).committed_tokens(), i))
 ///             .expect("some replica is routable")
 ///     }
 /// }
@@ -522,7 +519,6 @@ mod tests {
             reserved_tokens: 0,
             queued_tokens: 0,
             kv_capacity_tokens,
-            in_flight_tokens: 0,
         }
     }
 

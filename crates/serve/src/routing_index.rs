@@ -332,7 +332,6 @@ mod tests {
             reserved_tokens: reserved,
             queued_tokens: 0,
             kv_capacity_tokens: cap,
-            in_flight_tokens: 0,
         }
     }
 

@@ -35,6 +35,15 @@
 //! 3. **Advance** — with nothing decodable, the clock jumps to the next
 //!    event (prefill completion or arrival).
 //!
+//! A replica with an empty queue and a batch that is all decoding
+//! changes nothing anyone outside it can see until its next completion,
+//! so it runs the decode iterations up to that one within a single
+//! step, pricing each stretch at one context bucket once. When an
+//! arrival, a re-route or a failure reaches it before its clock, the
+//! event loop rewinds it to that instant: the iterations that had not
+//! begun are taken back, and the schedule is the
+//! one-iteration-per-event schedule, bit for bit.
+//!
 //! Completed requests leave the batch at the end of the iteration that
 //! produced their last token, immediately freeing their slot and KV
 //! reservation; in closed-loop workloads the completion also triggers
@@ -128,6 +137,39 @@ struct Slot {
     ready_at: f64,
     /// Current context length (prompt + generated tokens).
     context: u32,
+}
+
+/// Decode iterations a core ran ahead of the fleet clock: a checkpoint
+/// of the clock and decode counters where the run began, and the price
+/// of each stretch of iterations at one `(batch, bucket)`. A rewind
+/// restores the checkpoint and replays the prices; the audit replays
+/// them all.
+#[derive(Default)]
+struct Run {
+    clock: f64,
+    decode_busy_s: f64,
+    decode_iterations: u64,
+    /// `(iterations, seconds per iteration)`, in run order. Empty when
+    /// no run is pending.
+    segments: Vec<(u32, f64)>,
+}
+
+/// The seconds one decode iteration of `batch` requests at bucketed
+/// context `context` takes.
+fn price(cost: &mut dyn CostModel, batch: u32, context: u32) -> f64 {
+    let dt = cost.decode_step_s(batch, context);
+    assert!(
+        dt.is_finite() && dt > 0.0,
+        "decode step must be finite and positive: cost model said {dt} s for batch {batch} at context {context}"
+    );
+    dt
+}
+
+/// Each iteration's price, in run order, from a run's segments.
+fn iteration_prices(segments: &[(u32, f64)]) -> impl Iterator<Item = f64> + '_ {
+    segments
+        .iter()
+        .flat_map(|&(n, dt)| std::iter::repeat_n(dt, n as usize))
 }
 
 /// The outcome of serving one workload.
@@ -304,11 +346,15 @@ impl RunStats {
 /// its own clock, but *not* the request stream — arrivals are pushed in
 /// from outside via [`Core::enqueue`], which is what lets the driver
 /// interleave N cores in global event order and route each arrival on
-/// live telemetry. [`Core::step`] performs exactly one scheduling event
-/// (one admission phase followed by one decode iteration or one clock
-/// jump), so a one-replica run replays the pre-fleet scheduler
-/// bit-for-bit: the golden policy-sweep snapshots and the pinned
-/// `serve_with` digest table pin that equivalence.
+/// live telemetry. [`Core::step`] runs one scheduling event: one
+/// admission phase, then a clock jump or a decode iteration, and after
+/// a decode iteration the iterations that complete nothing, when
+/// nothing outside could notice them (see `Core::run_ahead`). The
+/// event loop [rewinds](Core::rewind) such a run when an event reaches the
+/// core before its clock, so the schedule is the one a core stepping
+/// one iteration per event makes, and a one-replica run replays the
+/// pre-fleet scheduler bit-for-bit: the golden policy-sweep snapshots
+/// and the pinned `serve_with` digest table pin that equivalence.
 ///
 /// The batch is one plain array of at most `max_batch` slots in
 /// admission order; readiness (`ready_at <= clock`) is answered by
@@ -328,11 +374,10 @@ pub(crate) struct Core {
     // (debug-asserted in `telemetry`).
     active_reserved: u64,
     queued_reserved: u64,
-    active_in_flight: u64,
-    queued_in_flight: u64,
     /// Reusable buffer for the policy's view of the batch during
     /// preemption decisions — no per-decision allocation.
     views: Vec<ActiveRequest>,
+    run: Run,
     clock: f64,
     // Trace tapes may start long after t = 0; the makespan (and every
     // rate derived from it) is anchored at the first arrival.
@@ -343,12 +388,6 @@ pub(crate) struct Core {
     /// reports no further events rather than spinning the driver.
     stalled: bool,
     report: ServeReport,
-}
-
-/// Decode tokens a request still owes, the unit of the in-flight
-/// telemetry counters.
-fn in_flight_tokens(q: &QueuedRequest) -> u64 {
-    u64::from(q.req.output_len.saturating_sub(q.generated))
 }
 
 impl Core {
@@ -368,9 +407,8 @@ impl Core {
             active: Vec::new(),
             active_reserved: 0,
             queued_reserved: 0,
-            active_in_flight: 0,
-            queued_in_flight: 0,
             views: Vec::new(),
+            run: Run::default(),
             clock: 0.0,
             first_arrival_s: f64::INFINITY,
             last_finish_s: f64::NEG_INFINITY,
@@ -399,7 +437,6 @@ impl Core {
         self.stalled = false;
         let q = QueuedRequest::fresh(req);
         self.queued_reserved += q.req.reserved_tokens();
-        self.queued_in_flight += in_flight_tokens(&q);
         self.queue.push(q);
     }
 
@@ -414,7 +451,6 @@ impl Core {
         self.clock = self.clock.max(now);
         self.stalled = false;
         self.queued_reserved += q.req.reserved_tokens();
-        self.queued_in_flight += in_flight_tokens(&q);
         self.queue.push(q);
     }
 
@@ -431,21 +467,19 @@ impl Core {
             Vec::with_capacity(self.queue.len() + self.active.len());
         for q in self.queue.drain(..) {
             self.queued_reserved -= q.req.reserved_tokens();
-            self.queued_in_flight -= in_flight_tokens(&q);
             displaced.push(q);
         }
         for s in self.active.drain(..) {
             self.active_reserved -= s.q.req.reserved_tokens();
-            self.active_in_flight -= in_flight_tokens(&s.q);
             displaced.push(QueuedRequest {
                 preemptions: s.q.preemptions + 1,
                 ..s.q
             });
         }
-        debug_assert_eq!(self.active_reserved, 0, "failed core still reserves KV");
         debug_assert_eq!(
-            self.queued_reserved + self.active_in_flight + self.queued_in_flight,
-            0
+            self.active_reserved + self.queued_reserved,
+            0,
+            "failed core still reserves KV"
         );
         self.stalled = false;
         displaced
@@ -490,7 +524,6 @@ impl Core {
             reserved_tokens: self.active_reserved,
             queued_tokens: self.queued_reserved,
             kv_capacity_tokens: self.kv_capacity_tokens,
-            in_flight_tokens: self.active_in_flight + self.queued_in_flight,
         };
         debug_assert_eq!(
             t,
@@ -505,19 +538,19 @@ impl Core {
     /// `FleetRun::audit` rebuilds from (the queue can be long, so the
     /// hot path never scans it).
     pub(crate) fn telemetry_scan(&self) -> ReplicaTelemetry {
-        let requests = || self.active.iter().map(|s| &s.q).chain(&self.queue);
         ReplicaTelemetry {
             queue_depth: self.queue.len() as u32,
             active_requests: self.active.len() as u32,
             reserved_tokens: self.active.iter().map(|s| s.q.req.reserved_tokens()).sum(),
             queued_tokens: self.queue.iter().map(|q| q.req.reserved_tokens()).sum(),
             kv_capacity_tokens: self.kv_capacity_tokens,
-            in_flight_tokens: requests().map(in_flight_tokens).sum(),
         }
     }
 
-    /// Runs one scheduling event: one admission phase, then either one
-    /// decode iteration or a clock jump to the next prefill completion.
+    /// Runs one scheduling event: one admission phase, then either a
+    /// clock jump to the next prefill completion or one decode
+    /// iteration and the iterations [run ahead](Core::run_ahead) after
+    /// it.
     /// An empty-queue core never jumps past the source's next arrival —
     /// read *after* the admission phase, because a rejection's
     /// closed-loop follow-up may arrive sooner than anything that
@@ -533,6 +566,9 @@ impl Core {
         policy: &mut dyn SchedulingPolicy,
         source: &mut RequestSource,
     ) {
+        // This step's wake comes after every outside event before the
+        // clock, so a pending run is final.
+        self.run.segments.clear();
         let mut progressed = false;
         // Admission: the policy picks, the scheduler gates. Evictions
         // per phase are capped so a pathological policy cannot spin the
@@ -548,7 +584,6 @@ impl Core {
                 // Too large even alone: drop it or the queue wedges.
                 self.queue.remove(pick);
                 self.queued_reserved -= cand.req.reserved_tokens();
-                self.queued_in_flight -= in_flight_tokens(&cand);
                 self.report.rejected += 1;
                 self.report.rejected_requests.push(cand.req);
                 progressed = true;
@@ -587,7 +622,6 @@ impl Core {
                 assert!(victim < self.active.len(), "policy evicted out of range");
                 let evicted = self.active.remove(victim).q;
                 self.active_reserved -= evicted.req.reserved_tokens();
-                self.active_in_flight -= in_flight_tokens(&evicted);
                 evictions_this_phase += 1;
                 self.report.preemptions += 1;
                 progressed = true;
@@ -596,7 +630,6 @@ impl Core {
                     ..evicted
                 };
                 self.queued_reserved += back.req.reserved_tokens();
-                self.queued_in_flight += in_flight_tokens(&back);
                 self.queue.push(back);
             }
             // Preemption only appends to the queue, so `pick` still
@@ -604,7 +637,6 @@ impl Core {
             let mut q = self.queue.remove(pick);
             debug_assert_eq!(q.req.id, cand.req.id);
             self.queued_reserved -= q.req.reserved_tokens();
-            self.queued_in_flight -= in_flight_tokens(&q);
             progressed = true;
             // Resumed requests rebuild their KV with a fresh prefill of
             // everything they had (prompt + generated), vLLM
@@ -626,7 +658,6 @@ impl Core {
                 q.first_admit_s = Some(self.clock);
             }
             self.active_reserved += q.req.reserved_tokens();
-            self.active_in_flight += in_flight_tokens(&q);
             self.active.push(Slot {
                 q,
                 ready_at,
@@ -675,21 +706,9 @@ impl Core {
 
         // One decode iteration: one token for every ready request.
         let context = self.config.bucket(max_context);
-        let dt = cost.decode_step_s(batch, context);
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "decode step must be finite and positive: cost model said {dt} s for batch {batch} at context {context}"
-        );
+        let dt = price(cost, batch, context);
         let iter_start = self.clock;
-        self.clock += dt;
-        // A step too small to register at this clock would complete
-        // tokens at no elapsed time: every latency would read zero.
-        assert!(
-            self.clock > iter_start,
-            "decode step did not move the clock: {dt} s at clock {iter_start} s"
-        );
-        self.report.decode_busy_s += dt;
-        self.report.decode_iterations += 1;
+        self.decode(dt);
 
         let mut i = 0;
         while i < self.active.len() {
@@ -697,12 +716,6 @@ impl Core {
             if s.ready_at > iter_start {
                 i += 1;
                 continue;
-            }
-            // Mirror the saturating in-flight definition: a request
-            // already at (or past) its output length carries zero
-            // in-flight tokens, so this token moves nothing.
-            if s.q.generated < s.q.req.output_len {
-                self.active_in_flight -= 1;
             }
             s.q.generated += 1;
             // Saturate like admission does: a context at `u32::MAX`
@@ -737,6 +750,167 @@ impl Core {
             }
         }
         self.last_finish_s = self.last_finish_s.max(self.clock);
+        self.run_ahead(cost, (batch, context, dt));
+    }
+
+    /// One decode iteration's clock and counters.
+    fn decode(&mut self, dt: f64) {
+        let iter_start = self.clock;
+        self.clock += dt;
+        // A step too small to register at this clock would complete
+        // tokens at no elapsed time: every latency would read zero.
+        assert!(
+            self.clock > iter_start,
+            "decode step did not move the clock: {dt} s at clock {iter_start} s"
+        );
+        self.report.decode_busy_s += dt;
+        self.report.decode_iterations += 1;
+    }
+
+    /// Runs, inside this step, the decode iterations after it that
+    /// complete nothing, stopping before the first one that would. Only
+    /// a core with an empty queue and a batch that is all decoding runs
+    /// ahead: nothing it does then until that completion shows outside
+    /// it (its telemetry stays put, and it notifies the source of
+    /// nothing), so those iterations need no events of their own. Every
+    /// slot gains one token per iteration, so the widest context grows
+    /// by one and the price changes only at a bucket boundary. A run
+    /// that would carry a context past `u32::MAX`, where it saturates,
+    /// is not taken. The event loop [rewinds](Core::rewind) the run when
+    /// something touches the core before its clock. `priced` is the
+    /// `(batch, bucket, seconds)` the step's own iteration paid; the
+    /// run's first stretch reuses it when it matches.
+    fn run_ahead(&mut self, cost: &mut dyn CostModel, mut priced: (u32, u32, f64)) {
+        if !self.queue.is_empty() || self.active.is_empty() {
+            return;
+        }
+        let mut widest = 0u32;
+        let mut len = u32::MAX;
+        for s in &self.active {
+            if s.ready_at > self.clock || s.q.first_token_s.is_none() {
+                return;
+            }
+            widest = widest.max(s.context);
+            // The iterations before the one that emits its last token.
+            len = len.min(s.q.req.output_len.saturating_sub(s.q.generated + 1));
+        }
+        if len == 0 || widest > u32::MAX - len {
+            return;
+        }
+        // A rewind lands `last_finish_s` on the clock it replays to, so
+        // the checkpoint need not keep it.
+        debug_assert_eq!(self.last_finish_s, self.clock);
+        self.run.clock = self.clock;
+        self.run.decode_busy_s = self.report.decode_busy_s;
+        self.run.decode_iterations = self.report.decode_iterations;
+        let batch = self.active.len() as u32;
+        let (mut context, mut left) = (widest, len);
+        while left > 0 {
+            // Contexts up to the bucket's top share its price.
+            let bucket = self.config.bucket(context);
+            let n = left.min(bucket - context + 1);
+            if (priced.0, priced.1) != (batch, bucket) {
+                priced = (batch, bucket, price(cost, batch, bucket));
+            }
+            let dt = priced.2;
+            for _ in 0..n {
+                self.decode(dt);
+            }
+            self.run.segments.push((n, dt));
+            context += n;
+            left -= n;
+        }
+        for s in &mut self.active {
+            s.q.generated += len;
+            s.context += len;
+        }
+        self.last_finish_s = self.clock;
+    }
+
+    /// Takes back the pending run's iterations that had not begun by
+    /// `until` — keeping one that begins exactly at `until` only when
+    /// `inclusive` — so the core reads as if it had stepped one
+    /// iteration per event up to there. The event loop calls it before it
+    /// hands the core a request or fails it. Replays the stored prices
+    /// from the checkpoint: no cost-model call.
+    pub(crate) fn rewind(&mut self, until: f64, inclusive: bool) {
+        if self.run.segments.is_empty() {
+            return;
+        }
+        let ahead = self.report.decode_iterations - self.run.decode_iterations;
+        self.clock = self.run.clock;
+        self.report.decode_busy_s = self.run.decode_busy_s;
+        self.report.decode_iterations = self.run.decode_iterations;
+        let segments = std::mem::take(&mut self.run.segments);
+        for dt in iteration_prices(&segments) {
+            let begun = if inclusive {
+                self.clock <= until
+            } else {
+                self.clock < until
+            };
+            if !begun {
+                break;
+            }
+            self.decode(dt);
+        }
+        self.run.segments = segments;
+        self.run.segments.clear();
+        let undone = (ahead - (self.report.decode_iterations - self.run.decode_iterations)) as u32;
+        for s in &mut self.active {
+            s.q.generated -= undone;
+            s.context -= undone;
+        }
+        self.last_finish_s = self.clock;
+    }
+
+    /// Replays the pending run from its checkpoint and checks it lands
+    /// exactly on the core's clock, decode-busy time and iteration
+    /// count, and that the core could still run ahead from there (an
+    /// empty queue and a batch all decoding). `Err` names what differs.
+    pub(crate) fn check_run(&self) -> Result<(), String> {
+        let run = &self.run;
+        if run.segments.is_empty() {
+            return Ok(());
+        }
+        let runnable = self.queue.is_empty()
+            && !self.active.is_empty()
+            && self
+                .active
+                .iter()
+                .all(|s| s.ready_at <= run.clock && s.q.first_token_s.is_some());
+        if !runnable {
+            return Err(format!(
+                "a run is pending but the core cannot run ahead ({} queued, {} resident)",
+                self.queue.len(),
+                self.active.len()
+            ));
+        }
+        let (mut clock, mut busy, mut iterations) =
+            (run.clock, run.decode_busy_s, run.decode_iterations);
+        for dt in iteration_prices(&run.segments) {
+            clock += dt;
+            busy += dt;
+            iterations += 1;
+        }
+        if clock.to_bits() != self.clock.to_bits() {
+            return Err(format!(
+                "run replays to clock {clock}, core is at {}",
+                self.clock
+            ));
+        }
+        if busy.to_bits() != self.report.decode_busy_s.to_bits() {
+            return Err(format!(
+                "run replays to decode-busy {busy} s, core reads {}",
+                self.report.decode_busy_s
+            ));
+        }
+        if iterations != self.report.decode_iterations {
+            return Err(format!(
+                "run replays to {iterations} iterations, core reads {}",
+                self.report.decode_iterations
+            ));
+        }
+        Ok(())
     }
 
     pub(crate) fn max_batch(&self) -> u32 {
@@ -765,6 +939,7 @@ impl Core {
             self.stalled || (self.queue.is_empty() && self.active.is_empty()),
             "report taken with work still in flight"
         );
+        debug_assert!(self.run.segments.is_empty(), "report taken mid-run");
         if self.last_finish_s.is_finite() && self.first_arrival_s.is_finite() {
             self.report.makespan_s = (self.last_finish_s - self.first_arrival_s).max(0.0);
         }

@@ -278,7 +278,7 @@ fn serve_hostile(arrivals: ArrivalProcess, num_requests: u32) {
 /// The paper-scale audit: the `wide_rr` benchmark shape (1000 analytic
 /// replicas under FIFO at 280 req/s each, batch cap 8) at a million
 /// requests, routed by JSQ through a 250-event lifecycle storm spread
-/// over the first 80% of the arrival span, audited every 4096 events.
+/// over the first 80% of the arrival span, audited every 2048 events.
 /// Release builds only: it is the event loop at full width and length.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
@@ -310,7 +310,7 @@ fn paper_scale_churned_run_audits_clean() {
     }
     let mut audits = 0u32;
     while run.step(&mut fleet, &mut JoinShortestQueue) {
-        if run.events().is_multiple_of(4096) {
+        if run.events().is_multiple_of(2048) {
             audit(&run, "paper-scale");
             audits += 1;
         }
@@ -467,8 +467,10 @@ fn fuzz_tapes_are_actually_hostile() {
     );
 }
 
-/// [`AnalyticCostModel::small`] with every third decode step, or every
-/// third prefill, priced at `bad` seconds instead.
+/// [`AnalyticCostModel::small`] with every third `decode_step_s` call,
+/// or every third `prefill_s` call, priced at `bad` seconds instead (a
+/// replica asks for one decode price per stretch of iterations at one
+/// batch and context bucket, not one per iteration).
 struct Mispriced {
     bad: f64,
     decode: bool,

@@ -350,8 +350,12 @@ fn elastic_fleet() -> Fleet {
 /// boundary accumulated the way the controller accumulates it — and,
 /// over the first half, a burst on every `burst_every`-th one: the
 /// controller joins under the bursts and drains in the quiet tail, its
-/// injections tying with arrivals that have already run.
-fn arb_boundary_tape() -> impl Strategy<Value = Workload> {
+/// injections tying with arrivals that have already run. Yields the
+/// burst size with the tape: a burst of at least one full batch (8) on
+/// top of the boundary's own arrival always makes the controller join,
+/// while thinner ones sometimes do not (2 of 400 sampled tapes with
+/// bursts down to 4 never scaled).
+fn arb_boundary_tape() -> impl Strategy<Value = (Workload, usize)> {
     (16usize..=60, 1usize..=4, 4usize..=48, 0u64..1 << 40).prop_map(
         |(boundaries, burst_every, burst, seed)| {
             let interval = AutoscalerConfig::default().interval_s;
@@ -363,14 +367,15 @@ fn arb_boundary_tape() -> impl Strategy<Value = Workload> {
                 let n = if bursting { 1 + burst } else { 1 };
                 arrivals_s.extend(std::iter::repeat_n(t, n));
             }
-            Workload {
+            let wl = Workload {
                 num_requests: arrivals_s.len() as u32,
                 arrivals: ArrivalProcess::Trace { arrivals_s },
                 prompt_lens: LengthDistribution::Uniform { lo: 64, hi: 1024 },
                 output_lens: LengthDistribution::Uniform { lo: 8, hi: 96 },
                 seed,
                 classes: vec![ClassSpec::interactive()],
-            }
+            };
+            (wl, burst)
         },
     )
 }
@@ -382,9 +387,11 @@ proptest! {
     /// a join injected at the boundary lands after that boundary's
     /// arrivals have already run — and re-runs identically: the
     /// hand-driven, audited loop is pinned to [`run_autoscaled`], report
-    /// and digest.
+    /// and digest. Every case with a burst of a full batch or more joins
+    /// at least once, so those cases exercise the tied boundary.
     #[test]
-    fn autoscaled_runs_replay_identically(wl in arb_boundary_tape()) {
+    fn autoscaled_runs_replay_identically(tape in arb_boundary_tape()) {
+        let (wl, burst) = tape;
         let config = AutoscalerConfig::default();
         let mut fleet = elastic_fleet();
         let recorded =
@@ -397,5 +404,8 @@ proptest! {
         );
         prop_assert_eq!(&library, &recorded, "hand-driven loop drifted");
         prop_assert_eq!(digest_fleet_report(&library), digest_fleet_report(&recorded));
+        if burst >= 8 {
+            prop_assert!(recorded.lifecycle.joins > 0, "the autoscaler never joined");
+        }
     }
 }

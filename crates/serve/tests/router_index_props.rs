@@ -33,7 +33,6 @@ fn tel(rng: &mut ServeRng) -> ReplicaTelemetry {
         reserved_tokens: rng.next_u64() % 4096,
         queued_tokens: rng.next_u64() % 2048,
         kv_capacity_tokens: 1 + (rng.next_u64() % 4) * 2048,
-        in_flight_tokens: rng.next_u64() % 10_000,
     }
 }
 
