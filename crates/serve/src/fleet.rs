@@ -969,8 +969,10 @@ impl FleetRun {
     /// - every core's pending run-ahead (the decode iterations a core
     ///   runs past the fleet clock while nothing outside it could see
     ///   them): replayed from its checkpoint, it lands exactly on the
-    ///   core's clock, decode-busy time and iteration count, and the
-    ///   core could still run ahead (empty queue, batch all decoding);
+    ///   core's clock, decode-busy time and iteration count; the core
+    ///   could still run ahead (empty queue, a slot decoding); and each
+    ///   slot joined the run at the first iteration starting at or after
+    ///   its prefill's end, with its first token by that iteration's end;
     /// - the up-count machine-seconds accrue by;
     /// - request conservation ([`RunStats::conserved`]).
     ///

@@ -35,10 +35,10 @@
 //! 3. **Advance** — with nothing decodable, the clock jumps to the next
 //!    event (prefill completion or arrival).
 //!
-//! A replica with an empty queue and a batch that is all decoding
-//! changes nothing anyone outside it can see until its next completion,
-//! so it runs the decode iterations up to that one within a single
-//! step, pricing each stretch at one context bucket once. When an
+//! A replica with an empty queue changes nothing anyone outside it can
+//! see until its next completion, even while some of its batch is still
+//! prefilling, so it runs the decode iterations up to that one within a
+//! single step, pricing each stretch at one `(batch, bucket)` once. When an
 //! arrival, a re-route or a failure reaches it before its clock, the
 //! event loop rewinds it to that instant: the iterations that had not
 //! begun are taken back, and the schedule is the
@@ -137,13 +137,18 @@ struct Slot {
     ready_at: f64,
     /// Current context length (prompt + generated tokens).
     context: u32,
+    /// The iteration of the pending run (0 = its first) this slot first
+    /// decoded in; the run's length or more if it decoded in none.
+    /// Meaningless while no run is pending.
+    joined: u32,
 }
 
 /// Decode iterations a core ran ahead of the fleet clock: a checkpoint
 /// of the clock and decode counters where the run began, and the price
 /// of each stretch of iterations at one `(batch, bucket)`. A rewind
-/// restores the checkpoint and replays the prices; the audit replays
-/// them all.
+/// restores the checkpoint and replays the prices, and the slots'
+/// join iterations say how many tokens each gives back; the audit
+/// replays them all.
 #[derive(Default)]
 struct Run {
     clock: f64,
@@ -163,13 +168,6 @@ fn price(cost: &mut dyn CostModel, batch: u32, context: u32) -> f64 {
         "decode step must be finite and positive: cost model said {dt} s for batch {batch} at context {context}"
     );
     dt
-}
-
-/// Each iteration's price, in run order, from a run's segments.
-fn iteration_prices(segments: &[(u32, f64)]) -> impl Iterator<Item = f64> + '_ {
-    segments
-        .iter()
-        .flat_map(|&(n, dt)| std::iter::repeat_n(dt, n as usize))
 }
 
 /// The outcome of serving one workload.
@@ -348,8 +346,9 @@ impl RunStats {
 /// interleave N cores in global event order and route each arrival on
 /// live telemetry. [`Core::step`] runs one scheduling event: one
 /// admission phase, then a clock jump or a decode iteration, and after
-/// a decode iteration the iterations that complete nothing, when
-/// nothing outside could notice them (see `Core::run_ahead`). The
+/// a decode iteration, when the queue is empty, the iterations that
+/// complete nothing, slots joining as their prefills end (see
+/// `Core::run_ahead`). The
 /// event loop [rewinds](Core::rewind) such a run when an event reaches the
 /// core before its clock, so the schedule is the one a core stepping
 /// one iteration per event makes, and a one-replica run replays the
@@ -662,6 +661,7 @@ impl Core {
                 q,
                 ready_at,
                 context,
+                joined: 0,
             });
             self.report.peak_reserved_tokens =
                 self.report.peak_reserved_tokens.max(self.active_reserved);
@@ -769,32 +769,30 @@ impl Core {
 
     /// Runs, inside this step, the decode iterations after it that
     /// complete nothing, stopping before the first one that would. Only
-    /// a core with an empty queue and a batch that is all decoding runs
-    /// ahead: nothing it does then until that completion shows outside
-    /// it (its telemetry stays put, and it notifies the source of
-    /// nothing), so those iterations need no events of their own. Every
-    /// slot gains one token per iteration, so the widest context grows
-    /// by one and the price changes only at a bucket boundary. A run
-    /// that would carry a context past `u32::MAX`, where it saturates,
-    /// is not taken. The event loop [rewinds](Core::rewind) the run when
+    /// a core with an empty queue runs ahead: nothing it does then until
+    /// that completion shows outside it (its telemetry stays put, it
+    /// notifies the source of nothing and asks the policy nothing), so
+    /// those iterations need no events of their own, even while some
+    /// slots are still prefilling. The run is a sequence of stretches,
+    /// each priced once at one `(batch, bucket)`: every decoding slot
+    /// gains one token per iteration, so the widest context grows by one
+    /// and the price holds until a stretch ends at the first of
+    ///
+    /// - the bucket boundary;
+    /// - the iteration before the next completion;
+    /// - the iteration after which the clock reaches the next
+    ///   `ready_at`: the next stretch begins at that clock, so the slot
+    ///   decodes in it (`ready_at <=` iteration start, as in a step) and
+    ///   takes its first token at that stretch's start + `dt`.
+    ///
+    /// A stretch that would carry a context past `u32::MAX`, where it
+    /// saturates, is not taken. Each slot records the run iteration it
+    /// joined at, for [`Core::rewind`], which the event loop calls when
     /// something touches the core before its clock. `priced` is the
     /// `(batch, bucket, seconds)` the step's own iteration paid; the
     /// run's first stretch reuses it when it matches.
     fn run_ahead(&mut self, cost: &mut dyn CostModel, mut priced: (u32, u32, f64)) {
-        if !self.queue.is_empty() || self.active.is_empty() {
-            return;
-        }
-        let mut widest = 0u32;
-        let mut len = u32::MAX;
-        for s in &self.active {
-            if s.ready_at > self.clock || s.q.first_token_s.is_none() {
-                return;
-            }
-            widest = widest.max(s.context);
-            // The iterations before the one that emits its last token.
-            len = len.min(s.q.req.output_len.saturating_sub(s.q.generated + 1));
-        }
-        if len == 0 || widest > u32::MAX - len {
+        if !self.queue.is_empty() {
             return;
         }
         // A rewind lands `last_finish_s` on the clock it replays to, so
@@ -803,26 +801,49 @@ impl Core {
         self.run.clock = self.clock;
         self.run.decode_busy_s = self.report.decode_busy_s;
         self.run.decode_iterations = self.report.decode_iterations;
-        let batch = self.active.len() as u32;
-        let (mut context, mut left) = (widest, len);
-        while left > 0 {
+        let mut total = 0u32;
+        loop {
+            // The stretch's batch: every slot ready by its first
+            // iteration's start; a slot ready for the first time joins.
+            let (mut batch, mut widest, mut left) = (0u32, 0u32, u32::MAX);
+            let mut next_ready = f64::INFINITY;
+            for s in &mut self.active {
+                if s.ready_at > self.clock {
+                    s.joined = u32::MAX;
+                    next_ready = next_ready.min(s.ready_at);
+                    continue;
+                }
+                s.joined = s.joined.min(total);
+                batch += 1;
+                widest = widest.max(s.context);
+                // The iterations before the one that emits its last token.
+                left = left.min(s.q.req.output_len.saturating_sub(s.q.generated + 1));
+            }
             // Contexts up to the bucket's top share its price.
-            let bucket = self.config.bucket(context);
-            let n = left.min(bucket - context + 1);
+            let bucket = self.config.bucket(widest);
+            let n = left.min(bucket - widest + 1);
+            if batch == 0 || n == 0 || widest > u32::MAX - n {
+                break;
+            }
             if (priced.0, priced.1) != (batch, bucket) {
                 priced = (batch, bucket, price(cost, batch, bucket));
             }
-            let dt = priced.2;
-            for _ in 0..n {
+            let (start, dt) = (self.clock, priced.2);
+            let mut ran = 0;
+            while ran < n {
                 self.decode(dt);
+                ran += 1;
+                if self.clock >= next_ready {
+                    break;
+                }
             }
-            self.run.segments.push((n, dt));
-            context += n;
-            left -= n;
-        }
-        for s in &mut self.active {
-            s.q.generated += len;
-            s.context += len;
+            for s in self.active.iter_mut().filter(|s| s.joined <= total) {
+                s.q.generated += ran;
+                s.context += ran;
+                s.q.first_token_s.get_or_insert(start + dt);
+            }
+            self.run.segments.push((ran, dt));
+            total += ran;
         }
         self.last_finish_s = self.clock;
     }
@@ -832,66 +853,76 @@ impl Core {
     /// `inclusive` — so the core reads as if it had stepped one
     /// iteration per event up to there. The event loop calls it before it
     /// hands the core a request or fails it. Replays the stored prices
-    /// from the checkpoint: no cost-model call.
+    /// from the checkpoint: no cost-model call. Each slot gives back the
+    /// tokens of the iterations taken back from its join on, and a slot
+    /// left with none has no first token either: one it had before the
+    /// run (a resumed request's) came with tokens.
     pub(crate) fn rewind(&mut self, until: f64, inclusive: bool) {
         if self.run.segments.is_empty() {
             return;
         }
-        let ahead = self.report.decode_iterations - self.run.decode_iterations;
+        let total = (self.report.decode_iterations - self.run.decode_iterations) as u32;
         self.clock = self.run.clock;
         self.report.decode_busy_s = self.run.decode_busy_s;
         self.report.decode_iterations = self.run.decode_iterations;
         let segments = std::mem::take(&mut self.run.segments);
-        for dt in iteration_prices(&segments) {
-            let begun = if inclusive {
-                self.clock <= until
-            } else {
-                self.clock < until
-            };
-            if !begun {
-                break;
+        'replay: for &(n, dt) in &segments {
+            for _ in 0..n {
+                let begun = if inclusive {
+                    self.clock <= until
+                } else {
+                    self.clock < until
+                };
+                if !begun {
+                    break 'replay;
+                }
+                self.decode(dt);
             }
-            self.decode(dt);
         }
         self.run.segments = segments;
         self.run.segments.clear();
-        let undone = (ahead - (self.report.decode_iterations - self.run.decode_iterations)) as u32;
+        let kept = (self.report.decode_iterations - self.run.decode_iterations) as u32;
         for s in &mut self.active {
+            let undone = total.saturating_sub(s.joined) - kept.saturating_sub(s.joined);
             s.q.generated -= undone;
             s.context -= undone;
+            if s.q.generated == 0 {
+                s.q.first_token_s = None;
+            }
         }
         self.last_finish_s = self.clock;
     }
 
     /// Replays the pending run from its checkpoint and checks it lands
     /// exactly on the core's clock, decode-busy time and iteration
-    /// count, and that the core could still run ahead from there (an
-    /// empty queue and a batch all decoding). `Err` names what differs.
+    /// count; that the core could run ahead from there (an empty queue
+    /// and a slot decoding); and that each slot joined the run at the
+    /// first iteration starting at or after its `ready_at`, with a first
+    /// token by that iteration's end (at it, when the run gave it).
+    /// `Err` names what differs.
     pub(crate) fn check_run(&self) -> Result<(), String> {
         let run = &self.run;
         if run.segments.is_empty() {
             return Ok(());
         }
-        let runnable = self.queue.is_empty()
-            && !self.active.is_empty()
-            && self
-                .active
-                .iter()
-                .all(|s| s.ready_at <= run.clock && s.q.first_token_s.is_some());
-        if !runnable {
+        if !self.queue.is_empty() || !self.active.iter().any(|s| s.ready_at <= run.clock) {
             return Err(format!(
                 "a run is pending but the core cannot run ahead ({} queued, {} resident)",
                 self.queue.len(),
                 self.active.len()
             ));
         }
-        let (mut clock, mut busy, mut iterations) =
-            (run.clock, run.decode_busy_s, run.decode_iterations);
-        for dt in iteration_prices(&run.segments) {
-            clock += dt;
-            busy += dt;
-            iterations += 1;
+        // Each iteration's start, then the run's end.
+        let mut bounds = vec![run.clock];
+        let (mut busy, mut iterations) = (run.decode_busy_s, run.decode_iterations);
+        for &(n, dt) in &run.segments {
+            for _ in 0..n {
+                bounds.push(bounds[bounds.len() - 1] + dt);
+                busy += dt;
+                iterations += 1;
+            }
         }
+        let (total, clock) = (bounds.len() - 1, bounds[bounds.len() - 1]);
         if clock.to_bits() != self.clock.to_bits() {
             return Err(format!(
                 "run replays to clock {clock}, core is at {}",
@@ -909,6 +940,21 @@ impl Core {
                 "run replays to {iterations} iterations, core reads {}",
                 self.report.decode_iterations
             ));
+        }
+        for (i, s) in self.active.iter().enumerate() {
+            let join = bounds[..total].partition_point(|&t| t < s.ready_at);
+            let first_token_ok = join == total
+                || s.q.first_token_s.is_some_and(|t| {
+                    t.to_bits() == bounds[join + 1].to_bits()
+                        || (s.q.generated as usize > total - join && t <= run.clock)
+                });
+            if s.joined.min(total as u32) != join as u32 || !first_token_ok {
+                return Err(format!(
+                    "slot {i} joined the run at iteration {} with first token {:?}; \
+                     its ready_at puts it at {join}",
+                    s.joined, s.q.first_token_s
+                ));
+            }
         }
         Ok(())
     }

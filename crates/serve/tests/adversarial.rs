@@ -15,6 +15,9 @@
 //! once ([`RunStats`]). Auditing after every event changes no digest,
 //! pick, transition or counter, and a release-only leg audits a
 //! paper-scale churned run: a million requests across 1000 replicas.
+//! A long-prefill leg, small and (release only) 1000 replicas wide,
+//! audits runs whose prefills span many decode iterations, so requests
+//! join a replica's run-ahead mid-way.
 //!
 //! Hostile arrival processes fail loudly rather than losing requests:
 //! a rate whose mean gap is not finite, or a trace or think time that
@@ -32,12 +35,13 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
+use rpu_models::LengthDistribution;
 use rpu_serve::{
-    churn_tape, digest_fleet_report, fuzz_tape, AnalyticCostModel, ArrivalProcess, CostModel,
-    DeadlineEdf, Fifo, Fleet, FleetBuilder, FleetEvent, FleetRun, FuzzFamily, JoinShortestQueue,
-    LeastKvLoad, PerfCounters, PriorityAging, ReportDigest, Request, RoundRobin, Router,
-    RoutingView, RunStats, SchedulingPolicy, ServeConfig, SessionAffinity, ShortestJobFirst,
-    Workload,
+    churn_tape, digest_fleet_report, fuzz_tape, AnalyticCostModel, ArrivalProcess, ClassSpec,
+    CostModel, DeadlineEdf, Fifo, Fleet, FleetBuilder, FleetEvent, FleetRun, FuzzFamily,
+    JoinShortestQueue, LeastKvLoad, PerfCounters, PriorityAging, ReportDigest, Request, RoundRobin,
+    Router, RoutingView, RunStats, SchedulingPolicy, ServeConfig, SessionAffinity,
+    ShortestJobFirst, Workload,
 };
 
 const REPLICAS: usize = 3;
@@ -285,7 +289,7 @@ fn serve_hostile(arrivals: ArrivalProcess, num_requests: u32) {
 fn paper_scale_churned_run_audits_clean() {
     const WIDTH: u32 = 1000;
     const REQUESTS: u32 = 1_000_000;
-    const RATE_RPS: f64 = 280.0 * WIDTH as f64;
+    const RATE_RPS: f64 = 15.0 * WIDTH as f64;
     let wl = Workload {
         seed: 0x5CA1E ^ u64::from(WIDTH),
         ..Workload::poisson(RATE_RPS, 256, 16, REQUESTS)
@@ -326,6 +330,140 @@ fn paper_scale_churned_run_audits_clean() {
     assert_eq!(report.lifecycle.events(), storm.len() as u32);
     assert!(
         report.lifecycle.displaced > 0,
+        "the storm displaced nothing"
+    );
+}
+
+/// The `wide_jsq_mixed` benchmark's two-class mix: short interactive
+/// requests and a batch class of 1536-token prompts.
+fn long_prefill_mix(rate_rps: f64, requests: u32, seed: u64) -> Workload {
+    Workload {
+        seed,
+        ..Workload::poisson(rate_rps, 1, 1, requests)
+    }
+    .with_classes(vec![
+        ClassSpec {
+            share: 0.8,
+            tenants: 24,
+            prompt_lens: Some(LengthDistribution::Uniform { lo: 64, hi: 384 }),
+            output_lens: Some(LengthDistribution::Exponential {
+                mean: 24.0,
+                cap: 96,
+            }),
+            ..ClassSpec::interactive()
+        },
+        ClassSpec {
+            share: 0.2,
+            tenants: 4,
+            prompt_lens: Some(LengthDistribution::Fixed(1536)),
+            output_lens: Some(LengthDistribution::Fixed(384)),
+            ..ClassSpec::batch()
+        },
+    ])
+}
+
+/// [`AnalyticCostModel::small`] with a prefill ten times slower: a
+/// batch-class prefill spans some twenty decode iterations, so requests
+/// join the batch while their replica runs ahead.
+fn long_prefill_machine() -> AnalyticCostModel {
+    AnalyticCostModel {
+        prefill_token_s: 2e-5,
+        kv_capacity_tokens: 8192,
+        ..AnalyticCostModel::small()
+    }
+}
+
+/// Builds `width` [`long_prefill_machine`]s, batch cap 4.
+fn long_prefill_fleet(
+    width: usize,
+    policy: impl Fn() -> Box<dyn SchedulingPolicy> + 'static,
+) -> Fleet {
+    FleetBuilder::new()
+        .migration_delay_s(0.002)
+        .group(
+            width,
+            &ServeConfig {
+                max_batch: 4,
+                ..ServeConfig::default()
+            },
+            || Box::new(long_prefill_machine()),
+            policy,
+        )
+        .build()
+}
+
+/// The long-prefill shape across every policy × router on a small
+/// fleet under a lifecycle storm, audited every 8 events: cores run
+/// ahead while slots are still prefilling, and arrivals, re-routes and
+/// failures rewind them across those slots' joins.
+#[test]
+fn long_prefill_battery_audits_mid_run_joins() {
+    for policy_idx in 0..POLICIES {
+        let wl = long_prefill_mix(120.0, 240, 0x10_4E ^ policy_idx as u64);
+        let storm = churn_tape(REPLICAS as u32, 0x10_4E ^ policy_idx as u64, 1.0, 8);
+        for router_idx in 0..ROUTERS {
+            let ctx = format!("long-prefill/{policy_idx}/{router_idx}");
+            let policy_wl = wl.clone();
+            let mut fleet =
+                long_prefill_fleet(REPLICAS, move || build_policy(policy_idx, &policy_wl));
+            let mut router = build_router(router_idx);
+            let mut run = fleet.start(&wl);
+            for ev in &storm {
+                run.inject(*ev);
+            }
+            while run.step(&mut fleet, router.as_mut()) {
+                if run.events().is_multiple_of(8) {
+                    audit(&run, &ctx);
+                }
+            }
+            let stats = audit(&run, &ctx);
+            assert_eq!(
+                u64::from(stats.completed) + u64::from(stats.rejected),
+                u64::from(wl.num_requests),
+                "{ctx}: not every request reached a terminal state"
+            );
+        }
+    }
+}
+
+/// The long-prefill shape at the `wide_jsq_mixed` benchmark's width:
+/// 1000 replicas under priority aging, routed by JSQ through a
+/// 250-event lifecycle storm, 200k requests, audited every 512
+/// events. Release builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn wide_long_prefill_run_audits_clean() {
+    const WIDTH: usize = 1000;
+    const REQUESTS: u32 = 200_000;
+    const RATE_RPS: f64 = 15.0 * WIDTH as f64;
+    let wl = long_prefill_mix(RATE_RPS, REQUESTS, 0x10_4E);
+    let mut fleet = long_prefill_fleet(WIDTH, || Box::new(PriorityAging::new(2.0)));
+    let storm = churn_tape(
+        WIDTH as u32,
+        0x10_4E,
+        0.8 * f64::from(REQUESTS) / RATE_RPS,
+        250,
+    );
+    let mut run = fleet.start(&wl);
+    for ev in &storm {
+        run.inject(*ev);
+    }
+    let mut audits = 0u32;
+    while run.step(&mut fleet, &mut JoinShortestQueue) {
+        if run.events().is_multiple_of(512) {
+            audit(&run, "wide long-prefill");
+            audits += 1;
+        }
+    }
+    let stats = audit(&run, "wide long-prefill");
+    assert!(audits >= 800, "only {audits} audits");
+    assert_eq!(
+        u64::from(stats.completed) + u64::from(stats.rejected),
+        u64::from(REQUESTS),
+        "not every request reached a terminal state"
+    );
+    assert!(
+        run.into_report().lifecycle.displaced > 0,
         "the storm displaced nothing"
     );
 }

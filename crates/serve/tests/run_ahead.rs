@@ -1,12 +1,14 @@
 //! Rewind edge cases of a core that runs decode iterations ahead.
 //!
-//! A core whose queue is empty and whose every resident request is
-//! decoding runs the iterations that complete nothing inside one step,
-//! and the event loop rewinds it when an arrival, a re-route or a failure
-//! touches it before its clock. Every case below is pinned to the
-//! digest the same scenario produced before cores ran ahead, when each
-//! decode iteration was its own event, so a rewind that keeps one
-//! iteration too many or too few shows as a changed digest.
+//! A core whose queue is empty runs the iterations that complete
+//! nothing inside one step, slots still prefilling joining the batch as
+//! their prefills end, and the event loop rewinds it when an arrival, a
+//! re-route or a failure touches it before its clock. Every case below
+//! is pinned to the digest the same scenario produced when each decode
+//! iteration was its own event (the mid-run-join cases: when a core
+//! with a slot still prefilling stepped one iteration per event), so a
+//! rewind that keeps one iteration or token too many or too few shows
+//! as a changed digest.
 //!
 //! Each edge case is one or two requests of [`PROMPT`] prompt and
 //! [`OUTPUT`] output tokens on [`AnalyticCostModel::small`] machines:
@@ -15,13 +17,15 @@
 //! iteration of a lone request begins, the way the core accumulates its
 //! clock, so an event can land exactly on one. A seeded battery then
 //! pauses multi-replica runs at random bounds and fails or joins
-//! replicas there, pinned the same way.
+//! replicas there, pinned the same way. The mid-run-join cases run on
+//! [`slow_prefill`] machines, whose prefills span several iterations.
 
 use rpu_models::LengthDistribution;
 use rpu_serve::{
-    digest_fleet_report, AnalyticCostModel, ArrivalProcess, CostModel, DeadlineEdf, Fifo, Fleet,
-    FleetBuilder, FleetEvent, FleetEventKind, FleetReport, FleetRun, JoinShortestQueue,
-    LifecycleState, RoundRobin, Router, SchedulingPolicy, ServeConfig, ServeRng, Workload,
+    digest_fleet_report, ActiveRequest, AnalyticCostModel, ArrivalProcess, CostModel, DeadlineEdf,
+    Fifo, Fleet, FleetBuilder, FleetEvent, FleetEventKind, FleetReport, FleetRun,
+    JoinShortestQueue, LifecycleState, QueuedRequest, RoundRobin, Router, SchedulingPolicy,
+    ServeConfig, ServeRng, Workload,
 };
 
 const PROMPT: u32 = 200;
@@ -434,3 +438,230 @@ fn battery(lockstep: bool) -> String {
     }
     format!("{folded:016x}")
 }
+
+/// One lone decode iteration's price on [`slow_prefill`] machines, and
+/// the unit their prices are multiples of.
+const U: f64 = 1.0 / 1024.0;
+
+/// The prompt of the mid-run-join cases: its prefill takes 40 [`U`],
+/// eight decode iterations of a lone request.
+const LONG: u32 = 640;
+
+/// Machines whose prefill of a [`LONG`] prompt spans several decode
+/// iterations. On a [`joins_fleet`] every context prices at one
+/// bucket, so a batch of `b` costs `(1 + 4b)` [`U`] per iteration and
+/// clocks add exactly: a prefill can end exactly at an iteration start.
+fn slow_prefill() -> AnalyticCostModel {
+    AnalyticCostModel {
+        weight_stream_s: U,
+        kv_token_s: U / 1024.0,
+        prefill_token_s: U / 16.0,
+        kv_capacity_tokens: 1 << 16,
+    }
+}
+
+/// When decode iteration `k` (1-based) of a lone [`LONG`]-prompt
+/// request that arrived at zero begins.
+fn lone(k: u32) -> f64 {
+    let mut cost = slow_prefill();
+    let mut t = cost.prefill_s(LONG);
+    for _ in 1..k {
+        t += cost.decode_step_s(1, 4096);
+    }
+    t
+}
+
+/// Request 1 of every mid-run-join case arrives inside request 0's
+/// third lone iteration, is admitted when it ends and joins the batch
+/// exactly when its prefill ends, at the start of lone iteration 12.
+fn joiner_start() -> f64 {
+    lone(12)
+}
+
+fn joins_fleet(
+    replicas: usize,
+    policy: fn() -> Box<dyn SchedulingPolicy>,
+    max_batch: u32,
+) -> Fleet {
+    FleetBuilder::new()
+        .migration_delay_s(U)
+        .group(
+            replicas,
+            &ServeConfig {
+                max_batch,
+                seq_bucket: 4096,
+                collocated_prefill: false,
+            },
+            || Box::new(slow_prefill()),
+            policy,
+        )
+        .build()
+}
+
+fn join_workload(arrivals_s: Vec<f64>, output_lens: LengthDistribution, seed: u64) -> Workload {
+    Workload {
+        prompt_lens: LengthDistribution::Fixed(LONG),
+        output_lens,
+        seed,
+        ..workload(arrivals_s)
+    }
+}
+
+/// Serves a [`LONG`]-prompt, 48-token-output trace on `replicas`
+/// [`slow_prefill`] FIFO machines under round-robin, failing at
+/// `fails`, auditing after every event.
+fn serve_joins(replicas: usize, arrivals_s: Vec<f64>, fails: &[FleetEvent]) -> FleetReport {
+    let fleet = joins_fleet(replicas, || Box::new(Fifo), 8);
+    let mut run = fleet.start(&join_workload(arrivals_s, LengthDistribution::Fixed(48), 0));
+    for ev in fails {
+        run.inject(*ev);
+    }
+    finish(fleet, run)
+}
+
+#[test]
+fn an_arrival_around_a_joiners_first_iteration() {
+    // Request 1 joins request 0's run mid-way; request 2 lands one unit
+    // before, exactly at and one unit after request 1's first iteration
+    // start. Arriving after it, request 2's own prefill ends between two
+    // iteration starts.
+    let t = joiner_start();
+    for (at_s, pinned) in [
+        (t - U, "a9209683c9c1f515"),
+        (t, "680e584b9a09e695"),
+        (t + U, "89d25ee96be0ec7d"),
+    ] {
+        let report = serve_joins(1, vec![0.0, lone(3) + U, at_s], &[]);
+        assert_eq!(report.aggregate.records.len(), 3);
+        assert_eq!(digest(&report), pinned, "arrival at {at_s}");
+    }
+}
+
+#[test]
+fn a_joiner_with_one_token_left_stops_the_run_before_its_iteration() {
+    // Request 1 needs one token: the iteration it joins at completes it,
+    // so the run stops before that iteration and the core wakes there.
+    let wl = join_workload(
+        vec![0.0, lone(3) + U],
+        LengthDistribution::Empirical(vec![(1, 1.0), (48, 1.0)]),
+        SEED_48_THEN_1,
+    );
+    let fleet = joins_fleet(1, || Box::new(Fifo), 8);
+    let run = fleet.start(&wl);
+    let report = finish(fleet, run);
+    let out: Vec<(u32, u32)> = report.records().map(|r| (r.id, r.output_len)).collect();
+    assert_eq!(out, vec![(1, 1), (0, 48)]);
+    assert_eq!(report.replicas[0].decode_iterations, 48);
+    assert_eq!(
+        report.records().next().map(|r| r.finish_s),
+        Some(joiner_start() + 9.0 * U)
+    );
+    assert_eq!(digest(&report), "878fb4758b8a1e5e");
+}
+
+#[test]
+fn a_failure_around_a_join_displaces_the_joiner_as_of_then() {
+    // Round-robin puts requests 0 and 2 on replica 0 (request 1 on
+    // replica 1); request 2 joins replica 0's run as request 1 does in
+    // the cases above. Replica 0 fails before, exactly at and inside
+    // request 2's first iteration: only the last keeps its token and
+    // first-token stamp; the others re-route as fresh as they came.
+    let t = joiner_start();
+    for (at_s, pinned) in [
+        (t - U, "53db59c717fc43b1"),
+        (t, "1d0f521affb480fd"),
+        (t + U, "745afa637295e63f"),
+    ] {
+        let report = serve_joins(2, vec![0.0, 0.0, lone(3) + U], &[fail(0, at_s)]);
+        assert_eq!(report.assigned, vec![2, 3]);
+        assert_eq!(report.lifecycle.displaced, 2);
+        assert_eq!(digest(&report), pinned, "failure at {at_s}");
+    }
+}
+
+#[test]
+fn a_pause_inside_a_stretch_around_a_join() {
+    // `step_until` pauses inside the stretch before request 2 joins
+    // (its prefill still running) and inside the second iteration of
+    // the one it opens; replica 0 fails at the pause bound.
+    let t = joiner_start();
+    for (pause, pinned) in [
+        (lone(8) + U, "c724d18e803cabdc"),
+        (t + 13.0 * U, "e1d25ec50e9438af"),
+    ] {
+        let mut fleet = joins_fleet(2, || Box::new(Fifo), 8);
+        let mut run = fleet.start(&join_workload(
+            vec![0.0, 0.0, lone(3) + U],
+            LengthDistribution::Fixed(48),
+            0,
+        ));
+        assert!(run.step_until(&mut fleet, &mut RoundRobin::new(), pause));
+        run.audit();
+        run.inject(fail(0, pause));
+        let report = finish(fleet, run);
+        assert_eq!(report.lifecycle.displaced, 2);
+        assert_eq!(digest(&report), pinned, "pause at {pause}");
+    }
+}
+
+/// Admits the newest request first and makes room for a fresh one by
+/// evicting the newest resident older than it; a resumed request never
+/// evicts.
+struct NewestFirst;
+
+impl SchedulingPolicy for NewestFirst {
+    fn name(&self) -> &'static str {
+        "newest-first"
+    }
+
+    fn select(&mut self, queue: &[QueuedRequest], _clock: f64) -> Option<usize> {
+        (0..queue.len()).max_by_key(|&i| queue[i].req.id)
+    }
+
+    fn preempt_victim(
+        &mut self,
+        active: &[ActiveRequest],
+        candidate: &QueuedRequest,
+        _clock: f64,
+    ) -> Option<usize> {
+        if candidate.preemptions > 0 {
+            return None;
+        }
+        (0..active.len())
+            .filter(|&i| active[i].req.id < candidate.req.id)
+            .max_by_key(|&i| active[i].req.id)
+    }
+}
+
+#[test]
+fn a_resumed_request_rewound_before_its_join_keeps_its_first_token() {
+    // Two slots. Request 2 evicts request 1 after two tokens; when
+    // request 0 completes (at 436 U), request 1 resumes with a
+    // re-prefill that ends mid-run, and it joins request 2's run at
+    // 481 U. Request 3 lands before that join, and inside the iteration
+    // after it: either way request 1 keeps the first token it had before
+    // its eviction.
+    for (at_s, pinned) in [
+        (456.0 * U, "04768e8c2cf6ce04"),
+        (485.0 * U, "af8ffb390f226bd0"),
+    ] {
+        let fleet = joins_fleet(1, || Box::new(NewestFirst), 2);
+        let run = fleet.start(&join_workload(
+            vec![0.0, U, 60.0 * U, at_s],
+            LengthDistribution::Fixed(48),
+            0,
+        ));
+        let report = finish(fleet, run);
+        let resumed = report
+            .records()
+            .find(|r| r.id == 1)
+            .expect("request 1 completes");
+        assert!(resumed.preemptions >= 1);
+        assert_eq!(resumed.first_token_s, 54.0 * U);
+        assert_eq!(digest(&report), pinned, "arrival at {at_s}");
+    }
+}
+
+/// A seed whose first two draws from `{1, 48}` output tokens are 48,
+/// then 1.
+const SEED_48_THEN_1: u64 = 1;
