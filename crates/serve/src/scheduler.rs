@@ -170,6 +170,13 @@ fn price(cost: &mut dyn CostModel, batch: u32, context: u32) -> f64 {
     dt
 }
 
+/// Each iteration's price, in run order, from a run's segments.
+fn iteration_prices(segments: &[(u32, f64)]) -> impl Iterator<Item = f64> + '_ {
+    segments
+        .iter()
+        .flat_map(|&(n, dt)| std::iter::repeat_n(dt, n as usize))
+}
+
 /// The outcome of serving one workload.
 ///
 /// `R` is the record store. A machine's own report owns its records
@@ -866,18 +873,16 @@ impl Core {
         self.report.decode_busy_s = self.run.decode_busy_s;
         self.report.decode_iterations = self.run.decode_iterations;
         let segments = std::mem::take(&mut self.run.segments);
-        'replay: for &(n, dt) in &segments {
-            for _ in 0..n {
-                let begun = if inclusive {
-                    self.clock <= until
-                } else {
-                    self.clock < until
-                };
-                if !begun {
-                    break 'replay;
-                }
-                self.decode(dt);
+        for dt in iteration_prices(&segments) {
+            let begun = if inclusive {
+                self.clock <= until
+            } else {
+                self.clock < until
+            };
+            if !begun {
+                break;
             }
+            self.decode(dt);
         }
         self.run.segments = segments;
         self.run.segments.clear();
@@ -915,12 +920,10 @@ impl Core {
         // Each iteration's start, then the run's end.
         let mut bounds = vec![run.clock];
         let (mut busy, mut iterations) = (run.decode_busy_s, run.decode_iterations);
-        for &(n, dt) in &run.segments {
-            for _ in 0..n {
-                bounds.push(bounds[bounds.len() - 1] + dt);
-                busy += dt;
-                iterations += 1;
-            }
+        for dt in iteration_prices(&run.segments) {
+            bounds.push(bounds[bounds.len() - 1] + dt);
+            busy += dt;
+            iterations += 1;
         }
         let (total, clock) = (bounds.len() - 1, bounds[bounds.len() - 1]);
         if clock.to_bits() != self.clock.to_bits() {

@@ -289,7 +289,7 @@ fn serve_hostile(arrivals: ArrivalProcess, num_requests: u32) {
 fn paper_scale_churned_run_audits_clean() {
     const WIDTH: u32 = 1000;
     const REQUESTS: u32 = 1_000_000;
-    const RATE_RPS: f64 = 15.0 * WIDTH as f64;
+    const RATE_RPS: f64 = 280.0 * WIDTH as f64;
     let wl = Workload {
         seed: 0x5CA1E ^ u64::from(WIDTH),
         ..Workload::poisson(RATE_RPS, 256, 16, REQUESTS)
