@@ -205,21 +205,22 @@ impl FleetScale {
 /// Fleet width of the `repro --counters` probe: the sweep's 64 rung.
 const PROBE_REPLICAS: u32 = 64;
 
-/// Requests the probe routes: 50 per replica.
-const PROBE_REQUESTS: u32 = PROBE_REPLICAS * 50;
+/// Requests the probe routes per replica.
+const PROBE_REQUESTS_PER_REPLICA: u32 = 50;
 
-/// Runs the counters probe — the 64-replica rung at the sweep's own
+/// Runs the counters probe — a `replicas`-wide rung at the sweep's own
 /// saturating-but-stable load — to completion under `router`.
-fn run_probe(router: &mut dyn Router) -> FleetRun {
+fn run_probe(replicas: u32, router: &mut dyn Router) -> FleetRun {
     let mut fleet = FleetBuilder::new()
         .group(
-            PROBE_REPLICAS as usize,
+            replicas as usize,
             &scale_config(),
             || Box::new(AnalyticCostModel::small()) as Box<dyn CostModel>,
             || Box::new(Fifo) as Box<dyn SchedulingPolicy>,
         )
         .build();
-    let mut run = fleet.start(&scale_workload(PROBE_REPLICAS, PROBE_REQUESTS));
+    let requests = replicas * PROBE_REQUESTS_PER_REPLICA;
+    let mut run = fleet.start(&scale_workload(replicas, requests));
     while run.step(&mut fleet, router) {}
     run
 }
@@ -238,13 +239,14 @@ pub fn counters_report() -> String {
         ("least_kv", || Box::new(LeastKvLoad)),
         ("affinity", || Box::new(SessionAffinity::new())),
     ];
+    let requests = PROBE_REPLICAS * PROBE_REQUESTS_PER_REPLICA;
     let mut out = String::new();
     for (name, mk) in routers {
-        let run = run_probe(mk().as_mut());
+        let run = run_probe(PROBE_REPLICAS, mk().as_mut());
         let c = run.perf_counters();
         let route_calls: u32 = run.into_report().assigned.iter().sum();
         out.push_str(&format!(
-            "counters[{name}]: replicas={PROBE_REPLICAS} requests={PROBE_REQUESTS} \
+            "counters[{name}]: replicas={PROBE_REPLICAS} requests={requests} \
              route_calls={route_calls} index_leaf_updates={} index_marks={}\n",
             c.index_leaf_updates, c.index_marks,
         ));
@@ -342,7 +344,8 @@ mod tests {
 
     /// [`JoinShortestQueue`], checked on every route of the probe: the
     /// index's backlog argmin has KV headroom, so the router's `O(R)`
-    /// saturated scan never runs, and the pick is that argmin.
+    /// saturated scan (the crate's one `O(R)` routing path) never runs,
+    /// and the pick is that argmin.
     struct ArgminCheckedJsq {
         routes: u32,
     }
@@ -371,14 +374,20 @@ mod tests {
     #[test]
     fn jsq_probe_routes_every_request_off_the_index_argmin() {
         // The probe load keeps every JSQ decision on the O(log R)
-        // lookup: no route reaches the headroom-restricted scan.
-        let mut router = ArgminCheckedJsq { routes: 0 };
-        let run = run_probe(&mut router);
-        assert_eq!(router.routes, PROBE_REQUESTS);
-        assert_eq!(
-            run.into_report().assigned.iter().sum::<u32>(),
-            PROBE_REQUESTS
-        );
+        // lookup: no route reaches the headroom-restricted scan, at the
+        // probe's width or at paper scale. A count, not a timing, pins
+        // the routing cost.
+        for replicas in [PROBE_REPLICAS, 1000] {
+            let mut router = ArgminCheckedJsq { routes: 0 };
+            let run = run_probe(replicas, &mut router);
+            let requests = replicas * PROBE_REQUESTS_PER_REPLICA;
+            assert_eq!(router.routes, requests, "width {replicas}");
+            assert_eq!(
+                run.into_report().assigned.iter().sum::<u32>(),
+                requests,
+                "width {replicas}"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Two gates per registry target:
 //!
 //! 1. **Jobs invariance** — rendering with the parallel engine
-//!    (`jobs = 8`) produces exactly the bytes of the sequential
-//!    reference. The engine index-stamps grid results, so any
+//!    (`jobs` = 2, 4 and 8) produces exactly the bytes of the
+//!    sequential reference. The engine index-stamps grid results, so any
 //!    divergence means a grid point read thread-dependent state.
 //! 2. **Golden stability** — the sequential rendering matches the
 //!    snapshot under `tests/golden/repro/`, captured from the
@@ -42,13 +42,14 @@ fn every_target_is_byte_identical_across_job_counts_and_to_its_golden() {
     let bless = std::env::var_os("GOLDEN_BLESS").is_some();
     for exp in registry() {
         let seq = text(exp, &Engine::sequential());
-        let par = text(exp, &Engine::new(8));
-        assert_eq!(
-            seq,
-            par,
-            "{}: --jobs 8 output diverged from --jobs 1",
-            exp.name()
-        );
+        for jobs in [2, 4, 8] {
+            assert_eq!(
+                seq,
+                text(exp, &Engine::new(jobs)),
+                "{}: --jobs {jobs} output diverged from --jobs 1",
+                exp.name()
+            );
+        }
 
         let path = golden_path(exp.name());
         if bless {
