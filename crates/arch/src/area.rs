@@ -64,14 +64,6 @@ impl CoreArea {
     pub fn total(&self) -> f64 {
         self.tmacs + self.vops + self.sram + self.icache + self.buses
     }
-
-    /// Fraction of the core occupied by SRAM (the paper's cores are
-    /// buffer-dominated, unlike cache-heavy GPUs whose SRAM serves
-    /// reuse the RPU does not need).
-    #[must_use]
-    pub fn sram_fraction(&self) -> f64 {
-        self.sram / self.total()
-    }
 }
 
 /// Computes the area of one reasoning core from its specification.
@@ -145,11 +137,8 @@ mod tests {
         // ~832 KB of buffers at 4 MB/mm2 dwarfs 4 TMACs + VOPs: the RPU
         // spends its area on dataflow buffering, not arithmetic.
         let a = core_area(&CoreSpec::paper());
-        assert!(
-            a.sram_fraction() > 0.5,
-            "SRAM fraction {}",
-            a.sram_fraction()
-        );
+        let sram_fraction = a.sram / a.total();
+        assert!(sram_fraction > 0.5, "SRAM fraction {sram_fraction}");
         assert!(a.tmacs < a.sram);
     }
 

@@ -66,12 +66,6 @@ impl ReasoningTask {
     pub fn decode_tokens(&self) -> u32 {
         self.reasoning_tokens + self.answer_tokens
     }
-
-    /// Final context length after the turn.
-    #[must_use]
-    pub fn final_seq_len(&self) -> u32 {
-        self.prompt_tokens + self.decode_tokens()
-    }
 }
 
 /// A disaggregated deployment: GPU prefill engine + RPU decode engine.
@@ -276,7 +270,6 @@ mod tests {
             ReasoningTask::writing(),
         ] {
             assert_eq!(t.decode_tokens(), t.reasoning_tokens + t.answer_tokens);
-            assert_eq!(t.final_seq_len(), t.prompt_tokens + t.decode_tokens());
             assert!(t.reasoning_tokens > 0);
         }
     }

@@ -78,13 +78,6 @@ impl Scenario {
 }
 
 impl Fig08 {
-    /// Per-token slowdown of the batch-32 step relative to batch-1
-    /// (paper: ~13×).
-    #[must_use]
-    pub fn bs32_step_slowdown(&self) -> f64 {
-        self.bs32.report.total_time_s / self.bs1.report.total_time_s
-    }
-
     /// Renders the scenario summaries and trace excerpts.
     #[must_use]
     pub fn tables(&self) -> Vec<Table> {
@@ -153,7 +146,7 @@ mod tests {
         // Fig. 8 caption: batch 32 generates tokens ~13x slower than
         // batch 1, primarily due to sequential KV$ computations.
         let f = run();
-        let slow = f.bs32_step_slowdown();
+        let slow = f.bs32.report.total_time_s / f.bs1.report.total_time_s;
         assert!(slow > 6.0 && slow < 25.0, "BS=32 step slowdown {slow}");
     }
 

@@ -13,9 +13,7 @@
 //! requests *per replica*) so the sweep stays cheap enough for the
 //! golden/differential gates that execute every registry target. The
 //! full-scale run is timed by perfbench's `wide_rr` workload, which
-//! copies this sweep's 1000-wide shape (CI runs it at 10M requests),
-//! and the `router_scale` bench reuses [`scale_workload`] and
-//! [`scale_config`] across widths.
+//! copies this sweep's 1000-wide shape (CI runs it at 10M requests).
 //!
 //! The digest column is the determinism pin: the golden snapshot holds
 //! the exact [`rpu_serve::ReportDigest`] of every width, so any change
@@ -53,8 +51,7 @@ pub const MAX_BATCH: u32 = 8;
 
 /// The swept workload at one fleet width: constant per-replica load,
 /// width-dependent seed so no two rungs share an arrival tape.
-#[must_use]
-pub fn scale_workload(replicas: u32, num_requests: u32) -> Workload {
+fn scale_workload(replicas: u32, num_requests: u32) -> Workload {
     Workload {
         seed: 0x5CA1E ^ u64::from(replicas),
         ..Workload::poisson(
@@ -66,11 +63,8 @@ pub fn scale_workload(replicas: u32, num_requests: u32) -> Workload {
     }
 }
 
-/// The serving config every swept replica runs — shared with the
-/// `router_scale` bench so its timed runs exercise exactly the registry
-/// sweep's machine shape.
-#[must_use]
-pub fn scale_config() -> ServeConfig {
+/// The serving config every swept replica runs.
+fn scale_config() -> ServeConfig {
     ServeConfig {
         max_batch: MAX_BATCH,
         ..ServeConfig::default()

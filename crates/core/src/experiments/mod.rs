@@ -4,9 +4,7 @@
 //! Every module exposes a `run(...)` function returning a structured
 //! result plus a `table()` (or `tables()`) rendering; the hot sweeps
 //! additionally take a [`crate::engine::Engine`] via `run_with(...)` to
-//! fan their grids out over worker threads. Benches in `rpu-bench` call
-//! the same functions, so the printed numbers and the benchmarked code
-//! paths are identical.
+//! fan their grids out over worker threads.
 //!
 //! The [`registry`] lists every experiment as an [`Experiment`] trait
 //! object; the `repro` binary is a thin driver over it — selection,

@@ -33,7 +33,7 @@ pub const NUM_REQUESTS: u32 = 160;
 /// Aging horizon for the priority policy, seconds: the bound on how
 /// long a batch request can wait behind later-arriving interactive
 /// work.
-pub const AGING_HORIZON_S: f64 = 2.0;
+const AGING_HORIZON_S: f64 = 2.0;
 
 /// Offered loads, requests/second. The machine saturates near the
 /// middle of the ladder; the top rungs are past collapse for FIFO.

@@ -47,13 +47,13 @@ pub struct ServingSweep {
 pub const NUM_CUS: u32 = 64;
 
 /// Serving batch-size cap.
-pub const MAX_BATCH: u32 = 8;
+const MAX_BATCH: u32 = 8;
 
 /// Prompt tokens per request.
-pub const PROMPT_LEN: u32 = 1024;
+const PROMPT_LEN: u32 = 1024;
 
 /// Output tokens per request.
-pub const OUTPUT_LEN: u32 = 128;
+const OUTPUT_LEN: u32 = 128;
 
 /// Requests simulated per load point.
 pub const NUM_REQUESTS: u32 = 160;
@@ -73,8 +73,7 @@ pub const BURSTY_ON_RPS: f64 = 480.0;
 pub const BURSTY_SOJOURN_S: f64 = 0.05;
 
 /// The swept workload at one offered load.
-#[must_use]
-pub fn workload(rate_rps: f64) -> Workload {
+fn workload(rate_rps: f64) -> Workload {
     Workload {
         arrivals: ArrivalProcess::Poisson { rate_rps },
         prompt_lens: LengthDistribution::Fixed(PROMPT_LEN),
@@ -151,20 +150,6 @@ pub fn run_with(engine: &Engine) -> ServingSweep {
 }
 
 impl ServingSweep {
-    /// The Poisson rung at the bursty rung's mean load — the smooth
-    /// twin the bursty row is compared against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`BURSTY_MEAN_RPS`] is not a sweep rung (it is).
-    #[must_use]
-    pub fn bursty_twin(&self) -> &LoadPoint {
-        self.points
-            .iter()
-            .find(|p| p.rate_rps == BURSTY_MEAN_RPS)
-            .expect("the bursty rung mirrors a Poisson rung")
-    }
-
     /// Renders the sweep as one table, one row per offered load, with
     /// the bursty rung last.
     #[must_use]
@@ -313,7 +298,11 @@ mod tests {
         // twin but concentrates it into on-periods at twice the rate,
         // so its TTFT tail must be at least as bad.
         let s = sweep();
-        let twin = s.bursty_twin();
+        let twin = s
+            .points
+            .iter()
+            .find(|p| p.rate_rps == BURSTY_MEAN_RPS)
+            .expect("the bursty rung mirrors a Poisson rung");
         assert_eq!(s.bursty.rate_rps, twin.rate_rps);
         assert!(
             s.bursty.slo.ttft.p99 >= twin.slo.ttft.p99,

@@ -6,7 +6,7 @@
 //! event-driven simulator and the GPU baseline into a single API —
 //! [`RpuSystem`] — and provides one module per paper figure under
 //! [`experiments`], each returning both structured results (for tests
-//! and benches) and printable tables (for the `repro` binary).
+//! and examples) and printable tables (for the `repro` binary).
 //!
 //! # Examples
 //!

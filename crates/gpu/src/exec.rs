@@ -110,12 +110,6 @@ impl GpuSystem {
         t_comp.max(t_mem)
     }
 
-    /// Decode throughput in output tokens/second across the batch.
-    #[must_use]
-    pub fn decode_tokens_per_second(&self, wl: &DecodeWorkload) -> f64 {
-        f64::from(wl.batch) / self.decode_step_latency(wl)
-    }
-
     /// Effective aggregate bandwidth utilisation during a decode step.
     #[must_use]
     pub fn effective_bw_utilization(&self, wl: &DecodeWorkload) -> f64 {
@@ -167,8 +161,7 @@ mod tests {
         let t1 = sys.decode_step_latency(&wl_70b(1));
         let t32 = sys.decode_step_latency(&wl_70b(32));
         assert!(t32 > t1, "BS32 step slower than BS1 step");
-        let tp1 = sys.decode_tokens_per_second(&wl_70b(1));
-        let tp32 = sys.decode_tokens_per_second(&wl_70b(32));
+        let (tp1, tp32) = (1.0 / t1, 32.0 / t32);
         assert!(tp32 > 5.0 * tp1, "BS32 throughput {tp32} vs BS1 {tp1}");
     }
 

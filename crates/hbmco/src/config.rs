@@ -88,16 +88,6 @@ impl HbmCoConfig {
         }
     }
 
-    /// The Fig. 9 optimum for Llama3-405B on a 64-CU RPU: 2 ranks,
-    /// 1 bank/group, 1.0× sub-arrays → 192 MB per core (pseudo-channel).
-    #[must_use]
-    pub fn optimal_405b_64cu() -> Self {
-        Self {
-            ranks: 2,
-            ..Self::candidate()
-        }
-    }
-
     /// Checks all fields against the manufacturable ranges used in the
     /// paper's design space.
     ///
@@ -177,12 +167,6 @@ impl HbmCoConfig {
         self.capacity_bytes() / f64::from(self.num_pchs())
     }
 
-    /// Capacity per DRAM die, in bytes (drives wire-length scaling).
-    #[must_use]
-    pub fn capacity_per_layer(&self) -> f64 {
-        self.capacity_bytes() / f64::from(self.total_layers())
-    }
-
     /// Bandwidth-to-capacity ratio in 1/seconds — the paper's key metric
     /// for latency-bound inference.
     #[must_use]
@@ -249,7 +233,12 @@ mod tests {
 
     #[test]
     fn fig9_optimum_is_192mb_per_core() {
-        let c = HbmCoConfig::optimal_405b_64cu();
+        // The Fig. 9 optimum for Llama3-405B on 64 CUs: the candidate
+        // with a second rank.
+        let c = HbmCoConfig {
+            ranks: 2,
+            ..HbmCoConfig::candidate()
+        };
         c.validate().unwrap();
         assert_approx(
             c.capacity_per_pch(),
@@ -322,7 +311,11 @@ mod tests {
 
     #[test]
     fn display_is_fig9_style() {
-        let s = HbmCoConfig::optimal_405b_64cu().to_string();
+        let s = HbmCoConfig {
+            ranks: 2,
+            ..HbmCoConfig::candidate()
+        }
+        .to_string();
         assert!(s.contains("2 ranks"));
         assert!(s.contains("1 banks/group"));
     }

@@ -165,14 +165,6 @@ impl ModelConfig {
         }
     }
 
-    /// Number of MoE layers in the model.
-    #[must_use]
-    pub fn num_moe_layers(&self) -> u32 {
-        (0..self.num_layers)
-            .filter(|&i| self.is_moe_layer(i))
-            .count() as u32
-    }
-
     /// Attention parameters per layer (QKV + output projections).
     #[must_use]
     pub fn attn_params_per_layer(&self) -> f64 {
@@ -292,6 +284,10 @@ mod tests {
     use super::*;
     use rpu_util::assert_approx;
 
+    fn moe_layers(m: &ModelConfig) -> u32 {
+        (0..m.num_layers).filter(|&i| m.is_moe_layer(i)).count() as u32
+    }
+
     #[test]
     fn total_params_match_names() {
         assert_approx(ModelConfig::llama3_8b().total_params(), 8e9, 0.05, "8B");
@@ -333,7 +329,7 @@ mod tests {
     #[test]
     fn maverick_interleaves_moe() {
         let m = ModelConfig::llama4_maverick();
-        assert_eq!(m.num_moe_layers(), 24);
+        assert_eq!(moe_layers(&m), 24);
         assert!(!m.is_moe_layer(0));
         assert!(m.is_moe_layer(1));
     }
@@ -341,13 +337,13 @@ mod tests {
     #[test]
     fn scout_all_layers_moe() {
         let m = ModelConfig::llama4_scout();
-        assert_eq!(m.num_moe_layers(), m.num_layers);
+        assert_eq!(moe_layers(&m), m.num_layers);
     }
 
     #[test]
     fn dense_models_have_no_moe_layers() {
         let m = ModelConfig::llama3_70b();
-        assert_eq!(m.num_moe_layers(), 0);
+        assert_eq!(moe_layers(&m), 0);
         assert!(!m.is_moe_layer(0));
         assert_eq!(m.expected_active_experts(64), 0.0);
     }

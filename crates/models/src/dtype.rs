@@ -56,15 +56,6 @@ impl DType {
     pub fn bytes_per_value(self) -> f64 {
         self.bits_per_value() / 8.0
     }
-
-    /// `true` for block-quantised formats that require the stream decoder.
-    #[must_use]
-    pub fn is_block_format(self) -> bool {
-        matches!(
-            self,
-            DType::Mxfp4 | DType::Mxfp6 | DType::Mxfp8 | DType::Nxfp4 | DType::Bfp8
-        )
-    }
 }
 
 impl fmt::Display for DType {
@@ -152,14 +143,6 @@ mod tests {
     #[test]
     fn mxfp4_is_flat_four_bit() {
         assert!((DType::Mxfp4.bits_per_value() - 4.0).abs() < 1e-12);
-        assert!(DType::Mxfp4.is_block_format());
-    }
-
-    #[test]
-    fn plain_formats_are_not_block() {
-        assert!(!DType::Bf16.is_block_format());
-        assert!(!DType::Fp8.is_block_format());
-        assert!(!DType::Fp32.is_block_format());
     }
 
     #[test]

@@ -109,24 +109,6 @@ impl LengthDistribution {
             }
         }
     }
-
-    /// The largest length this distribution can produce (used for
-    /// conservative KV-capacity admission).
-    #[must_use]
-    pub fn max_len(&self) -> u32 {
-        match self {
-            Self::Fixed(n) => (*n).max(1),
-            Self::Uniform { lo, hi } => (*lo.max(hi)).max(1),
-            Self::Exponential { cap, .. } => (*cap).max(1),
-            Self::Empirical(bins) => bins
-                .iter()
-                .filter(|(_, w)| *w > 0.0)
-                .map(|(l, _)| *l)
-                .max()
-                .unwrap_or(1)
-                .max(1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +121,6 @@ mod tests {
         assert_eq!(d.sample(0.0), 128);
         assert_eq!(d.sample(0.73), 128);
         assert_eq!(d.mean(), 128.0);
-        assert_eq!(d.max_len(), 128);
     }
 
     #[test]
@@ -160,7 +141,6 @@ mod tests {
         };
         assert!(d.sample(0.1) < d.sample(0.9));
         assert_eq!(d.sample(0.999_999_999), 1000);
-        assert_eq!(d.max_len(), 1000);
         // Median of an exponential is mean * ln 2.
         let med = d.sample(0.5);
         assert!((f64::from(med) - 200.0 * 2.0f64.ln()).abs() < 2.0, "{med}");
@@ -172,7 +152,6 @@ mod tests {
         assert_eq!(d.sample(0.5), 100);
         assert_eq!(d.sample(0.8), 1000);
         assert_eq!(d.mean(), 325.0);
-        assert_eq!(d.max_len(), 1000);
     }
 
     #[test]

@@ -81,13 +81,6 @@ impl DecodeWorkload {
     pub fn arithmetic_intensity(&self) -> f64 {
         self.flops() / self.streaming_bytes()
     }
-
-    /// Ideal step latency on a machine with `bandwidth` bytes/s and
-    /// `peak_flops` FLOP/s (roofline bound, no overheads).
-    #[must_use]
-    pub fn roofline_latency(&self, bandwidth: f64, peak_flops: f64) -> f64 {
-        (self.streaming_bytes() / bandwidth).max(self.flops() / peak_flops)
-    }
 }
 
 /// A prefill phase: `prompt_len` tokens processed in parallel for each of
@@ -210,19 +203,6 @@ mod tests {
         let d = DecodeWorkload::new(&m, p, 32, 8192).arithmetic_intensity();
         let f = PrefillWorkload::new(&m, p, 32, 16384).arithmetic_intensity();
         assert!(f > 20.0 * d, "prefill AI {f} vs decode AI {d}");
-    }
-
-    #[test]
-    fn roofline_latency_picks_binding_resource() {
-        let m = ModelConfig::llama3_8b();
-        let p = Precision::mxfp4_inference();
-        let wl = DecodeWorkload::new(&m, p, 1, 8192);
-        // Huge compute, modest bandwidth -> memory-bound.
-        let t_mem = wl.roofline_latency(1e12, 1e18);
-        assert_approx(t_mem, wl.streaming_bytes() / 1e12, 1e-12, "memory-bound");
-        // Huge bandwidth, modest compute -> compute-bound.
-        let t_cmp = wl.roofline_latency(1e18, 1e12);
-        assert_approx(t_cmp, wl.flops() / 1e12, 1e-12, "compute-bound");
     }
 
     #[test]

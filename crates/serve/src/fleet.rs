@@ -1352,12 +1352,6 @@ impl FleetReport {
         self.aggregate.records.gather(record_table(&self.replicas))
     }
 
-    /// Number of provisioned replica slots.
-    #[must_use]
-    pub fn num_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Each replica's decode-busy time as a fraction of the *fleet*
     /// makespan — comparable across replicas, unlike the per-replica
     /// [`ServeReport::utilization`] which is anchored at each replica's
@@ -1940,7 +1934,7 @@ pub(crate) mod tests {
     fn fleet_metrics_are_well_formed() {
         let wl = Workload::poisson(2000.0, 256, 32, 64);
         let r = fleet(4).serve(&wl, &mut JoinShortestQueue);
-        assert_eq!(r.num_replicas(), 4);
+        assert_eq!(r.replicas.len(), 4);
         let util = r.per_replica_utilization();
         assert_eq!(util.len(), 4);
         assert!(util.iter().all(|u| (0.0..=1.0 + 1e-9).contains(u)));
@@ -2053,7 +2047,7 @@ pub(crate) mod tests {
         };
         let (recorded, picks, transitions) = churned();
         assert!(recorded.lifecycle.events() > 0, "tape applied no events");
-        let mut assigned = vec![0u32; recorded.num_replicas()];
+        let mut assigned = vec![0u32; recorded.replicas.len()];
         for &pick in &picks {
             assigned[pick] += 1;
         }

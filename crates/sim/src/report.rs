@@ -137,12 +137,6 @@ impl SimReport {
             self.system_energy_j() / self.total_time_s
         }
     }
-
-    /// System-wide streamed bytes (all cores).
-    #[must_use]
-    pub fn system_streamed_bytes(&self) -> f64 {
-        self.streamed_bytes as f64 * self.plan.total_cores()
-    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Small statistics helpers used by trace post-processing and benches.
+//! Small statistics helpers used by trace post-processing and the
+//! serving metrics.
 
 /// Arithmetic mean of a slice; `0.0` for an empty slice.
 #[must_use]
@@ -8,26 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Population standard deviation; `0.0` for slices shorter than two.
-#[must_use]
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// Geometric mean of strictly positive values; `0.0` if any value is `<= 0`
-/// or the slice is empty.
-#[must_use]
-pub fn geo_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 /// The `p`-th percentile (`0.0 ..= 100.0`) of a sample set, by linear
@@ -406,16 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geo_mean_basics() {
-        assert!((geo_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geo_mean(&[1.0, -1.0]), 0.0);
     }
 
     /// The sort-based reference [`percentile`] replaced: a full

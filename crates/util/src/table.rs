@@ -169,12 +169,6 @@ impl Table {
             .push(cells.iter().map(|c| Cell::Str(c.clone())).collect());
     }
 
-    /// Appends a data row built from displayable values.
-    pub fn row_display<D: fmt::Display>(&mut self, cells: &[D]) {
-        self.rows
-            .push(cells.iter().map(|c| Cell::Str(c.to_string())).collect());
-    }
-
     /// Number of data rows currently in the table.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -334,7 +328,7 @@ mod tests {
     fn len_and_is_empty() {
         let mut t = Table::new("T", &["a"]);
         assert!(t.is_empty());
-        t.row_display(&[42]);
+        t.row(&["42".into()]);
         assert_eq!(t.len(), 1);
     }
 

@@ -34,11 +34,6 @@ pub const NS: f64 = 1e-9;
 /// Picoseconds per second (the simulator's clock domain).
 pub const PS_PER_S: f64 = 1e12;
 
-/// Tera-operations (or FLOPs) per second.
-pub const TOPS: f64 = 1e12;
-/// Giga-operations (or FLOPs) per second.
-pub const GOPS: f64 = 1e9;
-
 /// Converts picojoules to joules.
 #[must_use]
 pub fn pj_to_j(pj: f64) -> f64 {
