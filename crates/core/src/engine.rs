@@ -70,6 +70,10 @@ impl Engine {
     /// Maps `f` over `items`, running up to [`Engine::jobs`] points
     /// concurrently, and returns the results **in input order**.
     ///
+    /// Workers are capped at the host's cores
+    /// ([`std::thread::available_parallelism`], or `jobs` when unknown):
+    /// threads past that only add spawn and switching cost.
+    ///
     /// `f` receives each item's index alongside the item. Workers claim
     /// indices from a shared atomic cursor (dynamic load balancing —
     /// grid points like "grow the fleet until the SLO holds" vary
@@ -84,7 +88,11 @@ impl Engine {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let workers = self.jobs.min(n);
+        let mut workers = self.jobs.min(n);
+        if workers > 1 {
+            let cores = std::thread::available_parallelism().map_or(workers, usize::from);
+            workers = workers.min(cores);
+        }
         if workers <= 1 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
@@ -199,6 +207,22 @@ mod tests {
             x + 1
         });
         assert_eq!(got, vec![6]);
+    }
+
+    #[test]
+    fn workers_never_exceed_the_host_cores() {
+        let cores = std::thread::available_parallelism().map_or(64, usize::from);
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        let items: Vec<u32> = (0..64).collect();
+        let engine = Engine::new(64);
+        engine.par_map(&items, |_, _| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            // Long enough that every spawned worker claims a point.
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        });
+        assert_eq!(engine.jobs(), 64, "jobs() reports the configured value");
+        let threads = seen.into_inner().unwrap().len();
+        assert!(threads <= cores, "{threads} workers on {cores} cores");
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! Attention uses the GQA head-group gathers of §VI ②, softmax uses the
 //! distributed max / exp-sum reductions, and MoE layers stream only the
 //! experts a batch activates.
+//!
+//! Every FFN block follows one rule: gate/up VMM → SiLU → all-gather →
+//! down VMM → all-gather. The dense FFN, the routed experts and the
+//! shared expert differ only in their kernels, input, streamed weight
+//! copies and token rows; `wO` shares the down-and-gather tail. A MoE
+//! model without a shared expert (`shared_intermediate == 0`) emits no
+//! shared-expert block, and its post-attention norm feeds the router
+//! alone.
 
 use crate::instr::{CollectiveKind, Instr, Op, Production, Tag};
 use crate::program::CoreProgram;
@@ -52,11 +60,14 @@ struct Lowering<'a> {
     batch: f64,
     seq_len: f64,
     plan: ShardPlan,
+    /// Layer the emitted instructions belong to (`u32::MAX` for the LM
+    /// head).
+    layer: u32,
     program: CoreProgram,
     next_tag: Tag,
 }
 
-impl<'a> Lowering<'a> {
+impl Lowering<'_> {
     fn tag(&mut self) -> Tag {
         let t = self.next_tag;
         self.next_tag += 1;
@@ -67,306 +78,239 @@ impl<'a> Lowering<'a> {
         self.precision.activations.bytes_per_value()
     }
 
-    fn weight_frac(&self) -> f64 {
-        1.0 / self.plan.total_cores()
+    fn weight_bytes(&self) -> f64 {
+        self.precision.weights.bytes_per_value()
     }
 
-    fn push(&mut self, kernel: KernelKind, layer: u32, op: Op) {
+    fn push(&mut self, kernel: KernelKind, op: Op) {
+        let layer = self.layer;
         self.program.push(Instr { kernel, layer, op });
+    }
+
+    /// A fresh output tag of `bytes` (at least 1) read by `valid_count`
+    /// consumers.
+    fn production(&mut self, bytes: f64, valid_count: u8) -> Production {
+        Production {
+            tag: self.tag(),
+            bytes: bytes.ceil().max(1.0) as u64,
+            valid_count,
+        }
     }
 
     /// Emits a MemLoad + Vmm pair for a column-sharded VMM and returns
     /// the output-fragment tag.
-    #[allow(clippy::too_many_arguments)]
     fn vmm(
         &mut self,
         kernel: KernelKind,
-        layer: u32,
         weight_bytes_total: f64,
         flops_total: f64,
         out_bytes_per_core: f64,
         acts: Vec<Tag>,
         out_consumers: u8,
     ) -> Tag {
-        let w = self.tag();
-        let out = self.tag();
-        let wb = (weight_bytes_total * self.weight_frac()).ceil().max(1.0) as u64;
-        let fl = (flops_total * self.weight_frac()).ceil() as u64;
+        let weights = self.tag();
+        let shard = 1.0 / self.plan.total_cores();
+        let weight_bytes = (weight_bytes_total * shard).ceil().max(1.0) as u64;
+        let flops = (flops_total * shard).ceil() as u64;
         self.push(
             kernel,
-            layer,
             Op::MemLoad {
-                out: w,
-                bytes: wb,
+                out: weights,
+                bytes: weight_bytes,
                 valid_count: 1,
             },
         );
+        let out = self.production(out_bytes_per_core, out_consumers);
         self.push(
             kernel,
-            layer,
             Op::Vmm {
-                weights: w,
+                weights,
                 acts,
-                out: Some(Production {
-                    tag: out,
-                    bytes: out_bytes_per_core.ceil().max(1.0) as u64,
-                    valid_count: out_consumers,
-                }),
-                weight_bytes: wb,
-                flops: fl,
+                out: Some(out),
+                weight_bytes,
+                flops,
             },
         );
-        out
+        out.tag
     }
 
     fn vops(
         &mut self,
         kernel: KernelKind,
-        layer: u32,
         inputs: Vec<Tag>,
         flops: f64,
         out_bytes: f64,
         out_consumers: u8,
     ) -> Tag {
-        let out = self.tag();
+        let out = self.production(out_bytes, out_consumers);
         self.push(
             kernel,
-            layer,
             Op::VOps {
                 inputs,
-                out: Some(Production {
-                    tag: out,
-                    bytes: out_bytes.ceil().max(1.0) as u64,
-                    valid_count: out_consumers,
-                }),
+                out: Some(out),
                 flops: flops.ceil() as u64,
             },
         );
-        out
+        out.tag
     }
 
-    #[allow(clippy::too_many_arguments)] // internal lowering helper; the
-                                         // argument list mirrors the collective instruction's fields
     fn collective(
         &mut self,
         kernel: KernelKind,
-        layer: u32,
         kind: CollectiveKind,
         input: Tag,
         fragment_bytes: f64,
         out_bytes: f64,
         participants: u32,
-        out_consumers: u8,
     ) -> Tag {
-        let out = self.tag();
+        let out = self.production(out_bytes, 1);
         self.push(
             kernel,
-            layer,
             Op::Collective {
                 kind,
                 input: Some(input),
-                out: Some(Production {
-                    tag: out,
-                    bytes: out_bytes.ceil().max(1.0) as u64,
-                    valid_count: out_consumers,
-                }),
+                out: Some(out),
                 fragment_bytes: fragment_bytes.ceil().max(1.0) as u64,
                 participants,
             },
         );
+        out.tag
+    }
+
+    /// Ring all-gather of `input`'s fragments into `full_bytes` across
+    /// every CU.
+    fn all_gather(&mut self, kernel: KernelKind, input: Tag, full_bytes: f64) -> Tag {
+        let n_cus = self.plan.num_cus;
+        let fragment_bytes = full_bytes / f64::from(n_cus);
+        self.collective(
+            kernel,
+            CollectiveKind::AllGather,
+            input,
+            fragment_bytes,
+            full_bytes,
+            n_cus,
+        )
+    }
+
+    /// A column-sharded VMM onto the hidden dimension followed by the
+    /// all-gather of its fragments: `wO` and every FFN down projection.
+    fn project_and_gather(
+        &mut self,
+        kernel: KernelKind,
+        weight_bytes: f64,
+        flops: f64,
+        input: Tag,
+    ) -> Tag {
+        let (b, h, act) = (self.batch, f64::from(self.model.hidden), self.act_bytes());
+        let c = self.plan.total_cores();
+        let frag = self.vmm(kernel, weight_bytes, flops, b * h / c * act, vec![input], 1);
+        self.all_gather(kernel, frag, b * h * act)
+    }
+
+    /// One FFN block: gate/up VMM on `input` → SiLU → all-gather → down
+    /// VMM → all-gather. `streamed` weight copies stream (the expected
+    /// distinct active experts for the routed block, else 1) and
+    /// `tokens` rows of width `inner` flow through it.
+    fn ffn_block(
+        &mut self,
+        (up, down): (KernelKind, KernelKind),
+        input: Tag,
+        streamed: f64,
+        tokens: f64,
+        inner: f64,
+    ) -> Tag {
+        let h = f64::from(self.model.hidden);
+        let (act, wb, c) = (
+            self.act_bytes(),
+            self.weight_bytes(),
+            self.plan.total_cores(),
+        );
+        let gate_up = self.vmm(
+            up,
+            streamed * h * 2.0 * inner * wb,
+            2.0 * tokens * h * 2.0 * inner,
+            tokens * 2.0 * inner / c * act,
+            vec![input],
+            1,
+        );
+        let silu = self.vops(
+            KernelKind::Activation,
+            vec![gate_up],
+            4.0 * tokens * inner / c,
+            tokens * inner / c * act,
+            1,
+        );
+        let silu_full = self.all_gather(up, silu, tokens * inner * act);
+        self.project_and_gather(
+            down,
+            streamed * inner * h * wb,
+            2.0 * tokens * inner * h,
+            silu_full,
+        )
+    }
+
+    /// Lowers the post-attention norm and the FFN of the current layer;
+    /// returns the gathered output vectors the next layer's norm sums.
+    fn lower_ffn(&mut self, x2: Tag) -> Vec<Tag> {
+        let (m, b) = (self.model, self.batch);
+        let h = f64::from(m.hidden);
+        let (act, wb, c) = (
+            self.act_bytes(),
+            self.weight_bytes(),
+            self.plan.total_cores(),
+        );
+        let moe = m.moe.filter(|_| m.is_moe_layer(self.layer));
+        let shared = moe.map_or(0, |moe| moe.shared_intermediate);
+        // Post-attention norm; in an MoE layer the shared expert, if
+        // any, reads it as well as the router.
+        let x2n = self.vops(
+            KernelKind::PostNorm,
+            vec![x2],
+            4.0 * b * h / c,
+            b * h * act,
+            1 + u8::from(shared > 0),
+        );
+        let Some(moe) = moe else {
+            let dense = (KernelKind::GateUp, KernelKind::Down);
+            return vec![self.ffn_block(dense, x2n, 1.0, b, f64::from(m.intermediate))];
+        };
+
+        // Router: tiny VMM + ring reduction of routing decisions.
+        let e = f64::from(moe.num_experts);
+        let n_cus = self.plan.num_cus;
+        let r_frag = self.vmm(
+            KernelKind::Router,
+            h * e * wb,
+            2.0 * b * h * e,
+            b * e / c * act,
+            vec![x2n],
+            1,
+        );
+        let route = self.collective(
+            KernelKind::Router,
+            CollectiveKind::Reduce,
+            r_frag,
+            b * e * act / f64::from(n_cus),
+            b * 16.0,
+            n_cus,
+        );
+
+        // Routed experts (weights for distinct active experts only).
+        let routed = (KernelKind::MoeGateUp, KernelKind::MoeDown);
+        let active = m.expected_active_experts(self.batch as u32);
+        let tokens = b * f64::from(moe.experts_per_token);
+        let inner = f64::from(moe.expert_intermediate);
+        let mut out = vec![self.ffn_block(routed, route, active, tokens, inner)];
+
+        // Shared (always-active) expert.
+        if shared > 0 {
+            let kinds = (KernelKind::SharedGateUp, KernelKind::SharedDown);
+            out.push(self.ffn_block(kinds, x2n, 1.0, b, f64::from(shared)));
+        }
         out
     }
 
-    /// Lowers the FFN of one layer; returns the tag(s) carrying the
-    /// layer output fragments (gathered full vectors).
-    fn lower_ffn(&mut self, layer: u32, x2n: Tag, extra_x2n_tags: Vec<Tag>) -> Vec<Tag> {
-        let m = self.model;
-        let b = self.batch;
-        let h = f64::from(m.hidden);
-        let act = self.act_bytes();
-        let wb = self.precision.weights.bytes_per_value();
-        let c = self.plan.total_cores();
-        let n_cus = self.plan.num_cus;
-
-        if m.is_moe_layer(layer) {
-            let moe = m.moe.expect("moe layer");
-            let e = f64::from(moe.num_experts);
-            let ie = f64::from(moe.expert_intermediate);
-            let is = f64::from(moe.shared_intermediate);
-            let topk = f64::from(moe.experts_per_token);
-            let active = m.expected_active_experts(self.batch as u32);
-
-            // Router: tiny VMM + ring reduction of routing decisions.
-            let r_frag = self.vmm(
-                KernelKind::Router,
-                layer,
-                h * e * wb,
-                2.0 * b * h * e,
-                b * e / c * act,
-                vec![x2n],
-                1,
-            );
-            let route = self.collective(
-                KernelKind::Router,
-                layer,
-                CollectiveKind::Reduce,
-                r_frag,
-                b * e * act / f64::from(n_cus),
-                b * 16.0,
-                n_cus,
-                1,
-            );
-
-            // Routed experts (weights for distinct active experts only).
-            let mg = self.vmm(
-                KernelKind::MoeGateUp,
-                layer,
-                active * h * 2.0 * ie * wb,
-                2.0 * b * topk * h * 2.0 * ie,
-                b * topk * 2.0 * ie / c * act,
-                vec![route],
-                1,
-            );
-            let ms = self.vops(
-                KernelKind::Activation,
-                layer,
-                vec![mg],
-                4.0 * b * topk * ie / c,
-                b * topk * ie / c * act,
-                1,
-            );
-            let ms_full = self.collective(
-                KernelKind::MoeGateUp,
-                layer,
-                CollectiveKind::AllGather,
-                ms,
-                b * topk * ie * act / f64::from(n_cus),
-                b * topk * ie * act,
-                n_cus,
-                1,
-            );
-            let md = self.vmm(
-                KernelKind::MoeDown,
-                layer,
-                active * ie * h * wb,
-                2.0 * b * topk * ie * h,
-                b * h / c * act,
-                vec![ms_full],
-                1,
-            );
-            let x_moe = self.collective(
-                KernelKind::MoeDown,
-                layer,
-                CollectiveKind::AllGather,
-                md,
-                b * h * act / f64::from(n_cus),
-                b * h * act,
-                n_cus,
-                1,
-            );
-
-            // Shared (always-active) expert.
-            let shared_x = extra_x2n_tags[0];
-            let sg = self.vmm(
-                KernelKind::SharedGateUp,
-                layer,
-                h * 2.0 * is * wb,
-                2.0 * b * h * 2.0 * is,
-                b * 2.0 * is / c * act,
-                vec![shared_x],
-                1,
-            );
-            let ss = self.vops(
-                KernelKind::Activation,
-                layer,
-                vec![sg],
-                4.0 * b * is / c,
-                b * is / c * act,
-                1,
-            );
-            let ss_full = self.collective(
-                KernelKind::SharedGateUp,
-                layer,
-                CollectiveKind::AllGather,
-                ss,
-                b * is * act / f64::from(n_cus),
-                b * is * act,
-                n_cus,
-                1,
-            );
-            let sd = self.vmm(
-                KernelKind::SharedDown,
-                layer,
-                is * h * wb,
-                2.0 * b * is * h,
-                b * h / c * act,
-                vec![ss_full],
-                1,
-            );
-            let x_shared = self.collective(
-                KernelKind::SharedDown,
-                layer,
-                CollectiveKind::AllGather,
-                sd,
-                b * h * act / f64::from(n_cus),
-                b * h * act,
-                n_cus,
-                1,
-            );
-            vec![x_moe, x_shared]
-        } else {
-            let i = f64::from(m.intermediate);
-            let g = self.vmm(
-                KernelKind::GateUp,
-                layer,
-                h * 2.0 * i * wb,
-                2.0 * b * h * 2.0 * i,
-                b * 2.0 * i / c * act,
-                vec![x2n],
-                1,
-            );
-            let s = self.vops(
-                KernelKind::Activation,
-                layer,
-                vec![g],
-                4.0 * b * i / c,
-                b * i / c * act,
-                1,
-            );
-            let s_full = self.collective(
-                KernelKind::GateUp,
-                layer,
-                CollectiveKind::AllGather,
-                s,
-                b * i * act / f64::from(n_cus),
-                b * i * act,
-                n_cus,
-                1,
-            );
-            let d = self.vmm(
-                KernelKind::Down,
-                layer,
-                i * h * wb,
-                2.0 * b * i * h,
-                b * h / c * act,
-                vec![s_full],
-                1,
-            );
-            let x_next = self.collective(
-                KernelKind::Down,
-                layer,
-                CollectiveKind::AllGather,
-                d,
-                b * h * act / f64::from(n_cus),
-                b * h * act,
-                n_cus,
-                1,
-            );
-            vec![x_next]
-        }
-    }
-
-    fn lower_layer(&mut self, layer: u32, x_tags: Vec<Tag>) -> Vec<Tag> {
+    fn lower_layer(&mut self, x_tags: Vec<Tag>) -> Vec<Tag> {
         let m = self.model;
         let b = self.batch;
         let s = self.seq_len;
@@ -375,7 +319,7 @@ impl<'a> Lowering<'a> {
         let nkv = f64::from(m.num_kv_heads);
         let hd = f64::from(m.head_dim);
         let act = self.act_bytes();
-        let wb = self.precision.weights.bytes_per_value();
+        let wb = self.weight_bytes();
         let kvb = self.precision.kv_cache.bytes_per_value();
         let c = self.plan.total_cores();
         let q_dim = nh * hd;
@@ -386,7 +330,6 @@ impl<'a> Lowering<'a> {
         // to its column shard, so the work is sharded too).
         let xn = self.vops(
             KernelKind::InputNorm,
-            layer,
             x_tags,
             4.0 * b * h / c,
             b * h * act,
@@ -396,7 +339,6 @@ impl<'a> Lowering<'a> {
         // wQKV.
         let qkv = self.vmm(
             KernelKind::QkvProj,
-            layer,
             h * (q_dim + kv_dim) * wb,
             2.0 * b * h * (q_dim + kv_dim),
             b * (q_dim + kv_dim) / c * act,
@@ -407,19 +349,16 @@ impl<'a> Lowering<'a> {
         // Gather Q/K/V fragments within the GQA head group.
         let qkv_g = self.collective(
             KernelKind::QkvProj,
-            layer,
             CollectiveKind::GroupGather,
             qkv,
             b * (q_dim + kv_dim) / c * act,
             b * (q_dim + kv_dim) / c * act * f64::from(group),
             group,
-            1,
         );
 
         // Rotary embeddings; output feeds both the KV append and QK^T.
         let qkv_r = self.vops(
             KernelKind::Rope,
-            layer,
             vec![qkv_g],
             4.0 * b * (nh + nkv) * hd / c * f64::from(group),
             b * (q_dim + kv_dim) / c * act * f64::from(group),
@@ -429,7 +368,6 @@ impl<'a> Lowering<'a> {
         // KV append (this layer's shard of the new token's K/V).
         self.push(
             KernelKind::KvAppend,
-            layer,
             Op::MemStore {
                 input: Some(qkv_r),
                 bytes: (b * kv_dim * kvb / c).ceil().max(1.0) as u64,
@@ -440,7 +378,6 @@ impl<'a> Lowering<'a> {
         let k_bytes = b * s * nkv * hd * kvb;
         let scores = self.vmm(
             KernelKind::AttnScore,
-            layer,
             k_bytes,
             2.0 * b * nh * hd * s,
             b * nh * s / c * act,
@@ -452,17 +389,14 @@ impl<'a> Lowering<'a> {
         // local normalisation.
         let sm_stats = self.collective(
             KernelKind::Softmax,
-            layer,
             CollectiveKind::Reduce,
             scores,
             b * nh * 4.0 / f64::from(self.plan.num_cus),
             b * nh * 8.0,
-            self.plan.head_group_cus(),
-            1,
+            group,
         );
         let probs = self.vops(
             KernelKind::Softmax,
-            layer,
             vec![scores, sm_stats],
             5.0 * b * nh * s / c,
             b * nh * s / c * act,
@@ -472,7 +406,6 @@ impl<'a> Lowering<'a> {
         // s(QK^T)V against the streamed V cache shard.
         let ctx = self.vmm(
             KernelKind::AttnContext,
-            layer,
             b * s * nkv * hd * kvb,
             2.0 * b * nh * hd * s,
             b * q_dim / c * act,
@@ -481,44 +414,13 @@ impl<'a> Lowering<'a> {
         );
 
         // wO + all-gather of the attention output.
-        let o_frag = self.vmm(
+        let x2 = self.project_and_gather(
             KernelKind::OutProj,
-            layer,
             q_dim * h * wb,
             2.0 * b * q_dim * h,
-            b * h / c * act,
-            vec![ctx],
-            1,
+            ctx,
         );
-        let x2 = self.collective(
-            KernelKind::OutProj,
-            layer,
-            CollectiveKind::AllGather,
-            o_frag,
-            b * h * act / f64::from(self.plan.num_cus),
-            b * h * act,
-            self.plan.num_cus,
-            1,
-        );
-
-        // Post-attention norm; MoE layers fan it out to router + shared
-        // expert as well.
-        let ffn_consumers: u8 = if m.is_moe_layer(layer) { 2 } else { 1 };
-        let x2n = self.vops(
-            KernelKind::PostNorm,
-            layer,
-            vec![x2],
-            4.0 * b * h / c,
-            b * h * act,
-            ffn_consumers,
-        );
-
-        let extra = if m.is_moe_layer(layer) {
-            vec![x2n]
-        } else {
-            vec![]
-        };
-        self.lower_ffn(layer, x2n, extra)
+        self.lower_ffn(x2)
     }
 
     fn lower_lm_head(&mut self, x_tags: Vec<Tag>) {
@@ -527,13 +429,11 @@ impl<'a> Lowering<'a> {
         let h = f64::from(m.hidden);
         let v = f64::from(m.vocab);
         let act = self.act_bytes();
-        let wb = self.precision.weights.bytes_per_value();
         let c = self.plan.total_cores();
-        let layer = u32::MAX;
+        self.layer = u32::MAX;
 
         let xn = self.vops(
             KernelKind::InputNorm,
-            layer,
             x_tags,
             4.0 * b * h / c,
             b * h * act,
@@ -541,8 +441,7 @@ impl<'a> Lowering<'a> {
         );
         let logits = self.vmm(
             KernelKind::LmHead,
-            layer,
-            h * v * wb,
+            h * v * self.weight_bytes(),
             2.0 * b * h * v,
             b * v / c * act,
             vec![xn],
@@ -551,13 +450,11 @@ impl<'a> Lowering<'a> {
         // Final token-selection reduction back to the host.
         self.collective(
             KernelKind::LmHead,
-            layer,
             CollectiveKind::Reduce,
             logits,
             b * 8.0,
             b * 8.0,
             self.plan.num_cus,
-            1,
         );
     }
 }
@@ -583,6 +480,7 @@ pub fn compile_decode_step(
         batch: f64::from(batch),
         seq_len: f64::from(seq_len),
         plan: *plan,
+        layer: 0,
         program: CoreProgram::default(),
         next_tag: 0,
     };
@@ -592,7 +490,6 @@ pub fn compile_decode_step(
     let bytes = (l.batch * f64::from(model.hidden) * l.act_bytes()).ceil() as u64;
     l.push(
         KernelKind::InputNorm,
-        0,
         Op::Inject {
             out: Production {
                 tag: x0,
@@ -604,7 +501,8 @@ pub fn compile_decode_step(
 
     let mut x_tags = vec![x0];
     for layer in 0..model.num_layers {
-        x_tags = l.lower_layer(layer, x_tags);
+        l.layer = layer;
+        x_tags = l.lower_layer(x_tags);
     }
     l.lower_lm_head(x_tags);
     l.program

@@ -195,33 +195,27 @@ impl ModelConfig {
     /// FFN parameters of layer `idx` (all experts for MoE layers).
     #[must_use]
     pub fn layer_ffn_params(&self, idx: u32) -> f64 {
-        let h = f64::from(self.hidden);
-        if self.is_moe_layer(idx) {
-            let m = self.moe.expect("moe layer implies moe config");
-            let router = h * f64::from(m.num_experts);
-            let experts = f64::from(m.num_experts) * 3.0 * h * f64::from(m.expert_intermediate);
-            let shared = 3.0 * h * f64::from(m.shared_intermediate);
-            router + experts + shared
-        } else {
-            self.dense_ffn_params()
-        }
+        self.ffn_params(idx, |m| m.num_experts)
     }
 
     /// Parameters *activated* per token in layer `idx` (routed top-k plus
     /// shared expert for MoE layers).
     #[must_use]
     pub fn layer_active_ffn_params(&self, idx: u32) -> f64 {
+        self.ffn_params(idx, |m| m.experts_per_token)
+    }
+
+    /// FFN parameters of layer `idx` counting `experts(moe)` routed
+    /// experts of an MoE layer, plus its router and shared expert.
+    fn ffn_params(&self, idx: u32, experts: fn(MoeConfig) -> u32) -> f64 {
+        let Some(m) = self.moe.filter(|_| self.is_moe_layer(idx)) else {
+            return self.dense_ffn_params();
+        };
         let h = f64::from(self.hidden);
-        if self.is_moe_layer(idx) {
-            let m = self.moe.expect("moe layer implies moe config");
-            let router = h * f64::from(m.num_experts);
-            let experts =
-                f64::from(m.experts_per_token) * 3.0 * h * f64::from(m.expert_intermediate);
-            let shared = 3.0 * h * f64::from(m.shared_intermediate);
-            router + experts + shared
-        } else {
-            self.dense_ffn_params()
-        }
+        let router = h * f64::from(m.num_experts);
+        let routed = f64::from(experts(m)) * 3.0 * h * f64::from(m.expert_intermediate);
+        let shared = 3.0 * h * f64::from(m.shared_intermediate);
+        router + routed + shared
     }
 
     /// Bytes of weight storage required (all layers + LM head; the

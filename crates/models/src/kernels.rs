@@ -221,6 +221,12 @@ impl Kernel {
 /// Kernel sequence for one decode step of layer `layer_idx`, with `batch`
 /// concurrent queries each at context length `seq_len`.
 ///
+/// Every FFN block follows one rule, gate/up VMM → SiLU → down VMM: the
+/// dense FFN, the routed experts (weights of the expected distinct
+/// active experts, `batch` x top-k token rows) and the shared expert,
+/// which a model with `shared_intermediate == 0` does not have. The RPU
+/// compiler lowers the same blocks.
+///
 /// # Examples
 ///
 /// ```
@@ -314,79 +320,70 @@ pub fn layer_kernels(
         precision,
     ));
 
-    // FFN block.
-    if model.is_moe_layer(layer_idx) {
-        let moe = model.moe.expect("moe layer implies moe config");
-        let e = u64::from(moe.num_experts);
-        let ie = moe.expert_intermediate as f64;
-        let is = moe.shared_intermediate as f64;
-        let topk = f64::from(moe.experts_per_token);
-        let active = model.expected_active_experts(batch);
-
-        ks.push(Kernel::vmm(KernelKind::Router, b, h, e, precision));
-        // Routed experts: weights streamed for each *distinct* active
-        // expert; FLOPs proportional to tokens x top-k.
-        let wb = precision.weights.bytes_per_value();
-        ks.push(Kernel {
-            flops: 2.0 * bf * topk * hf * 2.0 * ie,
-            weight_bytes: active * hf * 2.0 * ie * wb,
-            act_in_bytes: bf * topk * hf * act,
-            act_out_bytes: bf * topk * 2.0 * ie * act,
-            m: b,
-            k: h,
-            n: (2.0 * ie) as u64,
-            ..Kernel::zero(KernelKind::MoeGateUp, KernelClass::Vmm)
-        });
-        ks.push(Kernel::vector_op(
-            KernelKind::Activation,
-            bf * topk * ie,
-            4.0,
-            precision,
-        ));
-        ks.push(Kernel {
-            flops: 2.0 * bf * topk * ie * hf,
-            weight_bytes: active * ie * hf * wb,
-            act_in_bytes: bf * topk * ie * act,
-            act_out_bytes: bf * topk * hf * act,
-            m: b,
-            k: ie as u64,
-            n: h,
-            ..Kernel::zero(KernelKind::MoeDown, KernelClass::Vmm)
-        });
-        if moe.shared_intermediate > 0 {
-            ks.push(Kernel::vmm(
-                KernelKind::SharedGateUp,
-                b,
-                h,
-                2 * u64::from(moe.shared_intermediate),
-                precision,
-            ));
-            ks.push(Kernel::vector_op(
-                KernelKind::Activation,
-                bf * is,
-                4.0,
-                precision,
-            ));
-            ks.push(Kernel::vmm(
-                KernelKind::SharedDown,
-                b,
-                u64::from(moe.shared_intermediate),
-                h,
-                precision,
-            ));
-        }
-    } else {
-        let i = u64::from(model.intermediate);
-        ks.push(Kernel::vmm(KernelKind::GateUp, b, h, 2 * i, precision));
-        ks.push(Kernel::vector_op(
-            KernelKind::Activation,
-            bf * model.intermediate as f64,
-            4.0,
-            precision,
-        ));
-        ks.push(Kernel::vmm(KernelKind::Down, b, i, h, precision));
+    // FFN block: one rule for the dense FFN, the routed experts and the
+    // shared expert (skipped when the model has none).
+    let moe = model.moe.filter(|_| model.is_moe_layer(layer_idx));
+    let Some(moe) = moe else {
+        let dense = (KernelKind::GateUp, KernelKind::Down);
+        let dims = [b, h, u64::from(model.intermediate)];
+        ks.extend(ffn_block(dense, 1.0, bf, dims, precision));
+        return ks;
+    };
+    let e = u64::from(moe.num_experts);
+    ks.push(Kernel::vmm(KernelKind::Router, b, h, e, precision));
+    // Routed experts: weights streamed for each *distinct* active
+    // expert; FLOPs proportional to tokens x top-k.
+    let routed = (KernelKind::MoeGateUp, KernelKind::MoeDown);
+    let active = model.expected_active_experts(batch);
+    let tokens = bf * f64::from(moe.experts_per_token);
+    let inner = u64::from(moe.expert_intermediate);
+    ks.extend(ffn_block(routed, active, tokens, [b, h, inner], precision));
+    if moe.shared_intermediate > 0 {
+        let shared = (KernelKind::SharedGateUp, KernelKind::SharedDown);
+        let inner = u64::from(moe.shared_intermediate);
+        ks.extend(ffn_block(shared, 1.0, bf, [b, h, inner], precision));
     }
     ks
+}
+
+/// One FFN block: gate/up VMM → SiLU → down VMM over a batch of `b`
+/// rows, hidden width `h` and inner width `inner`. `streamed` weight
+/// copies stream (the expected distinct active experts for the routed
+/// block, else 1) and `tokens` rows flow through it (`b` x top-k for the
+/// routed block, else `b`).
+fn ffn_block(
+    (up, down): (KernelKind, KernelKind),
+    streamed: f64,
+    tokens: f64,
+    [b, h, inner]: [u64; 3],
+    precision: Precision,
+) -> [Kernel; 3] {
+    let (hf, i) = (h as f64, inner as f64);
+    let wb = precision.weights.bytes_per_value();
+    let act = precision.activations.bytes_per_value();
+    [
+        Kernel {
+            flops: 2.0 * tokens * hf * 2.0 * i,
+            weight_bytes: streamed * hf * 2.0 * i * wb,
+            act_in_bytes: tokens * hf * act,
+            act_out_bytes: tokens * 2.0 * i * act,
+            m: b,
+            k: h,
+            n: 2 * inner,
+            ..Kernel::zero(up, KernelClass::Vmm)
+        },
+        Kernel::vector_op(KernelKind::Activation, tokens * i, 4.0, precision),
+        Kernel {
+            flops: 2.0 * tokens * i * hf,
+            weight_bytes: streamed * i * hf * wb,
+            act_in_bytes: tokens * i * act,
+            act_out_bytes: tokens * hf * act,
+            m: b,
+            k: inner,
+            n: h,
+            ..Kernel::zero(down, KernelClass::Vmm)
+        },
+    ]
 }
 
 /// The final LM-head VMM (`hidden × vocab`), executed once per decode

@@ -124,26 +124,25 @@ impl Simulator {
         &self.config
     }
 
+    /// Bits per stored value a VMM of `kernel` streams: the KV cache for
+    /// attention, the weights otherwise.
+    fn stored_bits(&self, kernel: KernelKind) -> f64 {
+        match kernel {
+            KernelKind::AttnScore | KernelKind::AttnContext => {
+                self.precision.kv_cache.bits_per_value()
+            }
+            _ => self.precision.weights.bits_per_value(),
+        }
+    }
+
     fn decode_rate(&self, kernel: KernelKind) -> f64 {
         let decoded_bytes_per_s =
             f64::from(self.core.compute_bus_bits) / 8.0 * self.core.bus_clock_hz;
-        let stored_bits = match kernel {
-            KernelKind::AttnScore | KernelKind::AttnContext => {
-                self.precision.kv_cache.bits_per_value()
-            }
-            _ => self.precision.weights.bits_per_value(),
-        };
-        decoded_bytes_per_s * stored_bits / self.precision.activations.bits_per_value()
+        decoded_bytes_per_s * self.stored_bits(kernel) / self.precision.activations.bits_per_value()
     }
 
     fn expansion(&self, kernel: KernelKind) -> f64 {
-        let stored_bits = match kernel {
-            KernelKind::AttnScore | KernelKind::AttnContext => {
-                self.precision.kv_cache.bits_per_value()
-            }
-            _ => self.precision.weights.bits_per_value(),
-        };
-        self.precision.activations.bits_per_value() / stored_bits
+        self.precision.activations.bits_per_value() / self.stored_bits(kernel)
     }
 
     fn vops_rate(&self) -> f64 {
@@ -163,8 +162,9 @@ impl Simulator {
 
 #[derive(Debug, Clone)]
 struct Pending {
+    /// Tags consumed when the pending applies; drained on the first
+    /// attempt, so a publish-blocked retry never consumes twice.
     consumes: Vec<Tag>,
-    consumes_done: bool,
     publish: Option<Production>,
     /// (progress delta, instruction complete?)
     advance: (u64, bool),
@@ -180,7 +180,17 @@ struct PipeRt<'a> {
     pending: Option<Pending>,
 }
 
-impl PipeRt<'_> {
+impl<'a> PipeRt<'a> {
+    fn new(stream: &'a [Instr]) -> Self {
+        Self {
+            stream,
+            pc: 0,
+            progress: 0,
+            free_at: 0,
+            pending: None,
+        }
+    }
+
     fn finished(&self) -> bool {
         self.pc >= self.stream.len() && self.pending.is_none()
     }
@@ -191,7 +201,6 @@ struct Engine<'a> {
     state: DataflowState,
     pipes: [PipeRt<'a>; 3],
     heap: BinaryHeap<Reverse<(u64, u8)>>,
-    now_last: u64,
     sync_floor: u64,
     events: u64,
     /// In-flight HP-VOPs operations: the vector unit is a separate
@@ -252,30 +261,11 @@ impl<'a> Engine<'a> {
             sim,
             state,
             pipes: [
-                PipeRt {
-                    stream: &program.mem,
-                    pc: 0,
-                    progress: 0,
-                    free_at: 0,
-                    pending: None,
-                },
-                PipeRt {
-                    stream: &program.comp,
-                    pc: 0,
-                    progress: 0,
-                    free_at: 0,
-                    pending: None,
-                },
-                PipeRt {
-                    stream: &program.net,
-                    pc: 0,
-                    progress: 0,
-                    free_at: 0,
-                    pending: None,
-                },
+                PipeRt::new(&program.mem),
+                PipeRt::new(&program.comp),
+                PipeRt::new(&program.net),
             ],
             heap,
-            now_last: 0,
             sync_floor: 0,
             events: 0,
             vops_inflight: Vec::new(),
@@ -348,11 +338,8 @@ impl<'a> Engine<'a> {
             .pending
             .take()
             .expect("pending exists");
-        if !pending.consumes_done {
-            for tag in &pending.consumes {
-                self.state.consume(*tag);
-            }
-            pending.consumes_done = true;
+        for tag in pending.consumes.drain(..) {
+            self.state.consume(tag);
         }
         if let Some(p) = pending.publish {
             if !self.state.can_publish(p.tag) {
@@ -362,7 +349,7 @@ impl<'a> Engine<'a> {
             self.state.publish(p.tag, p.bytes);
         }
         let start = self.pipes[pipe as usize].free_at.min(t);
-        self.deposit_energy(&pending.energy.clone(), start.saturating_sub(1), t);
+        self.deposit_energy(&pending.energy, start.saturating_sub(1), t);
         let (delta, complete) = pending.advance;
         let rt = &mut self.pipes[pipe as usize];
         rt.progress += delta;
@@ -431,7 +418,6 @@ impl<'a> Engine<'a> {
                     dur,
                     Pending {
                         consumes: vec![],
-                        consumes_done: true,
                         publish,
                         advance: (q, last),
                         energy: e,
@@ -459,7 +445,6 @@ impl<'a> Engine<'a> {
                     dur.max(1),
                     Pending {
                         consumes: input.iter().copied().collect(),
-                        consumes_done: false,
                         publish: None,
                         advance: (0, true),
                         energy: e,
@@ -525,7 +510,6 @@ impl<'a> Engine<'a> {
                     dur.max(1),
                     Pending {
                         consumes,
-                        consumes_done: false,
                         publish,
                         advance: (q, last),
                         energy: e,
@@ -559,7 +543,6 @@ impl<'a> Engine<'a> {
                     end,
                     Pending {
                         consumes: inputs.clone(),
-                        consumes_done: false,
                         publish: *out,
                         advance: (0, true),
                         energy: e,
@@ -649,7 +632,6 @@ impl<'a> Engine<'a> {
                     dur,
                     Pending {
                         consumes: input.iter().copied().collect(),
-                        consumes_done: false,
                         publish: *out,
                         advance: (0, true),
                         energy: e,
@@ -665,7 +647,6 @@ impl<'a> Engine<'a> {
                     1,
                     Pending {
                         consumes: vec![],
-                        consumes_done: true,
                         publish: Some(*out),
                         advance: (0, true),
                         energy: EnergyBuckets::default(),
@@ -715,8 +696,6 @@ impl<'a> Engine<'a> {
             if self.events > self.sim.config.max_events {
                 return Err(SimError::EventLimit);
             }
-            // Stale wakes may arrive out of order; track the frontier.
-            self.now_last = self.now_last.max(t);
             self.flush_vops(t);
             let rt = &self.pipes[pipe as usize];
             if rt.free_at > t {
@@ -789,7 +768,7 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use rpu_isa::{compile_decode_step, ShardPlan};
-    use rpu_models::{DecodeWorkload, ModelConfig};
+    use rpu_models::{DecodeWorkload, ModelConfig, MoeConfig};
     use rpu_util::assert_approx;
 
     fn run_model(
@@ -865,6 +844,34 @@ mod tests {
             prog.stats().store_bytes,
             1e-9,
             "stored bytes",
+        );
+    }
+
+    #[test]
+    fn moe_without_a_shared_expert_lowers_no_shared_block() {
+        let mut model = ModelConfig::llama4_scout();
+        model.moe = model.moe.map(|m| MoeConfig {
+            shared_intermediate: 0,
+            ..m
+        });
+        let prec = Precision::mxfp4_inference();
+        let plan = ShardPlan::new(64, 16);
+        let prog = compile_decode_step(&model, prec, 1, 16 * 1024, &plan);
+        let shared = prog
+            .all()
+            .filter(|i| matches!(i.kernel, KernelKind::SharedGateUp | KernelKind::SharedDown))
+            .count();
+        assert_eq!(shared, 0, "shared-expert instructions");
+        prog.validate_dataflow().expect("balanced dataflow");
+        Simulator::new(HbmCoConfig::candidate(), prec, plan, SimConfig::default())
+            .run(&prog)
+            .expect("simulation completes");
+        let wl = DecodeWorkload::new(&model, prec, 1, 16 * 1024);
+        assert_approx(
+            prog.stats().weight_bytes * plan.total_cores(),
+            wl.weight_bytes() + wl.kv_read_bytes(),
+            0.01,
+            "streamed bytes",
         );
     }
 
