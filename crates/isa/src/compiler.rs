@@ -220,11 +220,9 @@ impl Lowering<'_> {
         inner: f64,
     ) -> Tag {
         let h = f64::from(self.model.hidden);
-        let (act, wb, c) = (
-            self.act_bytes(),
-            self.weight_bytes(),
-            self.plan.total_cores(),
-        );
+        let act = self.act_bytes();
+        let wb = self.weight_bytes();
+        let c = self.plan.total_cores();
         let gate_up = self.vmm(
             up,
             streamed * h * 2.0 * inner * wb,
@@ -254,11 +252,9 @@ impl Lowering<'_> {
     fn lower_ffn(&mut self, x2: Tag) -> Vec<Tag> {
         let (m, b) = (self.model, self.batch);
         let h = f64::from(m.hidden);
-        let (act, wb, c) = (
-            self.act_bytes(),
-            self.weight_bytes(),
-            self.plan.total_cores(),
-        );
+        let act = self.act_bytes();
+        let wb = self.weight_bytes();
+        let c = self.plan.total_cores();
         let moe = m.moe.filter(|_| m.is_moe_layer(self.layer));
         let shared = moe.map_or(0, |moe| moe.shared_intermediate);
         // Post-attention norm; in an MoE layer the shared expert, if
